@@ -41,7 +41,8 @@ type ExecOptions struct {
 	// SQL task (intra-operator parallelism, distinct from the inter-task
 	// worker pool above). 0 inherits Parallelism (so a parallel DAG run also
 	// parallelizes within its target fragment, defaulting to GOMAXPROCS);
-	// 1 forces the serial pipeline; values > 1 set the worker count directly.
+	// 1 runs the same operators on one inline worker; values > 1 set the
+	// worker count directly.
 	StreamParallelism int
 	// StreamMaxBufferedRows caps the rows streaming pipeline breakers may
 	// buffer (sqlengine.StreamOptions.MaxBufferedRows). 0 means unlimited.
@@ -419,7 +420,7 @@ func (e *Executor) streamChunkRows() int {
 
 // streamParallelism resolves the morsel worker count for a streamed fragment:
 // an explicit StreamParallelism wins; otherwise the fragment inherits the DAG
-// pool setting, so Parallelism 1 keeps the whole run serial and the default
+// pool setting, so Parallelism 1 keeps the whole run on one goroutine and the default
 // parallel run also parallelizes inside its target (-1 = GOMAXPROCS to the
 // engine).
 func (e *Executor) streamParallelism() int {
@@ -516,6 +517,7 @@ func (e *Executor) execChainStream(ctx context.Context, t *task) (*skills.Result
 	if err != nil {
 		return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)
 	}
+	defer rs.Close()
 	seen := 0
 	table, err := rs.Drain(func(chunk *dataset.Table) error {
 		at := seen

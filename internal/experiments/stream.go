@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -27,8 +26,8 @@ type StreamCase struct {
 	Query string `json:"query"` // "filter" or "groupby"
 	Scale int    `json:"scale"` // multiplier over the base row count
 	Rows  int    `json:"rows"`
-	// Workers is the morsel pipeline worker setting for the cell; 1 is the
-	// serial baseline pipeline.
+	// Workers is the morsel pipeline worker setting for the cell; 1 runs the
+	// same operators inline, without goroutines.
 	Workers int `json:"workers"`
 	// FirstChunkMs is the latency until the first chunk of rows exists —
 	// what a remote client waits before seeing output.
@@ -45,22 +44,19 @@ type StreamCase struct {
 }
 
 // SpillCase is one forced-spill cell: the same statement under a memory
-// budget far below its state size, which the strict (spill-disabled) engine
-// refuses with a BudgetError and the spill layer completes from disk.
+// budget far below its state size, which the spill layer completes from
+// disk. SpilledRows > 0 is the evidence the budget did not fit in memory.
 type SpillCase struct {
-	Query   string `json:"query"`
-	Rows    int    `json:"rows"`
-	Budget  int    `json:"budget"`
-	Workers int    `json:"workers"`
-	// SerialBudgetError is the error the strict spill-disabled run fails
-	// with — evidence the budget genuinely does not fit in memory.
-	SerialBudgetError string  `json:"serial_budget_error"`
-	DrainMs           float64 `json:"drain_ms"`
-	SpillRuns         int     `json:"spill_runs"`
-	SpilledRows       int     `json:"spilled_rows"`
-	SpilledBytes      int64   `json:"spilled_bytes"`
-	PeakBufferedRows  int     `json:"peak_buffered_rows"`
-	RowsOut           int     `json:"rows_out"`
+	Query            string  `json:"query"`
+	Rows             int     `json:"rows"`
+	Budget           int     `json:"budget"`
+	Workers          int     `json:"workers"`
+	DrainMs          float64 `json:"drain_ms"`
+	SpillRuns        int     `json:"spill_runs"`
+	SpilledRows      int     `json:"spilled_rows"`
+	SpilledBytes     int64   `json:"spilled_bytes"`
+	PeakBufferedRows int     `json:"peak_buffered_rows"`
+	RowsOut          int     `json:"rows_out"`
 }
 
 // StreamResult is the full grid for BENCH_stream.json.
@@ -167,9 +163,8 @@ func Stream(baseRows int, workerGrid []int) (*StreamResult, error) {
 }
 
 // streamSpillCases runs the forced-spill cells: a high-cardinality group-by
-// whose state is an order of magnitude over the budget, strict first (must
-// fail with a typed BudgetError), then with the spill layer (must complete
-// from disk and match the unbudgeted buffered result).
+// whose state is an order of magnitude over the budget must spill, complete
+// from disk, and match the unbudgeted buffered result.
 func streamSpillCases(res *StreamResult, baseRows int, workerGrid []int) error {
 	n := baseRows
 	budget := n / 10
@@ -185,20 +180,6 @@ func streamSpillCases(res *StreamResult, baseRows int, workerGrid []int) error {
 	buf, err := sqlengine.ExecStmtOptions(catalog, stmt, sqlengine.Options{})
 	if err != nil {
 		return fmt.Errorf("stream: spill buffered reference: %w", err)
-	}
-	serialWorkers := workerGrid[0]
-	strict, err := sqlengine.ExecStreamStmt(catalog, stmt, sqlengine.StreamOptions{
-		Parallelism: serialWorkers, MaxBufferedRows: budget, DisableSpill: true,
-	})
-	var strictErr error
-	if err != nil {
-		strictErr = err
-	} else if _, strictErr = strict.Drain(nil); strictErr == nil {
-		return fmt.Errorf("stream: spill case with budget %d and spill disabled completed; budget too large to force spill", budget)
-	}
-	var be *sqlengine.BudgetError
-	if !errors.As(strictErr, &be) {
-		return fmt.Errorf("stream: strict run failed with %v, want a BudgetError", strictErr)
 	}
 	for _, workers := range workerGrid {
 		rs, err := sqlengine.ExecStreamStmt(catalog, stmt, sqlengine.StreamOptions{
@@ -220,8 +201,7 @@ func streamSpillCases(res *StreamResult, baseRows int, workerGrid []int) error {
 			return fmt.Errorf("stream: spill w=%d: budget %d over %d groups spilled nothing", workers, budget, n)
 		}
 		res.Spill = append(res.Spill, SpillCase{
-			Query: "groupby-wide", Rows: n, Budget: budget, Workers: workers,
-			SerialBudgetError: strictErr.Error(), DrainMs: drainMs,
+			Query: "groupby-wide", Rows: n, Budget: budget, Workers: workers, DrainMs: drainMs,
 			SpillRuns: ss.Runs, SpilledRows: ss.SpilledRows, SpilledBytes: ss.SpilledBytes,
 			PeakBufferedRows: rs.PeakBufferedRows(), RowsOut: full.NumRows(),
 		})
@@ -239,13 +219,12 @@ func (r *StreamResult) Report() string {
 			c.Query, fmt.Sprintf("%dx", c.Scale), c.Rows, c.Workers, c.FirstChunkMs, c.DrainMs, c.BufferedMs, c.PeakBufferedRows)
 	}
 	if len(r.Spill) > 0 {
-		b.WriteString("Disk spill beyond the memory budget (strict run fails; spill completes from disk)\n")
+		b.WriteString("Disk spill beyond the memory budget (the run completes from disk)\n")
 		b.WriteString("  query        rows      budget  workers  drain(ms)  spill_runs  spilled_rows  peak_buffered_rows\n")
 		for _, c := range r.Spill {
 			fmt.Fprintf(&b, "  %-12s %-9d %-7d %-8d %-10.2f %-11d %-13d %d\n",
 				c.Query, c.Rows, c.Budget, c.Workers, c.DrainMs, c.SpillRuns, c.SpilledRows, c.PeakBufferedRows)
 		}
-		fmt.Fprintf(&b, "  strict (spill disabled): %s\n", r.Spill[0].SerialBudgetError)
 	}
 	return b.String()
 }

@@ -306,8 +306,11 @@ func TestBusyRetryAbsorbsContention(t *testing.T) {
 		MaxInFlight: 16,
 		MaxQueue:    32,
 		Clock:       vc,
+		// Virtual backoff returns at once, so the attempts are a spin count:
+		// enough of them that the lock holder always finishes first, even
+		// under -race on two cores.
 		BusyRetry: faults.RetryPolicy{
-			MaxAttempts: 500, BaseDelay: time.Millisecond,
+			MaxAttempts: 1_000_000, BaseDelay: time.Millisecond,
 			MaxDelay: 4 * time.Millisecond, Multiplier: 2,
 		},
 	})

@@ -64,8 +64,9 @@ type Config struct {
 	DefaultMaxRows, MaxPageRows int
 	// StreamWorkers is the default morsel worker setting for requests that
 	// do not ask (0 keeps the engine default of one worker per core, 1
-	// forces the serial pipeline). Client asks are capped at MaxStreamWorkers
-	// (<= 0 means 64) so a request cannot fan out unboundedly.
+	// runs the same operators on one inline worker). Client asks are capped
+	// at MaxStreamWorkers (<= 0 means 64) so a request cannot fan out
+	// unboundedly.
 	StreamWorkers    int
 	MaxStreamWorkers int
 	// StreamMaxBufferedRows is the default memory budget for streamed

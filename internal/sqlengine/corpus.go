@@ -191,7 +191,10 @@ func CorpusQueries(rng *rand.Rand, count int) []string {
 		}
 	}
 	// Fixed regression queries: string-keyed joins, alias ORDER BY against
-	// source columns, fold-insensitive ORDER BY names, empty-input grouping.
+	// source columns, fold-insensitive ORDER BY names, empty-input grouping,
+	// and the un-ordered LIMIT shapes that may stop the scan early — the last
+	// one fails (string minus int) on the few rows with i > 22, which lie
+	// past its limit, so only an engine that scans too far sees the error.
 	qs = append(qs,
 		"SELECT t1.s, t2.s2 FROM t1 JOIN t2 ON t1.s = t2.s2 ORDER BY t1.s, t2.s2 LIMIT 60",
 		"SELECT i AS I2, f FROM t1 ORDER BY i2 DESC, F LIMIT 30",
@@ -200,6 +203,11 @@ func CorpusQueries(rng *rand.Rand, count int) []string {
 		"SELECT i / 0 AS z, i % 0 AS m FROM t1 ORDER BY i LIMIT 10",
 		"SELECT f FROM t1 WHERE f / 0 > 1",
 		"SELECT b, MIN(b) AS mn, MAX(b) AS mx, SUM(b) AS sb FROM t1 GROUP BY b ORDER BY b",
+		"SELECT i, s FROM t1 LIMIT 7 OFFSET 3",
+		"SELECT i + 1 AS x, f FROM t1 WHERE i > 0 LIMIT 9 OFFSET 2",
+		"SELECT DISTINCT s, b FROM t1 LIMIT 4",
+		"SELECT DISTINCT s FROM t1 WHERE i >= 0 LIMIT 3 OFFSET 1",
+		"SELECT i, s FROM t1 WHERE IF(i > 22, s, i) - 1 > -100 LIMIT 3",
 	)
 	return qs
 }

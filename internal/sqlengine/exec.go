@@ -191,24 +191,9 @@ func (e *executor) execSelect(stmt *SelectStmt) (*dataset.Table, error) {
 
 	// WHERE
 	if stmt.Where != nil && stmt.From != nil {
-		keep, vectorized, err := e.vecFilter(stmt.Where, source, rowBudget)
+		keep, err := e.filterRows(stmt.Where, source, rowBudget)
 		if err != nil {
 			return nil, err
-		}
-		if !vectorized {
-			keep = make([]int, 0, source.numRows())
-			for i := 0; i < source.numRows(); i++ {
-				ok, err := expr.EvalBool(stmt.Where, rowEnv{source, i})
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					keep = append(keep, i)
-					if rowBudget >= 0 && len(keep) >= rowBudget {
-						break
-					}
-				}
-			}
 		}
 		source = takeRel(source, keep)
 	} else if rowBudget >= 0 && stmt.From != nil && source.numRows() > rowBudget {
@@ -245,6 +230,28 @@ func (e *executor) execSelect(stmt *SelectStmt) (*dataset.Table, error) {
 		out = out.Slice(from, to)
 	}
 	return out, nil
+}
+
+// filterRows returns the indexes of the rows of r that pass where, in row
+// order, stopping at limit survivors (limit < 0 means all of them): one
+// kernel pass when the predicate compiles, the boxed row loop otherwise.
+// Every WHERE — buffered or per morsel — goes through here.
+func (e *executor) filterRows(where expr.Expr, r *rel, limit int) ([]int, error) {
+	keep, vectorized, err := e.vecFilter(where, r, limit)
+	if err != nil || vectorized {
+		return keep, err
+	}
+	keep = make([]int, 0, r.numRows())
+	for i := 0; i < r.numRows() && len(keep) != limit; i++ {
+		ok, err := expr.EvalBool(where, rowEnv{r, i})
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			keep = append(keep, i)
+		}
+	}
+	return keep, nil
 }
 
 func (e *executor) collectAllAggs(stmt *SelectStmt) []*AggCall {

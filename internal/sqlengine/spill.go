@@ -14,9 +14,8 @@ import (
 // sort or a group-by partition exceeds the MaxBufferedRows budget, its
 // buffered state is written as a run of gob-encoded records to a temp file
 // and merged back streaming, so the budget bounds memory without killing the
-// query — BudgetError becomes the fallback of last resort (it still fires
-// when spilling is disabled, or for operators that cannot spill, like join
-// build sides and DISTINCT seen-sets). Every temp file is tracked on the
+// query — BudgetError is left for the operators that cannot spill (join
+// build sides and unmatched-row buffers). Every temp file is tracked on the
 // stream and removed when its reader is exhausted or the stream closes, so
 // errors and cancellation leave no files behind.
 
@@ -56,7 +55,11 @@ func (se *streamExec) newSpillWriter(kind string) (*spillWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sql: creating spill file: %w", err)
 	}
-	se.trackSpillFile(f.Name())
+	if err := se.trackSpillFile(f.Name()); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, err
+	}
 	bw := bufio.NewWriterSize(f, 1<<16)
 	return &spillWriter{se: se, f: f, bw: bw, enc: gob.NewEncoder(bw)}, nil
 }
@@ -220,8 +223,7 @@ func (r *diskSortRun) dispose() {
 }
 
 // extSorter accumulates sorted runs under the memory budget, merging the
-// buffered runs into an on-disk run whenever the budget would overflow (if
-// spilling is enabled; otherwise the overflow surfaces as BudgetError).
+// buffered runs into an on-disk run whenever the budget would overflow.
 type extSorter struct {
 	se      *streamExec
 	op      string
@@ -252,7 +254,7 @@ func (s *extSorter) lessKeys(a, b []dataset.Value) bool {
 // addRun ingests one chunk's rows (in input order) as sequence seq. Rows are
 // sorted stably within the run — order may carry a precomputed stable sort
 // (from a pipeline worker); nil means sort here. Budget overflow triggers a
-// spill of the buffered runs (or BudgetError when spilling is off).
+// spill of the buffered runs.
 func (s *extSorter) addRun(seq int, vals, keys [][]dataset.Value, order []int) error {
 	n := len(vals)
 	if n == 0 {
@@ -263,9 +265,6 @@ func (s *extSorter) addRun(seq int, vals, keys [][]dataset.Value, order []int) e
 		r.order = sortIndexes(n, s.orderBy, func(row, k int) dataset.Value { return keys[row][k] })
 	}
 	if !s.se.tryBuffer(s.op, s.total+n) {
-		if !s.se.spillEnabled() {
-			return s.se.buffer(s.op, s.total+n) // surfaces the typed BudgetError
-		}
 		if err := s.spillMemRuns(); err != nil {
 			return err
 		}

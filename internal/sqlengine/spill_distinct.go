@@ -51,8 +51,8 @@ func newDistinctSpiller(se *streamExec, op string, seenKeys []string) (*distinct
 	return &distinctSpiller{se: se, op: op, emitted: emitted, pending: pending}, nil
 }
 
-// add defers one chunk's rows to the pending tail run. keys may carry the
-// chunk's pre-rendered row keys (from a pipeline worker); nil renders here.
+// add defers one chunk's rows to the pending tail run; keys are the chunk's
+// row keys as a pipeline worker rendered them.
 func (d *distinctSpiller) add(t *dataset.Table, keys []string) error {
 	if d.names == nil {
 		d.names = t.ColumnNames()
@@ -63,13 +63,7 @@ func (d *distinctSpiller) add(t *dataset.Table, keys []string) error {
 		}
 	}
 	for r := 0; r < t.NumRows(); r++ {
-		key := ""
-		if keys != nil {
-			key = keys[r]
-		} else {
-			key = streamRowKey(t.Row(r))
-		}
-		rec := &spillRec{Seq: d.seq, A: t.Row(r), B: []dataset.Value{dataset.Str(key)}}
+		rec := &spillRec{Seq: d.seq, A: t.Row(r), B: []dataset.Value{dataset.Str(keys[r])}}
 		if err := d.pending.write(rec); err != nil {
 			return err
 		}

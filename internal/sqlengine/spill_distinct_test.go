@@ -1,7 +1,6 @@
 package sqlengine
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 )
@@ -9,8 +8,8 @@ import (
 // TestStreamDistinctSpills pins the DISTINCT overflow path: with a budget
 // far below the distinct-key count the streaming engine must go to disk and
 // still produce exactly the materialized result — same rows, same
-// first-occurrence order — serial and parallel, with and without a
-// filter feeding it. Strict mode (DisableSpill) keeps the typed failure.
+// first-occurrence order — at one worker and at four, with and without a
+// filter feeding it.
 func TestStreamDistinctSpills(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	catalog := NewMapCatalog(CorpusTables(rng, 900, 10))
@@ -49,17 +48,5 @@ func TestStreamDistinctSpills(t *testing.T) {
 			}
 			assertNoSpillFiles(t, dir)
 		}
-	}
-
-	// With spilling off the same overflow still fails loudly and typed.
-	rs, err := ExecStream(catalog, "SELECT DISTINCT s FROM t1", StreamOptions{
-		ChunkRows: 64, MaxBufferedRows: 3, DisableSpill: true,
-	})
-	if err == nil {
-		_, err = rs.ReadAll()
-	}
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("strict budget: error = %v, want *BudgetError", err)
 	}
 }

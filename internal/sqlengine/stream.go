@@ -19,14 +19,14 @@ import (
 // runs, group states, join build sides, DISTINCT seen-sets) buffer rows under
 // an explicit budget. A sort or group-by partition that overflows the budget
 // spills runs to disk and merges them streaming (spill.go); operators that
-// cannot spill fail loudly with a typed BudgetError. With Parallelism > 1 a
-// morsel dispatcher (stream_parallel.go) fans chunks out to worker-pinned
-// pipelines with order-preserving reassembly, so the parallel stream emits
-// exactly the serial chunk sequence. Statements the pipeline cannot stream
-// exactly fall back to whole-statement materialized execution re-chunked on
-// the way out, so ExecStream always produces the same rows, in the same
-// order, as the row-at-a-time reference path — the differential harness pins
-// both.
+// cannot spill fail loudly with a typed BudgetError. Every operator exists
+// once, parameterised by a worker count: the morsel dispatcher
+// (stream_parallel.go) runs it inline at one worker and fans chunks out with
+// order-preserving reassembly at more, so the chunk sequence is independent
+// of the worker count. Statements the pipeline cannot stream exactly fall
+// back to whole-statement materialized execution re-chunked on the way out,
+// so ExecStream always produces the same rows, in the same order, as the
+// row-at-a-time reference path — the differential harness pins both.
 
 // DefaultChunkRows is the morsel size when StreamOptions.ChunkRows is unset.
 const DefaultChunkRows = 1024
@@ -41,32 +41,24 @@ type StreamOptions struct {
 	// MaxBufferedRows caps the rows pipeline-breaking operators may buffer
 	// (sorted runs, group states, join build sides, DISTINCT sets). Zero
 	// means unlimited. Overflowing operators spill sorted/partitioned runs
-	// to disk when they can (ORDER BY, group-by) and abort the stream with
-	// a *BudgetError when they cannot (join build sides, DISTINCT sets) or
-	// when DisableSpill is set.
+	// to disk when they can (ORDER BY, group-by, DISTINCT) and abort the
+	// stream with a *BudgetError when they cannot (join build sides and
+	// unmatched-row buffers).
 	MaxBufferedRows int
 
 	// Parallelism is the number of pipeline workers morsels are fanned out
-	// to. 0 means serial (the oracle path every differential test pins
-	// against), a negative value means GOMAXPROCS, and values > 1 enable
-	// the parallel dispatcher with order-preserving reassembly.
+	// to. 0 and 1 mean one inline worker (no goroutines), a negative value
+	// means GOMAXPROCS; the operators and the chunk sequence they emit are
+	// the same at every setting. A LIMIT that may stop the scan early runs
+	// on one worker whatever is asked here.
 	Parallelism int
 
 	// SpillDir is where spill runs are written (default: the OS temp dir).
 	SpillDir string
 
-	// DisableSpill turns the disk spill layer off, restoring the strict
-	// budget behavior: overflow is always a *BudgetError.
-	DisableSpill bool
-
 	// Ctx, when set, cancels parallel workers and releases spill files if
 	// it is done before the stream is drained.
 	Ctx context.Context
-
-	// ForceFallbackAfterChunks, when positive, switches to the materialized
-	// fallback after that many chunks have been emitted. It exists so tests
-	// can pin that a mid-stream fallback continues the row sequence exactly.
-	ForceFallbackAfterChunks int
 }
 
 func (o StreamOptions) chunkRows() int {
@@ -76,7 +68,7 @@ func (o StreamOptions) chunkRows() int {
 	return DefaultChunkRows
 }
 
-// workers resolves Parallelism: 0 → 1 (serial), negative → GOMAXPROCS.
+// workers resolves Parallelism: 0 → 1 (inline), negative → GOMAXPROCS.
 func (o StreamOptions) workers() int {
 	switch {
 	case o.Parallelism == 0:
@@ -110,6 +102,7 @@ func (e *BudgetError) Error() string {
 type streamExec struct {
 	ex   *executor
 	opts StreamOptions
+	nw   int // worker count every operator of this stream runs with
 
 	mu       sync.Mutex
 	buffered map[string]int
@@ -179,13 +172,7 @@ func (se *streamExec) forceBuffer(op string, rows int) {
 	se.mu.Unlock()
 }
 
-func (se *streamExec) workers() int { return se.opts.workers() }
-
-// spillEnabled reports whether budget overflow may go to disk instead of
-// failing. With no budget there is never an overflow to spill.
-func (se *streamExec) spillEnabled() bool {
-	return se.opts.MaxBufferedRows > 0 && !se.opts.DisableSpill
-}
+func (se *streamExec) workers() int { return se.nw }
 
 // onStop registers a teardown hook (pipe stop, sorter disposal) run when the
 // stream closes, fails, finishes, or its context is cancelled. If the stream
@@ -224,14 +211,26 @@ func (se *streamExec) stopAll(cause error) {
 	for path := range se.spillFiles {
 		os.Remove(path)
 	}
-	se.spillFiles = map[string]bool{}
+	se.spillFiles = nil // a writer racing the stop gets its file refused
 	se.spillMu.Unlock()
 }
 
-func (se *streamExec) trackSpillFile(path string) {
+// trackSpillFile registers a new spill file for removal at stop. On a stream
+// that already stopped it refuses with the stop cause: the file would
+// outlive the cleanup pass.
+func (se *streamExec) trackSpillFile(path string) error {
 	se.spillMu.Lock()
+	defer se.spillMu.Unlock()
+	if se.spillFiles == nil {
+		se.stopMu.Lock()
+		defer se.stopMu.Unlock()
+		if se.stopErr != nil {
+			return se.stopErr
+		}
+		return errStreamClosed
+	}
 	se.spillFiles[path] = true
-	se.spillMu.Unlock()
+	return nil
 }
 
 func (se *streamExec) removeSpillFile(path string) {
@@ -259,18 +258,11 @@ func (se *streamExec) spillStats() SpillStats {
 
 // RowStream yields a statement's result as a sequence of bounded chunks.
 type RowStream struct {
-	catalog Catalog
-	stmt    *SelectStmt
-	opts    StreamOptions
-	se      *streamExec
-
-	pull         func() (*dataset.Table, error)
-	needFallback bool // statement is unstreamable; materialize lazily on first Next
-	fellBack     bool
-	done         bool
-	err          error
-	rows         int
-	chunks       int
+	se       *streamExec
+	pull     func() (*dataset.Table, error)
+	fellBack bool
+	done     bool
+	err      error
 }
 
 // Next returns the next chunk, or (nil, nil) when the stream is exhausted.
@@ -279,98 +271,42 @@ func (rs *RowStream) Next() (*dataset.Table, error) {
 	if rs.done || rs.err != nil {
 		return nil, rs.err
 	}
-	if rs.needFallback {
-		rs.needFallback = false
-		if err := rs.startFallback(0); err != nil {
-			return nil, rs.fail(err)
-		}
-	}
-	if rs.opts.ForceFallbackAfterChunks > 0 && !rs.fellBack && rs.chunks >= rs.opts.ForceFallbackAfterChunks {
-		if err := rs.startFallback(rs.rows); err != nil {
-			return nil, rs.fail(err)
-		}
-	}
 	t, err := rs.pull()
 	if err != nil {
-		return nil, rs.fail(err)
+		rs.err = err
+		rs.se.stopAll(nil)
+		return nil, err
 	}
 	if t == nil {
-		rs.done = true
-		rs.se.stopAll(nil)
-		return nil, nil
+		rs.Close()
 	}
-	rs.chunks++
-	rs.rows += t.NumRows()
 	return t, nil
 }
 
-func (rs *RowStream) fail(err error) error {
-	rs.err = err
-	rs.se.stopAll(nil)
-	return err
-}
-
 // Close releases the stream's resources — parallel workers and spill files —
-// without draining it. Required when abandoning a partially-consumed
-// parallel stream; harmless (and optional) after a full drain or an error.
+// without draining it. Required when abandoning a partially-consumed stream;
+// harmless (and optional) after a full drain or an error.
 func (rs *RowStream) Close() {
 	rs.done = true
-	if rs.se != nil {
-		rs.se.stopAll(nil)
-	}
-}
-
-// startFallback materializes the whole statement through the standard path
-// and re-chunks it, skipping rows the streaming pipeline already emitted.
-// Both paths produce rows in identical order, so the spliced sequence is the
-// same table the reference path returns.
-func (rs *RowStream) startFallback(skipRows int) error {
-	// The streaming pipeline is abandoned: stop its workers and drop its
-	// spill files before materializing.
 	rs.se.stopAll(nil)
-	out, err := ExecStmtOptions(rs.catalog, rs.stmt, rs.opts.Options)
-	if err != nil {
-		return err
-	}
-	rs.fellBack = true
-	if skipRows > 0 {
-		out = out.Window(skipRows, out.NumRows())
-		if out.NumRows() == 0 {
-			rs.pull = func() (*dataset.Table, error) { return nil, nil }
-			return nil
-		}
-	}
-	rs.pull = rechunkTable(out, rs.opts.chunkRows())
-	return nil
 }
 
-// FellBack reports whether the stream switched to materialized execution.
+// FellBack reports whether the statement ran through materialized execution.
 func (rs *RowStream) FellBack() bool { return rs.fellBack }
-
-// RowsEmitted returns the number of rows produced so far.
-func (rs *RowStream) RowsEmitted() int { return rs.rows }
 
 // PeakBufferedRows returns the high-water mark of rows buffered by
 // pipeline-breaking operators — the stream's working-set gauge.
 func (rs *RowStream) PeakBufferedRows() int {
-	if rs.se == nil {
-		return 0
-	}
 	rs.se.mu.Lock()
 	defer rs.se.mu.Unlock()
 	return rs.se.peak
 }
 
 // SpillStats returns the stream's disk-spill counters so far.
-func (rs *RowStream) SpillStats() SpillStats {
-	if rs.se == nil {
-		return SpillStats{}
-	}
-	return rs.se.spillStats()
-}
+func (rs *RowStream) SpillStats() SpillStats { return rs.se.spillStats() }
 
-// Workers reports the resolved pipeline worker count.
-func (rs *RowStream) Workers() int { return rs.opts.workers() }
+// Workers reports the worker count the stream's operators ran with.
+func (rs *RowStream) Workers() int { return rs.se.workers() }
 
 // ReadAll drains the stream into one table. Column types are re-inferred
 // across all chunks the way the reference projection does.
@@ -381,8 +317,10 @@ func (rs *RowStream) ReadAll() (*dataset.Table, error) {
 // Drain consumes the stream into one table, handing each chunk to sink (may
 // be nil) before accumulating it — the hook the DAG executor uses to forward
 // chunks to a network client while still materializing the full result for
-// the session context and the sub-DAG cache.
+// the session context and the sub-DAG cache. The stream is closed on return,
+// whether it was exhausted, failed, or the sink refused a chunk.
 func (rs *RowStream) Drain(sink func(*dataset.Table) error) (*dataset.Table, error) {
+	defer rs.Close()
 	var first *dataset.Table
 	var builders []*valueColumnBuilder
 	nchunks := 0
@@ -455,18 +393,38 @@ func ExecStreamStmt(catalog Catalog, stmt *SelectStmt, opts StreamOptions) (*Row
 			}
 		}()
 	}
-	rs := &RowStream{catalog: catalog, stmt: stmt, opts: opts, se: se}
 	pull, ok, err := se.buildPipeline(stmt)
 	if err != nil {
+		se.stopAll(nil) // releases the context watcher and any half-built pipe
 		return nil, err
 	}
 	if !ok {
-		rs.needFallback = true
-		rs.fellBack = true
-		return rs, nil
+		// Materialized lazily, on the first Next, like every pipeline.
+		pull = deferredPull(func() (func() (*dataset.Table, error), error) {
+			out, err := se.ex.execSelect(stmt)
+			if err != nil {
+				return nil, err
+			}
+			return rechunkTable(out, opts.chunkRows()), nil
+		})
 	}
-	rs.pull = pull
-	return rs, nil
+	return &RowStream{se: se, pull: pull, fellBack: !ok}, nil
+}
+
+// deferredPull postpones a pipeline breaker's whole run to the first chunk
+// request, so a stream that is built but never pulled does no work.
+func deferredPull(run func() (func() (*dataset.Table, error), error)) func() (*dataset.Table, error) {
+	var emit func() (*dataset.Table, error)
+	return func() (*dataset.Table, error) {
+		if emit == nil {
+			e, err := run()
+			if err != nil {
+				return nil, err
+			}
+			emit = e
+		}
+		return emit()
+	}
 }
 
 // relChunks produces a FROM-clause relation as a sequence of bounded chunks.
@@ -474,6 +432,14 @@ func ExecStreamStmt(catalog Catalog, stmt *SelectStmt, opts StreamOptions) (*Row
 type relChunks interface {
 	schema() *rel        // zero-row relation carrying columns and qualifiers
 	next() (*rel, error) // next chunk; (nil, nil) marks exhaustion
+}
+
+// pullRel adapts a chunk source to the morsel dispatcher's pull signature.
+func pullRel(in relChunks) func() (*rel, bool, error) {
+	return func() (*rel, bool, error) {
+		c, err := in.next()
+		return c, c != nil, err
+	}
 }
 
 func windowRel(r *rel, from, to int) *rel {
@@ -537,83 +503,6 @@ func (r *rechunkRel) next() (*rel, error) {
 	}
 }
 
-// filterChunks applies WHERE per chunk, with the vectorized kernel when it
-// compiles and the boxed row loop otherwise, honoring the LIMIT push-down
-// budget across chunks exactly as the materialized scan does.
-type filterChunks struct {
-	se     *streamExec
-	in     relChunks
-	where  expr.Expr
-	budget int // total surviving rows to keep; -1 = unlimited
-	kept   int
-}
-
-func (f *filterChunks) schema() *rel { return f.in.schema() }
-
-func (f *filterChunks) next() (*rel, error) {
-	for {
-		if f.budget >= 0 && f.kept >= f.budget {
-			return nil, nil
-		}
-		c, err := f.in.next()
-		if err != nil || c == nil {
-			return nil, err
-		}
-		rem := -1
-		if f.budget >= 0 {
-			rem = f.budget - f.kept
-		}
-		keep, vectorized, err := f.se.ex.vecFilter(f.where, c, rem)
-		if err != nil {
-			return nil, err
-		}
-		if !vectorized {
-			keep = make([]int, 0, c.numRows())
-			for i := 0; i < c.numRows(); i++ {
-				ok, err := expr.EvalBool(f.where, rowEnv{c, i})
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					keep = append(keep, i)
-					if rem >= 0 && len(keep) >= rem {
-						break
-					}
-				}
-			}
-		}
-		if len(keep) == 0 {
-			continue
-		}
-		f.kept += len(keep)
-		return takeRel(c, keep), nil
-	}
-}
-
-// truncChunks caps total rows flowing through (LIMIT push-down with no WHERE).
-type truncChunks struct {
-	in     relChunks
-	budget int
-	passed int
-}
-
-func (t *truncChunks) schema() *rel { return t.in.schema() }
-
-func (t *truncChunks) next() (*rel, error) {
-	if t.passed >= t.budget {
-		return nil, nil
-	}
-	c, err := t.in.next()
-	if err != nil || c == nil {
-		return nil, err
-	}
-	if rem := t.budget - t.passed; c.numRows() > rem {
-		c = windowRel(c, 0, rem)
-	}
-	t.passed += c.numRows()
-	return c, nil
-}
-
 // sourceChunks builds the chunk source for a FROM-clause relation. Base
 // tables scan as zero-copy windows; subqueries materialize through the
 // standard executor and re-chunk (their results equal the reference by the
@@ -650,12 +539,11 @@ func (se *streamExec) sourceChunks(ref TableRef) (relChunks, error) {
 // joinChunks streams a join: the right side is fully built (hash table for
 // equi-conditions, plain materialization otherwise) and charged against the
 // memory budget; left chunks probe it through the morsel dispatcher, which
-// preserves chunk order, so parallel probing emits exactly the serial
-// sequence. The build side cannot spill — overflowing it is a BudgetError
-// either way. LEFT JOIN unmatched-row tracking is side-effecting, so the
-// workers only report per-row match flags and the consumer folds them into
-// the unmatched buffer serially, in chunk order, exactly like the serial
-// engine.
+// preserves chunk order, so probing emits the same sequence at any worker
+// count. The build side cannot spill — overflowing it is a BudgetError.
+// LEFT JOIN unmatched-row tracking is side-effecting, so the workers only
+// report per-row match flags and the consumer folds them into the unmatched
+// buffer itself, in chunk order.
 type joinChunks struct {
 	se                  *streamExec
 	j                   *Join
@@ -708,10 +596,7 @@ func (se *streamExec) newJoinChunks(j *Join) (*joinChunks, error) {
 		jc.unmatched = &rel{cols: cols, quals: ls.quals}
 	}
 	jc.pipe = newParallelPipe(se.workers(), 2*se.workers(),
-		func() (*rel, bool, error) {
-			c, err := jc.left.next()
-			return c, c != nil, err
-		},
+		pullRel(jc.left),
 		func(c *rel, _ int) (*joinProbe, error) { return jc.probe(c) },
 	)
 	se.onStop(jc.pipe.stop)
@@ -721,36 +606,23 @@ func (se *streamExec) newJoinChunks(j *Join) (*joinChunks, error) {
 // buildHashTable builds the equi-join hash map, range-partitioned across the
 // pipeline workers: each worker maps a contiguous slice of right rows, and
 // the partials merge in range order, so every key's row list stays in
-// ascending right-row order — the order the serial build produces.
+// ascending right-row order at any worker count.
 func (jc *joinChunks) buildHashTable() {
 	n := jc.right.numRows()
 	w := jc.se.workers()
 	if w > n {
 		w = 1
 	}
-	buildRange := func(lo, hi int) map[string][]int {
+	parts := make([]map[string][]int, w)
+	fanOut(w, func(p int) {
+		lo, hi := p*n/w, (p+1)*n/w
 		m := make(map[string][]int, hi-lo)
 		for ri := lo; ri < hi; ri++ {
 			k := joinKey(jc.right, jc.rightKeys, ri)
 			m[k] = append(m[k], ri)
 		}
-		return m
-	}
-	if w <= 1 {
-		jc.build = buildRange(0, n)
-		return
-	}
-	parts := make([]map[string][]int, w)
-	var wg sync.WaitGroup
-	for p := 0; p < w; p++ {
-		lo, hi := p*n/w, (p+1)*n/w
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			parts[p] = buildRange(lo, hi)
-		}(p, lo, hi)
-	}
-	wg.Wait()
+		parts[p] = m
+	})
 	jc.build = parts[0]
 	for _, part := range parts[1:] {
 		for k, ris := range part {
@@ -902,11 +774,25 @@ func (se *streamExec) buildPipeline(stmt *SelectStmt) (func() (*dataset.Table, e
 		}
 	}
 
-	src, err := se.sourceChunks(stmt.From)
+	// A LIMIT that can stop the scan early — un-ordered, and either over a
+	// plain scan (rowBudget) or over DISTINCT — runs on one inline worker,
+	// which pulls a morsel only when the consumer asks for it. Prefetching
+	// workers would evaluate chunks the reference never reaches and could
+	// surface their errors. Every other shape consumes its whole input.
+	rowBudget := -1
+	if !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && stmt.Limit >= 0 {
+		rowBudget = stmt.Offset + stmt.Limit
+	}
+	se.nw = se.opts.workers()
+	if rowBudget >= 0 || (stmt.Distinct && stmt.Limit >= 0 && len(stmt.OrderBy) == 0) {
+		se.nw = 1
+	}
+
+	chunks, err := se.sourceChunks(stmt.From)
 	if err != nil {
 		return nil, false, err
 	}
-	schema := src.schema()
+	schema := chunks.schema()
 
 	names, exprs := se.ex.expandItems(stmt.Items, schema)
 	plain := true
@@ -931,51 +817,18 @@ func (se *streamExec) buildPipeline(stmt *SelectStmt) (func() (*dataset.Table, e
 		return nil, false, nil
 	}
 
-	rowBudget := -1
-	if !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && stmt.Limit >= 0 {
-		rowBudget = stmt.Offset + stmt.Limit
-	}
-	// Parallel pipelines prefetch chunks ahead of the consumer, so they are
-	// only used when the stream consumes its whole input anyway: a LIMIT
-	// that stops early (rowBudget, or DISTINCT+LIMIT) could otherwise
-	// surface evaluation errors from chunks the serial path never reaches.
-	parallelScan := se.workers() > 1 && rowBudget < 0 && !(stmt.Distinct && stmt.Limit >= 0 && !grouped && len(stmt.OrderBy) == 0)
-	var scanFilter expr.Expr
-	var chunks relChunks = src
-	if stmt.Where != nil {
-		if parallelScan {
-			scanFilter = stmt.Where // each worker filters its own morsels
-		} else {
-			chunks = &filterChunks{se: se, in: chunks, where: stmt.Where, budget: rowBudget}
-		}
-	} else if rowBudget >= 0 {
-		chunks = &truncChunks{in: chunks, budget: rowBudget}
-	}
-
 	var pull func() (*dataset.Table, error)
 	switch {
 	case grouped:
-		if parallelScan || se.spillEnabled() {
-			pull = se.partitionedGroupedPull(stmt, chunks, scanFilter, aggs, schema)
-		} else {
-			pull = se.groupedPull(stmt, chunks, aggs, schema)
-		}
+		pull = se.partitionedGroupedPull(stmt, chunks, aggs, schema)
 	case len(stmt.OrderBy) > 0:
-		pull = se.orderedPull(stmt, chunks, scanFilter, names, exprs, plain, plainIdx, schema)
+		pull = se.orderedPull(stmt, chunks, names, exprs, plain, plainIdx, schema)
 	default:
-		if parallelScan {
-			pull = se.parallelProjectPull(chunks, scanFilter, names, exprs, plain, plainIdx)
-		} else {
-			pull = se.projectPull(chunks, names, exprs, plain, plainIdx)
-		}
+		pull = se.parallelProjectPull(chunks, stmt.Where, rowBudget, names, exprs, plain, plainIdx)
 	}
 	if !grouped {
 		if stmt.Distinct {
-			if parallelScan {
-				pull = se.parallelDistinctPull(pull)
-			} else {
-				pull = se.distinctPull(pull)
-			}
+			pull = se.parallelDistinctPull(pull)
 		}
 		if stmt.Offset > 0 || stmt.Limit >= 0 {
 			pull = offsetLimitPull(pull, stmt.Offset, stmt.Limit)
@@ -1036,43 +889,21 @@ func (se *streamExec) projectChunk(c *rel, names []string, exprs []expr.Expr, pl
 	return buildTable("result", builders)
 }
 
-func (se *streamExec) projectPull(chunks relChunks, names []string, exprs []expr.Expr, plain bool, plainIdx []int) func() (*dataset.Table, error) {
-	return func() (*dataset.Table, error) {
-		c, err := chunks.next()
-		if err != nil || c == nil {
-			return nil, err
-		}
-		return se.projectChunk(c, names, exprs, plain, plainIdx)
-	}
-}
-
-// filterRel applies a WHERE predicate to one chunk inside a pipeline worker
-// (no LIMIT budget — parallel scans only run when the whole input is
-// consumed). Returns nil when no row survives.
-func (se *streamExec) filterRel(where expr.Expr, c *rel) (*rel, error) {
+// filterRel keeps the rows of one morsel that pass where (nil keeps all), at
+// most remaining of them (< 0 means unlimited) — the LIMIT push-down budget.
+// It returns nil when no row survives.
+func (e *executor) filterRel(where expr.Expr, c *rel, remaining int) (*rel, error) {
 	if where == nil {
+		if remaining >= 0 && c.numRows() > remaining {
+			c = windowRel(c, 0, remaining)
+		}
 		return c, nil
 	}
-	keep, vectorized, err := se.ex.vecFilter(where, c, -1)
-	if err != nil {
+	keep, err := e.filterRows(where, c, remaining)
+	switch {
+	case err != nil || len(keep) == 0:
 		return nil, err
-	}
-	if !vectorized {
-		keep = make([]int, 0, c.numRows())
-		for i := 0; i < c.numRows(); i++ {
-			ok, err := expr.EvalBool(where, rowEnv{c, i})
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				keep = append(keep, i)
-			}
-		}
-	}
-	if len(keep) == 0 {
-		return nil, nil
-	}
-	if len(keep) == c.numRows() {
+	case len(keep) == c.numRows():
 		return c, nil
 	}
 	return takeRel(c, keep), nil
@@ -1080,17 +911,27 @@ func (se *streamExec) filterRel(where expr.Expr, c *rel) (*rel, error) {
 
 // parallelProjectPull fans source chunks out to the pipeline workers, each
 // filtering and projecting its own morsels; reassembly preserves chunk
-// order, so the output sequence is exactly the serial one.
-func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, names []string, exprs []expr.Expr, plain bool, plainIdx []int) func() (*dataset.Table, error) {
+// order, so the output sequence does not depend on the worker count.
+func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, rowBudget int, names []string, exprs []expr.Expr, plain bool, plainIdx []int) func() (*dataset.Table, error) {
+	// LIMIT push-down: only the first rowBudget surviving rows matter. A
+	// budget (>= 0) implies one inline worker, so the countdown needs no
+	// lock; without one (-1) the workers only read it.
+	remaining := rowBudget
+	source := pullRel(chunks)
 	pipe := newParallelPipe(se.workers(), 2*se.workers(),
 		func() (*rel, bool, error) {
-			c, err := chunks.next()
-			return c, c != nil, err
+			if remaining == 0 {
+				return nil, false, nil
+			}
+			return source()
 		},
 		func(c *rel, _ int) (*dataset.Table, error) {
-			fc, err := se.filterRel(where, c)
+			fc, err := se.ex.filterRel(where, c, remaining)
 			if err != nil || fc == nil {
 				return nil, err
+			}
+			if remaining > 0 {
+				remaining -= fc.numRows()
 			}
 			return se.projectChunk(fc, names, exprs, plain, plainIdx)
 		},
@@ -1119,13 +960,13 @@ type orderedRun struct {
 }
 
 // orderedPull implements chunked ORDER BY as a sorted-run merge: each input
-// chunk becomes a run sorted stably by its keys (built in parallel when the
-// dispatcher has workers); exhausted input is merged k-way with ties broken
+// chunk becomes a run sorted stably by its keys, built by a pipeline worker
+// after it applied WHERE; exhausted input is merged k-way with ties broken
 // by run sequence, which reproduces a global stable sort. Buffered rows are
 // charged against the budget; overflow merges the buffered runs into an
 // on-disk run (a contiguous sequence range, so the final disk+memory merge
-// is still the exact stable sort) unless spilling is disabled.
-func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, where expr.Expr, names []string, exprs []expr.Expr, plain bool, plainIdx []int, schema *rel) func() (*dataset.Table, error) {
+// is still the exact stable sort).
+func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, names []string, exprs []expr.Expr, plain bool, plainIdx []int, schema *rel) func() (*dataset.Table, error) {
 	var types []dataset.Type
 	if plain {
 		types = make([]dataset.Type, len(plainIdx))
@@ -1134,7 +975,7 @@ func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, where expr
 		}
 	}
 	buildRun := func(c *rel, _ int) (*orderedRun, error) {
-		fc, err := se.filterRel(where, c)
+		fc, err := se.ex.filterRel(stmt.Where, c, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -1173,10 +1014,7 @@ func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, where expr
 		return r, nil
 	}
 	pipe := newParallelPipe(se.workers(), 2*se.workers(),
-		func() (*rel, bool, error) {
-			c, err := chunks.next()
-			return c, c != nil, err
-		},
+		pullRel(chunks),
 		buildRun,
 	)
 	se.onStop(pipe.stop)
@@ -1253,236 +1091,6 @@ func buildValueChunk(names []string, types []dataset.Type, rows [][]dataset.Valu
 	return buildTable("result", builders)
 }
 
-// groupedPull consumes all input chunks into streaming per-group aggregate
-// states (COUNT/SUM/AVG/MIN/MAX, non-distinct — anything else fell back
-// before the pipeline was built), then reuses the shared finishGrouped phase
-// for HAVING, projection, and ORDER BY, re-chunking its output.
-func (se *streamExec) groupedPull(stmt *SelectStmt, chunks relChunks, aggs []*AggCall, schema *rel) func() (*dataset.Table, error) {
-	var emit func() (*dataset.Table, error)
-	return func() (*dataset.Table, error) {
-		if emit == nil {
-			out, err := se.runGrouped(stmt, chunks, aggs, schema)
-			if err != nil {
-				return nil, err
-			}
-			emit = rechunkTable(out, se.opts.chunkRows())
-		}
-		return emit()
-	}
-}
-
-// gState is one group's streaming aggregate state, one slot per AggCall.
-type gState struct {
-	firstRow int // row index into the buffered first-rows relation
-	counts   []int64
-	sums     []float64
-	allInt   []bool
-	best     []dataset.Value
-	hasBest  []bool
-}
-
-func newGState(firstRow, naggs int) *gState {
-	g := &gState{
-		firstRow: firstRow,
-		counts:   make([]int64, naggs),
-		sums:     make([]float64, naggs),
-		allInt:   make([]bool, naggs),
-		best:     make([]dataset.Value, naggs),
-		hasBest:  make([]bool, naggs),
-	}
-	for i := range g.allInt {
-		g.allInt[i] = true
-	}
-	return g
-}
-
-func (se *streamExec) runGrouped(stmt *SelectStmt, chunks relChunks, aggs []*AggCall, schema *rel) (*dataset.Table, error) {
-	// firstRows buffers one representative row per group so finishGrouped can
-	// resolve non-aggregate column references exactly as the materialized
-	// path does against the group's first source row.
-	firstRows := &rel{cols: make([]*dataset.Column, len(schema.cols)), quals: schema.quals}
-	for i, c := range schema.cols {
-		firstRows.cols[i] = dataset.NewColumn(c.Name(), c.Type())
-	}
-	buckets := map[string]*gState{}
-	var order []*gState
-	singleGroup := len(stmt.GroupBy) == 0
-	for {
-		c, err := chunks.next()
-		if err != nil {
-			return nil, err
-		}
-		if c == nil {
-			break
-		}
-		for i := 0; i < c.numRows(); i++ {
-			env := rowEnv{c, i}
-			key := ""
-			if !singleGroup {
-				var kb strings.Builder
-				for _, ge := range stmt.GroupBy {
-					v, err := ge.Eval(env)
-					if err != nil {
-						return nil, err
-					}
-					kb.WriteString(v.Type.String())
-					kb.WriteByte(':')
-					kb.WriteString(v.String())
-					kb.WriteByte('\x00')
-				}
-				key = kb.String()
-			}
-			g, ok := buckets[key]
-			if !ok {
-				g = newGState(len(order), len(aggs))
-				buckets[key] = g
-				order = append(order, g)
-				for ci, col := range firstRows.cols {
-					col.Append(c.cols[ci].Value(i))
-				}
-				if err := se.buffer("group-by", len(order)); err != nil {
-					return nil, err
-				}
-			}
-			for ai, a := range aggs {
-				var v dataset.Value
-				if !a.Star {
-					v, err = a.Arg.Eval(env)
-					if err != nil {
-						return nil, err
-					}
-				}
-				if err := g.accumulate(a, ai, v); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if singleGroup && len(order) == 0 {
-		// Aggregates over zero rows still produce one output group.
-		order = append(order, newGState(0, len(aggs)))
-	}
-	groups := make([]groupData, len(order))
-	for gi, g := range order {
-		aggVals := make(expr.MapEnv, len(aggs))
-		for ai, a := range aggs {
-			var v dataset.Value
-			switch {
-			case a.Star || a.Name == "COUNT":
-				v = dataset.Int(g.counts[ai])
-			case a.Name == "MIN" || a.Name == "MAX":
-				v = dataset.Null
-				if g.hasBest[ai] {
-					v = g.best[ai]
-				}
-			case a.Name == "SUM":
-				switch {
-				case g.counts[ai] == 0:
-					v = dataset.Null
-				case g.allInt[ai]:
-					v = dataset.Int(int64(g.sums[ai]))
-				default:
-					v = dataset.Float(g.sums[ai])
-				}
-			default: // AVG
-				v = dataset.Null
-				if g.counts[ai] > 0 {
-					v = dataset.Float(g.sums[ai] / float64(g.counts[ai]))
-				}
-			}
-			aggVals[a.Key()] = v
-		}
-		groups[gi] = groupData{firstRow: g.firstRow, aggVals: aggVals}
-	}
-	out, err := se.ex.finishGrouped(stmt, firstRows, groups)
-	if err != nil {
-		return nil, err
-	}
-	if stmt.Distinct {
-		out, err = out.Distinct()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if stmt.Offset > 0 || stmt.Limit >= 0 {
-		from := stmt.Offset
-		to := out.NumRows()
-		if stmt.Limit >= 0 && from+stmt.Limit < to {
-			to = from + stmt.Limit
-		}
-		out = out.Slice(from, to)
-	}
-	return out, nil
-}
-
-// distinctPull drops rows whose rendered row key has been seen, keeping first
-// occurrences across chunks. The seen-set is charged against the budget;
-// overflow hands the remaining input to a distinctSpiller (external dedupe on
-// disk) when spilling is enabled, and fails with the typed BudgetError when
-// it is not.
-func (se *streamExec) distinctPull(in func() (*dataset.Table, error)) func() (*dataset.Table, error) {
-	seen := map[string]bool{}
-	var sp *distinctSpiller
-	var tail func() (*dataset.Table, error)
-	return func() (*dataset.Table, error) {
-		for {
-			if tail != nil {
-				return tail()
-			}
-			t, err := in()
-			if err != nil {
-				return nil, err
-			}
-			if t == nil {
-				if sp == nil {
-					return nil, nil
-				}
-				if tail, err = sp.resolve(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			if sp != nil {
-				if err := sp.add(t, nil); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			keep := make([]int, 0, t.NumRows())
-			for r := 0; r < t.NumRows(); r++ {
-				key := streamRowKey(t.Row(r))
-				if !seen[key] {
-					seen[key] = true
-					keep = append(keep, r)
-				}
-			}
-			if err := se.buffer("distinct", len(seen)); err != nil {
-				if !se.spillEnabled() {
-					return nil, err
-				}
-				// This chunk's kept rows are still first occurrences —
-				// emitted below, keys flushed into the emitted run.
-				keys := make([]string, 0, len(seen))
-				for k := range seen {
-					keys = append(keys, k)
-				}
-				if sp, err = newDistinctSpiller(se, "distinct", keys); err != nil {
-					return nil, err
-				}
-				se.forceBuffer("distinct", 0)
-				seen = nil
-			}
-			if len(keep) == t.NumRows() {
-				return t, nil
-			}
-			if len(keep) == 0 {
-				continue
-			}
-			return t.Take(keep), nil
-		}
-	}
-}
-
 // distinctBatch is one chunk with its row keys rendered (and sharded) by a
 // pipeline worker.
 type distinctBatch struct {
@@ -1491,18 +1099,21 @@ type distinctBatch struct {
 	shard []uint32
 }
 
-// parallelDistinctPull shards the DISTINCT seen-set by key hash: pipeline
-// workers render row keys per morsel, and per-chunk the shards dedup their
-// own key subspace concurrently into disjoint slots of a keep bitmap. Shard
-// assignment depends only on the key — never the worker count — and chunks
-// are processed in input order, so the kept row set is exactly the serial
-// one. The budget is charged per shard; overflow hands the remaining input
-// to a distinctSpiller like the serial path.
+// parallelDistinctPull drops rows whose rendered row key has been seen,
+// keeping first occurrences across chunks. The seen-set is sharded by key
+// hash, one shard per worker: pipeline workers render row keys per morsel,
+// and per chunk the shards dedup their own key subspace into disjoint slots
+// of a keep bitmap. A key always lands in the same shard and chunks are
+// processed in input order, so the kept row set is the same at any worker
+// count. The budget is charged per shard; overflow hands the remaining input
+// to a distinctSpiller (external dedupe on disk).
 func (se *streamExec) parallelDistinctPull(in func() (*dataset.Table, error)) func() (*dataset.Table, error) {
 	shards := se.workers()
 	seen := make([]map[string]bool, shards)
+	ops := make([]string, shards)
 	for i := range seen {
 		seen[i] = map[string]bool{}
+		ops[i] = fmt.Sprintf("distinct#%d", i)
 	}
 	pipe := newParallelPipe(se.workers(), 2*se.workers(),
 		func() (*dataset.Table, bool, error) {
@@ -1548,27 +1159,18 @@ func (se *streamExec) parallelDistinctPull(in func() (*dataset.Table, error)) fu
 			}
 			n := b.t.NumRows()
 			keepBits := make([]bool, n)
-			var wg sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				wg.Add(1)
-				go func(s int) {
-					defer wg.Done()
-					m := seen[s]
-					for r := 0; r < n; r++ {
-						if int(b.shard[r]) == s && !m[b.keys[r]] {
-							m[b.keys[r]] = true
-							keepBits[r] = true
-						}
+			fanOut(shards, func(s int) {
+				m := seen[s]
+				for r := 0; r < n; r++ {
+					if int(b.shard[r]) == s && !m[b.keys[r]] {
+						m[b.keys[r]] = true
+						keepBits[r] = true
 					}
-				}(s)
-			}
-			wg.Wait()
+				}
+			})
 			overflow := false
-			for s := 0; s < shards; s++ {
-				if err := se.buffer(fmt.Sprintf("distinct#%d", s), len(seen[s])); err != nil {
-					if !se.spillEnabled() {
-						return nil, err
-					}
+			for s, op := range ops {
+				if se.buffer(op, len(seen[s])) != nil {
 					overflow = true
 				}
 			}
@@ -1576,16 +1178,14 @@ func (se *streamExec) parallelDistinctPull(in func() (*dataset.Table, error)) fu
 				// This chunk's kept rows are still first occurrences —
 				// emitted below, keys flushed into the emitted run.
 				var keys []string
-				for _, m := range seen {
+				for s, m := range seen {
 					for k := range m {
 						keys = append(keys, k)
 					}
+					se.forceBuffer(ops[s], 0)
 				}
 				if sp, err = newDistinctSpiller(se, "distinct", keys); err != nil {
 					return nil, err
-				}
-				for s := 0; s < shards; s++ {
-					se.forceBuffer(fmt.Sprintf("distinct#%d", s), 0)
 				}
 				seen = nil
 			}

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"testing"
 
 	"datachat/internal/dataset"
@@ -36,8 +37,28 @@ func BenchmarkStreamFirstChunk(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamDrain measures full-stream throughput against the buffered
-// reference execution of the identical statement.
+// benchDrain times full drains of stmt at 1, 2 and 4 pipeline workers — the
+// worker scaling grid of one operator set (w=1 runs it inline).
+func benchDrain(b *testing.B, catalog MapCatalog, stmt *SelectStmt, rows int) {
+	for _, w := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{Parallelism: w})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rs.Drain(func(*dataset.Table) error { return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
+	}
+}
+
+// BenchmarkStreamDrain measures full-stream filter throughput across the
+// worker grid, against the buffered execution of the identical statement.
 func BenchmarkStreamDrain(b *testing.B) {
 	const n = 100_000
 	catalog := NewMapCatalog(benchTables(n))
@@ -45,19 +66,7 @@ func BenchmarkStreamDrain(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rs.Drain(func(*dataset.Table) error { return nil }); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-	})
+	benchDrain(b, catalog, stmt, n)
 	b.Run("buffered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -69,67 +78,16 @@ func BenchmarkStreamDrain(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamGroupBy measures the chunked hash group-by under its memory
-// budget, where the pipeline breaker buffers groups rather than input rows.
+// BenchmarkStreamGroupBy measures the partitioned hash group-by, whose
+// pipeline breaker buffers groups rather than input rows.
 func BenchmarkStreamGroupBy(b *testing.B) {
-	catalog := NewMapCatalog(benchTables(100_000))
-	stmt, err := Parse("SELECT k, SUM(v), COUNT(*) FROM big GROUP BY k")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rs.Drain(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The parallel benchmarks run with Parallelism: -1 (GOMAXPROCS), so
-// `go test -cpu 1,4 -bench BenchmarkStreamParallel` produces the worker
-// scaling grid: -cpu 1 exercises the inline serial path, -cpu N the morsel
-// dispatcher with N pipeline workers.
-
-func BenchmarkStreamParallelDrain(b *testing.B) {
 	const n = 100_000
 	catalog := NewMapCatalog(benchTables(n))
-	stmt, err := Parse(benchStreamQuery)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{Parallelism: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rs.Drain(func(*dataset.Table) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-func BenchmarkStreamParallelGroupBy(b *testing.B) {
-	catalog := NewMapCatalog(benchTables(100_000))
 	stmt, err := Parse("SELECT k, SUM(v), COUNT(*) FROM big GROUP BY k")
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{Parallelism: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rs.Drain(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchDrain(b, catalog, stmt, n)
 }
 
 // BenchmarkStreamOrderBy measures the sorted-run merge path (run building,

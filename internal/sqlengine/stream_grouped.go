@@ -16,14 +16,14 @@ import (
 // hash-partition rows; one reducer per partition folds rows into per-group
 // aggregate states, consuming batches in chunk-sequence order so every group
 // accumulates in global row order — float SUM/AVG results are bit-identical
-// to the serial engine. When the states overflow the memory budget a reducer
+// at every worker count. When the states overflow the memory budget a reducer
 // spills rows of *new* keys to a disk run (keys already holding a state keep
 // accumulating in memory), finalizes the pass, writes the finished states to
 // a state run, and replays the spilled rows as the next pass; spilled key
 // sets are disjoint from in-memory ones, so concatenating a partition's
 // passes yields its groups in first-seen order. A final merge across
 // partitions by (chunk, row) of first appearance restores the exact global
-// first-seen order the serial engine produces.
+// first-seen order the reference executor produces.
 
 // appendKeyValue encodes one boxed key cell exactly the way appendGroupKey
 // encodes a vector cell, so boxed and vectorized chunks of the same stream
@@ -182,15 +182,14 @@ func repRow(c *rel, i int) []dataset.Value {
 // worker several times faster than the boxed row loop) and falls back to
 // boxed evaluation per expression; both encodings bucket identically.
 type groupedScan struct {
-	se     *streamExec
-	stmt   *SelectStmt
-	filter expr.Expr // WHERE, applied in the worker when the scan is parallel
-	aggs   []*AggCall
-	parts  int
+	se    *streamExec
+	stmt  *SelectStmt
+	aggs  []*AggCall
+	parts int
 }
 
 func (gs *groupedScan) build(c *rel, seq int) (*groupedBatch, error) {
-	c, err := gs.se.filterRel(gs.filter, c)
+	c, err := gs.se.ex.filterRel(gs.stmt.Where, c, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -325,8 +324,7 @@ func (gs *groupedScan) evalColumn(c *rel, ex expr.Expr, n int) (argCol, error) {
 // finGroup is one finished group: its first appearance (chunk, row), its
 // representative source row, and its finalized aggregate values (indexed by
 // AggCall position). A nil rep marks the synthetic zero-row group of a
-// global aggregate, which buffers no representative row — exactly like the
-// serial path.
+// global aggregate, which buffers no representative row.
 type finGroup struct {
 	seq, row int
 	rep      []dataset.Value
@@ -373,9 +371,32 @@ func newGroupReducer(se *streamExec, id int, aggs []*AggCall) *groupReducer {
 	}
 }
 
-// accumulate folds one row's argument into one aggregate slot, mirroring the
-// serial streaming loop exactly (same null handling, same float64 addition
-// order per group, same Compare-based MIN/MAX).
+// gState is one group's streaming aggregate state, one slot per AggCall.
+type gState struct {
+	counts  []int64
+	sums    []float64
+	allInt  []bool
+	best    []dataset.Value
+	hasBest []bool
+}
+
+func newGState(naggs int) *gState {
+	g := &gState{
+		counts:  make([]int64, naggs),
+		sums:    make([]float64, naggs),
+		allInt:  make([]bool, naggs),
+		best:    make([]dataset.Value, naggs),
+		hasBest: make([]bool, naggs),
+	}
+	for i := range g.allInt {
+		g.allInt[i] = true
+	}
+	return g
+}
+
+// accumulate folds one row's argument into one aggregate slot, mirroring
+// computeAgg exactly (same null handling, same float64 addition order per
+// group, same Compare-based MIN/MAX).
 func (g *gState) accumulate(a *AggCall, ai int, v dataset.Value) error {
 	if a.Star {
 		g.counts[ai]++
@@ -410,8 +431,8 @@ func (g *gState) accumulate(a *AggCall, ai int, v dataset.Value) error {
 	return nil
 }
 
-// finishAggValues finalizes one group's aggregate slots, mirroring the
-// serial streaming finalization exactly.
+// finishAggValues finalizes one group's aggregate slots the way computeAgg
+// does.
 func finishAggValues(g *gState, aggs []*AggCall) []dataset.Value {
 	out := make([]dataset.Value, len(aggs))
 	for ai, a := range aggs {
@@ -456,9 +477,6 @@ func (r *groupReducer) admit() (bool, error) {
 	if !r.spilling {
 		if r.se.tryBuffer(r.op, len(r.order)+1) {
 			return true, nil
-		}
-		if !r.se.spillEnabled() {
-			return false, r.se.buffer(r.op, len(r.order)+1) // typed BudgetError
 		}
 		if len(r.order) == 0 {
 			r.se.forceBuffer(r.op, 1)
@@ -542,7 +560,7 @@ func (r *groupReducer) newState(key []byte, seq, row int, rep []dataset.Value) *
 	if k, ok := intGroupKey(key); ok {
 		return r.newIntState(k, seq, row, rep)
 	}
-	g := &pgState{gState: *newGState(0, len(r.aggs)), seq: seq, row: row, rep: rep}
+	g := &pgState{gState: *newGState(len(r.aggs)), seq: seq, row: row, rep: rep}
 	r.states[string(key)] = g
 	r.order = append(r.order, g)
 	r.admitted++
@@ -550,7 +568,7 @@ func (r *groupReducer) newState(key []byte, seq, row int, rep []dataset.Value) *
 }
 
 func (r *groupReducer) newIntState(k int64, seq, row int, rep []dataset.Value) *pgState {
-	g := &pgState{gState: *newGState(0, len(r.aggs)), seq: seq, row: row, rep: rep}
+	g := &pgState{gState: *newGState(len(r.aggs)), seq: seq, row: row, rep: rep}
 	r.ints[k] = g
 	r.order = append(r.order, g)
 	r.admitted++
@@ -728,142 +746,91 @@ func (m *mergedGroups) next() (*finGroup, error) {
 	return g, nil
 }
 
-// partitionedGroupedPull defers the engine run to the first chunk request.
-func (se *streamExec) partitionedGroupedPull(stmt *SelectStmt, chunks relChunks, filter expr.Expr, aggs []*AggCall, schema *rel) func() (*dataset.Table, error) {
-	var emit func() (*dataset.Table, error)
-	return func() (*dataset.Table, error) {
-		if emit == nil {
-			e, err := se.runPartitionedGrouped(stmt, chunks, filter, aggs, schema)
-			if err != nil {
-				return nil, err
-			}
-			emit = e
+// partitionedGroupedPull drives the whole engine on the first chunk request:
+// scan fan-out, partition reduction, spill passes, and the final merge. One
+// partition folds inline on the consumer; more get a reducer goroutine each.
+func (se *streamExec) partitionedGroupedPull(stmt *SelectStmt, chunks relChunks, aggs []*AggCall, schema *rel) func() (*dataset.Table, error) {
+	return deferredPull(func() (func() (*dataset.Table, error), error) {
+		parts := se.workers()
+		gs := &groupedScan{se: se, stmt: stmt, aggs: aggs, parts: parts}
+		pipe := newParallelPipe(parts, 2*parts,
+			pullRel(chunks),
+			gs.build,
+		)
+		se.onStop(pipe.stop)
+
+		reducers := make([]*groupReducer, parts)
+		for p := range reducers {
+			reducers[p] = newGroupReducer(se, p, aggs)
 		}
-		return emit()
-	}
-}
-
-// runPartitionedGrouped drives the whole engine: scan fan-out, partition
-// reduction, spill passes, and the final merge. It returns a chunk pull.
-func (se *streamExec) runPartitionedGrouped(stmt *SelectStmt, chunks relChunks, filter expr.Expr, aggs []*AggCall, schema *rel) (func() (*dataset.Table, error), error) {
-	workers := se.workers()
-	parts := workers
-	gs := &groupedScan{se: se, stmt: stmt, filter: filter, aggs: aggs, parts: parts}
-	pipe := newParallelPipe(workers, 2*workers,
-		func() (*rel, bool, error) {
-			c, err := chunks.next()
-			return c, c != nil, err
-		},
-		gs.build,
-	)
-	se.onStop(pipe.stop)
-
-	reducers := make([]*groupReducer, parts)
-	for p := range reducers {
-		reducers[p] = newGroupReducer(se, p, aggs)
-	}
-
-	var srcErr error
-	if workers == 1 {
-		red := reducers[0]
-		for {
-			b, ok, err := pipe.next()
-			if err != nil {
-				srcErr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			if err := red.feed(b); err != nil {
-				srcErr = err
-				break
-			}
-		}
-	} else {
-		chans := make([]chan *groupedBatch, parts)
+		var chans []chan *groupedBatch
 		var wg sync.WaitGroup
-		for p, red := range reducers {
-			ch := make(chan *groupedBatch, 4)
-			chans[p] = ch
-			wg.Add(1)
-			go func(red *groupReducer, ch <-chan *groupedBatch) {
-				defer wg.Done()
-				for b := range ch {
-					if red.err != nil {
-						continue // drain after failure so the distributor never blocks
+		if parts > 1 {
+			chans = make([]chan *groupedBatch, parts)
+			for p, red := range reducers {
+				ch := make(chan *groupedBatch, 4)
+				chans[p] = ch
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for b := range ch {
+						if red.err == nil { // after a failure just drain, so the distributor never blocks
+							red.err = red.feed(b)
+						}
 					}
-					red.err = red.feed(b)
-				}
-			}(red, ch)
+				}()
+			}
 		}
+		var srcErr error
 		for {
 			b, ok, err := pipe.next()
-			if err != nil {
+			if err != nil || !ok {
 				srcErr = err
 				break
 			}
-			if !ok {
-				break
+			if chans == nil {
+				if reducers[0].err = reducers[0].feed(b); reducers[0].err != nil {
+					break
+				}
+				continue
 			}
 			for p, ch := range chans {
-				if b.rows != nil && len(b.rows[p]) == 0 {
-					continue // no rows for this partition in the batch
+				if b.rows != nil && len(b.rows[p]) > 0 { // nil: fully filtered morsel
+					ch <- b
 				}
-				ch <- b
 			}
 		}
 		for _, ch := range chans {
 			close(ch)
 		}
 		wg.Wait()
-	}
-	if srcErr != nil {
-		return nil, srcErr
-	}
-	for _, red := range reducers {
-		if red.err != nil {
-			return nil, red.err
+		if srcErr != nil {
+			return nil, srcErr
 		}
-	}
-	// Spill passes run per-reducer; concurrently when parallel.
-	if workers == 1 {
-		if err := reducers[0].finish(); err != nil {
-			return nil, err
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, red := range reducers {
-			wg.Add(1)
-			go func(red *groupReducer) {
-				defer wg.Done()
-				red.err = red.finish()
-			}(red)
-		}
-		wg.Wait()
+		// Spill passes run per reducer.
+		fanOut(parts, func(p int) {
+			if reducers[p].err == nil {
+				reducers[p].err = reducers[p].finish()
+			}
+		})
+		spilled := false
 		for _, red := range reducers {
 			if red.err != nil {
 				return nil, red.err
 			}
+			spilled = spilled || len(red.stateRuns) > 0
 		}
-	}
-
-	spilled := false
-	for _, red := range reducers {
-		if len(red.stateRuns) > 0 {
-			spilled = true
+		if !spilled {
+			return se.finishGroupedInMemory(stmt, aggs, schema, reducers)
 		}
-	}
-	if !spilled {
-		return se.finishGroupedInMemory(stmt, aggs, schema, reducers)
-	}
-	return se.finishGroupedSpilled(stmt, aggs, schema, reducers)
+		return se.finishGroupedSpilled(stmt, aggs, schema, reducers)
+	})
 }
 
 // finishGroupedInMemory is the no-spill epilogue: merge the partitions'
-// groups into global first-seen order and run the exact serial finishing
-// phase (finishGrouped → DISTINCT → OFFSET/LIMIT → re-chunk), so output is
-// identical to the serial engine down to column types.
+// groups into global first-seen order and run the buffered executor's own
+// finishing phase (finishGrouped → DISTINCT → OFFSET/LIMIT), re-chunked, so
+// output is identical to it down to column types.
 func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, schema *rel, reducers []*groupReducer) (func() (*dataset.Table, error), error) {
 	idx := make([]int, len(reducers))
 	var order []finGroup
@@ -886,7 +853,7 @@ func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, s
 	if len(stmt.GroupBy) == 0 && len(order) == 0 {
 		// Aggregates over zero rows still produce one output group, with no
 		// representative row buffered.
-		g := newGState(0, len(aggs))
+		g := newGState(len(aggs))
 		order = append(order, finGroup{agg: finishAggValues(g, aggs)})
 	}
 	firstRows := &rel{cols: make([]*dataset.Column, len(schema.cols)), quals: schema.quals}
@@ -931,7 +898,7 @@ func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, s
 // finishGroupedSpilled is the out-of-core epilogue: stream the merged groups
 // in batches through HAVING and projection, sort externally when ORDER BY is
 // present, and emit fixed-size chunks so the chunk boundaries match the
-// serial engine's re-chunked output.
+// in-memory epilogue's re-chunked output.
 func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, schema *rel, reducers []*groupReducer) (func() (*dataset.Table, error), error) {
 	srcs := make([]*groupSource, len(reducers))
 	for p, red := range reducers {
@@ -1022,7 +989,7 @@ func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, sc
 	if len(stmt.OrderBy) > 0 {
 		// Feed every surviving group through the external sorter; batches
 		// arrive in first-seen order, so the stable merge reproduces the
-		// serial stable sort.
+		// reference's stable sort.
 		sorter := newExtSorter(se, "order-by", stmt.OrderBy)
 		seq := 0
 		for {
@@ -1068,7 +1035,7 @@ func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, sc
 	}
 
 	// Emit fixed-size chunks; guarantee one (possibly empty) chunk so the
-	// schema always reaches the consumer, like the serial re-chunker.
+	// schema always reaches the consumer, like rechunkTable.
 	emitted := false
 	finished := false
 	pull := func() (*dataset.Table, error) {
@@ -1098,7 +1065,7 @@ func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, sc
 		return buildValueChunk(names, nil, rows)
 	}
 	if stmt.Distinct {
-		pull = se.distinctPull(pull)
+		pull = se.parallelDistinctPull(pull)
 	}
 	if stmt.Offset > 0 || stmt.Limit >= 0 {
 		pull = offsetLimitPull(pull, stmt.Offset, stmt.Limit)

@@ -11,17 +11,35 @@ import (
 // pipe's lock (chunk sources are inherently serial), each pulled item gets a
 // monotonically increasing sequence number, workers transform items
 // concurrently, and the consumer emits results strictly by sequence — so a
-// parallel pipeline produces exactly the chunk sequence the serial pipeline
-// produces. Errors are deterministic too: the consumer surfaces the error of
-// the lowest failing sequence, after emitting every result before it.
+// pipeline produces the same chunk sequence at every worker count. Errors
+// are deterministic too: the consumer surfaces the error of the lowest
+// failing sequence, after emitting every result before it.
 
 // errStreamClosed is returned by a pipe whose stream was closed or cancelled
 // without a more specific cause.
 var errStreamClosed = errors.New("sql: stream closed")
 
+// fanOut runs fn(0) … fn(n-1) and waits for all of them: inline when n is 1,
+// so a one-worker pipeline starts no goroutines, concurrently otherwise.
+func fanOut(n int, fn func(i int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // parallelPipe fans pull() items out to `workers` goroutines running work()
-// and yields outputs in pull order. With workers <= 1 it degenerates to a
-// lock-free inline loop (no goroutines), which is the serial oracle path.
+// and yields outputs in pull order. With workers <= 1 it degenerates to an
+// inline loop (no goroutines) over the same pull and work functions.
 type parallelPipe[I, O any] struct {
 	pull    func() (I, bool, error)
 	work    func(item I, seq int) (O, error)

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"datachat/internal/dataset"
 )
@@ -27,53 +29,55 @@ func drainChunks(rs *RowStream) ([]*dataset.Table, error) {
 	}
 }
 
-// runParallelVsSerial pins the parallel dispatcher chunk-for-chunk against
-// the serial oracle: same chunk count, same rows per chunk, same values —
-// or both streams fail.
-func runParallelVsSerial(t *testing.T, catalog MapCatalog, query string, base StreamOptions, workers int) {
+// runSameChunksAtWorkers pins a stream at the given worker count against the
+// same stream on one inline worker, chunk for chunk: same chunk count, same
+// rows per chunk, same values — or both streams fail.
+func runSameChunksAtWorkers(t *testing.T, catalog MapCatalog, query string, base StreamOptions, workers int) {
 	t.Helper()
-	serialOpts := base
-	serialOpts.Parallelism = 0
+	oneOpts := base
+	oneOpts.Parallelism = 1
 	parOpts := base
 	parOpts.Parallelism = workers
 
-	srs, serr := ExecStream(catalog, query, serialOpts)
-	var serialChunks []*dataset.Table
-	if serr == nil {
-		serialChunks, serr = drainChunks(srs)
+	ors, oerr := ExecStream(catalog, query, oneOpts)
+	var oneChunks []*dataset.Table
+	if oerr == nil {
+		oneChunks, oerr = drainChunks(ors)
 	}
 	prs, perr := ExecStream(catalog, query, parOpts)
 	var parChunks []*dataset.Table
 	if perr == nil {
 		parChunks, perr = drainChunks(prs)
 	}
-	if (serr == nil) != (perr == nil) {
-		t.Fatalf("error divergence for %q (workers=%d):\n  serial:   %v\n  parallel: %v", query, workers, serr, perr)
+	if (oerr == nil) != (perr == nil) {
+		t.Fatalf("error divergence for %q:\n  workers=1: %v\n  workers=%d: %v", query, oerr, workers, perr)
 	}
-	if serr != nil {
+	if oerr != nil {
 		return
 	}
-	if len(serialChunks) != len(parChunks) {
-		t.Fatalf("chunk count divergence for %q (workers=%d): serial %d, parallel %d",
-			query, workers, len(serialChunks), len(parChunks))
+	if len(oneChunks) != len(parChunks) {
+		t.Fatalf("chunk count divergence for %q: %d at workers=1, %d at workers=%d",
+			query, len(oneChunks), len(parChunks), workers)
 	}
-	for i := range serialChunks {
-		if serialChunks[i].NumRows() != parChunks[i].NumRows() {
-			t.Fatalf("chunk %d row count divergence for %q (workers=%d): serial %d, parallel %d",
-				i, query, workers, serialChunks[i].NumRows(), parChunks[i].NumRows())
+	for i := range oneChunks {
+		if oneChunks[i].NumRows() != parChunks[i].NumRows() {
+			t.Fatalf("chunk %d row count divergence for %q: %d at workers=1, %d at workers=%d",
+				i, query, oneChunks[i].NumRows(), parChunks[i].NumRows(), workers)
 		}
-		if !serialChunks[i].Equal(parChunks[i]) {
-			t.Fatalf("chunk %d divergence for %q (workers=%d):\nserial:\n%s\nparallel:\n%s",
-				i, query, workers, serialChunks[i], parChunks[i])
+		if !oneChunks[i].Equal(parChunks[i]) {
+			t.Fatalf("chunk %d divergence for %q:\nworkers=1:\n%s\nworkers=%d:\n%s",
+				i, query, oneChunks[i], workers, parChunks[i])
 		}
 	}
 }
 
-// TestDifferentialParallelVsSerial runs the randomized corpus through the
-// morsel dispatcher at several worker counts and pins every output chunk
-// against the serial pipeline — including tiny chunks (many fan-out rounds),
-// disabled kernels, and a forced mid-stream fallback.
-func TestDifferentialParallelVsSerial(t *testing.T) {
+// TestDifferentialChunksIndependentOfWorkers runs the randomized corpus at
+// several worker counts and pins every output chunk against the one-worker
+// stream — including tiny chunks (many fan-out rounds) and disabled kernels.
+// The corpus tail holds the early-stopping LIMIT shapes buildPipeline forces
+// to one worker, one of which fails on a row past its limit: no worker count
+// may surface that error.
+func TestDifferentialChunksIndependentOfWorkers(t *testing.T) {
 	seeds := int64(4)
 	if testing.Short() {
 		seeds = 2
@@ -82,7 +86,6 @@ func TestDifferentialParallelVsSerial(t *testing.T) {
 		{},
 		{ChunkRows: 7},
 		{ChunkRows: 32, Options: Options{DisableVectorized: true}},
-		{ChunkRows: 13, ForceFallbackAfterChunks: 1},
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		seed := seed
@@ -93,7 +96,7 @@ func TestDifferentialParallelVsSerial(t *testing.T) {
 			for _, q := range queries {
 				for _, opts := range variants {
 					for _, workers := range []int{2, 4} {
-						runParallelVsSerial(t, catalog, q, opts, workers)
+						runSameChunksAtWorkers(t, catalog, q, opts, workers)
 					}
 				}
 			}
@@ -159,36 +162,25 @@ func TestDifferentialForcedSpill(t *testing.T) {
 	}
 }
 
-// TestStreamSpillCompletesWhereBudgetFailed is the acceptance shape: under a
-// budget the serial engine refused, the spilling engine completes with
-// nonzero SpilledRows and the exact reference result.
-func TestStreamSpillCompletesWhereBudgetFailed(t *testing.T) {
+// TestStreamGroupBySpillsUnderBudget is the acceptance shape: under a budget
+// a tenth of the group count, the engine completes from disk with nonzero
+// SpilledRows and the exact reference result.
+func TestStreamGroupBySpillsUnderBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	catalog := NewMapCatalog(CorpusTables(rng, 2000, 10))
 	const query = "SELECT i, s, COUNT(*) AS c, SUM(f) AS sf FROM t1 GROUP BY i, s ORDER BY i, s"
 	budget := StreamOptions{ChunkRows: 128, MaxBufferedRows: 100}
 
-	strict := budget
-	strict.DisableSpill = true
-	rs, err := ExecStream(catalog, query, strict)
-	if err == nil {
-		_, err = rs.ReadAll()
-	}
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("strict budget: error = %v, want *BudgetError", err)
-	}
-
 	dir := t.TempDir()
 	spill := budget
 	spill.SpillDir = dir
-	rs, err = ExecStream(catalog, query, spill)
+	rs, err := ExecStream(catalog, query, spill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out, err := rs.ReadAll()
 	if err != nil {
-		t.Fatalf("spilling engine failed under the same budget: %v", err)
+		t.Fatalf("engine failed under the budget: %v", err)
 	}
 	if st := rs.SpillStats(); st.SpilledRows == 0 {
 		t.Fatalf("spill stats = %+v, want nonzero SpilledRows", st)
@@ -249,6 +241,7 @@ func TestStreamCancellationMidFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	catalog := NewMapCatalog(CorpusTables(rng, 5000, 20))
 	dir := t.TempDir()
+	assertNoLeaks := leakCheck(t, dir)
 	ctx, cancel := context.WithCancel(context.Background())
 	rs, err := ExecStream(catalog, "SELECT i, SUM(f) AS sf FROM t1 GROUP BY i ORDER BY i", StreamOptions{
 		ChunkRows:       16,
@@ -278,7 +271,7 @@ func TestStreamCancellationMidFanOut(t *testing.T) {
 		t.Fatalf("cancelled stream error = %v, want context.Canceled", lastErr)
 	}
 	rs.Close()
-	assertNoSpillFiles(t, dir)
+	assertNoLeaks()
 }
 
 // TestStreamSpillCleanupOnError checks a mid-stream evaluation error tears
@@ -287,6 +280,7 @@ func TestStreamSpillCleanupOnError(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	catalog := NewMapCatalog(CorpusTables(rng, 2000, 10))
 	dir := t.TempDir()
+	assertNoLeaks := leakCheck(t, dir)
 	// SUM(s) over strings fails during aggregation, after spilling started.
 	rs, err := ExecStream(catalog, "SELECT i, SUM(s) AS bad FROM t1 GROUP BY i", StreamOptions{
 		ChunkRows:       32,
@@ -304,7 +298,7 @@ func TestStreamSpillCleanupOnError(t *testing.T) {
 	if errors.As(err, &be) {
 		t.Fatalf("got BudgetError %v; want the evaluation error", err)
 	}
-	assertNoSpillFiles(t, dir)
+	assertNoLeaks()
 }
 
 // TestStreamCloseReleasesSpillFiles checks abandoning a stream early (Close
@@ -313,6 +307,7 @@ func TestStreamCloseReleasesSpillFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	catalog := NewMapCatalog(CorpusTables(rng, 3000, 10))
 	dir := t.TempDir()
+	assertNoLeaks := leakCheck(t, dir)
 	rs, err := ExecStream(catalog, "SELECT i, f FROM t1 ORDER BY i, f", StreamOptions{
 		ChunkRows:       64,
 		MaxBufferedRows: 100,
@@ -329,11 +324,119 @@ func TestStreamCloseReleasesSpillFiles(t *testing.T) {
 		t.Fatal("ORDER BY under a 100-row budget on 3000 rows should have spilled")
 	}
 	rs.Close()
-	assertNoSpillFiles(t, dir)
+	assertNoLeaks()
 }
 
-// TestParallelDistinctSharding pins the sharded DISTINCT against the serial
-// seen-set on a corpus slice with heavy duplication.
+// TestStreamBuildErrorStopsContextWatcher pins that a stream whose pipeline
+// fails to build does not leave its context watcher waiting on a context
+// nobody will cancel.
+func TestStreamBuildErrorStopsContextWatcher(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	catalog := NewMapCatalog(CorpusTables(rng, 100, 10))
+	assertNoLeaks := leakCheck(t, t.TempDir())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, q := range []string{"SELECT i FROM nosuch", "SELECT t1.i FROM t1 JOIN nosuch ON t1.i = nosuch.k"} {
+		if _, err := ExecStream(catalog, q, StreamOptions{Parallelism: 4, Ctx: ctx}); err == nil {
+			t.Fatalf("%q built a pipeline; want an unknown-table error", q)
+		}
+	}
+	assertNoLeaks()
+}
+
+// TestDrainErrorClosesStream pins that Drain stops the stream on every error
+// return — a refusing sink and a mid-stream schema change — so no worker
+// stays parked and no spill run stays on disk, even with no context to
+// cancel.
+func TestDrainErrorClosesStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	catalog := NewMapCatalog(CorpusTables(rng, 3000, 10))
+	refuse := errors.New("sink refused")
+	for _, q := range []string{
+		"SELECT i, f FROM t1 WHERE i >= 0",  // workers park on a full reassembly window
+		"SELECT i, f FROM t1 ORDER BY i, f", // sorted runs sit on disk
+	} {
+		dir := t.TempDir()
+		assertNoLeaks := leakCheck(t, dir)
+		rs, err := ExecStream(catalog, q, StreamOptions{ChunkRows: 16, MaxBufferedRows: 100, SpillDir: dir, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rs.Drain(func(*dataset.Table) error { return refuse }); !errors.Is(err, refuse) {
+			t.Fatalf("%q: Drain error = %v, want the sink's", q, err)
+		}
+		assertNoLeaks()
+	}
+
+	// No statement changes its schema mid-stream, so hand Drain a stream that
+	// does and watch for the teardown hook.
+	se := &streamExec{buffered: map[string]int{}, spillFiles: map[string]bool{}, doneCh: make(chan struct{})}
+	stopped := false
+	se.onStop(func(error) { stopped = true })
+	chunks := []*dataset.Table{
+		dataset.MustNewTable("c", dataset.IntColumn("a", []int64{1}, nil)),
+		dataset.MustNewTable("c", dataset.IntColumn("a", []int64{2}, nil), dataset.IntColumn("b", []int64{3}, nil)),
+	}
+	rs := &RowStream{se: se, pull: func() (*dataset.Table, error) {
+		c := chunks[0]
+		chunks = chunks[1:]
+		return c, nil
+	}}
+	if _, err := rs.Drain(nil); err == nil || !stopped {
+		t.Fatalf("schema change: Drain error = %v, stream stopped = %v; want an error and a stopped stream", err, stopped)
+	}
+}
+
+// TestStreamCancelAtEveryChunkBoundary sweeps the corpus at workers {1, 2, 4}
+// under a spill-forcing budget: for every k it pulls k chunks, cancels the
+// context, and requires the stream to end — with a chunk-free exhaustion or
+// an error — leaving no goroutine and no spill file behind. Join queries
+// whose build side overflows the budget fail in ExecStream and sweep the
+// build-error path the same way.
+func TestStreamCancelAtEveryChunkBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	catalog := NewMapCatalog(CorpusTables(rng, 300, 60))
+	queries := CorpusQueries(rng, 20)
+	if testing.Short() {
+		queries = queries[12:] // a few random shapes plus the fixed tail
+	}
+	dir := t.TempDir()
+	for _, q := range queries {
+		for _, workers := range []int{1, 2, 4} {
+			for k, more := 0, true; more; k++ {
+				assertNoLeaks := leakCheck(t, dir)
+				ctx, cancel := context.WithCancel(context.Background())
+				rs, err := ExecStream(catalog, q, StreamOptions{
+					ChunkRows: 64, MaxBufferedRows: 50, SpillDir: dir, Parallelism: workers, Ctx: ctx,
+				})
+				if err != nil {
+					more = false
+				}
+				for i := 0; more && i < k; i++ {
+					c, err := rs.Next()
+					more = err == nil && c != nil
+				}
+				cancel()
+				for i := 0; more; i++ {
+					c, err := rs.Next()
+					if err != nil || c == nil {
+						break
+					}
+					if i > 10_000 {
+						t.Fatalf("%q (workers=%d): stream still producing %d chunks after cancel at chunk %d", q, workers, i, k)
+					}
+				}
+				if rs != nil {
+					rs.Close()
+				}
+				assertNoLeaks()
+			}
+		}
+	}
+}
+
+// TestParallelDistinctSharding pins the sharded DISTINCT against its
+// one-shard run on a corpus slice with heavy duplication.
 func TestParallelDistinctSharding(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	catalog := NewMapCatalog(CorpusTables(rng, 900, 40))
@@ -343,8 +446,29 @@ func TestParallelDistinctSharding(t *testing.T) {
 		"SELECT DISTINCT i, s FROM t1 WHERE i >= 0",
 	} {
 		for _, workers := range []int{2, 4, 8} {
-			runParallelVsSerial(t, catalog, q, StreamOptions{ChunkRows: 17}, workers)
+			runSameChunksAtWorkers(t, catalog, q, StreamOptions{ChunkRows: 17}, workers)
 		}
+	}
+}
+
+// leakCheck snapshots the goroutine count and returns the assertion to run
+// once the stream under test is done with: the count is back at the snapshot
+// (workers and the context watcher exit asynchronously, so it polls briefly)
+// and no dcspill-* file is left in dir.
+func leakCheck(t *testing.T, dir string) func() {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines leaked (%d, baseline %d):\n%s", n-base, n, base, buf[:runtime.Stack(buf, true)])
+		}
+		assertNoSpillFiles(t, dir)
 	}
 }
 
@@ -393,7 +517,7 @@ func TestIntKeyHashMatchesEncoded(t *testing.T) {
 // TestParallelGroupByMixedKeyBatches groups on an int column whose nulls are
 // confined to a middle slice of rows: with small chunks, some batches take
 // the columnar int-key fast path and others fall back to byte-encoded keys
-// within the same stream. Every chunk must still match the serial engine,
+// within the same stream. Every chunk must still match the one-worker run,
 // at several worker counts, with and without a spill-forcing budget.
 func TestParallelGroupByMixedKeyBatches(t *testing.T) {
 	const n = 3000
@@ -413,8 +537,8 @@ func TestParallelGroupByMixedKeyBatches(t *testing.T) {
 	})
 	const query = "SELECT id, SUM(v) AS sv, COUNT(*) AS c FROM mixed GROUP BY id ORDER BY id"
 	for _, workers := range []int{2, 4} {
-		runParallelVsSerial(t, catalog, query, StreamOptions{ChunkRows: 256}, workers)
-		runParallelVsSerial(t, catalog, query, StreamOptions{
+		runSameChunksAtWorkers(t, catalog, query, StreamOptions{ChunkRows: 256}, workers)
+		runSameChunksAtWorkers(t, catalog, query, StreamOptions{
 			ChunkRows: 256, MaxBufferedRows: 40, SpillDir: t.TempDir(),
 		}, workers)
 	}

@@ -64,18 +64,6 @@ func TestDifferentialStreamVsReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialStreamMidFallback forces the mid-stream switch to
-// materialized execution after one chunk and checks the spliced row sequence
-// still equals the reference result for every corpus query.
-func TestDifferentialStreamMidFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	catalog := NewMapCatalog(CorpusTables(rng, 200, 50))
-	opts := StreamOptions{ChunkRows: 13, ForceFallbackAfterChunks: 1}
-	for _, q := range CorpusQueries(rng, 40) {
-		runStreamAndReference(t, catalog, q, opts)
-	}
-}
-
 // TestStreamEmptyTables pins the zero-row edges: the stream must still emit
 // a schema-bearing chunk and match the reference.
 func TestStreamEmptyTables(t *testing.T) {
@@ -141,27 +129,30 @@ func TestStreamFirstChunkIsIncremental(t *testing.T) {
 	}
 }
 
-// TestStreamBudgetError checks pipeline breakers fail loudly with the typed
-// overflow error instead of buffering past the budget. ORDER BY needs spill
-// disabled (it spills to disk by default now); join build sides cannot spill
-// and must fail either way.
+// TestStreamBudgetError checks the pipeline breakers that cannot spill — the
+// join build side and the LEFT JOIN unmatched-row buffer — fail loudly with
+// the typed overflow error instead of buffering past the budget.
 func TestStreamBudgetError(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	catalog := NewMapCatalog(CorpusTables(rng, 500, 10))
-	for _, q := range []string{
-		"SELECT i FROM t1 ORDER BY i",
-		"SELECT t1.i, t2.v FROM t1 JOIN t2 ON t1.i = t2.k",
+	for _, tc := range []struct {
+		query, op string
+		budget    int
+	}{
+		{"SELECT t1.i, t2.v FROM t1 JOIN t2 ON t1.i = t2.k", "join-build", 5},
+		// The 10-row build side fits; no left row matches, so all 500 buffer.
+		{"SELECT t1.i, t2.v FROM t1 LEFT JOIN t2 ON t1.i = t2.k AND t2.k > 1000", "join-unmatched", 20},
 	} {
-		rs, err := ExecStream(catalog, q, StreamOptions{MaxBufferedRows: 5, DisableSpill: true})
+		rs, err := ExecStream(catalog, tc.query, StreamOptions{MaxBufferedRows: tc.budget})
 		if err == nil {
 			_, err = rs.ReadAll()
 		}
 		var be *BudgetError
 		if !errors.As(err, &be) {
-			t.Fatalf("%q: error = %v, want *BudgetError", q, err)
+			t.Fatalf("%q: error = %v, want *BudgetError", tc.query, err)
 		}
-		if be.Budget != 5 || be.Buffered <= be.Budget || be.Op == "" {
-			t.Fatalf("%q: malformed budget error %+v", q, be)
+		if be.Budget != tc.budget || be.Buffered <= be.Budget || be.Op != tc.op {
+			t.Fatalf("%q: budget error %+v, want op %q over budget %d", tc.query, be, tc.op, tc.budget)
 		}
 	}
 }
@@ -194,46 +185,5 @@ func TestStreamGroupByConstantMemory(t *testing.T) {
 	}
 	if peak := rs.PeakBufferedRows(); peak != 13 {
 		t.Fatalf("peak buffered rows = %d, want 13 (one per group)", peak)
-	}
-}
-
-// TestStreamMidFallbackContinuesSequence pins that the forced fallback
-// resumes after the already-emitted prefix rather than restarting.
-func TestStreamMidFallbackContinuesSequence(t *testing.T) {
-	vals := make([]int64, 1000)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	catalog := NewMapCatalog(map[string]*dataset.Table{
-		"seq": dataset.MustNewTable("seq", dataset.IntColumn("n", vals, nil)),
-	})
-	rs, err := ExecStream(catalog, "SELECT n FROM seq", StreamOptions{ChunkRows: 100, ForceFallbackAfterChunks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := int64(0)
-	chunks := 0
-	for {
-		chunk, err := rs.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if chunk == nil {
-			break
-		}
-		chunks++
-		c := chunk.Columns()[0]
-		for r := 0; r < c.Len(); r++ {
-			if got := c.Value(r); got != dataset.Int(next) {
-				t.Fatalf("row %d = %v after fallback, want %d", next, got, next)
-			}
-			next++
-		}
-	}
-	if next != 1000 {
-		t.Fatalf("drained %d rows, want 1000", next)
-	}
-	if !rs.FellBack() {
-		t.Fatal("forced fallback did not trigger")
 	}
 }

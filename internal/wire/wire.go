@@ -463,8 +463,8 @@ type RunRequest struct {
 	// default); fetch the rest via the dataset pages or the row stream.
 	MaxRows int `json:"max_rows,omitempty"`
 	// StreamWorkers sets the morsel pipeline workers for this request's
-	// target fragment: 0 keeps the server default, 1 forces the serial
-	// pipeline, -1 asks for one worker per core.
+	// target fragment: 0 keeps the server default, 1 runs the same operators
+	// on one inline worker, -1 asks for one worker per core.
 	StreamWorkers int `json:"stream_workers,omitempty"`
 	// MaxBufferedRows caps the rows the engine's pipeline breakers (group-by,
 	// sort, join, distinct) may hold in memory; overflow spills sorted runs
