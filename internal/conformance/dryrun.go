@@ -34,7 +34,7 @@ func DryRun(c *Case) (*DryRunReport, error) {
 	}
 	g := (&recipe.Recipe{Name: c.Name, Steps: c.Steps}).Graph()
 	last := g.Last()
-	e, err := env.s.Executor().Explain(g, last)
+	e, err := env.s.Executor().ExplainWith(g, last, env.opts)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: planning %s: %w", c.Name, err)
 	}

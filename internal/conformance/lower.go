@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"datachat/internal/core"
 	"datachat/internal/dataset"
 	"datachat/internal/gel"
 	"datachat/internal/phrase"
@@ -77,7 +78,7 @@ func lowerGEL(body string, reg *skills.Registry, parser *gel.Parser) ([]recipe.S
 		if err != nil {
 			return nil, err
 		}
-		if len(inv.Inputs) == 0 && needsInput(inv.Skill) {
+		if len(inv.Inputs) == 0 && core.NeedsInput(inv.Skill) {
 			if current == "" {
 				return nil, fmt.Errorf("%q needs a dataset; use one first", line)
 			}
@@ -151,21 +152,6 @@ func lowerPhrase(c *Case) ([]recipe.Step, error) {
 		return nil, fmt.Errorf("phrase body has no sentences")
 	}
 	return steps, nil
-}
-
-// needsInput mirrors core's defaulting rule for GEL sentences: these
-// skills never consume the current dataset. (core keeps its copy
-// unexported; the conformance corpus pins the two in agreement via
-// TestNeedsInputMirror-style GEL cases that chain on current.)
-func needsInput(skill string) bool {
-	switch skill {
-	case "LoadData", "LoadTable", "SampleTable", "CreateSnapshot", "UseSnapshot",
-		"RefreshSnapshot", "ListDatasets", "UseDataset", "Define", "ShareSession",
-		"ShareArtifact", "PublishToInsightsBoard", "AddComment", "ExplainModel", "RunSQL":
-		return false
-	default:
-		return true
-	}
 }
 
 // advancesCurrent mirrors gel.Runner.record: ingestion skills and

@@ -12,6 +12,7 @@ import (
 	"datachat/internal/client"
 	"datachat/internal/cloud"
 	"datachat/internal/core"
+	"datachat/internal/dag"
 	"datachat/internal/dataset"
 	"datachat/internal/faults"
 	"datachat/internal/recipe"
@@ -71,6 +72,16 @@ func fromResult(route string, res *skills.Result) (*RouteResult, error) {
 type caseEnv struct {
 	p *core.Platform
 	s *session.Session
+	// opts are the case's per-request execution options (its cost budget);
+	// every in-process route passes them with each request, the way the wire
+	// route carries the knob on the RunRequest.
+	opts session.Tuning
+}
+
+// run executes invs as one request under the case's options.
+func (env *caseEnv) run(invs ...skills.Invocation) (*skills.Result, []dag.NodeID, error) {
+	res, ids, _, err := env.s.RequestProgramCtx(context.Background(), User, env.opts, invs...)
+	return res, ids, err
 }
 
 func newEnv(c *Case) (*caseEnv, error) {
@@ -125,12 +136,7 @@ func newEnv(c *Case) (*caseEnv, error) {
 	if c.Kind == "degraded" {
 		s.Context().Degrade = skills.DegradePolicy{Enabled: true, SampleRate: 1}
 	}
-	if c.BudgetBytes > 0 {
-		// The in-process routes read the executor's standing options; the
-		// wire route additionally carries the knob on the RunRequest.
-		s.Executor().Options.CostBudgetBytes = c.BudgetBytes
-	}
-	return &caseEnv{p: p, s: s}, nil
+	return &caseEnv{p: p, s: s, opts: session.Tuning{CostBudgetBytes: c.BudgetBytes}}, nil
 }
 
 func invsOf(steps []recipe.Step) []skills.Invocation {
@@ -173,7 +179,7 @@ func runRecipe(c *Case) (*RouteResult, error) {
 		return nil, err
 	}
 	r := &recipe.Recipe{Name: c.Name, Steps: c.Steps}
-	res, err := env.s.ReplayRecipe(context.Background(), User, r, false)
+	res, err := env.s.ReplayRecipe(context.Background(), User, r, false, env.opts)
 	if err != nil {
 		return &RouteResult{Route: "recipe", Err: err}, nil
 	}
@@ -190,7 +196,7 @@ func sentenceNamesInputs(skill string) bool {
 // runGEL renders every canonical step back to its GEL sentence, re-parses
 // it through the platform's front door, and executes step by step with the
 // console's current-dataset bookkeeping — pinning the render→parse round
-// trip AND the needsInput defaulting rule against the reference.
+// trip AND the core.NeedsInput defaulting rule against the reference.
 func runGEL(c *Case) (*RouteResult, error) {
 	env, err := newEnv(c)
 	if err != nil {
@@ -215,7 +221,7 @@ func runGEL(c *Case) (*RouteResult, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		res, ids, err := env.s.RequestProgram(User, parsed)
+		res, ids, err := env.run(parsed)
 		if err != nil {
 			return nil, "", err
 		}
@@ -248,7 +254,7 @@ func runGEL(c *Case) (*RouteResult, error) {
 		// A step consuming a dataset its sentence cannot name relies on the
 		// current-dataset default; when the target is not current, switch
 		// with the idiomatic "Use the dataset …" sentence first.
-		if needsInput(step.Skill) && len(inv.Inputs) == 1 &&
+		if core.NeedsInput(step.Skill) && len(inv.Inputs) == 1 &&
 			inv.Inputs[0] != current && !sentenceNamesInputs(step.Skill) {
 			_, out, err := run1("Use the dataset "+inv.Inputs[0], "")
 			if err != nil {
@@ -274,8 +280,8 @@ func runGEL(c *Case) (*RouteResult, error) {
 	return fromResult("gel", last)
 }
 
-// runPyAPI renders the canonical steps as a Python API script and executes
-// it through the platform's script entry point.
+// runPyAPI renders the canonical steps as a Python API script, parses and
+// translates it back, and executes what the script said.
 func runPyAPI(c *Case) (*RouteResult, error) {
 	env, err := newEnv(c)
 	if err != nil {
@@ -289,7 +295,11 @@ func runPyAPI(c *Case) (*RouteResult, error) {
 		}
 		lines = append(lines, line)
 	}
-	res, err := env.p.RunPython(SessionName, User, strings.Join(lines, "\n"))
+	steps, err := lowerPyAPI(strings.Join(lines, "\n"), env.p.Registry)
+	if err != nil {
+		return &RouteResult{Route: "pyapi", Err: err}, nil
+	}
+	res, _, err := env.run(invsOf(steps)...)
 	if err != nil {
 		return &RouteResult{Route: "pyapi", Err: err}, nil
 	}
@@ -329,6 +339,20 @@ func runPhrase(c *Case) (*RouteResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// ask is Platform.RunPhrase under the case's options: translate the
+	// sentence against the dataset, default its input, run it.
+	ask := func(sentence, ds string) (*skills.Result, error) {
+		tr, err := env.p.TranslatePhrase(SessionName, sentence, ds)
+		if err != nil {
+			return nil, err
+		}
+		inv := tr.Invocation
+		if len(inv.Inputs) == 0 {
+			inv.Inputs = []string{ds}
+		}
+		res, _, err := env.run(inv)
+		return res, err
+	}
 	if c.Dialect == "phrase" {
 		// A phrase session is a sequence of questions asked of one dataset;
 		// run it statement by statement the way an interactive user would,
@@ -339,7 +363,7 @@ func runPhrase(c *Case) (*RouteResult, error) {
 			if line == "" || strings.HasPrefix(line, "#") {
 				continue
 			}
-			res, err := env.p.RunPhrase(SessionName, User, line, c.PhraseDataset)
+			res, err := ask(line, c.PhraseDataset)
 			if err != nil {
 				return &RouteResult{Route: "phrase", Err: err}, nil
 			}
@@ -350,17 +374,17 @@ func runPhrase(c *Case) (*RouteResult, error) {
 	last := c.Steps[len(c.Steps)-1]
 	if sentence, ok := phraseSentence(last); ok {
 		if len(c.Steps) > 1 {
-			if _, _, err := env.s.RequestProgram(User, invsOf(c.Steps[:len(c.Steps)-1])...); err != nil {
+			if _, _, err := env.run(invsOf(c.Steps[:len(c.Steps)-1])...); err != nil {
 				return &RouteResult{Route: "phrase", Err: err}, nil
 			}
 		}
-		res, err := env.p.RunPhrase(SessionName, User, sentence, last.Inputs[0])
+		res, err := ask(sentence, last.Inputs[0])
 		if err != nil {
 			return &RouteResult{Route: "phrase", Err: err}, nil
 		}
 		return fromResult("phrase", res)
 	}
-	res, _, err := env.s.RequestProgram(User, invsOf(c.Steps)...)
+	res, _, err := env.run(invsOf(c.Steps)...)
 	if err != nil {
 		return &RouteResult{Route: "phrase", Err: err}, nil
 	}
@@ -666,12 +690,12 @@ func checkCacheReplay(c *Case) error {
 		return err
 	}
 	r := &recipe.Recipe{Name: c.Name, Steps: c.Steps}
-	first, err := env.s.ReplayRecipe(context.Background(), User, r, false)
+	first, err := env.s.ReplayRecipe(context.Background(), User, r, false, env.opts)
 	if err != nil {
 		return fmt.Errorf("first replay: %w", err)
 	}
 	before := env.p.CacheStats()
-	second, err := env.s.ReplayRecipe(context.Background(), User, r, false)
+	second, err := env.s.ReplayRecipe(context.Background(), User, r, false, env.opts)
 	if err != nil {
 		return fmt.Errorf("second replay: %w", err)
 	}
@@ -707,14 +731,14 @@ func RunMatrix(c *Case, ref *RouteResult, pt MatrixPoint, spillDir string) error
 		return err
 	}
 	var parts []*dataset.Table
-	tune := &session.Tuning{
+	tune := session.Tuning{
 		Stream:                func(t *dataset.Table) error { parts = append(parts, t); return nil },
 		StreamChunkRows:       2,
 		StreamParallelism:     pt.Workers,
 		StreamMaxBufferedRows: pt.MaxBufferedRows,
 		StreamSpillDir:        spillDir,
 	}
-	res, _, err := env.s.RequestProgramCtx(context.Background(), User, tune, invsOf(c.Steps)...)
+	res, _, _, err := env.s.RequestProgramCtx(context.Background(), User, tune, invsOf(c.Steps)...)
 	if err != nil {
 		return fmt.Errorf("streamed run (workers=%d, budget=%d): %w", pt.Workers, pt.MaxBufferedRows, err)
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"datachat/internal/cloud"
 	"datachat/internal/dataset"
 	"datachat/internal/session"
 	"datachat/internal/skills"
@@ -233,5 +235,68 @@ func TestConcurrentCreateAndList(t *testing.T) {
 	wg.Wait()
 	if got := len(p.Sessions()); got != 12 {
 		t.Errorf("sessions = %d, want 12", got)
+	}
+}
+
+// TestExplainDuringTunedRun pins that a request's options are arguments of
+// its run and nothing else's: EXPLAIN takes no §2.4 lock, so it plans beside
+// a budgeted run on the same session — under -race that must not be a data
+// race on executor state, and the EXPLAIN, issued with no budget, must never
+// be planned with the running request's (the sample-substitute pass must not
+// fire). Both loops are bounded by the runner's iteration count; the
+// explainer keeps going until the runner is done, so they always overlap.
+func TestExplainDuringTunedRun(t *testing.T) {
+	p := New()
+	db := cloud.NewDatabase("wh", cloud.DefaultPricing, 16)
+	if err := db.CreateTable(seedTable().WithName("orders")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ConnectDatabase(db); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CreateSession("s", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	load := skills.Invocation{Skill: "LoadTable", Args: skills.Args{"database": "wh", "table": "orders"}}
+	if _, err := p.Run("s", "ann", load); err != nil {
+		t.Fatal(err)
+	}
+
+	const runs = 100
+	done := make(chan struct{})
+	var runErr error
+	go func() {
+		defer close(done)
+		tune := &session.Tuning{CostBudgetBytes: 64}
+		for i := 0; i < runs; i++ {
+			res, _, err := p.RunCtx(context.Background(), "s", "ann", tune, load)
+			if err != nil {
+				runErr = err
+				return
+			}
+			if !res.Degraded {
+				runErr = fmt.Errorf("run %d under a 64-byte budget was not degraded", i)
+				return
+			}
+		}
+	}()
+	for explains := 0; ; explains++ {
+		ex, err := p.Explain("s", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range ex.Passes {
+			if tr.Pass == "sample-substitute" && tr.Fired {
+				t.Fatalf("explain %d with no budget was planned under the running request's budget: %+v", explains, tr)
+			}
+		}
+		select {
+		case <-done:
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			return
+		default:
+		}
 	}
 }

@@ -91,30 +91,7 @@ func (p *Platform) ExecStats() dag.Stats {
 	defer p.mu.Unlock()
 	var total dag.Stats
 	for _, s := range p.sessions {
-		st := s.Executor().Stats()
-		total.TasksRun += st.TasksRun
-		total.SQLTasks += st.SQLTasks
-		total.DirectTasks += st.DirectTasks
-		total.NodesConsolidated += st.NodesConsolidated
-		total.QueryBlocks += st.QueryBlocks
-		total.RowsMaterialized += st.RowsMaterialized
-		total.CacheHits += st.CacheHits
-		total.CacheMisses += st.CacheMisses
-		total.Retries += st.Retries
-		total.PermanentFailures += st.PermanentFailures
-		total.Degraded += st.Degraded
-		total.StreamedChunks += st.StreamedChunks
-		total.StreamedRows += st.StreamedRows
-		total.SpillRuns += st.SpillRuns
-		total.SpilledRows += st.SpilledRows
-		total.SpilledBytes += st.SpilledBytes
-		// High-water marks and gauges aggregate by max, not sum.
-		if st.PeakBufferedRows > total.PeakBufferedRows {
-			total.PeakBufferedRows = st.PeakBufferedRows
-		}
-		if st.StreamWorkers > total.StreamWorkers {
-			total.StreamWorkers = st.StreamWorkers
-		}
+		total.Add(s.Executor().Stats())
 	}
 	return total
 }
@@ -250,16 +227,20 @@ func (p *Platform) Run(sessionName, user string, invs ...skills.Invocation) (*sk
 }
 
 // RunCtx is Run with an explicit context and optional per-request execution
-// tuning (deadline, retry policy, clock), and it additionally returns the DAG
-// node ids the program appended — the network layer needs them to anchor
-// artifact saves. This is the entry point datachatd funnels every remote
-// execution through.
+// options (nil means all engine defaults), and it additionally returns the
+// DAG node ids the program appended. Callers that also want the run's report
+// call Session.RequestProgramCtx, which this wraps.
 func (p *Platform) RunCtx(ctx context.Context, sessionName, user string, tune *session.Tuning, invs ...skills.Invocation) (*skills.Result, []dag.NodeID, error) {
 	s, err := p.Session(sessionName)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.RequestProgramCtx(ctx, user, tune, invs...)
+	var opts session.Tuning
+	if tune != nil {
+		opts = *tune
+	}
+	res, ids, _, err := s.RequestProgramCtx(ctx, user, opts, invs...)
+	return res, ids, err
 }
 
 // RunPython parses a DataChat Python API script and executes it via Run.
@@ -321,7 +302,7 @@ func (p *Platform) ParseGEL(line, current string) (skills.Invocation, error) {
 	if err != nil {
 		return skills.Invocation{}, err
 	}
-	if len(inv.Inputs) == 0 && needsInput(inv.Skill) {
+	if len(inv.Inputs) == 0 && NeedsInput(inv.Skill) {
 		if current == "" {
 			return skills.Invocation{}, fmt.Errorf("core: %s needs a dataset; load or use one first", inv.Skill)
 		}
@@ -330,7 +311,9 @@ func (p *Platform) ParseGEL(line, current string) (skills.Invocation, error) {
 	return inv, nil
 }
 
-func needsInput(skill string) bool {
+// NeedsInput reports whether a GEL sentence for skill that names no dataset
+// acts on the current one; the listed skills never consume it.
+func NeedsInput(skill string) bool {
 	switch skill {
 	case "LoadData", "LoadTable", "SampleTable", "CreateSnapshot", "UseSnapshot",
 		"RefreshSnapshot", "ListDatasets", "UseDataset", "Define", "ShareSession",
@@ -386,8 +369,9 @@ func (p *Platform) NL2Code(sessionName, question string) (*nl2code.Response, err
 // RefreshArtifact replays an artifact's recipe against a session (with the
 // sub-DAG cache invalidated so changed source data is re-read), updates the
 // stored payload, and stamps the refresh time — the §2.3 "refresh"
-// interaction surfaced on every artifact.
-func (p *Platform) RefreshArtifact(sessionName, user, artifactName string) (*artifact.Artifact, error) {
+// interaction surfaced on every artifact. The replay runs under ctx and
+// tune's execution options.
+func (p *Platform) RefreshArtifact(ctx context.Context, sessionName, user, artifactName string, tune session.Tuning) (*artifact.Artifact, error) {
 	a, err := p.Artifacts.Get(artifactName, user)
 	if err != nil {
 		return nil, err
@@ -399,7 +383,7 @@ func (p *Platform) RefreshArtifact(sessionName, user, artifactName string) (*art
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.ReplayRecipe(context.Background(), user, a.Recipe, true)
+	res, err := s.ReplayRecipe(ctx, user, a.Recipe, true, tune)
 	if err != nil {
 		return nil, fmt.Errorf("core: refreshing %q: %w", artifactName, err)
 	}

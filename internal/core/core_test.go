@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -226,6 +227,15 @@ func TestTranslatePhraseThroughPlatform(t *testing.T) {
 	if _, err := p.TranslatePhrase("s", "Visualize dept", "missing"); err == nil {
 		t.Error("missing dataset should error")
 	}
+	// RunPhrase executes what TranslatePhrase produced, defaulting the
+	// invocation's input to the dataset the phrase was asked of.
+	res, err := p.RunPhrase("s", "ann", "Visualize dept", "people")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Charts) == 0 {
+		t.Errorf("RunPhrase built no chart: %+v", res)
+	}
 }
 
 func TestRefreshArtifact(t *testing.T) {
@@ -247,7 +257,7 @@ func TestRefreshArtifact(t *testing.T) {
 	// Underlying data grows; refresh must see it.
 	s.Context().Datasets["people"] = dataset.MustNewTable("people",
 		dataset.IntColumn("age", []int64{10, 20, 30, 40, 50}, nil))
-	a, err := p.RefreshArtifact("s", "ann", "rowcount")
+	a, err := p.RefreshArtifact(context.Background(), "s", "ann", "rowcount", session.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +272,10 @@ func TestRefreshArtifact(t *testing.T) {
 	if err := p.Artifacts.Share("rowcount", "ann", "bob", artifact.ViewAccess); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.RefreshArtifact("s", "bob", "rowcount"); err == nil {
+	if _, err := p.RefreshArtifact(context.Background(), "s", "bob", "rowcount", session.Tuning{}); err == nil {
 		t.Error("viewer refresh should fail")
 	}
-	if _, err := p.RefreshArtifact("s", "ann", "missing"); err == nil {
+	if _, err := p.RefreshArtifact(context.Background(), "s", "ann", "missing", session.Tuning{}); err == nil {
 		t.Error("missing artifact refresh should fail")
 	}
 }

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -689,5 +690,31 @@ func TestConsolidationEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStatsAddCoversEveryField guards the one place that knows how Stats
+// fields combine: every numeric field must be folded by Add — summed, or for
+// the high-water marks kept as the max — so a field added to the struct and
+// forgotten in Add fails here instead of silently reading zero in /statsz.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	maxFields := map[string]bool{"PeakBufferedRows": true, "StreamWorkers": true}
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	var total Stats
+	total.Add(one)
+	total.Add(one)
+	got := reflect.ValueOf(total)
+	for i := 0; i < got.NumField(); i++ {
+		name, want := got.Type().Field(i).Name, int64(2*(i+1))
+		if maxFields[name] {
+			want = int64(i + 1)
+		}
+		if got.Field(i).Int() != want {
+			t.Errorf("after Add twice, %s = %d, want %d", name, got.Field(i).Int(), want)
+		}
 	}
 }

@@ -3,15 +3,15 @@ package dag
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"sync"
 
 	"datachat/internal/plan"
 	"datachat/internal/skills"
 )
 
-// Stats counts what an execution did, for transparency and benchmarks. It is
-// a point-in-time snapshot taken by Executor.Stats; the live counters are
-// atomic so parallel branches update them without locking.
+// Stats counts what execution did, for transparency and benchmarks: one run's
+// work in a Report, or every run's since the executor was built in
+// Executor.Stats.
 type Stats struct {
 	// TasksRun is the number of execution tasks dispatched.
 	TasksRun int
@@ -46,79 +46,43 @@ type Stats struct {
 	// StreamMaxBufferedRows.
 	SpillRuns, SpilledRows int
 	SpilledBytes           int64
-	// PeakBufferedRows is the highest per-stream buffered-row peak observed
-	// across streamed fragments (a high-water mark, not a sum).
+	// PeakBufferedRows is the highest per-stream buffered-row peak among the
+	// streamed fragments counted (a high-water mark, not a sum).
 	PeakBufferedRows int
-	// StreamWorkers is the resolved morsel worker count of the most recently
-	// streamed fragment (a gauge, not a sum).
+	// StreamWorkers is the largest resolved morsel worker count among the
+	// streamed fragments counted (0 when nothing streamed live).
 	StreamWorkers int
 }
 
-// counters is the executor's live, atomically updated form of Stats.
-type counters struct {
-	tasksRun, sqlTasks, directTasks      atomic.Int64
-	nodesConsolidated, queryBlocks       atomic.Int64
-	rowsMaterialized                     atomic.Int64
-	cacheHits, cacheMisses               atomic.Int64
-	retries, permanentFailures, degraded atomic.Int64
-	streamedChunks, streamedRows         atomic.Int64
-	spillRuns, spilledRows, spilledBytes atomic.Int64
-	peakBuffered, streamWorkers          atomic.Int64
+// Add folds o into s: counts sum, PeakBufferedRows and StreamWorkers keep the
+// larger value. TestStatsAddCoversEveryField fails when a field is added to
+// Stats and not here.
+func (s *Stats) Add(o Stats) {
+	s.TasksRun += o.TasksRun
+	s.SQLTasks += o.SQLTasks
+	s.DirectTasks += o.DirectTasks
+	s.NodesConsolidated += o.NodesConsolidated
+	s.QueryBlocks += o.QueryBlocks
+	s.RowsMaterialized += o.RowsMaterialized
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.Retries += o.Retries
+	s.PermanentFailures += o.PermanentFailures
+	s.Degraded += o.Degraded
+	s.StreamedChunks += o.StreamedChunks
+	s.StreamedRows += o.StreamedRows
+	s.SpillRuns += o.SpillRuns
+	s.SpilledRows += o.SpilledRows
+	s.SpilledBytes += o.SpilledBytes
+	s.PeakBufferedRows = max(s.PeakBufferedRows, o.PeakBufferedRows)
+	s.StreamWorkers = max(s.StreamWorkers, o.StreamWorkers)
 }
 
-// notePeakBuffered raises the buffered-row high-water mark (CAS max, since
-// parallel branches report concurrently).
-func (c *counters) notePeakBuffered(v int64) {
-	for {
-		cur := c.peakBuffered.Load()
-		if v <= cur || c.peakBuffered.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		TasksRun:          int(c.tasksRun.Load()),
-		SQLTasks:          int(c.sqlTasks.Load()),
-		DirectTasks:       int(c.directTasks.Load()),
-		NodesConsolidated: int(c.nodesConsolidated.Load()),
-		QueryBlocks:       int(c.queryBlocks.Load()),
-		RowsMaterialized:  int(c.rowsMaterialized.Load()),
-		CacheHits:         int(c.cacheHits.Load()),
-		CacheMisses:       int(c.cacheMisses.Load()),
-		Retries:           int(c.retries.Load()),
-		PermanentFailures: int(c.permanentFailures.Load()),
-		Degraded:          int(c.degraded.Load()),
-		StreamedChunks:    int(c.streamedChunks.Load()),
-		StreamedRows:      int(c.streamedRows.Load()),
-		SpillRuns:         int(c.spillRuns.Load()),
-		SpilledRows:       int(c.spilledRows.Load()),
-		SpilledBytes:      c.spilledBytes.Load(),
-		PeakBufferedRows:  int(c.peakBuffered.Load()),
-		StreamWorkers:     int(c.streamWorkers.Load()),
-	}
-}
-
-func (c *counters) reset() {
-	c.tasksRun.Store(0)
-	c.sqlTasks.Store(0)
-	c.directTasks.Store(0)
-	c.nodesConsolidated.Store(0)
-	c.queryBlocks.Store(0)
-	c.rowsMaterialized.Store(0)
-	c.cacheHits.Store(0)
-	c.cacheMisses.Store(0)
-	c.retries.Store(0)
-	c.permanentFailures.Store(0)
-	c.degraded.Store(0)
-	c.streamedChunks.Store(0)
-	c.streamedRows.Store(0)
-	c.spillRuns.Store(0)
-	c.spilledRows.Store(0)
-	c.spilledBytes.Store(0)
-	c.peakBuffered.Store(0)
-	c.streamWorkers.Store(0)
+// Report is what one run did: its own execution counters and the cost
+// estimate of the plan it compiled (nil when the cost model is off).
+type Report struct {
+	Stats Stats
+	Cost  *plan.PlanCost
 }
 
 // Executor compiles and runs DAGs against a skill context. Compilation
@@ -135,7 +99,8 @@ func (c *counters) reset() {
 // the executors of many sessions (SetCache), in which case identical
 // concurrent computations are deduplicated. The configuration fields
 // (Registry, Ctx, Consolidate, Fuse, Pushdown, UseCache, Options) must not
-// be mutated while a Run is in progress.
+// be mutated while a Run or Explain is in progress; what varies per request
+// goes in as RunWith's options argument instead.
 type Executor struct {
 	// Registry resolves skill definitions.
 	Registry *skills.Registry
@@ -158,15 +123,17 @@ type Executor struct {
 	// JoinReorder enables cost-based reordering of inner-join chains.
 	JoinReorder bool
 	// CostModel enables per-pass cost estimation (and, with a positive
-	// Options.CostBudgetBytes, budgeted sample substitution).
+	// CostBudgetBytes in the run's options, budgeted sample substitution).
 	CostModel bool
-	// Options tunes scheduling (worker-pool size).
+	// Options is the standing default Run and Explain use — for stand-alone
+	// executors (tests, experiments). RunWith and ExplainWith ignore it.
 	Options ExecOptions
 
 	cache    *Cache
 	statsReg *plan.StatsRegistry
-	lastCost atomic.Pointer[plan.PlanCost]
-	counters counters
+
+	mu    sync.Mutex
+	total Stats // sum of every run's Report.Stats
 }
 
 // NewExecutor returns an executor with every optimizing pass and caching
@@ -213,16 +180,13 @@ func (e *Executor) SetStatsRegistry(r *plan.StatsRegistry) {
 // for zero-value executors).
 func (e *Executor) StatsRegistry() *plan.StatsRegistry { return e.statsReg }
 
-// LastPlanCost returns the cost estimate of the most recently executed
-// plan, or nil when the cost model is off or nothing has run yet. Explain
-// (read-only) never updates it.
-func (e *Executor) LastPlanCost() *plan.PlanCost { return e.lastCost.Load() }
-
-// Stats returns cumulative execution statistics.
-func (e *Executor) Stats() Stats { return e.counters.snapshot() }
-
-// ResetStats zeroes the statistics counters.
-func (e *Executor) ResetStats() { e.counters.reset() }
+// Stats returns cumulative execution statistics: the sum of the reports of
+// every finished run.
+func (e *Executor) Stats() Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.total
+}
 
 // CacheStats returns the cache's own counters (shared figures when the cache
 // is shared across sessions).
@@ -233,9 +197,10 @@ func (e *Executor) CacheStats() CacheStats { return e.cache.Stats() }
 // the cache with stale results.
 func (e *Executor) InvalidateCache() { e.cache.Invalidate() }
 
-// Run executes the DAG up to target and returns its result. Intermediate
-// results are materialized into the context under their output names so
-// later requests (and sibling branches) can reference them.
+// Run executes the DAG up to target under the executor's standing Options
+// and returns its result. Intermediate results are materialized into the
+// context under their output names so later requests (and sibling branches)
+// can reference them.
 //
 // Execution is a two-phase parallel topological schedule: a serial planning
 // pass compiles the needed ancestors into tasks — consolidation chains stay
@@ -249,25 +214,36 @@ func (e *Executor) InvalidateCache() { e.cache.Invalidate() }
 // computed by an earlier, shorter request is reused as the base instead of
 // being refolded and recomputed. TestChainPrefixCachePolicy pins this down.
 func (e *Executor) Run(g *Graph, target NodeID) (*skills.Result, error) {
-	return e.RunContext(context.Background(), g, target)
+	res, _, err := e.RunWith(context.Background(), g, target, e.Options)
+	return res, err
 }
 
-// RunContext is Run with an explicit context: cancelling it aborts pending
-// retry backoffs and stops new tasks from being scheduled (attempts already
-// executing finish — skill bodies are not interruptible).
-func (e *Executor) RunContext(ctx context.Context, g *Graph, target NodeID) (*skills.Result, error) {
-	p, err := e.plan(g, target)
+// RunWith is Run as a function of its arguments: opts are this run's options
+// (Options is not read), and the returned report says what this run did —
+// also when it failed. Cancelling ctx aborts pending retry backoffs and stops
+// new tasks from being scheduled (attempts already executing finish — skill
+// bodies are not interruptible).
+func (e *Executor) RunWith(ctx context.Context, g *Graph, target NodeID, opts ExecOptions) (*skills.Result, Report, error) {
+	p, err := e.plan(g, target, opts)
 	if err != nil {
-		return nil, err
+		return nil, Report{}, err
 	}
-	if err := e.runPlan(ctx, p, e.Options.Parallelism); err != nil {
-		return nil, err
+	err = e.runPlan(ctx, p)
+	rep := Report{Stats: p.planStats, Cost: p.logical.Cost}
+	for _, t := range p.tasks {
+		rep.Stats.Add(t.stats)
+	}
+	e.mu.Lock()
+	e.total.Add(rep.Stats)
+	e.mu.Unlock()
+	if err != nil {
+		return nil, rep, err
 	}
 	t := p.byNode[target]
 	if t == nil || t.result == nil {
-		return nil, fmt.Errorf("dag: internal: no result for target node %d", target)
+		return nil, rep, fmt.Errorf("dag: internal: no result for target node %d", target)
 	}
-	return t.result, nil
+	return t.result, rep, nil
 }
 
 // CompileSQL returns the consolidated SQL for the relational chain ending

@@ -45,10 +45,11 @@ func lowerGraph(g *Graph, target NodeID) (*plan.Plan, error) {
 // reorder (JoinReorder), budget sample substitution, cache probe
 // (UseCache), consolidate (Consolidate), pushdown (Pushdown). When the cost
 // model is on, every pass trace snapshots the estimated plan cost, so
-// EXPLAIN shows per-pass cost deltas. With readOnly set the cache probe
-// uses a side-effect-free peek, so Explain never perturbs stats or LRU
-// recency.
-func (e *Executor) logicalPlan(g *Graph, target NodeID, readOnly bool) (*plan.Plan, error) {
+// EXPLAIN shows per-pass cost deltas. budget is the request's
+// CostBudgetBytes. st counts the run's plan-time cache hits; nil means
+// read-only: the cache probe uses a side-effect-free peek, so Explain never
+// perturbs stats or LRU recency.
+func (e *Executor) logicalPlan(g *Graph, target NodeID, budget int64, st *Stats) (*plan.Plan, error) {
 	lp, err := lowerGraph(g, target)
 	if err != nil {
 		return nil, err
@@ -71,7 +72,7 @@ func (e *Executor) logicalPlan(g *Graph, target NodeID, readOnly bool) (*plan.Pl
 		},
 	}
 	if e.UseCache {
-		if readOnly {
+		if st == nil {
 			env.CacheGet = func(key string) (*skills.Result, bool) {
 				return nil, e.cache.Peek(key)
 			}
@@ -79,7 +80,7 @@ func (e *Executor) logicalPlan(g *Graph, target NodeID, readOnly bool) (*plan.Pl
 			env.CacheGet = func(key string) (*skills.Result, bool) {
 				res, ok := e.cache.Get(key)
 				if ok {
-					e.counters.cacheHits.Add(1)
+					st.CacheHits++
 				}
 				return res, ok
 			}
@@ -114,7 +115,7 @@ func (e *Executor) logicalPlan(g *Graph, target NodeID, readOnly bool) (*plan.Pl
 		if e.statsReg != nil {
 			env.Observed = e.statsReg.Lookup
 		}
-		env.CostBudgetBytes = e.Options.CostBudgetBytes
+		env.CostBudgetBytes = budget
 	}
 	var passes []plan.Pass
 	if e.CSE {
@@ -141,17 +142,20 @@ func (e *Executor) logicalPlan(g *Graph, target NodeID, readOnly bool) (*plan.Pl
 	if err := plan.RunPasses(lp, env, passes...); err != nil {
 		return nil, err
 	}
-	if !readOnly {
-		e.lastCost.Store(lp.Cost)
-	}
 	return lp, nil
 }
 
 // Explain compiles — but does not execute — the sub-DAG ending at target
 // through the full pass pipeline and returns the plan report: surviving
-// nodes, consolidated SQL fragments, and which passes fired.
+// nodes, consolidated SQL fragments, and which passes fired. It plans under
+// the executor's standing Options.
 func (e *Executor) Explain(g *Graph, target NodeID) (*plan.Explain, error) {
-	lp, err := e.logicalPlan(g, target, true)
+	return e.ExplainWith(g, target, e.Options)
+}
+
+// ExplainWith is Explain for the plan a RunWith under opts would compile.
+func (e *Executor) ExplainWith(g *Graph, target NodeID, opts ExecOptions) (*plan.Explain, error) {
+	lp, err := e.logicalPlan(g, target, opts.CostBudgetBytes, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,9 @@ import (
 	"datachat/internal/sqlengine"
 )
 
-// ExecOptions tunes how Run schedules work.
+// ExecOptions are one run's options: how RunWith schedules, retries, streams
+// and budgets that run. The zero value of every field is the engine default.
+// Callers pass it by value, so nothing a run reads can change under it.
 type ExecOptions struct {
 	// Parallelism bounds the worker pool that executes independent DAG
 	// branches. Values <= 0 mean runtime.GOMAXPROCS(0); 1 reproduces strict
@@ -101,6 +103,9 @@ type task struct {
 
 	waiting int
 	result  *skills.Result
+	// stats counts what executing this task did. Only the worker running the
+	// task writes it; RunWith sums it into the report once the pool is idle.
+	stats Stats
 }
 
 // execPlan is the compiled form of one Run: the optimized logical plan plus
@@ -108,21 +113,25 @@ type task struct {
 // pass, and all cache probes happen before any worker starts, so key
 // computation needs no locking.
 type execPlan struct {
+	opts    ExecOptions
 	logical *plan.Plan
 	tasks   []*task
 	byNode  map[NodeID]*task
+	// planStats counts the cache hits the plan-time probe pinned.
+	planStats Stats
 }
 
 // plan lowers the sub-DAG ending at target, runs the pass pipeline (see
 // logicalPlan), and emits tasks: one per SQL fragment, one per remaining
 // node. Nodes the cache probe pinned become republish-only tasks with their
 // ancestors pruned from the plan entirely.
-func (e *Executor) plan(g *Graph, target NodeID) (*execPlan, error) {
-	lp, err := e.logicalPlan(g, target, false)
+func (e *Executor) plan(g *Graph, target NodeID, opts ExecOptions) (*execPlan, error) {
+	p := &execPlan{opts: opts, byNode: map[NodeID]*task{}}
+	lp, err := e.logicalPlan(g, target, opts.CostBudgetBytes, &p.planStats)
 	if err != nil {
 		return nil, err
 	}
-	p := &execPlan{logical: lp, byNode: map[NodeID]*task{}}
+	p.logical = lp
 	owner := map[int]*task{}
 	newTask := func(tail *plan.Node) *task {
 		t := &task{idx: len(p.tasks), node: tail}
@@ -200,7 +209,8 @@ func isCancellation(err error) bool {
 // siblings; attempts already executing finish before runPlan returns. The
 // recorded first error prefers a task's real failure over the cancellation
 // errors it causes downstream.
-func (e *Executor) runPlan(ctx context.Context, p *execPlan, workers int) error {
+func (e *Executor) runPlan(ctx context.Context, p *execPlan) error {
+	workers := p.opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -210,8 +220,8 @@ func (e *Executor) runPlan(ctx context.Context, p *execPlan, workers int) error 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var deadline time.Time
-	if e.Options.Deadline > 0 {
-		deadline = e.Options.clock().Now().Add(e.Options.Deadline)
+	if p.opts.Deadline > 0 {
+		deadline = p.opts.clock().Now().Add(p.opts.Deadline)
 	}
 
 	var (
@@ -306,19 +316,19 @@ func (e *Executor) executeTask(ctx context.Context, p *execPlan, t *task, deadli
 		res = t.pinned
 	case t.cacheable:
 		r, hit, err := e.cache.Do(t.key, func() (*skills.Result, error) {
-			return e.execTaskRetry(ctx, t, deadline)
+			return e.execTaskRetry(ctx, p, t, deadline)
 		})
 		if err != nil {
 			return nil, err
 		}
 		if hit {
-			e.counters.cacheHits.Add(1)
+			t.stats.CacheHits++
 		} else {
-			e.counters.cacheMisses.Add(1)
+			t.stats.CacheMisses++
 		}
 		res = r
 	default:
-		r, err := e.execTaskRetry(ctx, t, deadline)
+		r, err := e.execTaskRetry(ctx, p, t, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +342,7 @@ func (e *Executor) executeTask(ctx context.Context, p *execPlan, t *task, deadli
 		wrapped.Degraded = true
 		wrapped.DegradedNote = t.node.SubstituteNote
 		res = &wrapped
-		e.counters.degraded.Add(1)
+		t.stats.Degraded++
 	}
 	if res != nil && !res.Degraded {
 		// Honesty propagates: anything computed from a degraded input is
@@ -361,12 +371,12 @@ func (e *Executor) executeTask(ctx context.Context, p *execPlan, t *task, deadli
 	// cache hit, a direct skill, or a fragment that fell back — still owes
 	// the sink its rows: re-chunk the materialized table so remote clients
 	// observe one protocol regardless of where the result came from.
-	if t.stream && e.Options.Stream != nil && !t.sunkAny && res != nil && res.Table != nil {
-		if err := e.streamTable(t, res.Table); err != nil {
+	if t.stream && p.opts.Stream != nil && !t.sunkAny && res != nil && res.Table != nil {
+		if err := streamTable(p.opts, t, res.Table); err != nil {
 			return nil, err
 		}
 	}
-	e.materialize(t.node, res)
+	e.materialize(t, res)
 	if t.invalidates {
 		// Snapshot creation/refresh changes source data out from under every
 		// cached key; bump the generation so nothing stale survives.
@@ -380,40 +390,40 @@ func (e *Executor) executeTask(ctx context.Context, p *execPlan, t *task, deadli
 // decorrelated by task index), permanent errors and plain execution errors
 // fail immediately, and a backoff that would cross the run deadline is not
 // taken.
-func (e *Executor) execTaskRetry(ctx context.Context, t *task, deadline time.Time) (*skills.Result, error) {
-	pol := e.Options.Retry
+func (e *Executor) execTaskRetry(ctx context.Context, p *execPlan, t *task, deadline time.Time) (*skills.Result, error) {
+	pol := p.opts.Retry
 	pol.Seed += int64(t.idx)
-	res, stats, err := faults.Do(ctx, e.Options.clock(), pol, deadline, nil,
-		func() (*skills.Result, error) { return e.execTaskBody(ctx, t) })
+	res, stats, err := faults.Do(ctx, p.opts.clock(), pol, deadline, nil,
+		func() (*skills.Result, error) { return e.execTaskBody(ctx, p.opts, t) })
 	if stats.Attempts > 1 {
-		e.counters.retries.Add(int64(stats.Attempts - 1))
+		t.stats.Retries += stats.Attempts - 1
 	}
 	if err != nil {
 		if faults.IsPermanent(err) {
-			e.counters.permanentFailures.Add(1)
+			t.stats.PermanentFailures++
 		}
 		return nil, err
 	}
 	if res != nil && res.Degraded {
-		e.counters.degraded.Add(1)
+		t.stats.Degraded++
 	}
 	return res, nil
 }
 
-func (e *Executor) execTaskBody(ctx context.Context, t *task) (*skills.Result, error) {
+func (e *Executor) execTaskBody(ctx context.Context, opts ExecOptions, t *task) (*skills.Result, error) {
 	if t.frag != nil {
-		if t.stream && e.Options.Stream != nil {
-			return e.execChainStream(ctx, t)
+		if t.stream && opts.Stream != nil {
+			return e.execChainStream(ctx, opts, t)
 		}
-		return e.execChain(t.frag)
+		return e.execChain(opts, t)
 	}
-	return e.execDirect(t.node)
+	return e.execDirect(t)
 }
 
-// streamChunkRows returns the configured sink chunk size.
-func (e *Executor) streamChunkRows() int {
-	if e.Options.StreamChunkRows > 0 {
-		return e.Options.StreamChunkRows
+// chunkRows returns the configured sink chunk size.
+func (o ExecOptions) chunkRows() int {
+	if o.StreamChunkRows > 0 {
+		return o.StreamChunkRows
 	}
 	return sqlengine.DefaultChunkRows
 }
@@ -423,31 +433,31 @@ func (e *Executor) streamChunkRows() int {
 // pool setting, so Parallelism 1 keeps the whole run on one goroutine and the default
 // parallel run also parallelizes inside its target (-1 = GOMAXPROCS to the
 // engine).
-func (e *Executor) streamParallelism() int {
-	if p := e.Options.StreamParallelism; p != 0 {
-		return p
+func (o ExecOptions) streamParallelism() int {
+	if o.StreamParallelism != 0 {
+		return o.StreamParallelism
 	}
-	if e.Options.Parallelism <= 0 {
+	if o.Parallelism <= 0 {
 		return -1
 	}
-	return e.Options.Parallelism
+	return o.Parallelism
 }
 
 // emitChunk forwards one chunk to the sink, skipping any prefix a previous
 // attempt of the same task already delivered. seen is the running row count
 // of the current attempt before this chunk.
-func (e *Executor) emitChunk(t *task, chunk *dataset.Table, seen int) error {
+func emitChunk(sink func(*dataset.Table) error, t *task, chunk *dataset.Table, seen int) error {
 	n := chunk.NumRows()
 	if n == 0 {
 		// Empty chunks only exist to carry the schema; one is enough.
 		if t.sunkAny {
 			return nil
 		}
-		if err := e.Options.Stream(chunk); err != nil {
+		if err := sink(chunk); err != nil {
 			return err
 		}
 		t.sunkAny = true
-		e.counters.streamedChunks.Add(1)
+		t.stats.StreamedChunks++
 		return nil
 	}
 	if seen+n <= t.sunk {
@@ -456,30 +466,30 @@ func (e *Executor) emitChunk(t *task, chunk *dataset.Table, seen int) error {
 	if seen < t.sunk {
 		chunk = chunk.Window(t.sunk-seen, n)
 	}
-	if err := e.Options.Stream(chunk); err != nil {
+	if err := sink(chunk); err != nil {
 		return err
 	}
 	t.sunk = seen + n
 	t.sunkAny = true
-	e.counters.streamedChunks.Add(1)
-	e.counters.streamedRows.Add(int64(chunk.NumRows()))
+	t.stats.StreamedChunks++
+	t.stats.StreamedRows += chunk.NumRows()
 	return nil
 }
 
 // streamTable re-chunks a materialized table through the sink (the cache-hit
 // and direct-skill arm of target streaming).
-func (e *Executor) streamTable(t *task, tab *dataset.Table) error {
+func streamTable(opts ExecOptions, t *task, tab *dataset.Table) error {
 	n := tab.NumRows()
 	if n == 0 {
-		return e.emitChunk(t, tab, 0)
+		return emitChunk(opts.Stream, t, tab, 0)
 	}
-	chunk := e.streamChunkRows()
+	chunk := opts.chunkRows()
 	for off := 0; off < n; off += chunk {
 		end := off + chunk
 		if end > n {
 			end = n
 		}
-		if err := e.emitChunk(t, tab.Window(off, end), off); err != nil {
+		if err := emitChunk(opts.Stream, t, tab.Window(off, end), off); err != nil {
 			return err
 		}
 	}
@@ -492,14 +502,14 @@ func (e *Executor) streamTable(t *task, tab *dataset.Table) error {
 // Fallback shapes are handled inside the engine (the stream re-chunks a
 // materialized execution), so the rows — and their order — always match
 // execChain's.
-func (e *Executor) execChainStream(ctx context.Context, t *task) (*skills.Result, error) {
+func (e *Executor) execChainStream(ctx context.Context, opts ExecOptions, t *task) (*skills.Result, error) {
 	frag := t.frag
 	if frag.Base.Node == plan.External {
 		if _, err := e.Ctx.Dataset(frag.Base.Name); err != nil {
 			return nil, fmt.Errorf("dag: node %d: %w", frag.Nodes[0], err)
 		}
 	}
-	par := e.streamParallelism()
+	par := opts.streamParallelism()
 	if par < 0 && e.CostModel && frag.EstBaseRows > 0 {
 		// Adaptive fan-out: with no explicit worker ask, size the morsel
 		// pool from the estimated base cardinality instead of bare
@@ -507,11 +517,11 @@ func (e *Executor) execChainStream(ctx context.Context, t *task) (*skills.Result
 		par = plan.AdaptiveWorkers(frag.EstBaseRows, runtime.GOMAXPROCS(0))
 	}
 	rs, err := sqlengine.ExecStreamStmt(e.Ctx, frag.Builder.Stmt(), sqlengine.StreamOptions{
-		Options:         e.Options.SQL,
-		ChunkRows:       e.streamChunkRows(),
+		Options:         opts.SQL,
+		ChunkRows:       opts.chunkRows(),
 		Parallelism:     par,
-		MaxBufferedRows: e.Options.StreamMaxBufferedRows,
-		SpillDir:        e.Options.StreamSpillDir,
+		MaxBufferedRows: opts.StreamMaxBufferedRows,
+		SpillDir:        opts.StreamSpillDir,
 		Ctx:             ctx,
 	})
 	if err != nil {
@@ -522,37 +532,44 @@ func (e *Executor) execChainStream(ctx context.Context, t *task) (*skills.Result
 	table, err := rs.Drain(func(chunk *dataset.Table) error {
 		at := seen
 		seen += chunk.NumRows()
-		return e.emitChunk(t, chunk, at)
+		return emitChunk(opts.Stream, t, chunk, at)
 	})
-	e.counters.notePeakBuffered(int64(rs.PeakBufferedRows()))
-	e.counters.streamWorkers.Store(int64(rs.Workers()))
-	if ss := rs.SpillStats(); ss.Runs > 0 {
-		e.counters.spillRuns.Add(int64(ss.Runs))
-		e.counters.spilledRows.Add(int64(ss.SpilledRows))
-		e.counters.spilledBytes.Add(ss.SpilledBytes)
-		if e.CostModel && e.statsReg != nil {
-			e.statsReg.ObserveSpill(t.node.Fingerprint)
-		}
+	ss := rs.SpillStats()
+	t.stats.Add(Stats{
+		PeakBufferedRows: rs.PeakBufferedRows(),
+		StreamWorkers:    rs.Workers(),
+		SpillRuns:        ss.Runs,
+		SpilledRows:      ss.SpilledRows,
+		SpilledBytes:     ss.SpilledBytes,
+	})
+	if ss.Runs > 0 && e.CostModel && e.statsReg != nil {
+		e.statsReg.ObserveSpill(t.node.Fingerprint)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)
 	}
-	e.counters.tasksRun.Add(1)
-	e.counters.sqlTasks.Add(1)
-	e.counters.nodesConsolidated.Add(int64(frag.DagNodes))
-	e.counters.queryBlocks.Add(int64(frag.Blocks))
-	return &skills.Result{Table: table, Message: "via " + frag.SQL}, nil
+	return t.sqlResult(table), nil
+}
+
+// sqlResult counts t's consolidated fragment as executed and wraps its table.
+func (t *task) sqlResult(table *dataset.Table) *skills.Result {
+	t.stats.TasksRun++
+	t.stats.SQLTasks++
+	t.stats.NodesConsolidated += t.frag.DagNodes
+	t.stats.QueryBlocks += t.frag.Blocks
+	return &skills.Result{Table: table, Message: "via " + t.frag.SQL}
 }
 
 // materialize publishes a node result into the session datasets under its
 // output name, so sibling branches and later requests can reference it.
-func (e *Executor) materialize(n *plan.Node, res *skills.Result) {
+func (e *Executor) materialize(t *task, res *skills.Result) {
 	if res == nil || res.Table == nil {
 		return
 	}
+	n := t.node
 	name := n.OutputName()
 	e.Ctx.PutDataset(name, res.Table.WithName(name))
-	e.counters.rowsMaterialized.Add(int64(res.Table.NumRows()))
+	t.stats.RowsMaterialized += res.Table.NumRows()
 	// Session-wide CSE folded duplicate producers into this node; publish
 	// the one result under every name the duplicates answered to.
 	for _, alias := range n.Aliases {
@@ -561,7 +578,8 @@ func (e *Executor) materialize(n *plan.Node, res *skills.Result) {
 }
 
 // execDirect applies one skill node directly.
-func (e *Executor) execDirect(n *plan.Node) (*skills.Result, error) {
+func (e *Executor) execDirect(t *task) (*skills.Result, error) {
+	n := t.node
 	for _, in := range n.Inputs {
 		if in.Node == plan.External {
 			if _, err := e.Ctx.Dataset(in.Name); err != nil {
@@ -573,27 +591,24 @@ func (e *Executor) execDirect(n *plan.Node) (*skills.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dag: node %d (%s): %w", n.ID, n.Skill, err)
 	}
-	e.counters.tasksRun.Add(1)
-	e.counters.directTasks.Add(1)
+	t.stats.TasksRun++
+	t.stats.DirectTasks++
 	return res, nil
 }
 
 // execChain runs a consolidated relational fragment as one flattened SQL
 // task. The fragment's query was compiled by the consolidation pass; here it
 // only gets executed and counted.
-func (e *Executor) execChain(frag *plan.Fragment) (*skills.Result, error) {
+func (e *Executor) execChain(opts ExecOptions, t *task) (*skills.Result, error) {
+	frag := t.frag
 	if frag.Base.Node == plan.External {
 		if _, err := e.Ctx.Dataset(frag.Base.Name); err != nil {
 			return nil, fmt.Errorf("dag: node %d: %w", frag.Nodes[0], err)
 		}
 	}
-	table, err := sqlengine.ExecStmtOptions(e.Ctx, frag.Builder.Stmt(), e.Options.SQL)
+	table, err := sqlengine.ExecStmtOptions(e.Ctx, frag.Builder.Stmt(), opts.SQL)
 	if err != nil {
 		return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)
 	}
-	e.counters.tasksRun.Add(1)
-	e.counters.sqlTasks.Add(1)
-	e.counters.nodesConsolidated.Add(int64(frag.DagNodes))
-	e.counters.queryBlocks.Add(int64(frag.Blocks))
-	return &skills.Result{Table: table, Message: "via " + frag.SQL}, nil
+	return t.sqlResult(table), nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -92,7 +93,7 @@ func Cost(rows int) (*CostResult, error) {
 		ctx := skills.NewContext()
 		ctx.Cloud["wh"] = db
 		ex := dag.NewExecutor(reg, ctx)
-		ex.Options.CostBudgetBytes = budget
+		opts := dag.ExecOptions{CostBudgetBytes: budget}
 		g := dag.NewGraph()
 		g.Add(skills.Invocation{Skill: "LoadTable",
 			Args: skills.Args{"database": "wh", "table": "orders"}, Output: "orders"})
@@ -101,7 +102,7 @@ func Cost(rows int) (*CostResult, error) {
 
 		meterBefore := db.Meter().BytesScanned()
 		start := time.Now()
-		res, err := ex.Run(g, last)
+		res, rep, err := ex.RunWith(context.Background(), g, last, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -112,11 +113,11 @@ func Cost(rows int) (*CostResult, error) {
 			Degraded:    res.Degraded,
 			Seconds:     dur.Seconds(),
 		}
-		if pc := ex.LastPlanCost(); pc != nil {
-			cell.EstScanBytes = pc.ScanBytes
+		if rep.Cost != nil {
+			cell.EstScanBytes = rep.Cost.ScanBytes
 		}
 		// Recover the substituted rate from the compiled plan.
-		e, err := ex.Explain(g, last)
+		e, err := ex.ExplainWith(g, last, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@
 package recipe
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -178,10 +179,10 @@ func (r *Recipe) SQL(ex *dag.Executor) (string, error) {
 	return ex.CompileSQL(g, g.Last())
 }
 
-// Replay rebuilds the DAG and executes it to the final step — the §2.3
-// "refresh" interaction. Pass invalidate=true to drop cached sub-results
-// so changed source data is re-read.
-func (r *Recipe) Replay(ex *dag.Executor, invalidate bool) (*skills.Result, error) {
+// Replay rebuilds the DAG and executes it to the final step under opts — the
+// §2.3 "refresh" interaction. Pass invalidate=true to drop cached
+// sub-results so changed source data is re-read.
+func (r *Recipe) Replay(ctx context.Context, ex *dag.Executor, opts dag.ExecOptions, invalidate bool) (*skills.Result, error) {
 	if invalidate {
 		ex.InvalidateCache()
 	}
@@ -190,7 +191,8 @@ func (r *Recipe) Replay(ex *dag.Executor, invalidate bool) (*skills.Result, erro
 	if last < 0 {
 		return nil, fmt.Errorf("recipe: %q has no steps", r.Name)
 	}
-	return ex.Run(g, last)
+	res, _, err := ex.RunWith(ctx, g, last, opts)
+	return res, err
 }
 
 // ReplayStep reports one step of a live replay.

@@ -1,6 +1,7 @@
 package recipe
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -68,12 +69,12 @@ func TestJSONRoundTripAndReplay(t *testing.T) {
 	}
 	// Replaying the decoded recipe produces the same table as the original.
 	ex1 := dag.NewExecutor(reg, newCtx())
-	r1, err := rec.Replay(ex1, false)
+	r1, err := rec.Replay(context.Background(), ex1, dag.ExecOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ex2 := dag.NewExecutor(reg, newCtx())
-	r2, err := back.Replay(ex2, false)
+	r2, err := back.Replay(context.Background(), ex2, dag.ExecOptions{}, false)
 	if err != nil {
 		t.Fatalf("replaying decoded recipe: %v", err)
 	}
@@ -150,7 +151,7 @@ func TestReplayWithRefreshSeesNewData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := rec.Replay(ex, false)
+	first, err := rec.Replay(context.Background(), ex, dag.ExecOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +164,14 @@ func TestReplayWithRefreshSeesNewData(t *testing.T) {
 	// Cache keys include dataset content fingerprints, so even a replay
 	// without explicit invalidation sees the new data — the old behaviour
 	// (serving the stale cached result for the same dataset name) was a bug.
-	second, err := rec.Replay(ex, false)
+	second, err := rec.Replay(context.Background(), ex, dag.ExecOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Table.Equal(second.Table) {
 		t.Error("replay after a data change should not serve the stale cached result")
 	}
-	fresh, err := rec.Replay(ex, true)
+	fresh, err := rec.Replay(context.Background(), ex, dag.ExecOptions{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestLiveReplayObservesEveryStep(t *testing.T) {
 	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
 		t.Errorf("observed steps = %v", seen)
 	}
-	direct, err := rec.Replay(dag.NewExecutor(reg, newCtx()), false)
+	direct, err := rec.Replay(context.Background(), dag.NewExecutor(reg, newCtx()), dag.ExecOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

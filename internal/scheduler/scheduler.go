@@ -386,9 +386,9 @@ func (s *Scheduler) runJob(ctx context.Context, j *job) RunRecord {
 		rec.Err = err.Error()
 		return s.finishRun(j, rec, nil, clock, start)
 	}
-	tune := &session.Tuning{BusyRetry: busy, Clock: clock}
-	res, exp, delta, err := sess.ReplayRecipePlanned(ctx, j.spec.User, j.spec.Recipe, tune)
-	rec.Stats = delta
+	res, exp, rep, err := sess.ReplayRecipePlanned(ctx, j.spec.User, j.spec.Recipe,
+		busy, session.Tuning{Clock: clock})
+	rec.Stats = rep.Stats
 	if exp != nil {
 		fps := make(map[string]bool, len(exp.Nodes))
 		for _, n := range exp.Nodes {
@@ -428,7 +428,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *job) RunRecord {
 		DegradedNote: res.DegradedNote,
 		FPTotal:      rec.FPTotal,
 		FPChanged:    rec.FPChanged,
-		CacheHits:    int64(delta.CacheHits),
+		CacheHits:    int64(rec.Stats.CacheHits),
 	}
 	return s.finishRun(j, rec, u, clock, start)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -777,5 +778,144 @@ func TestDefaultCostBudgetConfig(t *testing.T) {
 	}
 	if resp.Result.Degraded || (resp.Cost != nil && resp.Cost.Substituted != 0) {
 		t.Fatalf("explicit ample budget still degraded: %+v", resp.Cost)
+	}
+}
+
+// TestArtifactExecutionsRetryTransientScans pins that the server's execution
+// policy covers artifact executions too: Config.Retry is documented as
+// applied to every remote execution, and a refresh (cache invalidated, every
+// source re-scanned) or a save whose producing step must re-run is as exposed
+// to a transient scan fault as a run request is.
+func TestArtifactExecutionsRetryTransientScans(t *testing.T) {
+	vc := faults.NewVirtualClock(time.Unix(0, 0))
+	srv, c := newTestDeployment(t, server.Config{
+		Clock: vc,
+		Retry: faults.RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond},
+	})
+	db := cloud.NewDatabase("warehouse", cloud.DefaultPricing, 64)
+	tab, err := dataset.ReadCSVString("orders", ordersCSV(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	// Scan 1 is the session's own load; scan 2 is the refresh's first attempt
+	// and scan 4 the save's, each failing once with a transient fault.
+	inj := faults.NewInjector(faults.Schedule{
+		Ops:     map[string]bool{"scan": true},
+		FailOps: map[int]faults.Kind{2: faults.Throttled, 4: faults.Throttled},
+	}, vc)
+	if err := srv.Platform().ConnectDatabase(faults.WrapDB(db, inj)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.CreateSession(ctx, "s1", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	load := []recipe.Step{{Skill: "LoadTable", Output: "orders",
+		Args: skills.Args{"database": "warehouse", "table": "orders"}}}
+	if _, err := c.Run(ctx, "s1", wire.RunRequest{User: "ann", Program: load}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SaveArtifact(ctx, "s1", wire.SaveArtifactRequest{User: "ann", Name: "orders-art"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := inj.Ops(); got != 1 {
+		t.Fatalf("setup scanned %d times, want 1 (the save republishes from cache)", got)
+	}
+
+	a, err := c.RefreshArtifact(ctx, "orders-art", "ann", "s1")
+	if err != nil {
+		t.Fatalf("refresh over a transiently failing scan: %v (Config.Retry not applied?)", err)
+	}
+	if a.Table == nil || a.Table.TotalRows != 50 {
+		t.Fatalf("refreshed artifact table = %+v, want 50 rows", a.Table)
+	}
+
+	srv.Platform().InvalidateCache()
+	if _, err := c.SaveArtifact(ctx, "s1", wire.SaveArtifactRequest{User: "ann", Name: "orders-art-2"}); err != nil {
+		t.Fatalf("save over a transiently failing scan: %v (Config.Retry not applied?)", err)
+	}
+	if transient, _ := inj.Counts(); transient != 2 || inj.Ops() != 5 {
+		t.Fatalf("injected %d transient faults over %d scans, want 2 over 5", transient, inj.Ops())
+	}
+	if vc.Slept() == 0 {
+		t.Fatal("no retry backoff was taken on the server's clock")
+	}
+}
+
+// TestRefreshArtifactAbortsWhenClientGoesAway pins that an artifact replay
+// runs under its request's context: a client that cancels while the replay is
+// backing off between retries frees the session lock at once instead of
+// holding it for the rest of the retry budget.
+func TestRefreshArtifactAbortsWhenClientGoesAway(t *testing.T) {
+	srv, c := newTestDeployment(t, server.Config{
+		// ~100 s of retrying if nothing aborts it.
+		Retry: faults.RetryPolicy{MaxAttempts: 1000, BaseDelay: 100 * time.Millisecond, MaxDelay: 100 * time.Millisecond},
+	})
+	var failing atomic.Bool
+	attempts := make(chan struct{}, 1000)
+	err := srv.Platform().Registry.Register(&skills.Definition{
+		Name:     "Flaky",
+		Category: skills.DataWrangling,
+		Summary:  "test skill: fails transiently while the test says so",
+		GEL:      "Flaky",
+		Volatile: true,
+		Apply: func(ctx *skills.Context, inv skills.Invocation) (*skills.Result, error) {
+			if failing.Load() {
+				attempts <- struct{}{}
+				return nil, &faults.Error{Op: "scan", Target: "flaky", Kind: faults.Throttled, Class: faults.Transient}
+			}
+			tab, err := dataset.NewTable(inv.Output, dataset.IntColumn("ok", []int64{1}, nil))
+			return &skills.Result{Table: tab}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.CreateSession(ctx, "s1", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(ctx, "s1", wire.RunRequest{User: "ann", Program: program("Flaky", "f1")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SaveArtifact(ctx, "s1", wire.SaveArtifactRequest{User: "ann", Name: "flaky-art"}); err != nil {
+		t.Fatal(err)
+	}
+
+	failing.Store(true)
+	rctx, cancel := context.WithCancel(ctx)
+	refreshed := make(chan error, 1)
+	go func() {
+		_, err := c.RefreshArtifact(rctx, "flaky-art", "ann", "s1")
+		refreshed <- err
+	}()
+	// Two attempts in: the replay is retrying under the server's policy.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-attempts:
+		case err := <-refreshed:
+			t.Fatalf("refresh gave up after %d attempts with %v (Config.Retry not applied?)", i, err)
+		}
+	}
+	cancel()
+	if err := <-refreshed; err == nil {
+		t.Fatal("cancelled refresh reported success")
+	}
+	failing.Store(false)
+	// The session lock comes free as soon as the server notices the client is
+	// gone — not after the remaining retry budget.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, err := c.Run(ctx, "s1", wire.RunRequest{User: "ann", Program: program("Flaky", "f2")})
+		if err == nil {
+			return
+		}
+		if !client.IsBusy(err) || time.Now().After(deadline) {
+			t.Fatalf("run after cancelled refresh = %v, want the session lock free within seconds", err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -92,31 +93,37 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// execStatsz is the /statsz "exec" section: one key per dag.Stats field
+// (TestStatszExecHasEveryStatsField).
+func execStatsz(st dag.Stats) map[string]int64 {
+	return map[string]int64{
+		"tasks_run":          int64(st.TasksRun),
+		"sql_tasks":          int64(st.SQLTasks),
+		"direct_tasks":       int64(st.DirectTasks),
+		"nodes_consolidated": int64(st.NodesConsolidated),
+		"query_blocks":       int64(st.QueryBlocks),
+		"rows_materialized":  int64(st.RowsMaterialized),
+		"cache_hits":         int64(st.CacheHits),
+		"cache_misses":       int64(st.CacheMisses),
+		"retries":            int64(st.Retries),
+		"permanent_failures": int64(st.PermanentFailures),
+		"degraded":           int64(st.Degraded),
+		"streamed_chunks":    int64(st.StreamedChunks),
+		"streamed_rows":      int64(st.StreamedRows),
+		"spill_runs":         int64(st.SpillRuns),
+		"spilled_rows":       int64(st.SpilledRows),
+		"spilled_bytes":      st.SpilledBytes,
+		"peak_buffered_rows": int64(st.PeakBufferedRows),
+		"stream_workers":     int64(st.StreamWorkers),
+	}
+}
+
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	exec := s.platform.ExecStats()
 	cache := s.platform.CacheStats()
 	statsz := wire.Statsz{
 		Sessions: len(s.platform.Sessions()),
 		Server:   s.Stats(),
-		Exec: map[string]int64{
-			"tasks_run":          int64(exec.TasksRun),
-			"sql_tasks":          int64(exec.SQLTasks),
-			"direct_tasks":       int64(exec.DirectTasks),
-			"nodes_consolidated": int64(exec.NodesConsolidated),
-			"query_blocks":       int64(exec.QueryBlocks),
-			"rows_materialized":  int64(exec.RowsMaterialized),
-			"cache_hits":         int64(exec.CacheHits),
-			"cache_misses":       int64(exec.CacheMisses),
-			"retries":            int64(exec.Retries),
-			"permanent_failures": int64(exec.PermanentFailures),
-			"degraded":           int64(exec.Degraded),
-			"streamed_chunks":    int64(exec.StreamedChunks),
-			"streamed_rows":      int64(exec.StreamedRows),
-			"spill_runs":         int64(exec.SpillRuns),
-			"spilled_rows":       int64(exec.SpilledRows),
-			"spilled_bytes":      exec.SpilledBytes,
-			"peak_buffered_rows": int64(exec.PeakBufferedRows),
-		},
+		Exec:     execStatsz(s.platform.ExecStats()),
 		Cache: map[string]int64{
 			"hits":      cache.Hits,
 			"misses":    cache.Misses,
@@ -367,9 +374,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	var planCost *plan.PlanCost
-	tune.PlanCost = func(pc plan.PlanCost) { planCost = &pc }
-	res, ids, err := s.platform.RunCtx(ctx, r.PathValue("name"), req.User, tune, invs...)
+	res, ids, rep, err := s.runProgram(ctx, r.PathValue("name"), req.User, tune, invs)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -381,8 +386,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wire.RunResponse{
 		Result: wire.EncodeResult(res, s.maxRows(req.MaxRows)),
 		Nodes:  nodes,
-		Cost:   costSummary(planCost, tune.CostBudgetBytes),
+		Cost:   costSummary(rep.Cost, tune.CostBudgetBytes),
 	})
+}
+
+// runProgram executes invs in the named session under tune — the one way a
+// run request reaches the engine — and returns the run's report with it.
+func (s *Server) runProgram(ctx context.Context, name, user string, tune *session.Tuning, invs []skills.Invocation) (*skills.Result, []dag.NodeID, dag.Report, error) {
+	sess, err := s.platform.Session(name)
+	if err != nil {
+		return nil, nil, dag.Report{}, err
+	}
+	return sess.RequestProgramCtx(ctx, user, *tune, invs...)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -547,18 +562,6 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	headerSent := false
 	offset := 0
 	tune.StreamChunkRows = chunkRows
-	// The stats callback fires inside the session lock before RunCtx returns,
-	// so reading streamStats below is ordered after every write.
-	var streamStats *wire.StreamStats
-	tune.StreamStats = func(st dag.Stats) {
-		streamStats = &wire.StreamStats{
-			Workers:          st.StreamWorkers,
-			PeakBufferedRows: st.PeakBufferedRows,
-			SpillRuns:        st.SpillRuns,
-			SpilledRows:      st.SpilledRows,
-			SpilledBytes:     st.SpilledBytes,
-		}
-	}
 	tune.Stream = func(t *dataset.Table) error {
 		// The sink runs on an executor worker goroutine, but strictly
 		// serially (one target task), so writing w here is race-free.
@@ -590,10 +593,16 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}
-	// The plan-cost callback fires under the same session lock as StreamStats.
-	var planCost *plan.PlanCost
-	tune.PlanCost = func(pc plan.PlanCost) { planCost = &pc }
-	res, _, err := s.platform.RunCtx(ctx, r.PathValue("name"), req.User, tune, invs...)
+	res, _, rep, err := s.runProgram(ctx, r.PathValue("name"), req.User, tune, invs)
+	// The sentinel's stats are this run's own: its morsel worker count and
+	// buffered-row peak, not figures an earlier request left on the executor.
+	streamStats := &wire.StreamStats{
+		Workers:          rep.Stats.StreamWorkers,
+		PeakBufferedRows: rep.Stats.PeakBufferedRows,
+		SpillRuns:        rep.Stats.SpillRuns,
+		SpilledRows:      rep.Stats.SpilledRows,
+		SpilledBytes:     rep.Stats.SpilledBytes,
+	}
 	if err != nil {
 		if !headerSent {
 			s.writeErr(w, err)
@@ -605,18 +614,10 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 			Error: &wire.Error{Code: code, Message: err.Error()}, Stats: streamStats})
 		return
 	}
-	if cost := costSummary(planCost, tune.CostBudgetBytes); cost != nil {
-		if streamStats == nil {
-			streamStats = &wire.StreamStats{}
-		}
-		streamStats.Cost = cost
-	}
+	streamStats.Cost = costSummary(rep.Cost, tune.CostBudgetBytes)
 	if res != nil && res.Degraded {
 		// The degraded-scan annotation lives on the result, which the
 		// stream never encodes — carry it on the sentinel stats instead.
-		if streamStats == nil {
-			streamStats = &wire.StreamStats{}
-		}
 		streamStats.Degraded = res.Degraded
 		streamStats.DegradedNote = res.DegradedNote
 	}
@@ -639,7 +640,10 @@ func (s *Server) handleSaveArtifact(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	if err := s.admit(r.Context(), classInteractive, req.User); err != nil {
+	tune := s.tuning(0)
+	ctx, cancel := s.requestContext(r, tune)
+	defer cancel()
+	if err := s.admit(ctx, classInteractive, req.User); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -653,7 +657,7 @@ func (s *Server) handleSaveArtifact(w http.ResponseWriter, r *http.Request) {
 	// The anchor step (req.Output, "" = latest) is resolved inside the
 	// session under the §2.4 lock — reading the graph here would race a
 	// concurrent /run appending nodes.
-	a, err := sess.SaveArtifactOutput(s.platform.Artifacts, req.User, req.Name, req.Output, artifact.Type(req.Type))
+	a, err := sess.SaveArtifactOutput(ctx, s.platform.Artifacts, req.User, req.Name, req.Output, artifact.Type(req.Type), *tune)
 	if err != nil {
 		s.writeErr(w, err)
 		return
@@ -779,13 +783,16 @@ func (s *Server) handleRefreshArtifact(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	if err := s.admit(r.Context(), classInteractive, req.User); err != nil {
+	tune := s.tuning(0)
+	ctx, cancel := s.requestContext(r, tune)
+	defer cancel()
+	if err := s.admit(ctx, classInteractive, req.User); err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	defer s.release(classInteractive)
 	s.requests.Add(1)
-	a, err := s.platform.RefreshArtifact(req.Session, req.User, r.PathValue("name"))
+	a, err := s.platform.RefreshArtifact(ctx, req.Session, req.User, r.PathValue("name"), *tune)
 	if err != nil {
 		s.writeErr(w, err)
 		return

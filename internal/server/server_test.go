@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
 	"datachat/internal/core"
+	"datachat/internal/dag"
 	"datachat/internal/faults"
 	"datachat/internal/session"
 	"datachat/internal/wire"
@@ -131,5 +133,42 @@ func TestAdmitRefusesWhileDraining(t *testing.T) {
 	}
 	if !s.Draining() {
 		t.Fatal("Draining() = false after Shutdown")
+	}
+}
+
+// TestStatszExecHasEveryStatsField guards the /statsz "exec" key list, the
+// one hand-written copy of dag.Stats' fields outside the struct and its Add:
+// every field must be served under its own key with its own value, and the
+// keys existing clients read by name (bench/trace.go: tasks_run) must stay
+// byte-identical.
+func TestStatszExecHasEveryStatsField(t *testing.T) {
+	var st dag.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	exec := execStatsz(st)
+	if len(exec) != v.NumField() {
+		t.Errorf("/statsz exec has %d keys for %d dag.Stats fields: %v", len(exec), v.NumField(), exec)
+	}
+	seen := map[int64]string{}
+	for key, val := range exec {
+		if val < 1 || val > int64(v.NumField()) {
+			t.Errorf("key %q = %d, not the value of any field", key, val)
+		}
+		if other, dup := seen[val]; dup {
+			t.Errorf("keys %q and %q serve the same field", key, other)
+		}
+		seen[val] = key
+	}
+	for _, key := range []string{
+		"tasks_run", "sql_tasks", "direct_tasks", "nodes_consolidated", "query_blocks",
+		"rows_materialized", "cache_hits", "cache_misses", "retries", "permanent_failures",
+		"degraded", "streamed_chunks", "streamed_rows", "spill_runs", "spilled_rows",
+		"spilled_bytes", "peak_buffered_rows", "stream_workers",
+	} {
+		if _, ok := exec[key]; !ok {
+			t.Errorf("/statsz exec lost key %q", key)
+		}
 	}
 }

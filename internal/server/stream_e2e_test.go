@@ -349,6 +349,72 @@ func TestRunStreamSentinelStats(t *testing.T) {
 	}
 }
 
+// TestRunStreamStatsArePerRequest pins that the sentinel's stats describe the
+// request that carried them, not the session executor's lifetime: after a
+// stream that buffered hundreds of rows, a small stream's buffered-row peak
+// obeys its own budget, and a stream served from the sub-DAG cache (no morsel
+// pipeline ran) reports no workers, peak or spill left over from earlier runs.
+func TestRunStreamStatsArePerRequest(t *testing.T) {
+	_, c := newTestDeployment(t, server.Config{})
+	ctx := context.Background()
+	if err := c.RegisterFile(ctx, "sales.csv", wideCSV(400)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateSession(ctx, "s", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := c.RunGEL(ctx, "s", "ann", "Load data from the file sales.csv", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := nodeOutput(loaded)
+
+	const big = "Compute the sum of price for each order_id and call the computed columns TotalPrice"
+	_, first, err := c.RunStreamStats(ctx, "s", wire.RunRequest{
+		User: "ann", GEL: big, Current: base, StreamWorkers: 2, MaxBufferedRows: 300,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == nil || first.PeakBufferedRows < 100 || first.SpillRuns == 0 || first.Workers != 2 {
+		t.Fatalf("first stream stats = %+v, want a spilling 2-worker run with a large buffered peak", first)
+	}
+
+	// Four groups under a 16-row budget on one worker.
+	_, small, err := c.RunStreamStats(ctx, "s", wire.RunRequest{
+		User: "ann", Current: base, StreamWorkers: 1, MaxBufferedRows: 16,
+		GEL: "Compute the sum of price for each region and call the computed columns RegionPrice",
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if small == nil || small.Workers != 1 || small.PeakBufferedRows <= 0 || small.PeakBufferedRows > 16+1 {
+		t.Fatalf("small stream stats = %+v, want 1 worker and a peak in (0, 17] — its own, not the first stream's %d",
+			small, first.PeakBufferedRows)
+	}
+	if small.SpillRuns != 0 || small.SpilledRows != 0 {
+		t.Fatalf("small stream reported spill activity it did not do: %+v", small)
+	}
+
+	// The first aggregate again: a sub-DAG cache hit re-chunked to the sink.
+	rows := 0
+	_, cached, err := c.RunStreamStats(ctx, "s", wire.RunRequest{
+		User: "ann", GEL: big, Current: base, StreamWorkers: 2, MaxBufferedRows: 300,
+	}, func(h *wire.Table, rc wire.RowChunk) error {
+		rows += len(rc.Rows)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != 400 {
+		t.Fatalf("cached stream delivered %d rows, want 400", rows)
+	}
+	if cached == nil || cached.Workers != 0 || cached.PeakBufferedRows != 0 || cached.SpillRuns != 0 {
+		t.Fatalf("cache-served stream stats = %+v, want no workers, peak or spill", cached)
+	}
+}
+
 // TestRunStreamClientCancelMidStream cancels a streaming run from inside the
 // chunk callback and checks the deployment stays healthy: the slot and the
 // session lock are released, so an immediate follow-up run succeeds. Run

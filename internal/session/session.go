@@ -22,7 +22,6 @@ import (
 
 	"datachat/internal/artifact"
 	"datachat/internal/dag"
-	"datachat/internal/dataset"
 	"datachat/internal/faults"
 	"datachat/internal/plan"
 	"datachat/internal/recipe"
@@ -175,29 +174,27 @@ func (s *Session) acquire(user string) error {
 // lockForUser acquires the §2.4 session lock for user, applying the
 // session's busy-retry policy (the zero policy fails fast with ErrBusy).
 // Every operation that executes on the session's executor — requests,
-// artifact saves, recipe replays — funnels through here, so executor state
-// is never touched by two operations at once. Callers must pair it with
-// unlock.
+// artifact saves, recipe replays — funnels through here, so two executions
+// never interleave their writes to the session context. Callers must pair it
+// with unlock.
 func (s *Session) lockForUser(ctx context.Context, user string) error {
-	return s.lockWithTuning(ctx, user, nil)
+	return s.lockBusy(ctx, user, faults.RetryPolicy{}, nil)
 }
 
-// lockWithTuning is lockForUser with an optional per-call busy-retry
-// override: a tuning whose BusyRetry is enabled replaces the session's
-// standing policy for this acquisition only. Background scheduled runs use
-// a small bounded policy here so they yield the §2.4 lock to interactive
-// requests instead of camping on it.
-func (s *Session) lockWithTuning(ctx context.Context, user string, tune *Tuning) error {
+// lockBusy is lockForUser with a per-call busy-retry override: an enabled
+// busy replaces the session's standing policy for this acquisition only,
+// backing off on clock when non-nil.
+func (s *Session) lockBusy(ctx context.Context, user string, busy faults.RetryPolicy, clock faults.Clock) error {
 	s.mu.Lock()
-	pol, clock := s.busyRetry, s.busyClock
+	pol, cl := s.busyRetry, s.busyClock
 	s.mu.Unlock()
-	if tune != nil && tune.BusyRetry.Enabled() {
-		pol = tune.BusyRetry
-		if tune.Clock != nil {
-			clock = tune.Clock
+	if busy.Enabled() {
+		pol = busy
+		if clock != nil {
+			cl = clock
 		}
 	}
-	_, stats, err := faults.Do(ctx, clock, pol, time.Time{},
+	_, stats, err := faults.Do(ctx, cl, pol, time.Time{},
 		func(err error) bool { return errors.Is(err, ErrBusy) },
 		func() (struct{}, error) { return struct{}{}, s.acquire(user) })
 	if stats.Attempts > 1 {
@@ -227,114 +224,11 @@ func (s *Session) Request(user string, inv skills.Invocation) (*skills.Result, d
 	return res, ids[0], err
 }
 
-// Tuning carries per-request execution options. The network layer builds one
-// per HTTP request (deadline header, retry policy, clock) and the session
-// applies it to its executor under the session lock — the §2.4 lock already
-// guarantees one execution at a time, so the options swap cannot race with a
-// concurrent Run on the same executor. Zero-valued fields leave the
-// executor's standing configuration untouched.
-type Tuning struct {
-	// Deadline bounds the request's total (virtual) execution time;
-	// 0 keeps the executor's configured deadline.
-	Deadline time.Duration
-	// Retry overrides the transient-failure retry policy when enabled.
-	Retry faults.RetryPolicy
-	// Clock drives backoff and deadline checks when non-nil.
-	Clock faults.Clock
-	// Stream, when non-nil, receives the request's target result chunk by
-	// chunk as the engine produces it (see dag.ExecOptions.Stream);
-	// StreamChunkRows bounds rows per chunk.
-	Stream          func(chunk *dataset.Table) error
-	StreamChunkRows int
-	// StreamParallelism, StreamMaxBufferedRows, and StreamSpillDir tune the
-	// morsel pipeline inside the request's streamed target fragment (see
-	// dag.ExecOptions). Zero values keep the executor's standing settings.
-	StreamParallelism     int
-	StreamMaxBufferedRows int
-	StreamSpillDir        string
-	// StreamStats, when non-nil, receives this request's execution-stats
-	// delta after the run (streamed chunk/row counts, spill activity). The
-	// PeakBufferedRows field is the executor's buffered-row high-water mark
-	// as of this request, not a per-request delta.
-	StreamStats func(dag.Stats)
-	// CostBudgetBytes caps this request's estimated cloud scan bytes: past
-	// it the planner substitutes block samples for the most expensive scans
-	// and the result comes back annotated Degraded (never cached). 0 keeps
-	// the executor's standing budget.
-	CostBudgetBytes int64
-	// PlanCost, when non-nil, receives the compiled plan's cost estimate
-	// after the run (estimation must be enabled on the executor; the
-	// callback is skipped when no estimate was produced).
-	PlanCost func(plan.PlanCost)
-	// BusyRetry, when enabled, overrides the session's standing busy-retry
-	// policy for this call's §2.4 lock acquisition only; backoff runs on
-	// Clock when set. Background scheduled refreshes use a small bounded
-	// policy so a held lock makes them skip, not queue indefinitely.
-	BusyRetry faults.RetryPolicy
-}
-
-// applyTuningLocked applies tune to the executor and returns a restore
-// function that fires the post-run callbacks (StreamStats delta, PlanCost)
-// and reinstates the standing options. Both this call and the returned
-// function must run while the session's running flag is held: the §2.4
-// lock guarantees no other execution reads the options concurrently.
-func (s *Session) applyTuningLocked(tune *Tuning) func() {
-	if tune == nil {
-		return func() {}
-	}
-	saved := s.executor.Options
-	if tune.Deadline > 0 {
-		s.executor.Options.Deadline = tune.Deadline
-	}
-	if tune.Retry.Enabled() {
-		s.executor.Options.Retry = tune.Retry
-	}
-	if tune.Clock != nil {
-		s.executor.Options.Clock = tune.Clock
-	}
-	if tune.Stream != nil {
-		s.executor.Options.Stream = tune.Stream
-		s.executor.Options.StreamChunkRows = tune.StreamChunkRows
-	}
-	if tune.StreamParallelism != 0 {
-		s.executor.Options.StreamParallelism = tune.StreamParallelism
-	}
-	if tune.StreamMaxBufferedRows > 0 {
-		s.executor.Options.StreamMaxBufferedRows = tune.StreamMaxBufferedRows
-	}
-	if tune.StreamSpillDir != "" {
-		s.executor.Options.StreamSpillDir = tune.StreamSpillDir
-	}
-	if tune.CostBudgetBytes > 0 {
-		s.executor.Options.CostBudgetBytes = tune.CostBudgetBytes
-	}
-	// The session lock serializes executions, so a before/after snapshot of
-	// the shared counters isolates this request's delta.
-	var before dag.Stats
-	if tune.StreamStats != nil {
-		before = s.executor.Stats()
-	}
-	return func() {
-		if tune.StreamStats != nil {
-			after := s.executor.Stats()
-			tune.StreamStats(dag.Stats{
-				StreamedChunks:   after.StreamedChunks - before.StreamedChunks,
-				StreamedRows:     after.StreamedRows - before.StreamedRows,
-				SpillRuns:        after.SpillRuns - before.SpillRuns,
-				SpilledRows:      after.SpilledRows - before.SpilledRows,
-				SpilledBytes:     after.SpilledBytes - before.SpilledBytes,
-				PeakBufferedRows: after.PeakBufferedRows,
-				StreamWorkers:    after.StreamWorkers,
-			})
-		}
-		if tune.PlanCost != nil {
-			if pc := s.executor.LastPlanCost(); pc != nil {
-				tune.PlanCost(*pc)
-			}
-		}
-		s.executor.Options = saved
-	}
-}
+// Tuning is one request's execution options. The network layer builds one
+// per HTTP request (deadline, retry policy, clock, stream sink, budget) and
+// the session hands it to the run by value; a zero field means the engine
+// default. The session's executor keeps no per-request state.
+type Tuning = dag.ExecOptions
 
 // RequestProgram executes a multi-step program under one acquisition of the
 // session lock: all steps are appended to the session DAG, the final step is
@@ -344,24 +238,23 @@ func (s *Session) applyTuningLocked(tune *Tuning) func() {
 // recipe describing the same pipeline lower into identical logical plans and
 // therefore share sub-DAG cache entries.
 func (s *Session) RequestProgram(user string, invs ...skills.Invocation) (*skills.Result, []dag.NodeID, error) {
-	return s.RequestProgramCtx(context.Background(), user, nil, invs...)
+	res, ids, _, err := s.RequestProgramCtx(context.Background(), user, Tuning{}, invs...)
+	return res, ids, err
 }
 
-// RequestProgramCtx is RequestProgram with an explicit context and optional
-// per-request tuning. Cancelling ctx aborts busy-retry backoffs on the
-// session lock and the execution's own retry backoffs; tune (may be nil)
-// overrides the executor's deadline, retry policy, and clock for this
-// request only, restored before the lock is released.
-func (s *Session) RequestProgramCtx(ctx context.Context, user string, tune *Tuning, invs ...skills.Invocation) (*skills.Result, []dag.NodeID, error) {
+// RequestProgramCtx is RequestProgram with an explicit context and this
+// request's execution options, and it also returns the run's report (what
+// this request executed, and its plan's cost estimate) — on failure too.
+// Cancelling ctx aborts busy-retry backoffs on the session lock and the
+// execution's own retry backoffs.
+func (s *Session) RequestProgramCtx(ctx context.Context, user string, tune Tuning, invs ...skills.Invocation) (*skills.Result, []dag.NodeID, dag.Report, error) {
 	if len(invs) == 0 {
-		return nil, nil, fmt.Errorf("session: empty program")
+		return nil, nil, dag.Report{}, fmt.Errorf("session: empty program")
 	}
-	if err := s.lockWithTuning(ctx, user, tune); err != nil {
-		return nil, nil, err
+	if err := s.lockForUser(ctx, user); err != nil {
+		return nil, nil, dag.Report{}, err
 	}
 	defer s.unlock()
-	restore := s.applyTuningLocked(tune)
-	defer restore()
 
 	ids := make([]dag.NodeID, len(invs))
 	entries := make([]HistoryEntry, len(invs))
@@ -373,22 +266,20 @@ func (s *Session) RequestProgramCtx(ctx context.Context, user string, tune *Tuni
 		}
 		entries[i] = HistoryEntry{User: user, Node: ids[i], GEL: gelLine, When: time.Now()}
 	}
-	res, err := s.executor.RunContext(ctx, s.graph, ids[len(ids)-1])
+	res, rep, err := s.executor.RunWith(ctx, s.graph, ids[len(ids)-1], tune)
 	if err != nil {
 		entries[len(entries)-1].Error = err.Error()
 	}
 	s.mu.Lock()
 	s.history = append(s.history, entries...)
 	s.mu.Unlock()
-	if err != nil {
-		return nil, ids, err
-	}
-	return res, ids, nil
+	return res, ids, rep, err
 }
 
 // Explain compiles — without executing — the plan for the node producing the
 // named dataset ("" means the session's latest step) and returns the EXPLAIN
-// report.
+// report. It plans with no request options, whatever a concurrent request on
+// this session runs under.
 func (s *Session) Explain(output string) (*plan.Explain, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -403,7 +294,7 @@ func (s *Session) Explain(output string) (*plan.Explain, error) {
 	if target < 0 {
 		return nil, fmt.Errorf("session: %q has no steps to explain", s.Name)
 	}
-	return s.executor.Explain(s.graph, target)
+	return s.executor.ExplainWith(s.graph, target, Tuning{})
 }
 
 // History returns the synchronized request log.
@@ -414,77 +305,44 @@ func (s *Session) History() []HistoryEntry {
 }
 
 // ReplayRecipe re-executes a recipe on the session's executor under the
-// §2.4 lock (invalidate drops the sub-DAG cache first so changed source
-// data is re-read). Funneling replays through the lock keeps them from
-// racing concurrent requests on the same executor.
-func (s *Session) ReplayRecipe(ctx context.Context, user string, r *recipe.Recipe, invalidate bool) (*skills.Result, error) {
+// §2.4 lock and tune's options (invalidate drops the sub-DAG cache first so
+// changed source data is re-read). Funneling replays through the lock keeps
+// them from racing concurrent requests on the same executor.
+func (s *Session) ReplayRecipe(ctx context.Context, user string, r *recipe.Recipe, invalidate bool, tune Tuning) (*skills.Result, error) {
 	if err := s.lockForUser(ctx, user); err != nil {
 		return nil, err
 	}
 	defer s.unlock()
-	return r.Replay(s.executor, invalidate)
+	return r.Replay(ctx, s.executor, tune, invalidate)
 }
 
 // ReplayRecipePlanned is the scheduler's incremental-refresh entry point.
-// Under ONE acquisition of the §2.4 lock (honoring tune.BusyRetry, so a
-// busy session makes a background run skip rather than queue) it first
-// EXPLAINs the recipe's plan — read-only, zero execution; the per-node
-// Cached flags show which sub-DAGs the coming replay will serve from cache
-// — and then replays WITHOUT invalidation: sources whose content
-// fingerprints are unchanged keep their cache keys, so their sub-DAGs
-// cache-hit with zero cloud scans, and only changed inputs recompute. It
-// returns the result, the pre-run explain (for fingerprint diffing against
-// the previous run), and this call's execution-stats delta.
-func (s *Session) ReplayRecipePlanned(ctx context.Context, user string, r *recipe.Recipe, tune *Tuning) (*skills.Result, *plan.Explain, dag.Stats, error) {
-	if err := s.lockWithTuning(ctx, user, tune); err != nil {
-		return nil, nil, dag.Stats{}, err
+// Under ONE acquisition of the §2.4 lock (retried under busy, so a busy
+// session makes a background run skip rather than queue) it first EXPLAINs
+// the recipe's plan — read-only, zero execution; the per-node Cached flags
+// show which sub-DAGs the coming replay will serve from cache — and then
+// replays WITHOUT invalidation: sources whose content fingerprints are
+// unchanged keep their cache keys, so their sub-DAGs cache-hit with zero
+// cloud scans, and only changed inputs recompute. It returns the result, the
+// pre-run explain (for fingerprint diffing against the previous run), and
+// this run's report.
+func (s *Session) ReplayRecipePlanned(ctx context.Context, user string, r *recipe.Recipe, busy faults.RetryPolicy, tune Tuning) (*skills.Result, *plan.Explain, dag.Report, error) {
+	if err := s.lockBusy(ctx, user, busy, tune.Clock); err != nil {
+		return nil, nil, dag.Report{}, err
 	}
 	defer s.unlock()
-	restore := s.applyTuningLocked(tune)
-	defer restore()
 
 	g := r.Graph()
 	last := g.Last()
 	if last < 0 {
-		return nil, nil, dag.Stats{}, fmt.Errorf("session: recipe %q has no steps", r.Name)
+		return nil, nil, dag.Report{}, fmt.Errorf("session: recipe %q has no steps", r.Name)
 	}
-	exp, err := s.executor.Explain(g, last)
+	exp, err := s.executor.ExplainWith(g, last, tune)
 	if err != nil {
-		return nil, nil, dag.Stats{}, fmt.Errorf("session: planning recipe %q: %w", r.Name, err)
+		return nil, nil, dag.Report{}, fmt.Errorf("session: planning recipe %q: %w", r.Name, err)
 	}
-	before := s.executor.Stats()
-	res, err := s.executor.RunContext(ctx, g, last)
-	delta := execStatsDelta(before, s.executor.Stats())
-	if err != nil {
-		return nil, exp, delta, err
-	}
-	return res, exp, delta, nil
-}
-
-// execStatsDelta subtracts two executor snapshots field by field; the
-// high-water mark and gauge fields keep their "after" values (they are not
-// sums).
-func execStatsDelta(before, after dag.Stats) dag.Stats {
-	return dag.Stats{
-		TasksRun:          after.TasksRun - before.TasksRun,
-		SQLTasks:          after.SQLTasks - before.SQLTasks,
-		DirectTasks:       after.DirectTasks - before.DirectTasks,
-		NodesConsolidated: after.NodesConsolidated - before.NodesConsolidated,
-		QueryBlocks:       after.QueryBlocks - before.QueryBlocks,
-		RowsMaterialized:  after.RowsMaterialized - before.RowsMaterialized,
-		CacheHits:         after.CacheHits - before.CacheHits,
-		CacheMisses:       after.CacheMisses - before.CacheMisses,
-		Retries:           after.Retries - before.Retries,
-		PermanentFailures: after.PermanentFailures - before.PermanentFailures,
-		Degraded:          after.Degraded - before.Degraded,
-		StreamedChunks:    after.StreamedChunks - before.StreamedChunks,
-		StreamedRows:      after.StreamedRows - before.StreamedRows,
-		SpillRuns:         after.SpillRuns - before.SpillRuns,
-		SpilledRows:       after.SpilledRows - before.SpilledRows,
-		SpilledBytes:      after.SpilledBytes - before.SpilledBytes,
-		PeakBufferedRows:  after.PeakBufferedRows,
-		StreamWorkers:     after.StreamWorkers,
-	}
+	res, rep, err := s.executor.RunWith(ctx, g, last, tune)
+	return res, exp, rep, err
 }
 
 // SaveArtifact slices the session DAG to the steps node depends on and
@@ -499,19 +357,20 @@ func (s *Session) SaveArtifact(store *artifact.Store, user, name string, node da
 		return nil, err
 	}
 	defer s.unlock()
-	return s.saveLocked(store, user, name, node, typ)
+	return s.saveLocked(context.Background(), store, user, name, node, typ, Tuning{})
 }
 
 // SaveArtifactOutput saves the step producing the named dataset, or the
 // session's latest step when output is "". The anchor node is resolved after
 // the §2.4 lock is acquired, so a concurrent request appending steps cannot
 // move it between resolution and the save — remote callers go through here
-// instead of reading the graph themselves.
-func (s *Session) SaveArtifactOutput(store *artifact.Store, user, name, output string, typ artifact.Type) (*artifact.Artifact, error) {
+// instead of reading the graph themselves, with the request's context and
+// execution options for the producing step's re-execution.
+func (s *Session) SaveArtifactOutput(ctx context.Context, store *artifact.Store, user, name, output string, typ artifact.Type, tune Tuning) (*artifact.Artifact, error) {
 	if s.AccessOf(user) < artifact.EditAccess {
 		return nil, fmt.Errorf("session: %s cannot save artifacts from %q", user, s.Name)
 	}
-	if err := s.lockForUser(context.Background(), user); err != nil {
+	if err := s.lockForUser(ctx, user); err != nil {
 		return nil, err
 	}
 	defer s.unlock()
@@ -526,11 +385,11 @@ func (s *Session) SaveArtifactOutput(store *artifact.Store, user, name, output s
 	if node < 0 {
 		return nil, fmt.Errorf("session: %q has no steps to save", s.Name)
 	}
-	return s.saveLocked(store, user, name, node, typ)
+	return s.saveLocked(ctx, store, user, name, node, typ, tune)
 }
 
 // saveLocked does the slice-replay-persist work; callers hold the §2.4 lock.
-func (s *Session) saveLocked(store *artifact.Store, user, name string, node dag.NodeID, typ artifact.Type) (*artifact.Artifact, error) {
+func (s *Session) saveLocked(ctx context.Context, store *artifact.Store, user, name string, node dag.NodeID, typ artifact.Type, tune Tuning) (*artifact.Artifact, error) {
 	sliced, _, err := dag.Slice(s.graph, node)
 	if err != nil {
 		return nil, err
@@ -539,7 +398,7 @@ func (s *Session) saveLocked(store *artifact.Store, user, name string, node dag.
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.executor.Run(s.graph, node)
+	res, _, err := s.executor.RunWith(ctx, s.graph, node, tune)
 	if err != nil {
 		return nil, err
 	}
