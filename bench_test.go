@@ -6,6 +6,7 @@
 package datachat_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -485,13 +486,13 @@ func BenchmarkParallelBranchExecution(b *testing.B) {
 			ctx := skills.NewContext()
 			ctx.Datasets["base"] = wideTable(40000, 4)
 			ex := dag.NewExecutor(reg, ctx)
-			ex.Options.Parallelism = mode.parallelism
+			opts := dag.ExecOptions{Parallelism: mode.parallelism}
 			g := dag.NewGraph()
 			last := buildBranchy(g)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ex.InvalidateCache()
-				if _, err := ex.Run(g, last); err != nil {
+				if _, _, err := ex.RunWith(context.Background(), g, last, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

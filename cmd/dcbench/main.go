@@ -1,262 +1,127 @@
 // Command dcbench regenerates the paper's tables and figures as text
 // reports. Each experiment is addressable by name:
 //
-//	dcbench -exp table2      # Table 2: execution accuracy by (M, C) zone
-//	dcbench -exp figure7     # Figure 7: dev-split characterization
-//	dcbench -exp sampling    # §3: block sampling + snapshot iteration cost
+//	dcbench -exp figure7        # Figure 7: dev-split characterization
+//	dcbench -exp table2         # Table 2: execution accuracy by (M, C) zone
+//	dcbench -exp sampling       # §3: block sampling + snapshot iteration cost
 //	dcbench -exp consolidation  # Figure 4 / §2.2: query consolidation
-//	dcbench -exp parallel    # §2.2: parallel DAG scheduling + cache dedup
-//	dcbench -exp slicing     # Figure 5: recipe slicing
-//	dcbench -exp ablations   # semantic layer / retrieval / checker ablations
-//	dcbench -exp vectorized  # columnar engine vs row reference (filter/join/group-by)
-//	dcbench -exp faults      # fault-rate grid: retried corpus throughput + exactness
-//	dcbench -exp plan        # logical-plan pass pipeline: planned vs naive execution
-//	dcbench -exp server      # datachatd load grid: concurrent HTTP clients, 409/429 accounting
-//	dcbench -exp stream      # morsel streaming: first-chunk latency + peak memory vs row count
-//	dcbench -exp cost        # §3 budget ladder: cost-vs-accuracy grid for sample substitution
-//	dcbench -exp sched       # scheduled refresh: cost vs changed fraction + interference grid
-//	dcbench -exp all         # everything (default)
+//	dcbench -exp slicing        # Figure 5: recipe slicing
+//	dcbench -exp ablations      # semantic layer / retrieval / checker / budget
+//	dcbench -exp all            # everything (default)
+//
+// Performance is measured elsewhere: the in-package Go benchmarks and the
+// bench/ module (see bench/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"datachat/internal/experiments"
 )
 
+// config is what the flags set.
+type config struct {
+	seed    int64
+	perZone int
+	rows    int
+}
+
+// experiment is one named report; the -exp help text and the dispatcher
+// both read experimentList.
+type experiment struct {
+	name string
+	run  func(s *experiments.Suite, c config) (string, error)
+}
+
+// report renders an experiment's result, or passes its error on.
+func report(r interface{ Report() string }, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return r.Report(), nil
+}
+
+var experimentList = []experiment{
+	{"figure7", func(s *experiments.Suite, c config) (string, error) {
+		return report(s.Figure7(c.seed), nil)
+	}},
+	{"table2", func(s *experiments.Suite, c config) (string, error) {
+		return report(s.Table2(experiments.Table2Options{PerZone: c.perZone, Seed: c.seed}))
+	}},
+	{"sampling", func(_ *experiments.Suite, c config) (string, error) {
+		return report(experiments.Sampling(c.rows, []float64{0.1, 0.01}, 10))
+	}},
+	{"consolidation", func(*experiments.Suite, config) (string, error) {
+		return report(experiments.Consolidation(50_000, 8, 5))
+	}},
+	{"slicing", func(*experiments.Suite, config) (string, error) {
+		return report(experiments.Slicing(15))
+	}},
+	{"ablations", func(s *experiments.Suite, c config) (string, error) {
+		var b strings.Builder
+		for _, ablate := range []func(perZone int, seed int64) (*experiments.AblationResult, error){
+			s.AblateSemanticLayer, s.AblateRetrieval, s.AblateChecker,
+			func(perZone int, seed int64) (*experiments.AblationResult, error) {
+				return s.AblatePromptBudget(perZone, seed, 120)
+			},
+		} {
+			text, err := report(ablate(10, c.seed))
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(text)
+		}
+		return b.String(), nil
+	}},
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table2, figure7, sampling, consolidation, parallel, slicing, ablations, vectorized, faults, plan, server, stream, cost, sched, all")
-	seed := flag.Int64("seed", 42, "corpus seed")
-	perZone := flag.Int("per-zone", 25, "balanced sample size per zone for table2")
-	rows := flag.Int("rows", 500_000, "synthetic cloud table rows for the sampling experiment")
-	benchJSON := flag.String("bench-json", "", "write the vectorized grid as JSON to this path")
-	faultsJSON := flag.String("faults-json", "", "write the fault-rate grid as JSON to this path")
-	planJSON := flag.String("plan-json", "", "write the plan comparison as JSON to this path")
-	serverJSON := flag.String("server-json", "", "write the server load grid as JSON to this path")
-	perClient := flag.Int("per-client", 25, "requests per client for the server experiment")
-	streamJSON := flag.String("stream-json", "", "write the streaming grid as JSON to this path")
-	costJSON := flag.String("cost-json", "", "write the cost-vs-accuracy grid as JSON to this path")
-	schedJSON := flag.String("sched-json", "", "write the scheduled-refresh grid as JSON to this path")
-	streamRows := flag.Int("stream-rows", 20_000, "1x row count for the stream experiment (scales to 10x and 100x)")
-	streamCPUs := flag.String("stream-cpus", "1,2,4,8", "comma-separated morsel worker grid for the stream experiment")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "dcbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
+// run is main without the process: it returns the exit status (2 for a
+// usage error, like the flag package).
+func run(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, 0, len(experimentList)+1)
+	for _, e := range experimentList {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
+
+	var c config
+	fs := flag.NewFlagSet("dcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run: "+strings.Join(names, ", "))
+	fs.Int64Var(&c.seed, "seed", 42, "corpus seed")
+	fs.IntVar(&c.perZone, "per-zone", 25, "balanced sample size per zone for table2")
+	fs.IntVar(&c.rows, "rows", 500_000, "synthetic cloud table rows for the sampling experiment")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 
-	var suite *experiments.Suite
-	getSuite := func() *experiments.Suite {
-		if suite == nil {
-			suite = experiments.NewSuite(1)
+	ran := false
+	suite := experiments.NewSuite(1)
+	for _, e := range experimentList {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		return suite
+		ran = true
+		text, err := e.run(suite, c)
+		if err != nil {
+			fmt.Fprintf(stderr, "dcbench: %s: %v\n", e.name, err)
+			return 1
+		}
+		fmt.Fprintln(stdout, text)
 	}
-
-	run("figure7", func() error {
-		fmt.Print(getSuite().Figure7(*seed).Report())
-		fmt.Println()
-		return nil
-	})
-	run("table2", func() error {
-		r, err := getSuite().Table2(experiments.Table2Options{PerZone: *perZone, Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		return nil
-	})
-	run("sampling", func() error {
-		r, err := experiments.Sampling(*rows, []float64{0.1, 0.01}, 10)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		return nil
-	})
-	run("consolidation", func() error {
-		r, err := experiments.Consolidation(50_000, 8, 5)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		return nil
-	})
-	run("parallel", func() error {
-		r, err := experiments.Parallel(50_000, 6, 5)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		return nil
-	})
-	run("slicing", func() error {
-		r, err := experiments.Slicing(15)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		return nil
-	})
-	run("ablations", func() error {
-		s := getSuite()
-		sem, err := s.AblateSemanticLayer(10, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(sem.Report())
-		ret, err := s.AblateRetrieval(10, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(ret.Report())
-		chk, err := s.AblateChecker(10, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(chk.Report())
-		budget, err := s.AblatePromptBudget(10, *seed, 120)
-		if err != nil {
-			return err
-		}
-		fmt.Print(budget.Report())
-		fmt.Println()
-		return nil
-	})
-	run("vectorized", func() error {
-		sizes := []int{10_000, 100_000, 1_000_000}
-		r, err := experiments.Vectorized(sizes, 3)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		if *benchJSON != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*benchJSON, append(data, '\n'), 0o644)
-		}
-		return nil
-	})
-	run("faults", func() error {
-		r, err := experiments.Faults(80, []float64{0, 0.1, 0.2, 0.3}, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		if *faultsJSON != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*faultsJSON, append(data, '\n'), 0o644)
-		}
-		return nil
-	})
-	run("cost", func() error {
-		r, err := experiments.Cost(200_000)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		if *costJSON != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*costJSON, append(data, '\n'), 0o644)
-		}
-		return nil
-	})
-	run("plan", func() error {
-		r, err := experiments.Plan(100_000, 6)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		if *planJSON != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*planJSON, append(data, '\n'), 0o644)
-		}
-		return nil
-	})
-	run("server", func() error {
-		r, err := experiments.ServerLoad([]int{1, 4, 8}, *perClient)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		if *serverJSON != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*serverJSON, append(data, '\n'), 0o644)
-		}
-		return nil
-	})
-	run("sched", func() error {
-		r, err := experiments.Sched(4, 20_000, 4, *perClient)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		if *schedJSON != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*schedJSON, append(data, '\n'), 0o644)
-		}
-		return nil
-	})
-	run("stream", func() error {
-		var grid []int
-		for _, f := range strings.Split(*streamCPUs, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || w < 1 {
-				return fmt.Errorf("invalid -stream-cpus entry %q", f)
-			}
-			grid = append(grid, w)
-		}
-		r, err := experiments.Stream(*streamRows, grid)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r.Report())
-		fmt.Println()
-		if *streamJSON != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*streamJSON, append(data, '\n'), 0o644)
-		}
-		return nil
-	})
+	if !ran {
+		fmt.Fprintf(stderr, "dcbench: unknown experiment %q; valid: %s\n", *exp, strings.Join(names, ", "))
+		return 2
+	}
+	return 0
 }

@@ -65,7 +65,7 @@ func TestGraphWiring(t *testing.T) {
 }
 
 // TestGraphConcurrentAddAndRead: the graph is internally synchronized — the
-// network layer reads Len/Last/ProducerOf (and Explain hashes signatures)
+// network layer reads Len/Last/ProducerOf (and Explain walks ancestors)
 // while a session execution appends nodes. Meaningful under -race.
 func TestGraphConcurrentAddAndRead(t *testing.T) {
 	g := NewGraph()
@@ -87,11 +87,8 @@ func TestGraphConcurrentAddAndRead(t *testing.T) {
 		_, _ = g.ProducerOf("d0")
 		_ = g.Order()
 		if last := g.Last(); last >= 0 {
-			if _, err := g.Signature(last); err != nil {
-				t.Errorf("Signature(%d): %v", last, err)
-			}
-			if _, err := g.ExternalInputs(last); err != nil {
-				t.Errorf("ExternalInputs(%d): %v", last, err)
+			if _, err := g.Ancestors(last); err != nil {
+				t.Errorf("Ancestors(%d): %v", last, err)
 			}
 			_ = IsLinear(g)
 		}
@@ -339,33 +336,6 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := ex.Run(g2, 42); err == nil {
 		t.Error("unknown target should error")
-	}
-}
-
-func TestSignatureStability(t *testing.T) {
-	g := NewGraph()
-	a := g.Add(skills.Invocation{Skill: "KeepRows", Inputs: []string{"base"},
-		Args: skills.Args{"condition": "v > 1", "extra": []string{"x"}}})
-	sig1, err := g.Signature(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := NewGraph()
-	b := g2.Add(skills.Invocation{Skill: "KeepRows", Inputs: []string{"base"},
-		Args: skills.Args{"extra": []string{"x"}, "condition": "v > 1"}})
-	sig2, err := g2.Signature(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig1 != sig2 {
-		t.Error("signatures should be independent of arg map order")
-	}
-	g3 := NewGraph()
-	c := g3.Add(skills.Invocation{Skill: "KeepRows", Inputs: []string{"base"},
-		Args: skills.Args{"condition": "v > 2", "extra": []string{"x"}}})
-	sig3, _ := g3.Signature(c)
-	if sig1 == sig3 {
-		t.Error("different args should change the signature")
 	}
 }
 

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -100,13 +101,11 @@ func runDifferential(t *testing.T, seed int64, count int, opts ExecOptions) {
 
 		planned := NewExecutor(reg, corpusCtx(tableRng))
 		planned.SetCache(cache)
-		planned.Options = opts
 		ref := NewExecutor(reg, corpusCtx(rand.New(rand.NewSource(seed))))
 		ref.Consolidate, ref.Fuse, ref.Pushdown, ref.UseCache = false, false, false, false
-		ref.Options = opts
 
-		want, wantErr := ref.Run(g, g.Last())
-		got, gotErr := planned.Run(g, g.Last())
+		want, _, wantErr := ref.RunWith(context.Background(), g, g.Last(), opts)
+		got, _, gotErr := planned.RunWith(context.Background(), g, g.Last(), opts)
 		if (wantErr != nil) != (gotErr != nil) {
 			t.Fatalf("pipeline %d: planned err = %v, reference err = %v\n%s",
 				i, gotErr, wantErr, RenderASCII(g, reg))

@@ -98,7 +98,7 @@ type Report struct {
 // worker pool (see ExecOptions). The cache may additionally be shared across
 // the executors of many sessions (SetCache), in which case identical
 // concurrent computations are deduplicated. The configuration fields
-// (Registry, Ctx, Consolidate, Fuse, Pushdown, UseCache, Options) must not
+// (Registry, Ctx, Consolidate, Fuse, Pushdown, UseCache) must not
 // be mutated while a Run or Explain is in progress; what varies per request
 // goes in as RunWith's options argument instead.
 type Executor struct {
@@ -125,9 +125,6 @@ type Executor struct {
 	// CostModel enables per-pass cost estimation (and, with a positive
 	// CostBudgetBytes in the run's options, budgeted sample substitution).
 	CostModel bool
-	// Options is the standing default Run and Explain use — for stand-alone
-	// executors (tests, experiments). RunWith and ExplainWith ignore it.
-	Options ExecOptions
 
 	cache    *Cache
 	statsReg *plan.StatsRegistry
@@ -197,10 +194,10 @@ func (e *Executor) CacheStats() CacheStats { return e.cache.Stats() }
 // the cache with stale results.
 func (e *Executor) InvalidateCache() { e.cache.Invalidate() }
 
-// Run executes the DAG up to target under the executor's standing Options
-// and returns its result. Intermediate results are materialized into the
-// context under their output names so later requests (and sibling branches)
-// can reference them.
+// Run executes the DAG up to target under the zero ExecOptions (the engine
+// defaults) and returns its result. Intermediate results are materialized
+// into the context under their output names so later requests (and sibling
+// branches) can reference them.
 //
 // Execution is a two-phase parallel topological schedule: a serial planning
 // pass compiles the needed ancestors into tasks — consolidation chains stay
@@ -214,12 +211,12 @@ func (e *Executor) InvalidateCache() { e.cache.Invalidate() }
 // computed by an earlier, shorter request is reused as the base instead of
 // being refolded and recomputed. TestChainPrefixCachePolicy pins this down.
 func (e *Executor) Run(g *Graph, target NodeID) (*skills.Result, error) {
-	res, _, err := e.RunWith(context.Background(), g, target, e.Options)
+	res, _, err := e.RunWith(context.Background(), g, target, ExecOptions{})
 	return res, err
 }
 
-// RunWith is Run as a function of its arguments: opts are this run's options
-// (Options is not read), and the returned report says what this run did —
+// RunWith is Run as a function of its arguments: opts are this run's
+// options, and the returned report says what this run did —
 // also when it failed. Cancelling ctx aborts pending retry backoffs and stops
 // new tasks from being scheduled (attempts already executing finish — skill
 // bodies are not interruptible).

@@ -193,13 +193,12 @@ func TestExplainGoldenBudgetedSample(t *testing.T) {
 	ctx := newCtx(t)
 	ctx.Cloud["wh"] = costDB(t, 4000)
 	ex := NewExecutor(reg, ctx)
-	ex.Options.CostBudgetBytes = 1024
 	g := NewGraph()
 	g.Add(skills.Invocation{Skill: "LoadTable", Inputs: nil,
 		Args: skills.Args{"database": "wh", "table": "orders"}, Output: "orders"})
 	last := g.Add(skills.Invocation{Skill: "KeepRows", Inputs: []string{"orders"},
 		Args: skills.Args{"condition": "amount > 100"}, Output: "big"})
-	e, err := ex.Explain(g, last)
+	e, err := ex.ExplainWith(g, last, ExecOptions{CostBudgetBytes: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}

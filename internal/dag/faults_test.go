@@ -66,13 +66,13 @@ func TestRetryRecoversTransientTaskFailure(t *testing.T) {
 
 	clock := faults.NewVirtualClock(time.Unix(0, 0))
 	ex := NewExecutor(reg2, newCtx(t))
-	ex.Options = ExecOptions{
+	opts := ExecOptions{
 		Retry: faults.RetryPolicy{MaxAttempts: 5, BaseDelay: 10 * time.Millisecond,
 			MaxDelay: time.Second, Multiplier: 2, JitterFrac: 0.3, Seed: 9},
 		Clock: clock,
 	}
 	g, last := build()
-	res, err := ex.Run(g, last)
+	res, _, err := ex.RunWith(context.Background(), g, last, opts)
 	if err != nil {
 		t.Fatalf("run with retries: %v", err)
 	}
@@ -136,14 +136,14 @@ func TestPermanentFailureCancelsSiblingRetries(t *testing.T) {
 	last := g.Add(skills.Invocation{Skill: "Pair", Inputs: []string{"a", "b"}, Output: "joined"})
 
 	ex := NewExecutor(reg2, newCtx(t))
-	ex.Options = ExecOptions{
+	opts := ExecOptions{
 		Parallelism: 2,
 		// The spinner's budget is effectively unbounded: only cancellation by
 		// the sibling's permanent failure can stop it promptly.
 		Retry: faults.RetryPolicy{MaxAttempts: 1 << 20, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond},
 		Clock: faults.NewVirtualClock(time.Unix(0, 0)),
 	}
-	_, err := ex.Run(g, last)
+	_, _, err := ex.RunWith(context.Background(), g, last, opts)
 	if !errors.Is(err, permErr) {
 		t.Fatalf("err = %v, want the permanent fault", err)
 	}
@@ -175,13 +175,13 @@ func TestRunDeadlineBoundsRetryTime(t *testing.T) {
 	clock := faults.NewVirtualClock(start)
 	const budget = 200 * time.Millisecond
 	ex := NewExecutor(reg2, newCtx(t))
-	ex.Options = ExecOptions{
+	opts := ExecOptions{
 		Retry: faults.RetryPolicy{MaxAttempts: 1000, BaseDelay: 10 * time.Millisecond,
 			MaxDelay: 50 * time.Millisecond, Multiplier: 2, JitterFrac: 0.2, Seed: 3},
 		Deadline: budget,
 		Clock:    clock,
 	}
-	_, err := ex.Run(g, last)
+	_, _, err := ex.RunWith(context.Background(), g, last, opts)
 	if err == nil {
 		t.Fatal("run against an always-failing task succeeded")
 	}

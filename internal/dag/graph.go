@@ -8,11 +8,7 @@
 package dag
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"datachat/internal/skills"
@@ -50,12 +46,6 @@ type Graph struct {
 	order    []NodeID
 	next     NodeID
 	byOutput map[string]NodeID
-
-	// sigMemo and extMemo cache per-node signatures and external-input sets.
-	// Without memoization Signature recomputes parent hashes recursively,
-	// which is exponential on diamond-shaped DAGs. Both reset on Add.
-	sigMemo map[NodeID]string
-	extMemo map[NodeID][]string
 }
 
 // NewGraph returns an empty graph.
@@ -82,11 +72,6 @@ func (g *Graph) Add(inv skills.Invocation) NodeID {
 	g.nodes[id] = node
 	g.order = append(g.order, id)
 	g.byOutput[node.OutputName()] = id
-	// A new node can change which inputs resolve to parents for later
-	// additions but never rewires existing nodes; dropping the memos wholesale
-	// is still cheap because they rebuild in one topological pass.
-	g.sigMemo = nil
-	g.extMemo = nil
 	return id
 }
 
@@ -181,116 +166,8 @@ func (g *Graph) consumers(needed []NodeID) map[NodeID][]NodeID {
 	return out
 }
 
-// Signature returns a content hash identifying the computation a node
-// performs, including its whole ancestry — the cache key for shared
-// sub-DAG reuse (§2.2). Signatures are memoized per graph, so a DAG with
-// shared sub-structure (diamonds) hashes each node once instead of once
-// per path.
-func (g *Graph) Signature(id NodeID) (string, error) {
-	// Full lock, not RLock: memoization writes sigMemo, and the recursion
-	// uses an unlocked helper (RWMutex is not reentrant).
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.signature(id)
-}
-
-func (g *Graph) signature(id NodeID) (string, error) {
-	if sig, ok := g.sigMemo[id]; ok {
-		return sig, nil
-	}
-	node, ok := g.nodes[id]
-	if !ok {
-		return "", fmt.Errorf("dag: no node %d", id)
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "skill:%s\n", node.Inv.Skill)
-	// Canonical argument encoding: sorted keys, JSON values.
-	keys := make([]string, 0, len(node.Inv.Args))
-	for k := range node.Inv.Args {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		encoded, err := json.Marshal(node.Inv.Args[k])
-		if err != nil {
-			return "", fmt.Errorf("dag: unencodable argument %q on node %d: %w", k, id, err)
-		}
-		fmt.Fprintf(h, "arg:%s=%s\n", k, encoded)
-	}
-	for i, in := range node.Inv.Inputs {
-		parent := NodeID(-1)
-		if i < len(node.Parents) {
-			parent = node.Parents[i]
-		}
-		if parent < 0 {
-			fmt.Fprintf(h, "ext:%s\n", in)
-			continue
-		}
-		sig, err := g.signature(parent)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "parent:%s\n", sig)
-	}
-	sig := hex.EncodeToString(h.Sum(nil))
-	if g.sigMemo == nil {
-		g.sigMemo = map[NodeID]string{}
-	}
-	g.sigMemo[id] = sig
-	return sig, nil
-}
-
-// ExternalInputs returns the sorted, de-duplicated names of the external
-// session datasets the sub-DAG rooted at id reads. The executor folds their
-// content fingerprints into cache keys, so a reloaded dataset under the same
-// name cannot serve stale cached results. Memoized like Signature.
-func (g *Graph) ExternalInputs(id NodeID) ([]string, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.externalInputs(id)
-}
-
-func (g *Graph) externalInputs(id NodeID) ([]string, error) {
-	if exts, ok := g.extMemo[id]; ok {
-		return exts, nil
-	}
-	node, ok := g.nodes[id]
-	if !ok {
-		return nil, fmt.Errorf("dag: no node %d", id)
-	}
-	set := map[string]bool{}
-	for i, in := range node.Inv.Inputs {
-		parent := NodeID(-1)
-		if i < len(node.Parents) {
-			parent = node.Parents[i]
-		}
-		if parent < 0 {
-			set[in] = true
-			continue
-		}
-		parentExts, err := g.externalInputs(parent)
-		if err != nil {
-			return nil, err
-		}
-		for _, name := range parentExts {
-			set[name] = true
-		}
-	}
-	exts := make([]string, 0, len(set))
-	for name := range set {
-		exts = append(exts, name)
-	}
-	sort.Strings(exts)
-	if g.extMemo == nil {
-		g.extMemo = map[NodeID][]string{}
-	}
-	g.extMemo[id] = exts
-	return exts, nil
-}
-
 // Clone returns a deep-enough copy of the graph (nodes are copied; Args
-// maps are shared, as invocations are immutable by convention). Memoized
-// signatures are not carried over; the clone rebuilds its own.
+// maps are shared, as invocations are immutable by convention).
 func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

@@ -148,9 +148,9 @@ func (e *Executor) logicalPlan(g *Graph, target NodeID, budget int64, st *Stats)
 // Explain compiles — but does not execute — the sub-DAG ending at target
 // through the full pass pipeline and returns the plan report: surviving
 // nodes, consolidated SQL fragments, and which passes fired. It plans under
-// the executor's standing Options.
+// the zero ExecOptions.
 func (e *Executor) Explain(g *Graph, target NodeID) (*plan.Explain, error) {
-	return e.ExplainWith(g, target, e.Options)
+	return e.ExplainWith(g, target, ExecOptions{})
 }
 
 // ExplainWith is Explain for the plan a RunWith under opts would compile.

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -10,11 +11,11 @@ import (
 	"datachat/internal/skills"
 )
 
-// TestDiamondSignatureMemoized is the regression test for the exponential
-// Signature recursion: a 40-deep diamond DAG has 2^40 root-to-leaf paths, so
-// the unmemoized recursion would take combinatorial time; memoized it hashes
-// each node once.
-func TestDiamondSignatureMemoized(t *testing.T) {
+// TestDiamondPlansInLinearTime: a 40-deep diamond DAG has 2^40 root-to-leaf
+// paths, so anything in the plan pipeline that walked paths instead of nodes
+// (ancestor collection, fingerprinting, external-input sets) would take
+// combinatorial time.
+func TestDiamondPlansInLinearTime(t *testing.T) {
 	buildDiamond := func(depth int) (*Graph, NodeID) {
 		g := NewGraph()
 		prev := "base"
@@ -31,57 +32,28 @@ func TestDiamondSignatureMemoized(t *testing.T) {
 		}
 		return g, last
 	}
+	targetFingerprint := func() string {
+		g, last := buildDiamond(40)
+		e, err := NewExecutor(reg, newCtx(t)).Explain(g, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range e.Nodes {
+			if n.Output == "d39" {
+				return n.Fingerprint
+			}
+		}
+		t.Fatal("EXPLAIN has no node for the diamond's target")
+		return ""
+	}
 
 	start := time.Now()
-	g, last := buildDiamond(40)
-	sig, err := g.Signature(last)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fp := targetFingerprint()
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("signature of a 40-deep diamond took %v; memoization is broken", elapsed)
+		t.Fatalf("planning a 40-deep diamond took %v", elapsed)
 	}
-	// Deterministic across independently built graphs.
-	g2, last2 := buildDiamond(40)
-	sig2, err := g2.Signature(last2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sig != sig2 {
-		t.Error("identical diamonds should share a signature")
-	}
-	exts, err := g.ExternalInputs(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exts) != 1 || exts[0] != "base" {
-		t.Errorf("external inputs = %v, want [base]", exts)
-	}
-}
-
-func TestSignatureMemoInvalidatedOnAdd(t *testing.T) {
-	g := NewGraph()
-	a := g.Add(skills.Invocation{Skill: "KeepRows", Inputs: []string{"base"},
-		Args: skills.Args{"condition": "v > 1"}, Output: "a"})
-	sigBefore, err := g.Signature(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := g.Add(skills.Invocation{Skill: "LimitRows", Inputs: []string{"a"},
-		Args: skills.Args{"count": 3}, Output: "b"})
-	sigAfter, err := g.Signature(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sigBefore != sigAfter {
-		t.Error("adding a node must not change an existing node's signature")
-	}
-	sigB, err := g.Signature(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sigB == sigAfter {
-		t.Error("child signature should differ from parent signature")
+	if fp == "" || fp != targetFingerprint() {
+		t.Error("identical diamonds should share a plan fingerprint")
 	}
 }
 
@@ -250,10 +222,9 @@ func branchyGraph(k int) (*Graph, NodeID) {
 func TestParallelMatchesSerialProperty(t *testing.T) {
 	run := func(parallelism, branches int) (*skills.Result, Stats, error) {
 		ex := NewExecutor(reg, newCtxQuiet())
-		ex.Options.Parallelism = parallelism
 		g, target := branchyGraph(branches)
-		res, err := ex.Run(g, target)
-		return res, ex.Stats(), err
+		res, rep, err := ex.RunWith(context.Background(), g, target, ExecOptions{Parallelism: parallelism})
+		return res, rep.Stats, err
 	}
 	f := func(raw uint8) bool {
 		branches := 2 + int(raw%6)
@@ -295,12 +266,13 @@ func TestParallelRunDeduplicatesIdenticalBranches(t *testing.T) {
 		// (or in-flight computation) — singleflight in action.
 		ex := NewExecutor(reg, newCtxQuiet())
 		ex.CSE = false
-		ex.Options.Parallelism = parallelism
+		opts := ExecOptions{Parallelism: parallelism}
 		g, target := branchyGraph(1) // branch 0 + its duplicate
-		if _, err := ex.Run(g, target); err != nil {
+		_, rep, err := ex.RunWith(context.Background(), g, target, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		stats := ex.Stats()
+		stats := rep.Stats
 		if stats.CacheHits != 1 {
 			t.Errorf("parallelism %d: cache hits = %d, want 1 (duplicate branch deduplicated)", parallelism, stats.CacheHits)
 		}
@@ -309,9 +281,8 @@ func TestParallelRunDeduplicatesIdenticalBranches(t *testing.T) {
 		// cse pass merges the identical sub-plans before task emission and
 		// the one result materializes under both output names.
 		ex2 := NewExecutor(reg, newCtxQuiet())
-		ex2.Options.Parallelism = parallelism
 		g2, target2 := branchyGraph(1)
-		res, err := ex2.Run(g2, target2)
+		res, _, err := ex2.RunWith(context.Background(), g2, target2, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +326,6 @@ func TestParallelRunDeduplicatesIdenticalBranches(t *testing.T) {
 
 func TestRunErrorsPropagateFromParallelBranches(t *testing.T) {
 	ex := NewExecutor(reg, newCtxQuiet())
-	ex.Options.Parallelism = 8
 	g := NewGraph()
 	tails := []string{}
 	for i := 0; i < 4; i++ {
@@ -369,7 +339,7 @@ func TestRunErrorsPropagateFromParallelBranches(t *testing.T) {
 		tails = append(tails, out)
 	}
 	target := g.Add(skills.Invocation{Skill: "Concatenate", Inputs: tails})
-	if _, err := ex.Run(g, target); err == nil {
+	if _, _, err := ex.RunWith(context.Background(), g, target, ExecOptions{Parallelism: 8}); err == nil {
 		t.Fatal("failing branch should fail the run")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -203,126 +202,5 @@ func TestAblatePromptBudget(t *testing.T) {
 	}
 	if r.DefaultAccuracy-r.AblatedAccuracy < 0.05 {
 		t.Errorf("budget shows no effect: %.2f vs %.2f", r.DefaultAccuracy, r.AblatedAccuracy)
-	}
-}
-
-func TestFaultsGrid(t *testing.T) {
-	r, err := Faults(25, []float64{0, 0.3}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Cases) != 2 {
-		t.Fatalf("cases = %d, want 2", len(r.Cases))
-	}
-	base, faulty := r.Cases[0], r.Cases[1]
-	if base.TransientFaults != 0 || base.Recovered != 0 {
-		t.Errorf("rate-0 baseline saw faults: %+v", base)
-	}
-	if faulty.TransientFaults == 0 || faulty.Recovered == 0 {
-		t.Errorf("30%% rate exercised nothing: %+v", faulty)
-	}
-	for _, c := range r.Cases {
-		if c.Divergent != 0 {
-			t.Errorf("rate %v: %d divergent answers", c.Rate, c.Divergent)
-		}
-		if c.Exact != base.Exact || c.Errored != base.Errored {
-			t.Errorf("rate %v changed outcomes: %+v vs baseline %+v", c.Rate, c, base)
-		}
-	}
-	if !strings.Contains(r.Report(), "exact") {
-		t.Error("report malformed")
-	}
-	if data, err := r.JSON(); err != nil || len(data) == 0 {
-		t.Errorf("JSON: %v", err)
-	}
-}
-
-func TestStreamGrid(t *testing.T) {
-	r, err := Stream(2000, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 queries × 3 scales × 2 worker settings.
-	if len(r.Cases) != 12 {
-		t.Fatalf("cases = %d, want 12", len(r.Cases))
-	}
-	peaks := map[string]int{}
-	for _, c := range r.Cases {
-		if c.RowsOut == 0 {
-			t.Errorf("%s at %dx w=%d produced no rows", c.Query, c.Scale, c.Workers)
-		}
-		key := fmt.Sprintf("%s/w%d", c.Query, c.Workers)
-		if prev, ok := peaks[key]; ok && c.PeakBufferedRows != prev {
-			t.Errorf("%s peak buffered rows varies with scale: %d vs %d — the memory budget claim fails",
-				key, c.PeakBufferedRows, prev)
-		}
-		peaks[key] = c.PeakBufferedRows
-	}
-	if peaks["filter/w1"] != 0 || peaks["filter/w2"] != 0 {
-		t.Errorf("filter buffered %d/%d rows, want 0 (pure pipeline)", peaks["filter/w1"], peaks["filter/w2"])
-	}
-	// One forced-spill cell per worker setting, each spilling for real.
-	if len(r.Spill) != 2 {
-		t.Fatalf("spill cases = %d, want 2", len(r.Spill))
-	}
-	for _, c := range r.Spill {
-		if c.SpilledRows == 0 || c.SpillRuns == 0 || c.SpilledBytes == 0 {
-			t.Errorf("spill w=%d: stats %+v, want non-zero runs/rows/bytes", c.Workers, c)
-		}
-		if c.RowsOut != c.Rows {
-			t.Errorf("spill w=%d: %d groups out of %d rows, want one group per row", c.Workers, c.RowsOut, c.Rows)
-		}
-	}
-	if !strings.Contains(r.Report(), "first_chunk") || !strings.Contains(r.Report(), "spilled_rows") {
-		t.Error("report malformed")
-	}
-	if data, err := r.JSON(); err != nil || len(data) == 0 {
-		t.Errorf("JSON: %v", err)
-	}
-}
-
-func TestSchedGrid(t *testing.T) {
-	r, err := Sched(4, 2000, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// cold + 0% + 25% + 100%.
-	if len(r.Refresh) != 4 {
-		t.Fatalf("refresh cases = %d, want 4", len(r.Refresh))
-	}
-	cold, unchanged, quarter, full := r.Refresh[0], r.Refresh[1], r.Refresh[2], r.Refresh[3]
-	if cold.CloudScans != 4 {
-		t.Errorf("cold refresh scanned %d tables, want 4", cold.CloudScans)
-	}
-	// The headline claim: a refresh over unchanged sources never touches
-	// the warehouse, and the fingerprint diff says so.
-	if unchanged.CloudScans != 0 || unchanged.CacheHits == 0 || unchanged.FPChanged != 0 {
-		t.Errorf("unchanged refresh: %+v, want zero scans and a cache hit", unchanged)
-	}
-	if quarter.CloudScans != 1 {
-		t.Errorf("25%% refresh scanned %d tables, want exactly the changed one", quarter.CloudScans)
-	}
-	if full.CloudScans != 4 || full.FPChanged != full.FPTotal {
-		t.Errorf("100%% refresh: %+v, want all tables rescanned", full)
-	}
-	if r.Publishes != 4 {
-		t.Errorf("publishes = %d, want one per refresh", r.Publishes)
-	}
-	if len(r.Interference) != 2 {
-		t.Fatalf("interference cases = %d, want 2", len(r.Interference))
-	}
-	for _, c := range r.Interference {
-		if c.Requests != 2*5 {
-			t.Errorf("%s: %d requests, want 10", c.Mode, c.Requests)
-		}
-		if (c.Mode == "with-background") != (c.BackgroundRuns > 0) {
-			t.Errorf("%s: %d background runs", c.Mode, c.BackgroundRuns)
-		}
-	}
-	if !strings.Contains(r.Report(), "cloud_scans") || !strings.Contains(r.Report(), "with-background") {
-		t.Error("report malformed")
-	}
-	if data, err := r.JSON(); err != nil || len(data) == 0 {
-		t.Errorf("JSON: %v", err)
 	}
 }

@@ -161,6 +161,59 @@ func TestIncrementalRefreshSkipsUnchangedScans(t *testing.T) {
 	}
 }
 
+// TestPartialChangeRescansOnlyTheChangedSource: refresh cost follows the
+// changed fraction, not the recipe size. A recipe fanning in two warehouse
+// tables scans both cold, neither when nothing changed, and exactly the
+// replaced one afterwards — its sibling's sub-DAG comes from the cache.
+func TestPartialChangeRescansOnlyTheChangedSource(t *testing.T) {
+	_, db, _, s, _ := newTestRig(t)
+	ctx := context.Background()
+	if err := db.CreateTable(metricsTable(t, 500, 3).WithName("metrics_b")); err != nil {
+		t.Fatal(err)
+	}
+	g := dag.NewGraph()
+	for _, tn := range []string{"metrics", "metrics_b"} {
+		g.Add(skills.Invocation{Skill: "LoadTable",
+			Args: skills.Args{"database": "wh", "table": tn}, Output: tn + "_raw"})
+		g.Add(skills.Invocation{Skill: "KeepRows", Inputs: []string{tn + "_raw"},
+			Args: skills.Args{"condition": "val >= 500"}, Output: tn + "_hot"})
+	}
+	g.Add(skills.Invocation{Skill: "Concatenate", Inputs: []string{"metrics_hot", "metrics_b_hot"}, Output: "all_hot"})
+	r, err := recipe.FromGraph("hot-all", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Add(Spec{Name: "fan", User: "alice", Recipe: r, Every: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	refresh := func() (RunRecord, int) {
+		t.Helper()
+		before := db.Meter().Queries()
+		rec, err := s.RunNow(ctx, "fan")
+		if err != nil || rec.Err != "" {
+			t.Fatalf("refresh: %v / %+v", err, rec)
+		}
+		return rec, db.Meter().Queries() - before
+	}
+
+	if _, scans := refresh(); scans != 2 {
+		t.Fatalf("cold refresh scanned %d tables, want 2", scans)
+	}
+	if rec, scans := refresh(); scans != 0 || rec.FPChanged != 0 {
+		t.Fatalf("unchanged refresh scanned %d tables, diff %+v", scans, rec)
+	}
+	if err := db.ReplaceTable(metricsTable(t, 500, 4).WithName("metrics_b")); err != nil {
+		t.Fatal(err)
+	}
+	rec, scans := refresh()
+	if scans != 1 {
+		t.Fatalf("refresh after replacing one of two tables scanned %d, want exactly the changed one", scans)
+	}
+	if rec.FPChanged == 0 || rec.Stats.CacheHits == 0 {
+		t.Fatalf("half-changed refresh = %+v, want changed fingerprints and the sibling served from cache", rec)
+	}
+}
+
 func TestGateSkipsAndReleases(t *testing.T) {
 	_, _, _, s, clock := newTestRig(t)
 	ctx := context.Background()

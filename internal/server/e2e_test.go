@@ -293,8 +293,9 @@ func TestConcurrentClientsSerializeOr409(t *testing.T) {
 	if err := <-holding; err != nil {
 		t.Fatalf("lock-holding run: %v", err)
 	}
-	if srv.Stats().Busy409 == 0 {
-		t.Fatal("server did not count the 409")
+	// The server's counter is the clients' view: every refusal above, once.
+	if got := srv.Stats().Busy409; got != int64(busy)+1 {
+		t.Fatalf("server counted %d busy refusals, clients saw %d", got, busy+1)
 	}
 }
 
@@ -654,12 +655,16 @@ func ordersCSV(rows int) string {
 // TestCostBudgetOverWire pins the §3 budget knob end to end: a request whose
 // estimated scan exceeds cost_budget_bytes gets a block-sampled answer that
 // is flagged degraded with the substitution note and a cost summary showing
-// the scan reduction; the same scan unbudgeted stays exact; and the degraded
-// answer is never served from cache on a repeat run.
+// the scan reduction; the same scan unbudgeted stays exact; the planner's
+// scan estimate matches what the warehouse meter then charges at every
+// budget rung; and the degraded answer is never served from cache on a
+// repeat run.
 func TestCostBudgetOverWire(t *testing.T) {
 	srv, c := newTestDeployment(t, server.Config{})
-	db := cloud.NewDatabase("warehouse", cloud.DefaultPricing, 64)
-	tab, err := dataset.ReadCSVString("orders", ordersCSV(4000))
+	// 2 000 blocks: a sample reads whole blocks, and this keeps that
+	// rounding under 1 % of the scan down to the 5 % rung.
+	db := cloud.NewDatabase("warehouse", cloud.DefaultPricing, 16)
+	tab, err := dataset.ReadCSVString("orders", ordersCSV(32_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,6 +695,36 @@ func TestCostBudgetOverWire(t *testing.T) {
 	}
 	if exact.Cost == nil || exact.Cost.EstScanBytes <= 0 || exact.Cost.Substituted != 0 {
 		t.Fatalf("unbudgeted cost summary = %+v, want positive scan estimate, no substitution", exact.Cost)
+	}
+	full := db.Meter().BytesScanned()
+	if full != exact.Cost.EstScanBytes {
+		t.Fatalf("full scan: meter charged %d bytes, planner estimated %d", full, exact.Cost.EstScanBytes)
+	}
+
+	// The budget gate decides on the estimate, so the estimate has to be
+	// what the warehouse charges: the ladder halves, fifths and twentieths
+	// the scan, and at each rung the meter lands within 1 % of the estimate
+	// and inside the budget by the same margin.
+	for i, div := range []int64{2, 5, 20} {
+		budget := full / div
+		before := db.Meter().BytesScanned()
+		resp, err := c.Run(ctx, "s1", wire.RunRequest{
+			User: "ann", Program: load(fmt.Sprintf("rung%d", i)), CostBudgetBytes: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		charged := db.Meter().BytesScanned() - before
+		if !resp.Result.Degraded || resp.Cost == nil {
+			t.Fatalf("budget 1/%d: degraded=%v cost=%+v, want a degraded, costed answer", div, resp.Result.Degraded, resp.Cost)
+		}
+		est := resp.Cost.EstScanBytes
+		if diff := charged - est; diff*100 >= est || -diff*100 >= est {
+			t.Errorf("budget 1/%d: meter charged %d bytes, planner estimated %d — off by 1 %% or more", div, charged, est)
+		}
+		if charged*100 > budget*101 {
+			t.Errorf("budget 1/%d: meter charged %d bytes against a %d-byte budget", div, charged, budget)
+		}
 	}
 
 	budgeted, err := c.Run(ctx, "s1", wire.RunRequest{

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -291,6 +292,24 @@ func (s *Server) resolveProgram(sessionName string, req wire.RunRequest) ([]skil
 	}
 }
 
+// errStreamOnly refuses stream tuning on the buffered route: POST .../run
+// executes through the buffered engine, which has no morsel workers, row
+// budget or spill, so the fields would be validated and then ignored.
+var errStreamOnly = errors.New("server: invalid request: stream_workers and max_buffered_rows apply only to POST /v1/sessions/{name}/run/stream")
+
+// applyCostBudget validates the request's §3 scan budget and puts it, or the
+// server default, on the per-request tuning.
+func (s *Server) applyCostBudget(tune *session.Tuning, req wire.RunRequest) error {
+	if req.CostBudgetBytes < 0 {
+		return fmt.Errorf("server: invalid cost_budget_bytes=%d", req.CostBudgetBytes)
+	}
+	tune.CostBudgetBytes = req.CostBudgetBytes
+	if tune.CostBudgetBytes == 0 {
+		tune.CostBudgetBytes = s.cfg.DefaultCostBudgetBytes
+	}
+	return nil
+}
+
 // applyStreamTuning maps the request's morsel-pipeline knobs onto the
 // per-request tuning: worker asks are capped at MaxStreamWorkers, the memory
 // budget falls back to the server default, and the spill directory is always
@@ -313,13 +332,6 @@ func (s *Server) applyStreamTuning(tune *session.Tuning, req wire.RunRequest) er
 		tune.StreamMaxBufferedRows = s.cfg.StreamMaxBufferedRows
 	}
 	tune.StreamSpillDir = s.cfg.StreamSpillDir
-	if req.CostBudgetBytes < 0 {
-		return fmt.Errorf("server: invalid cost_budget_bytes=%d", req.CostBudgetBytes)
-	}
-	tune.CostBudgetBytes = req.CostBudgetBytes
-	if tune.CostBudgetBytes == 0 {
-		tune.CostBudgetBytes = s.cfg.DefaultCostBudgetBytes
-	}
 	return nil
 }
 
@@ -355,8 +367,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
+	if req.StreamWorkers != 0 || req.MaxBufferedRows != 0 {
+		s.writeErr(w, errStreamOnly)
+		return
+	}
 	tune := s.tuning(req.DeadlineMs)
-	if err := s.applyStreamTuning(tune, req); err != nil {
+	if err := s.applyCostBudget(tune, req); err != nil {
 		s.writeErr(w, err)
 		return
 	}
@@ -532,6 +548,10 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	}
 	tune := s.tuning(req.DeadlineMs)
 	if err := s.applyStreamTuning(tune, req); err != nil {
+		s.writeErr(w, err)
+		return
+	}
+	if err := s.applyCostBudget(tune, req); err != nil {
 		s.writeErr(w, err)
 		return
 	}

@@ -172,8 +172,17 @@ func (s *Server) AttachScheduler(sched *scheduler.Scheduler, hub *board.Hub) {
 // Platform exposes the served platform (examples seed demo data through it).
 func (s *Server) Platform() *core.Platform { return s.platform }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// maxBodyBytes bounds every request body the server reads. The largest
+// legitimate body is a registered file's content — the benchmark uploads a
+// 200k-row CSV of about 10 MB — and 32 MiB clears that three times over.
+const maxBodyBytes = 32 << 20
+
+// ServeHTTP implements http.Handler. A body longer than maxBodyBytes fails
+// its handler's decode with *http.MaxBytesError, which errStatus maps to 413.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.mux.ServeHTTP(w, r)
+}
 
 // clock returns the configured time source.
 func (s *Server) clock() faults.Clock {
@@ -312,7 +321,10 @@ func (s *Server) requestContext(r *http.Request, tune *session.Tuning) (context.
 // shape — the library predates the wire layer and reports not-found and
 // permission failures as plain fmt errors.
 func errStatus(err error) (int, string) {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, wire.CodeTooLarge
 	case errors.Is(err, session.ErrBusy):
 		return http.StatusConflict, wire.CodeBusy
 	case errors.Is(err, errThrottled):

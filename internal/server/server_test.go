@@ -2,10 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +78,8 @@ func TestErrStatus(t *testing.T) {
 		{errors.New(`gel: cannot understand "frobnicate"`), http.StatusBadRequest, wire.CodeBadRequest},
 		{errors.New(`pyapi: unexpected token`), http.StatusBadRequest, wire.CodeBadRequest},
 		{errors.New(`server: file name must not be empty`), http.StatusBadRequest, wire.CodeBadRequest},
+		{fmt.Errorf("server: invalid request body: %w", &http.MaxBytesError{Limit: maxBodyBytes}),
+			http.StatusRequestEntityTooLarge, wire.CodeTooLarge},
 		{errors.New("boom"), http.StatusInternalServerError, wire.CodeInternal},
 	}
 	for _, c := range cases {
@@ -82,6 +87,37 @@ func TestErrStatus(t *testing.T) {
 		if status != c.status || code != c.code {
 			t.Errorf("errStatus(%q) = (%d, %s), want (%d, %s)", c.err, status, code, c.status, c.code)
 		}
+	}
+}
+
+// TestBodyLimit: a request body is read up to maxBodyBytes and no further —
+// one of exactly that size is served, one byte more is a typed 413.
+func TestBodyLimit(t *testing.T) {
+	hs := httptest.NewServer(New(core.New(), Config{}))
+	defer hs.Close()
+	post := func(name string, bodyBytes int) (int, wire.Error) {
+		t.Helper()
+		prefix, suffix := `{"name":"`+name+`","content":"`, `"}`
+		body := prefix + strings.Repeat("a", bodyBytes-len(prefix)-len(suffix)) + suffix
+		resp, err := http.Post(hs.URL+"/v1/files", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var we wire.Error
+		if resp.StatusCode >= 300 {
+			if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
+				t.Fatalf("status %d with an untyped body: %v", resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, we
+	}
+	if status, we := post("fits.csv", maxBodyBytes); status >= 300 {
+		t.Fatalf("body of exactly maxBodyBytes: status %d %+v, want success", status, we)
+	}
+	status, we := post("over.csv", maxBodyBytes+1)
+	if status != http.StatusRequestEntityTooLarge || we.Code != wire.CodeTooLarge {
+		t.Fatalf("body one byte over: status %d %+v, want 413 %s", status, we, wire.CodeTooLarge)
 	}
 }
 

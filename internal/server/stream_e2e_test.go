@@ -349,6 +349,44 @@ func TestRunStreamSentinelStats(t *testing.T) {
 	}
 }
 
+// TestRunRefusesStreamTuning: POST .../run executes through the buffered
+// engine, which has no morsel workers, row budget or spill, so a request
+// that sets stream_workers or max_buffered_rows there is refused with a
+// typed 400 naming the route that honours them — not validated and then
+// ignored. The same request on .../run/stream runs.
+func TestRunRefusesStreamTuning(t *testing.T) {
+	_, c := newTestDeployment(t, server.Config{})
+	ctx := context.Background()
+	if err := c.RegisterFile(ctx, "sales.csv", wideCSV(40)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateSession(ctx, "s", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := c.RunGEL(ctx, "s", "ann", "Load data from the file sales.csv", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const agg = "Compute the sum of price for each order_id and call the computed columns TotalPrice"
+	for _, req := range []wire.RunRequest{
+		{User: "ann", GEL: agg, Current: nodeOutput(loaded), StreamWorkers: 2},
+		{User: "ann", GEL: agg, Current: nodeOutput(loaded), MaxBufferedRows: 16},
+	} {
+		_, err := c.Run(ctx, "s", req)
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Status != http.StatusBadRequest || we.Code != wire.CodeBadRequest ||
+			!strings.Contains(we.Message, "/run/stream") {
+			t.Errorf("run with stream_workers=%d max_buffered_rows=%d: err = %v, want a 400 naming /run/stream",
+				req.StreamWorkers, req.MaxBufferedRows, err)
+		}
+		if header, err := c.RunStream(ctx, "s", req, nil); err != nil {
+			t.Errorf("run/stream with the same fields: %v", err)
+		} else if header.TotalRows != 40 {
+			t.Errorf("run/stream with the same fields: %d rows, want 40", header.TotalRows)
+		}
+	}
+}
+
 // TestRunStreamStatsArePerRequest pins that the sentinel's stats describe the
 // request that carried them, not the session executor's lifetime: after a
 // stream that buffered hundreds of rows, a small stream's buffered-row peak

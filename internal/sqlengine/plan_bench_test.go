@@ -5,6 +5,7 @@
 package sqlengine_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -150,12 +151,12 @@ func BenchmarkBudgetedScan(b *testing.B) {
 			ctx := benchCostCtx(50_000)
 			ex := dag.NewExecutor(benchReg, ctx)
 			ex.UseCache = false
-			ex.Options.CostBudgetBytes = budget
+			opts := dag.ExecOptions{CostBudgetBytes: budget}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g, last := benchCostGraph()
-				if _, err := ex.Run(g, last); err != nil {
+				if _, _, err := ex.RunWith(context.Background(), g, last, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -38,6 +38,7 @@ const (
 	CodeNotFound   = "not_found"
 	CodeDenied     = "denied"
 	CodeBadRequest = "bad_request"
+	CodeTooLarge   = "too_large" // request body over the server's limit (413)
 	CodeInternal   = "internal"
 	// CodeEvicted ends a board subscribe stream whose client fell too far
 	// behind the publish rate (slow-consumer eviction).
@@ -464,7 +465,9 @@ type RunRequest struct {
 	MaxRows int `json:"max_rows,omitempty"`
 	// StreamWorkers sets the morsel pipeline workers for this request's
 	// target fragment: 0 keeps the server default, 1 runs the same operators
-	// on one inline worker, -1 asks for one worker per core.
+	// on one inline worker, -1 asks for one worker per core. It and
+	// MaxBufferedRows apply to POST …/run/stream; the buffered …/run route
+	// has no morsel pipeline and refuses a request that sets either (400).
 	StreamWorkers int `json:"stream_workers,omitempty"`
 	// MaxBufferedRows caps the rows the engine's pipeline breakers (group-by,
 	// sort, join, distinct) may hold in memory; overflow spills sorted runs
