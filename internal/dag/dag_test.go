@@ -78,7 +78,7 @@ func TestGraphConcurrentAddAndRead(t *testing.T) {
 				prev = fmt.Sprintf("d%d", i-1)
 			}
 			g.Add(skills.Invocation{Skill: "KeepRows", Inputs: []string{prev},
-				Args: skills.Args{"condition": fmt.Sprintf("id > %d", i)},
+				Args:   skills.Args{"condition": fmt.Sprintf("id > %d", i)},
 				Output: fmt.Sprintf("d%d", i)})
 		}
 	}()

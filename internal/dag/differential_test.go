@@ -130,10 +130,3 @@ func TestDifferentialPlannedVsReference(t *testing.T) {
 func TestDifferentialParallel(t *testing.T) {
 	runDifferential(t, 42, 40, ExecOptions{Parallelism: 4})
 }
-
-// Forcing the row-at-a-time sqlengine fallback must not change any result:
-// consolidated fragments go through a different execution path but the same
-// semantics.
-func TestDifferentialVectorizedFallback(t *testing.T) {
-	runDifferential(t, 7, 40, ExecOptions{SQL: sqlengine.Options{DisableVectorized: true}})
-}

@@ -36,9 +36,6 @@ type ExecOptions struct {
 	// clock. Tests install a faults.VirtualClock so retry schedules
 	// spanning minutes execute instantly.
 	Clock faults.Clock
-	// SQL tunes consolidated-fragment execution (e.g. DisableVectorized
-	// forces the row reference path). The zero value uses engine defaults.
-	SQL sqlengine.Options
 	// StreamParallelism sets the morsel pipeline workers inside one streamed
 	// SQL task (intra-operator parallelism, distinct from the inter-task
 	// worker pool above). 0 inherits Parallelism (so a parallel DAG run also
@@ -412,10 +409,7 @@ func (e *Executor) execTaskRetry(ctx context.Context, p *execPlan, t *task, dead
 
 func (e *Executor) execTaskBody(ctx context.Context, opts ExecOptions, t *task) (*skills.Result, error) {
 	if t.frag != nil {
-		if t.stream && opts.Stream != nil {
-			return e.execChainStream(ctx, opts, t)
-		}
-		return e.execChain(opts, t)
+		return e.execChainStream(ctx, opts, t)
 	}
 	return e.execDirect(t)
 }
@@ -496,12 +490,12 @@ func streamTable(opts ExecOptions, t *task, tab *dataset.Table) error {
 	return nil
 }
 
-// execChainStream runs the target consolidated fragment through the morsel
-// pipeline, forwarding each chunk to the sink as the engine produces it while
-// still assembling the full table for materialization and the sub-DAG cache.
-// Fallback shapes are handled inside the engine (the stream re-chunks a
-// materialized execution), so the rows — and their order — always match
-// execChain's.
+// execChainStream runs a consolidated relational fragment — one flattened SQL
+// statement the consolidation pass compiled — through the morsel pipeline.
+// The target of a streamed run forwards each chunk to the sink as the engine
+// produces it, under the run's stream options, while still assembling the
+// full table for materialization and the sub-DAG cache; every other fragment
+// is the same pipeline drained with no sink on one inline worker.
 func (e *Executor) execChainStream(ctx context.Context, opts ExecOptions, t *task) (*skills.Result, error) {
 	frag := t.frag
 	if frag.Base.Node == plan.External {
@@ -509,41 +503,48 @@ func (e *Executor) execChainStream(ctx context.Context, opts ExecOptions, t *tas
 			return nil, fmt.Errorf("dag: node %d: %w", frag.Nodes[0], err)
 		}
 	}
-	par := opts.streamParallelism()
-	if par < 0 && e.CostModel && frag.EstBaseRows > 0 {
-		// Adaptive fan-out: with no explicit worker ask, size the morsel
-		// pool from the estimated base cardinality instead of bare
-		// GOMAXPROCS, so small inputs skip the fan-out overhead.
-		par = plan.AdaptiveWorkers(frag.EstBaseRows, runtime.GOMAXPROCS(0))
+	var so sqlengine.StreamOptions
+	var sink func(*dataset.Table) error
+	streaming := t.stream && opts.Stream != nil
+	if streaming {
+		par := opts.streamParallelism()
+		if par < 0 && e.CostModel && frag.EstBaseRows > 0 {
+			// Adaptive fan-out: with no explicit worker ask, size the morsel
+			// pool from the estimated base cardinality instead of bare
+			// GOMAXPROCS, so small inputs skip the fan-out overhead.
+			par = plan.AdaptiveWorkers(frag.EstBaseRows, runtime.GOMAXPROCS(0))
+		}
+		so = sqlengine.StreamOptions{
+			ChunkRows:       opts.chunkRows(),
+			Parallelism:     par,
+			MaxBufferedRows: opts.StreamMaxBufferedRows,
+			SpillDir:        opts.StreamSpillDir,
+			Ctx:             ctx,
+		}
+		seen := 0
+		sink = func(chunk *dataset.Table) error {
+			at := seen
+			seen += chunk.NumRows()
+			return emitChunk(opts.Stream, t, chunk, at)
+		}
 	}
-	rs, err := sqlengine.ExecStreamStmt(e.Ctx, frag.Builder.Stmt(), sqlengine.StreamOptions{
-		Options:         opts.SQL,
-		ChunkRows:       opts.chunkRows(),
-		Parallelism:     par,
-		MaxBufferedRows: opts.StreamMaxBufferedRows,
-		SpillDir:        opts.StreamSpillDir,
-		Ctx:             ctx,
-	})
+	rs, err := sqlengine.ExecStreamStmt(e.Ctx, frag.Builder.Stmt(), so)
 	if err != nil {
 		return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)
 	}
-	defer rs.Close()
-	seen := 0
-	table, err := rs.Drain(func(chunk *dataset.Table) error {
-		at := seen
-		seen += chunk.NumRows()
-		return emitChunk(opts.Stream, t, chunk, at)
-	})
-	ss := rs.SpillStats()
-	t.stats.Add(Stats{
-		PeakBufferedRows: rs.PeakBufferedRows(),
-		StreamWorkers:    rs.Workers(),
-		SpillRuns:        ss.Runs,
-		SpilledRows:      ss.SpilledRows,
-		SpilledBytes:     ss.SpilledBytes,
-	})
-	if ss.Runs > 0 && e.CostModel && e.statsReg != nil {
-		e.statsReg.ObserveSpill(t.node.Fingerprint)
+	table, err := rs.Drain(sink)
+	if streaming {
+		ss := rs.SpillStats()
+		t.stats.Add(Stats{
+			PeakBufferedRows: rs.PeakBufferedRows(),
+			StreamWorkers:    rs.Workers(),
+			SpillRuns:        ss.Runs,
+			SpilledRows:      ss.SpilledRows,
+			SpilledBytes:     ss.SpilledBytes,
+		})
+		if ss.Runs > 0 && e.CostModel && e.statsReg != nil {
+			e.statsReg.ObserveSpill(t.node.Fingerprint)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)
@@ -594,21 +595,4 @@ func (e *Executor) execDirect(t *task) (*skills.Result, error) {
 	t.stats.TasksRun++
 	t.stats.DirectTasks++
 	return res, nil
-}
-
-// execChain runs a consolidated relational fragment as one flattened SQL
-// task. The fragment's query was compiled by the consolidation pass; here it
-// only gets executed and counted.
-func (e *Executor) execChain(opts ExecOptions, t *task) (*skills.Result, error) {
-	frag := t.frag
-	if frag.Base.Node == plan.External {
-		if _, err := e.Ctx.Dataset(frag.Base.Name); err != nil {
-			return nil, fmt.Errorf("dag: node %d: %w", frag.Nodes[0], err)
-		}
-	}
-	table, err := sqlengine.ExecStmtOptions(e.Ctx, frag.Builder.Stmt(), opts.SQL)
-	if err != nil {
-		return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)
-	}
-	return t.sqlResult(table), nil
 }

@@ -278,6 +278,72 @@ func (c *Column) Window(from, to int) *Column {
 	return out
 }
 
+// ConcatColumns appends parts end to end under the first part's name. Parts
+// of one type concatenate their typed storage (the type is kept even when
+// every row is null); parts of differing types — a computed column whose
+// inferred type changed between chunks — are re-inferred over their non-null
+// values the way a column builder infers them, and only then are cells boxed.
+func ConcatColumns(parts []*Column) *Column {
+	first := parts[0]
+	if len(parts) == 1 {
+		return first
+	}
+	n, sameType, anyNulls := 0, true, false
+	for _, p := range parts {
+		n += p.n
+		sameType = sameType && p.typ == first.typ
+		anyNulls = anyNulls || p.nulls != nil
+	}
+	if !sameType {
+		typ := TypeNull
+		for _, p := range parts {
+			if p.NullCount() < p.n {
+				typ = CommonType(typ, p.typ)
+			}
+		}
+		if typ == TypeNull {
+			typ = TypeString
+		}
+		out := NewColumn(first.name, typ)
+		for _, p := range parts {
+			for i := 0; i < p.n; i++ {
+				out.Append(p.Value(i))
+			}
+		}
+		return out
+	}
+	out := &Column{name: first.name, typ: first.typ, n: n}
+	switch first.typ {
+	case TypeInt:
+		out.ints = concatSlices(parts, n, func(c *Column) []int64 { return c.ints })
+	case TypeFloat:
+		out.fls = concatSlices(parts, n, func(c *Column) []float64 { return c.fls })
+	case TypeString:
+		out.strs = concatSlices(parts, n, func(c *Column) []string { return c.strs })
+	case TypeBool:
+		out.bools = concatSlices(parts, n, func(c *Column) []bool { return c.bools })
+	case TypeTime:
+		out.times = concatSlices(parts, n, func(c *Column) []int64 { return c.times })
+	}
+	if anyNulls && first.typ != TypeNull {
+		out.nulls = make([]bool, n)
+		off := 0
+		for _, p := range parts {
+			copy(out.nulls[off:], p.nulls)
+			off += p.n
+		}
+	}
+	return out
+}
+
+func concatSlices[T any](parts []*Column, n int, vals func(*Column) []T) []T {
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, vals(p)...)
+	}
+	return out
+}
+
 // Floats returns the column materialized as float64s with a validity mask
 // (false where the row is null or non-numeric). ML skills consume this view.
 func (c *Column) Floats() (vals []float64, valid []bool) {

@@ -17,16 +17,16 @@ func TestAdaptiveWorkersDecisionTable(t *testing.T) {
 		procs   int
 		want    int
 	}{
-		{0, 8, 8},        // unknown cardinality: keep full fan-out
-		{-1, 8, 8},       // negative counts as unknown
-		{1, 8, 1},        // tiny input: one worker
-		{49_999, 8, 1},   // below the first step
-		{50_000, 8, 2},   // first step boundary
-		{149_999, 8, 3},  // mid-ladder
-		{200_000, 4, 4},  // capped by procs (1+4 = 5 > 4)
+		{0, 8, 8},          // unknown cardinality: keep full fan-out
+		{-1, 8, 8},         // negative counts as unknown
+		{1, 8, 1},          // tiny input: one worker
+		{49_999, 8, 1},     // below the first step
+		{50_000, 8, 2},     // first step boundary
+		{149_999, 8, 3},    // mid-ladder
+		{200_000, 4, 4},    // capped by procs (1+4 = 5 > 4)
 		{10_000_000, 8, 8}, // far past the cap
-		{100, 0, 1},      // degenerate procs: at least one worker
-		{0, -3, 1},       // degenerate procs with unknown rows
+		{100, 0, 1},        // degenerate procs: at least one worker
+		{0, -3, 1},         // degenerate procs with unknown rows
 	}
 	for _, c := range cases {
 		if got := AdaptiveWorkers(c.estRows, c.procs); got != c.want {

@@ -293,8 +293,8 @@ func (s *Server) resolveProgram(sessionName string, req wire.RunRequest) ([]skil
 }
 
 // errStreamOnly refuses stream tuning on the buffered route: POST .../run
-// executes through the buffered engine, which has no morsel workers, row
-// budget or spill, so the fields would be validated and then ignored.
+// drains every fragment on one inline worker with no row budget or spill, so
+// the fields would be validated and then ignored.
 var errStreamOnly = errors.New("server: invalid request: stream_workers and max_buffered_rows apply only to POST /v1/sessions/{name}/run/stream")
 
 // applyCostBudget validates the request's §3 scan budget and puts it, or the

@@ -198,7 +198,9 @@ func CorpusQueries(rng *rand.Rand, count int) []string {
 	qs = append(qs,
 		"SELECT t1.s, t2.s2 FROM t1 JOIN t2 ON t1.s = t2.s2 ORDER BY t1.s, t2.s2 LIMIT 60",
 		"SELECT i AS I2, f FROM t1 ORDER BY i2 DESC, F LIMIT 30",
+		"SELECT b AS s, i FROM t1 ORDER BY s, i LIMIT 40", // the key is the output s, not the source column it shadows
 		"SELECT COUNT(*) AS c, SUM(f) AS sf FROM t1 WHERE i > 99999",
+		"SELECT COUNT(*) AS c, b, i + 1 AS x FROM t1 WHERE i > 99999", // bare columns of an aggregate over no rows are null
 		"SELECT s, COUNT(*) AS c FROM t1 WHERE f IS NULL AND f IS NOT NULL GROUP BY s",
 		"SELECT i / 0 AS z, i % 0 AS m FROM t1 ORDER BY i LIMIT 10",
 		"SELECT f FROM t1 WHERE f / 0 > 1",
@@ -207,6 +209,7 @@ func CorpusQueries(rng *rand.Rand, count int) []string {
 		"SELECT i + 1 AS x, f FROM t1 WHERE i > 0 LIMIT 9 OFFSET 2",
 		"SELECT DISTINCT s, b FROM t1 LIMIT 4",
 		"SELECT DISTINCT s FROM t1 WHERE i >= 0 LIMIT 3 OFFSET 1",
+		"SELECT i FROM t1 ORDER BY nosuch LIMIT 0", // LIMIT 0 must not hide the sort's errors
 		"SELECT i, s FROM t1 WHERE IF(i > 22, s, i) - 1 > -100 LIMIT 3",
 	)
 	return qs

@@ -61,9 +61,10 @@ func (m MapCatalog) Table(name string) (*dataset.Table, error) {
 
 // Options tunes statement execution.
 type Options struct {
-	// DisableVectorized forces the row-at-a-time reference path everywhere.
-	// The vectorized engine is on by default; the differential tests run a
-	// query both ways and require identical results.
+	// DisableVectorized selects the row-at-a-time reference executor, which
+	// never compiles a kernel and never chunks. It is the oracle: the
+	// differential tests run a query through it and through the morsel
+	// pipeline and require identical results.
 	DisableVectorized bool
 }
 
@@ -81,10 +82,18 @@ func ExecStmt(catalog Catalog, stmt *SelectStmt) (*dataset.Table, error) {
 	return ExecStmtOptions(catalog, stmt, Options{})
 }
 
-// ExecStmtOptions executes a parsed statement with explicit options.
+// ExecStmtOptions executes a parsed statement with explicit options: the
+// morsel pipeline drained on one inline worker, or — DisableVectorized — the
+// row reference.
 func ExecStmtOptions(catalog Catalog, stmt *SelectStmt, opts Options) (*dataset.Table, error) {
-	e := &executor{catalog: catalog, vec: !opts.DisableVectorized}
-	return e.execSelect(stmt)
+	if opts.DisableVectorized {
+		return (&executor{catalog: catalog}).execSelect(stmt)
+	}
+	rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return rs.Drain(nil)
 }
 
 // rel is the executor's working relation: columns with source qualifiers,
@@ -136,7 +145,8 @@ type rowEnv struct {
 // Lookup implements expr.Env.
 func (e rowEnv) Lookup(name string) (dataset.Value, error) {
 	i, err := e.r.lookup(name)
-	if err != nil {
+	if err != nil || e.row >= e.r.numRows() {
+		// No such row: the representative of an aggregate over no rows.
 		return dataset.Null, err
 	}
 	return e.r.cols[i].Value(e.row), nil
@@ -161,52 +171,58 @@ func (c chainEnv) Lookup(name string) (dataset.Value, error) {
 	return dataset.Null, lastErr
 }
 
+// executor is the row-at-a-time reference: every expression is evaluated
+// boxed, one row at a time, over whole materialized relations. The morsel
+// pipeline (stream.go) borrows its statement analysis (collectAllAggs,
+// expandItems), its per-row fallbacks and its per-group output phase.
 type executor struct {
 	catalog Catalog
-	vec     bool // use vectorized kernels where they apply
+}
+
+// rowBudget is the LIMIT push-down: without grouping, ordering, or DISTINCT,
+// only the first offset+limit surviving rows matter — the scan stops there
+// (-1: no such bound). This is what makes the consolidated flat query of
+// §2.2 cheap.
+func rowBudget(stmt *SelectStmt, grouped bool) int {
+	if !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && stmt.Limit >= 0 {
+		return stmt.Offset + stmt.Limit
+	}
+	return -1
 }
 
 func (e *executor) execSelect(stmt *SelectStmt) (*dataset.Table, error) {
-	var source *rel
-	if stmt.From != nil {
-		r, err := e.execRef(stmt.From)
-		if err != nil {
-			return nil, err
-		}
-		source = r
-	} else {
-		source = &rel{} // SELECT without FROM evaluates items once
+	if stmt.From == nil {
+		return e.finishSelect(stmt, &rel{}) // SELECT without FROM evaluates items once
 	}
-
-	aggs := e.collectAllAggs(stmt)
-	grouped := len(stmt.GroupBy) > 0 || len(aggs) > 0
-
-	// LIMIT push-down: without grouping, ordering, or DISTINCT, only the
-	// first offset+limit surviving rows matter — stop the scan there. This
-	// is what makes the consolidated flat query of §2.2 cheap.
-	rowBudget := -1
-	if !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && stmt.Limit >= 0 {
-		rowBudget = stmt.Offset + stmt.Limit
+	source, err := e.execRef(stmt.From)
+	if err != nil {
+		return nil, err
 	}
-
-	// WHERE
-	if stmt.Where != nil && stmt.From != nil {
-		keep, err := e.filterRows(stmt.Where, source, rowBudget)
+	budget := rowBudget(stmt, len(stmt.GroupBy) > 0 || len(e.collectAllAggs(stmt)) > 0)
+	if stmt.Where != nil {
+		keep, err := e.filterRows(stmt.Where, source, budget)
 		if err != nil {
 			return nil, err
 		}
 		source = takeRel(source, keep)
-	} else if rowBudget >= 0 && stmt.From != nil && source.numRows() > rowBudget {
-		keep := make([]int, rowBudget)
+	} else if budget >= 0 && source.numRows() > budget {
+		keep := make([]int, budget)
 		for i := range keep {
 			keep[i] = i
 		}
 		source = takeRel(source, keep)
 	}
+	return e.finishSelect(stmt, source)
+}
 
+// finishSelect runs everything after FROM and WHERE over a materialized
+// relation: grouping or projection (with ORDER BY), DISTINCT, OFFSET/LIMIT.
+// The pipeline hands it the relation of the statement shapes it does not
+// stream (ExecStreamStmt).
+func (e *executor) finishSelect(stmt *SelectStmt, source *rel) (*dataset.Table, error) {
 	var out *dataset.Table
 	var err error
-	if grouped {
+	if aggs := e.collectAllAggs(stmt); len(stmt.GroupBy) > 0 || len(aggs) > 0 {
 		out, err = e.execGrouped(stmt, source, aggs)
 	} else {
 		out, err = e.execProjection(stmt, source)
@@ -214,10 +230,15 @@ func (e *executor) execSelect(stmt *SelectStmt) (*dataset.Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	return distinctLimit(stmt, out)
+}
 
+// distinctLimit applies a statement's DISTINCT and OFFSET/LIMIT to its
+// grouped or projected (and ordered) output.
+func distinctLimit(stmt *SelectStmt, out *dataset.Table) (*dataset.Table, error) {
 	if stmt.Distinct {
-		out, err = out.Distinct()
-		if err != nil {
+		var err error
+		if out, err = out.Distinct(); err != nil {
 			return nil, err
 		}
 	}
@@ -233,15 +254,9 @@ func (e *executor) execSelect(stmt *SelectStmt) (*dataset.Table, error) {
 }
 
 // filterRows returns the indexes of the rows of r that pass where, in row
-// order, stopping at limit survivors (limit < 0 means all of them): one
-// kernel pass when the predicate compiles, the boxed row loop otherwise.
-// Every WHERE — buffered or per morsel — goes through here.
+// order, stopping at limit survivors (limit < 0 means all of them).
 func (e *executor) filterRows(where expr.Expr, r *rel, limit int) ([]int, error) {
-	keep, vectorized, err := e.vecFilter(where, r, limit)
-	if err != nil || vectorized {
-		return keep, err
-	}
-	keep = make([]int, 0, r.numRows())
+	keep := make([]int, 0, r.numRows())
 	for i := 0; i < r.numRows() && len(keep) != limit; i++ {
 		ok, err := expr.EvalBool(where, rowEnv{r, i})
 		if err != nil {
@@ -344,13 +359,7 @@ func (e *executor) execJoin(j *Join) (*rel, error) {
 	}
 
 	leftKeys, rightKeys := equiJoinKeys(j.On, left, right)
-	switch {
-	case e.vec && len(leftKeys) > 0:
-		leftIdx, rightIdx, err = e.vecJoinPairs(j.On, combined, left, right, leftKeys, rightKeys, matchedLeft)
-		if err != nil {
-			return nil, err
-		}
-	case len(leftKeys) > 0:
+	if len(leftKeys) > 0 {
 		// Hash join: build on the right side.
 		build := make(map[string][]int, right.numRows())
 		for i := 0; i < right.numRows(); i++ {
@@ -371,7 +380,7 @@ func (e *executor) execJoin(j *Join) (*rel, error) {
 				}
 			}
 		}
-	default:
+	} else {
 		for li := 0; li < left.numRows(); li++ {
 			for ri := 0; ri < right.numRows(); ri++ {
 				ok := true
@@ -408,11 +417,6 @@ func (e *executor) execJoin(j *Join) (*rel, error) {
 			src, idx = left.cols[ci], leftIdx
 		} else {
 			src, idx = right.cols[ci-len(left.cols)], rightIdx
-		}
-		if e.vec {
-			// Typed gather; a negative index becomes the null-extension row.
-			out.cols[ci] = src.Take(idx)
-			continue
 		}
 		col := dataset.NewColumn(src.Name(), src.Type())
 		for _, i := range idx {
@@ -510,69 +514,112 @@ func joinKey(r *rel, keys []int, row int) string {
 	return b.String()
 }
 
-// execProjection evaluates non-grouped select items row by row, with a
-// columnar fast path when every output is a plain column reference.
+// plainColumns resolves exprs to column indexes of r when every one of them
+// is a plain, unambiguous column reference; nil otherwise.
+func plainColumns(exprs []expr.Expr, r *rel) []int {
+	idx := make([]int, len(exprs))
+	for i, ex := range exprs {
+		c, ok := ex.(*expr.Col)
+		if !ok {
+			return nil
+		}
+		at, err := r.lookup(c.Name)
+		if err != nil {
+			return nil // ambiguous or unknown: the general path reports it
+		}
+		idx[i] = at
+	}
+	return idx
+}
+
+// execProjection evaluates non-grouped select items row by row. A select
+// list and ORDER BY made purely of columns need no evaluation: the output
+// columns alias the source's, ordered by direct column comparison.
 func (e *executor) execProjection(stmt *SelectStmt, source *rel) (*dataset.Table, error) {
-	if stmt.From != nil {
-		if out, ok, err := e.columnarProjection(stmt, source); err != nil || ok {
-			return out, err
-		}
-		if out, ok, err := e.vecProjection(stmt, source); err != nil || ok {
-			return out, err
-		}
-	}
 	names, exprs := e.expandItems(stmt.Items, source)
-	n := source.numRows()
-	if stmt.From == nil {
-		n = 1
-	}
-	builders := make([]*valueColumnBuilder, len(exprs))
-	for i, name := range names {
-		builders[i] = newValueColumnBuilder(name)
-	}
-	envAt := func(i int) expr.Env {
-		if stmt.From == nil {
-			return expr.MapEnv{}
+	if cols := plainColumns(exprs, source); cols != nil && stmt.From != nil {
+		out := make([]*dataset.Column, len(cols))
+		for i, idx := range cols {
+			out[i] = source.cols[idx].Rename(names[i])
 		}
-		return rowEnv{source, i}
-	}
-	type sortable struct {
-		keys []dataset.Value
-	}
-	var sortRows []sortable
-	for i := 0; i < n; i++ {
-		env := envAt(i)
-		outRow := make(expr.MapEnv, len(exprs))
-		for ci, ex := range exprs {
-			v, err := ex.Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			builders[ci].append(v)
-			outRow[names[ci]] = v
-		}
-		if len(stmt.OrderBy) > 0 {
-			keys := make([]dataset.Value, len(stmt.OrderBy))
-			orderEnv := chainEnv{outRow, env}
-			for ki, o := range stmt.OrderBy {
-				v, err := o.Expr.Eval(orderEnv)
-				if err != nil {
-					return nil, err
+		// Order keys resolve like the general path's: output names first.
+		ob := outputBinder{names: names, cols: out, src: relBinder{source}}
+		keys := make([]*dataset.Column, 0, len(stmt.OrderBy))
+		for _, o := range stmt.OrderBy {
+			if c, ok := o.Expr.(*expr.Col); ok {
+				if key, err := ob.BindColumn(c.Name); err == nil {
+					keys = append(keys, key)
 				}
-				keys[ki] = v
 			}
-			sortRows = append(sortRows, sortable{keys: keys})
+		}
+		if len(keys) == len(stmt.OrderBy) {
+			t, err := assembleTable("result", out)
+			if err != nil || len(keys) == 0 {
+				return t, err
+			}
+			return t.Take(sortIndexes(source.numRows(), stmt.OrderBy,
+				func(row, k int) dataset.Value { return keys[k].Value(row) })), nil
 		}
 	}
-	out, err := buildTable("result", builders)
+	n, envAt := source.numRows(), func(i int) expr.Env { return rowEnv{source, i} }
+	if stmt.From == nil {
+		n, envAt = 1, func(int) expr.Env { return expr.MapEnv{} }
+	}
+	vals, keys, err := projectRows(names, exprs, nil, stmt.OrderBy, n, envAt)
 	if err != nil {
 		return nil, err
 	}
-	if len(stmt.OrderBy) > 0 {
-		idx := sortIndexes(len(sortRows), stmt.OrderBy, func(i, k int) dataset.Value { return sortRows[i].keys[k] })
-		out = out.Take(idx)
+	return sortedRowsTable(names, vals, keys, stmt.OrderBy)
+}
+
+// projectRows is the row-at-a-time output phase every boxed path shares: for
+// each of n inputs (source rows, or groups) in order it applies having (nil
+// keeps all), evaluates the select items, and evaluates the ORDER BY keys —
+// against the output row first, the input second.
+func projectRows(names []string, exprs []expr.Expr, having expr.Expr, orderBy []OrderItem, n int, envAt func(i int) expr.Env) (vals, keys [][]dataset.Value, err error) {
+	// One output env reused across rows: every row writes the same name set,
+	// so per-row maps would only add allocations.
+	outRow := make(expr.MapEnv, len(exprs))
+	for i := 0; i < n; i++ {
+		env := envAt(i)
+		if having != nil {
+			ok, err := expr.EvalBool(having, env)
+			if err != nil {
+				return nil, nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		row := make([]dataset.Value, len(exprs))
+		for ci, ex := range exprs {
+			if row[ci], err = ex.Eval(env); err != nil {
+				return nil, nil, err
+			}
+			outRow[names[ci]] = row[ci]
+		}
+		vals = append(vals, row)
+		if len(orderBy) > 0 {
+			krow := make([]dataset.Value, len(orderBy))
+			orderEnv := chainEnv{outRow, env}
+			for ki, o := range orderBy {
+				if krow[ki], err = o.Expr.Eval(orderEnv); err != nil {
+					return nil, nil, err
+				}
+			}
+			keys = append(keys, krow)
+		}
 	}
-	return out, nil
+	return vals, keys, nil
+}
+
+// sortedRowsTable materializes projectRows' output, stably sorted by its keys.
+func sortedRowsTable(names []string, vals, keys [][]dataset.Value, orderBy []OrderItem) (*dataset.Table, error) {
+	out, err := rowsTable(names, nil, vals)
+	if err != nil || len(orderBy) == 0 {
+		return out, err
+	}
+	return out.Take(sortIndexes(len(keys), orderBy, func(i, k int) dataset.Value { return keys[i][k] })), nil
 }
 
 func (e *executor) expandItems(items []SelectItem, source *rel) (names []string, exprs []expr.Expr) {
@@ -612,8 +659,8 @@ func (e *executor) expandItems(items []SelectItem, source *rel) (names []string,
 // groupData is one group ready for the output phase: the source row whose
 // values stand in for the group's non-aggregate columns, plus each computed
 // aggregate keyed by AggCall.Key. Both the reference (boxed per-group) and
-// vectorized (streaming) grouping paths produce this and share
-// finishGrouped for HAVING, projection, and ORDER BY.
+// the pipeline's partitioned grouping produce this and share finishGrouped
+// for HAVING, projection, and ORDER BY.
 type groupData struct {
 	firstRow int
 	aggVals  expr.MapEnv
@@ -621,14 +668,8 @@ type groupData struct {
 
 // execGrouped evaluates aggregation queries.
 func (e *executor) execGrouped(stmt *SelectStmt, source *rel, aggs []*AggCall) (*dataset.Table, error) {
-	if groups, ok, err := e.vecGrouped(stmt, source, aggs); err != nil {
-		return nil, err
-	} else if ok {
-		return e.finishGrouped(stmt, source, groups)
-	}
-
-	// Reference path: bucket rows by rendered group key, then aggregate
-	// each group's row set with boxed values.
+	// Bucket rows by rendered group key, then aggregate each group's row set
+	// with boxed values.
 	type group struct {
 		firstRow int
 		rows     []int
@@ -687,53 +728,17 @@ func (e *executor) execGrouped(stmt *SelectStmt, source *rel, aggs []*AggCall) (
 // ORDER BY, with group rows delivered in first-seen order.
 func (e *executor) finishGrouped(stmt *SelectStmt, source *rel, groups []groupData) (*dataset.Table, error) {
 	names, exprs := e.expandItems(stmt.Items, source)
-	builders := make([]*valueColumnBuilder, len(exprs))
-	for i, name := range names {
-		builders[i] = newValueColumnBuilder(name)
-	}
-	var sortKeys [][]dataset.Value
-	for _, g := range groups {
-		env := chainEnv{g.aggVals, rowEnv{source, g.firstRow}}
-		if stmt.Having != nil {
-			ok, err := expr.EvalBool(stmt.Having, env)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		outRow := make(expr.MapEnv, len(exprs))
-		for ci, ex := range exprs {
-			v, err := ex.Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			builders[ci].append(v)
-			outRow[names[ci]] = v
-		}
-		if len(stmt.OrderBy) > 0 {
-			keys := make([]dataset.Value, len(stmt.OrderBy))
-			orderEnv := chainEnv{outRow, env}
-			for ki, o := range stmt.OrderBy {
-				v, err := o.Expr.Eval(orderEnv)
-				if err != nil {
-					return nil, err
-				}
-				keys[ki] = v
-			}
-			sortKeys = append(sortKeys, keys)
-		}
-	}
-	out, err := buildTable("result", builders)
+	vals, keys, err := projectRows(names, exprs, stmt.Having, stmt.OrderBy, len(groups), groupEnv(source, groups))
 	if err != nil {
 		return nil, err
 	}
-	if len(stmt.OrderBy) > 0 {
-		idx := sortIndexes(len(sortKeys), stmt.OrderBy, func(i, k int) dataset.Value { return sortKeys[i][k] })
-		out = out.Take(idx)
-	}
-	return out, nil
+	return sortedRowsTable(names, vals, keys, stmt.OrderBy)
+}
+
+// groupEnv resolves names for group i: its aggregates first, then its
+// representative source row.
+func groupEnv(source *rel, groups []groupData) func(i int) expr.Env {
+	return func(i int) expr.Env { return chainEnv{groups[i].aggVals, rowEnv{source, groups[i].firstRow}} }
 }
 
 func sortIndexes(n int, orderBy []OrderItem, key func(row, k int) dataset.Value) []int {
@@ -852,42 +857,32 @@ func computeAgg(a *AggCall, source *rel, rows []int) (dataset.Value, error) {
 	}
 }
 
-// valueColumnBuilder accumulates values and infers the narrowest common type.
-type valueColumnBuilder struct {
-	name string
-	vals []dataset.Value
-	typ  dataset.Type
-}
-
-func newValueColumnBuilder(name string) *valueColumnBuilder {
-	return &valueColumnBuilder{name: name, typ: dataset.TypeNull}
-}
-
-func (b *valueColumnBuilder) append(v dataset.Value) {
-	b.vals = append(b.vals, v)
-	if !v.IsNull() {
-		b.typ = dataset.CommonType(b.typ, v.Type)
+// rowsTable materializes boxed rows as a table. A column's type is types[i]
+// when given (a plain projection's chunk-stable type keeps DISTINCT and the
+// wire encoding consistent across chunks), else the narrowest type its
+// non-null values share — string when it has none.
+func rowsTable(names []string, types []dataset.Type, rows [][]dataset.Value) (*dataset.Table, error) {
+	cols := make([]*dataset.Column, len(names))
+	for i, name := range names {
+		typ := dataset.TypeNull
+		if types != nil {
+			typ = types[i]
+		} else {
+			for _, row := range rows {
+				if !row[i].IsNull() {
+					typ = dataset.CommonType(typ, row[i].Type)
+				}
+			}
+			if typ == dataset.TypeNull {
+				typ = dataset.TypeString
+			}
+		}
+		cols[i] = dataset.NewColumn(name, typ)
+		for _, row := range rows {
+			cols[i].Append(row[i])
+		}
 	}
-}
-
-func (b *valueColumnBuilder) build() *dataset.Column {
-	typ := b.typ
-	if typ == dataset.TypeNull {
-		typ = dataset.TypeString
-	}
-	c := dataset.NewColumn(b.name, typ)
-	for _, v := range b.vals {
-		c.Append(v)
-	}
-	return c
-}
-
-func buildTable(name string, builders []*valueColumnBuilder) (*dataset.Table, error) {
-	cols := make([]*dataset.Column, len(builders))
-	for i, b := range builders {
-		cols[i] = b.build()
-	}
-	return assembleTable(name, cols)
+	return assembleTable("result", cols)
 }
 
 // assembleTable builds a table from output columns, disambiguating
@@ -905,68 +900,4 @@ func assembleTable(name string, cols []*dataset.Column) (*dataset.Table, error) 
 		out[i] = col
 	}
 	return dataset.NewTable(name, out...)
-}
-
-// columnarProjection handles SELECT lists made purely of columns (and *)
-// without re-evaluating expressions per row: output columns alias the
-// already-materialized source columns, and plain-column ORDER BY sorts by
-// direct column comparison. Returns ok=false when the statement needs the
-// general row-at-a-time path.
-func (e *executor) columnarProjection(stmt *SelectStmt, source *rel) (*dataset.Table, bool, error) {
-	names, exprs := e.expandItems(stmt.Items, source)
-	colIdx := make([]int, len(exprs))
-	for i, ex := range exprs {
-		c, ok := ex.(*expr.Col)
-		if !ok {
-			return nil, false, nil
-		}
-		idx, err := source.lookup(c.Name)
-		if err != nil {
-			return nil, false, nil // ambiguity or unknown: general path reports it
-		}
-		colIdx[i] = idx
-	}
-	var orderIdx []int
-	var orderDesc []bool
-	for _, o := range stmt.OrderBy {
-		c, ok := o.Expr.(*expr.Col)
-		if !ok {
-			return nil, false, nil
-		}
-		idx, err := source.lookup(c.Name)
-		if err != nil {
-			return nil, false, nil // may reference an output alias: general path
-		}
-		orderIdx = append(orderIdx, idx)
-		orderDesc = append(orderDesc, o.Desc)
-	}
-	if len(orderIdx) > 0 {
-		rows := make([]int, source.numRows())
-		for i := range rows {
-			rows[i] = i
-		}
-		sort.SliceStable(rows, func(a, b int) bool {
-			for k, ci := range orderIdx {
-				cmp := dataset.Compare(source.cols[ci].Value(rows[a]), source.cols[ci].Value(rows[b]))
-				if cmp == 0 {
-					continue
-				}
-				if orderDesc[k] {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-		source = takeRel(source, rows)
-	}
-	cols := make([]*dataset.Column, len(colIdx))
-	for i, idx := range colIdx {
-		cols[i] = source.cols[idx].Rename(names[i])
-	}
-	out, err := assembleTable("result", cols)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
 }

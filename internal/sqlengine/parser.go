@@ -290,8 +290,8 @@ func (p *parser) parsePrimaryRef() (TableRef, error) {
 			return nil, err
 		}
 		sub := &Subquery{Stmt: stmt}
-		sub.Alias = p.parseOptionalAlias()
-		return sub, nil
+		sub.Alias, err = p.parseOptionalAlias()
+		return sub, err
 	}
 	t := p.peek()
 	if t.kind != tokIdent {
@@ -299,23 +299,26 @@ func (p *parser) parsePrimaryRef() (TableRef, error) {
 	}
 	p.i++
 	ref := &BaseTable{Name: t.text}
-	ref.Alias = p.parseOptionalAlias()
-	if ref.Alias == "" {
-		ref.Alias = ref.Name
+	alias, err := p.parseOptionalAlias()
+	if alias == "" {
+		alias = ref.Name
 	}
-	return ref, nil
+	ref.Alias = alias
+	return ref, err
 }
 
-func (p *parser) parseOptionalAlias() string {
+func (p *parser) parseOptionalAlias() (string, error) {
 	if p.acceptKeyword("AS") {
-		t := p.next()
-		return t.text
+		if t := p.peek(); t.kind != tokIdent {
+			return "", fmt.Errorf("sql: expected alias after AS, found %q", t.text)
+		}
+		return p.next().text, nil
 	}
 	if t := p.peek(); t.kind == tokIdent && !reservedAfterExpr[strings.ToUpper(t.text)] {
 		p.i++
-		return t.text
+		return t.text, nil
 	}
-	return ""
+	return "", nil
 }
 
 // ---- expression parsing ----

@@ -154,7 +154,6 @@ type sortedSource interface {
 	head() (vals, keys []dataset.Value, ok bool, err error)
 	pop() error
 	startSeq() int
-	dispose()
 }
 
 // memSortRun is one input chunk sorted stably by its keys.
@@ -176,7 +175,6 @@ func (r *memSortRun) head() ([]dataset.Value, []dataset.Value, bool, error) {
 
 func (r *memSortRun) pop() error    { r.pos++; return nil }
 func (r *memSortRun) startSeq() int { return r.seq }
-func (r *memSortRun) dispose()      {}
 
 // diskSortRun reads a merged run back from disk with one-record lookahead.
 type diskSortRun struct {
@@ -215,12 +213,6 @@ func (r *diskSortRun) head() ([]dataset.Value, []dataset.Value, bool, error) {
 
 func (r *diskSortRun) pop() error    { r.cur = nil; return nil }
 func (r *diskSortRun) startSeq() int { return r.seq }
-func (r *diskSortRun) dispose() {
-	if !r.eof {
-		r.rd.close()
-		r.eof = true
-	}
-}
 
 // extSorter accumulates sorted runs under the memory budget, merging the
 // buffered runs into an on-disk run whenever the budget would overflow.
@@ -371,9 +363,11 @@ func (s *extSorter) sources() []sortedSource {
 	return srcs
 }
 
-// dispose releases any unread disk runs (early stream termination).
-func (s *extSorter) dispose() {
-	for _, d := range s.disk {
-		d.dispose()
+// rows returns the final merge as a row source, in sorted order.
+func (s *extSorter) rows() func() ([]dataset.Value, bool, error) {
+	srcs := s.sources()
+	return func() ([]dataset.Value, bool, error) {
+		vals, _, ok, err := s.mergeStep(srcs)
+		return vals, ok, err
 	}
 }

@@ -203,22 +203,5 @@ func (d *distinctSpiller) resolve() (func() (*dataset.Table, error), error) {
 		emRd.close()
 	}
 
-	outSrcs := bySeq.sources()
-	return func() (*dataset.Table, error) {
-		var rows [][]dataset.Value
-		for len(rows) < batchRows {
-			v, _, ok, err := bySeq.mergeStep(outSrcs)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			rows = append(rows, v)
-		}
-		if len(rows) == 0 {
-			return nil, nil
-		}
-		return buildValueChunk(d.names, d.types, rows)
-	}, nil
+	return d.se.chunked(d.names, d.types, bySeq.rows()), nil
 }

@@ -31,7 +31,7 @@ func TestStreamDistinctSpills(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q (workers=%d): %v", q, workers, err)
 			}
-			out, err := rs.ReadAll()
+			out, err := rs.Drain(nil)
 			if err != nil {
 				t.Fatalf("%q (workers=%d): %v", q, workers, err)
 			}

@@ -312,6 +312,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT SUM(*) FROM people",
 		"SELECT * FROM people trailing nonsense tokens ~",
 		"SELECT 'unterminated FROM people",
+		"SELECT 1 FROM people AS", // used to read past the last token
+		"SELECT 1 FROM (SELECT 1) AS",
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {

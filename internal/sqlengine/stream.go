@@ -23,18 +23,20 @@ import (
 // once, parameterised by a worker count: the morsel dispatcher
 // (stream_parallel.go) runs it inline at one worker and fans chunks out with
 // order-preserving reassembly at more, so the chunk sequence is independent
-// of the worker count. Statements the pipeline cannot stream exactly fall
-// back to whole-statement materialized execution re-chunked on the way out,
-// so ExecStream always produces the same rows, in the same order, as the
-// row-at-a-time reference path — the differential harness pins both.
+// of the worker count. Expressions evaluate as typed kernels over a morsel's
+// columns, falling back to the row evaluator per expression, and chunks stay
+// typed from the scan to Drain. For the statement shapes whose tail the
+// pipeline does not stream, it produces the FROM/WHERE relation and the
+// reference executor's tail finishes it, re-chunked on the way out — so
+// ExecStream always produces the same rows, in the same order, as the
+// row-at-a-time reference path; the differential harness pins both. ExecStmt
+// is this pipeline drained on one inline worker.
 
 // DefaultChunkRows is the morsel size when StreamOptions.ChunkRows is unset.
 const DefaultChunkRows = 1024
 
 // StreamOptions tunes streaming execution.
 type StreamOptions struct {
-	Options
-
 	// ChunkRows bounds the rows per emitted chunk (default DefaultChunkRows).
 	ChunkRows int
 
@@ -94,8 +96,9 @@ func (e *BudgetError) Error() string {
 		e.Op, e.Buffered, e.Budget)
 }
 
-// streamExec carries per-stream execution state: the shared executor (for the
-// helpers both paths use), the buffered-row accounting across operators (one
+// streamExec carries per-stream execution state: the reference executor (for
+// the catalog, the statement analysis, the per-row fallbacks and the tail of
+// the shapes that are not streamed), the buffered-row accounting across operators (one
 // budget shared by every operator and partition, charged under a mutex so
 // concurrent reducers account correctly), spill-file tracking, and the stop
 // functions that tear down parallel workers on close or cancellation.
@@ -103,6 +106,8 @@ type streamExec struct {
 	ex   *executor
 	opts StreamOptions
 	nw   int // worker count every operator of this stream runs with
+
+	fellBack bool // the reference's tail finishes the statement or one of its FROM-subqueries
 
 	mu       sync.Mutex
 	buffered map[string]int
@@ -172,9 +177,7 @@ func (se *streamExec) forceBuffer(op string, rows int) {
 	se.mu.Unlock()
 }
 
-func (se *streamExec) workers() int { return se.nw }
-
-// onStop registers a teardown hook (pipe stop, sorter disposal) run when the
+// onStop registers a teardown hook (a pipe's stop) run when the
 // stream closes, fails, finishes, or its context is cancelled. If the stream
 // is already closed the hook runs immediately.
 func (se *streamExec) onStop(fn func(error)) {
@@ -258,11 +261,10 @@ func (se *streamExec) spillStats() SpillStats {
 
 // RowStream yields a statement's result as a sequence of bounded chunks.
 type RowStream struct {
-	se       *streamExec
-	pull     func() (*dataset.Table, error)
-	fellBack bool
-	done     bool
-	err      error
+	se   *streamExec
+	pull func() (*dataset.Table, error)
+	done bool
+	err  error
 }
 
 // Next returns the next chunk, or (nil, nil) when the stream is exhausted.
@@ -291,8 +293,9 @@ func (rs *RowStream) Close() {
 	rs.se.stopAll(nil)
 }
 
-// FellBack reports whether the statement ran through materialized execution.
-func (rs *RowStream) FellBack() bool { return rs.fellBack }
+// FellBack reports whether the reference executor's materialized tail
+// finished the statement or one of its FROM-subqueries (see ExecStreamStmt).
+func (rs *RowStream) FellBack() bool { return rs.se.fellBack }
 
 // PeakBufferedRows returns the high-water mark of rows buffered by
 // pipeline-breaking operators — the stream's working-set gauge.
@@ -306,24 +309,18 @@ func (rs *RowStream) PeakBufferedRows() int {
 func (rs *RowStream) SpillStats() SpillStats { return rs.se.spillStats() }
 
 // Workers reports the worker count the stream's operators ran with.
-func (rs *RowStream) Workers() int { return rs.se.workers() }
-
-// ReadAll drains the stream into one table. Column types are re-inferred
-// across all chunks the way the reference projection does.
-func (rs *RowStream) ReadAll() (*dataset.Table, error) {
-	return rs.Drain(nil)
-}
+func (rs *RowStream) Workers() int { return rs.se.nw }
 
 // Drain consumes the stream into one table, handing each chunk to sink (may
 // be nil) before accumulating it — the hook the DAG executor uses to forward
 // chunks to a network client while still materializing the full result for
-// the session context and the sub-DAG cache. The stream is closed on return,
-// whether it was exhausted, failed, or the sink refused a chunk.
+// the session context and the sub-DAG cache. Chunks are concatenated column
+// by column on their typed storage (dataset.ConcatColumns); a single chunk is
+// returned as is. The stream is closed on return, whether it was exhausted,
+// failed, or the sink refused a chunk.
 func (rs *RowStream) Drain(sink func(*dataset.Table) error) (*dataset.Table, error) {
 	defer rs.Close()
-	var first *dataset.Table
-	var builders []*valueColumnBuilder
-	nchunks := 0
+	var chunks []*dataset.Table
 	for {
 		t, err := rs.Next()
 		if err != nil {
@@ -337,30 +334,36 @@ func (rs *RowStream) Drain(sink func(*dataset.Table) error) (*dataset.Table, err
 				return nil, err
 			}
 		}
-		nchunks++
-		if first == nil {
-			first = t
-			builders = make([]*valueColumnBuilder, t.NumCols())
-			for i, name := range t.ColumnNames() {
-				builders[i] = newValueColumnBuilder(name)
-			}
+		if len(chunks) > 0 && t.NumCols() != chunks[0].NumCols() {
+			return nil, fmt.Errorf("sql: stream chunk schema changed mid-stream (%d columns, want %d)", t.NumCols(), chunks[0].NumCols())
 		}
-		if t.NumCols() != len(builders) {
-			return nil, fmt.Errorf("sql: stream chunk schema changed mid-stream (%d columns, want %d)", t.NumCols(), len(builders))
-		}
-		for ci, c := range t.Columns() {
-			for r := 0; r < c.Len(); r++ {
-				builders[ci].append(c.Value(r))
-			}
-		}
+		chunks = append(chunks, t)
 	}
-	if first == nil {
+	if len(chunks) == 0 {
 		return nil, fmt.Errorf("sql: stream produced no chunks")
 	}
-	if nchunks == 1 {
-		return first, nil // single chunk: keep its exact column types
+	if len(chunks) == 1 {
+		return chunks[0], nil
 	}
-	return buildTable("result", builders)
+	cols := make([][]*dataset.Column, len(chunks))
+	for i, c := range chunks {
+		cols[i] = c.Columns()
+	}
+	return dataset.NewTable("result", concatCols(cols)...)
+}
+
+// concatCols appends chunks of one column set end to end, column by column,
+// on their typed storage (dataset.ConcatColumns).
+func concatCols(chunks [][]*dataset.Column) []*dataset.Column {
+	out := make([]*dataset.Column, len(chunks[0]))
+	parts := make([]*dataset.Column, len(chunks))
+	for ci := range out {
+		for i, cols := range chunks {
+			parts[i] = cols[ci]
+		}
+		out[ci] = dataset.ConcatColumns(parts)
+	}
+	return out
 }
 
 // ExecStream parses and streams a SQL query against the catalog.
@@ -372,13 +375,14 @@ func ExecStream(catalog Catalog, query string, opts StreamOptions) (*RowStream, 
 	return ExecStreamStmt(catalog, stmt, opts)
 }
 
-// ExecStreamStmt streams a parsed statement. Statement shapes the morsel
-// pipeline cannot reproduce exactly (SELECT without FROM, DISTINCT over
-// computed projections, DISTINCT/MEDIAN/STDDEV aggregates) fall back to
-// materialized execution re-chunked on the way out; FellBack reports that.
+// ExecStreamStmt streams a parsed statement. For the shapes whose tail the
+// morsel pipeline cannot reproduce exactly (SELECT without FROM, DISTINCT over
+// computed projections, DISTINCT/MEDIAN/STDDEV aggregates) the pipeline scans,
+// joins and filters, and the reference executor groups/projects the resulting
+// relation, re-chunked on the way out; FellBack reports that.
 func ExecStreamStmt(catalog Catalog, stmt *SelectStmt, opts StreamOptions) (*RowStream, error) {
 	se := &streamExec{
-		ex:         &executor{catalog: catalog, vec: !opts.DisableVectorized},
+		ex:         &executor{catalog: catalog},
 		opts:       opts,
 		buffered:   map[string]int{},
 		spillFiles: map[string]bool{},
@@ -393,22 +397,12 @@ func ExecStreamStmt(catalog Catalog, stmt *SelectStmt, opts StreamOptions) (*Row
 			}
 		}()
 	}
-	pull, ok, err := se.buildPipeline(stmt)
+	pull, err := se.buildPipeline(stmt)
 	if err != nil {
 		se.stopAll(nil) // releases the context watcher and any half-built pipe
 		return nil, err
 	}
-	if !ok {
-		// Materialized lazily, on the first Next, like every pipeline.
-		pull = deferredPull(func() (func() (*dataset.Table, error), error) {
-			out, err := se.ex.execSelect(stmt)
-			if err != nil {
-				return nil, err
-			}
-			return rechunkTable(out, opts.chunkRows()), nil
-		})
-	}
-	return &RowStream{se: se, pull: pull, fellBack: !ok}, nil
+	return &RowStream{se: se, pull: pull}, nil
 }
 
 // deferredPull postpones a pipeline breaker's whole run to the first chunk
@@ -503,10 +497,24 @@ func (r *rechunkRel) next() (*rel, error) {
 	}
 }
 
+// concatRels appends chunks of one relation end to end on their typed column
+// storage; no chunks yield the zero-row schema.
+func concatRels(schema *rel, chunks []*rel) *rel {
+	if len(chunks) == 0 {
+		return schema
+	}
+	cols := make([][]*dataset.Column, len(chunks))
+	for i, c := range chunks {
+		cols[i] = c.cols
+	}
+	return &rel{cols: concatCols(cols), quals: schema.quals}
+}
+
 // sourceChunks builds the chunk source for a FROM-clause relation. Base
-// tables scan as zero-copy windows; subqueries materialize through the
-// standard executor and re-chunk (their results equal the reference by the
-// existing differential harness); joins stream their left side.
+// tables scan as zero-copy windows; a subquery runs to completion as a stream
+// of its own — same chunk size, workers and context, no budget: its result is
+// held whole either way — and is scanned the same way; joins stream their
+// left side.
 func (se *streamExec) sourceChunks(ref TableRef) (relChunks, error) {
 	switch r := ref.(type) {
 	case *BaseTable:
@@ -516,10 +524,17 @@ func (se *streamExec) sourceChunks(ref TableRef) (relChunks, error) {
 		}
 		return &scanChunks{src: tableToRel(t, r.Alias), chunk: se.opts.chunkRows()}, nil
 	case *Subquery:
-		t, err := se.ex.execSelect(r.Stmt)
+		rs, err := ExecStreamStmt(se.ex.catalog, r.Stmt, StreamOptions{
+			ChunkRows: se.opts.ChunkRows, Parallelism: se.opts.Parallelism, Ctx: se.opts.Ctx,
+		})
 		if err != nil {
 			return nil, err
 		}
+		t, err := rs.Drain(nil)
+		if err != nil {
+			return nil, err
+		}
+		se.fellBack = se.fellBack || rs.FellBack()
 		alias := r.Alias
 		if alias == "" {
 			alias = "subquery"
@@ -536,14 +551,37 @@ func (se *streamExec) sourceChunks(ref TableRef) (relChunks, error) {
 	}
 }
 
-// joinChunks streams a join: the right side is fully built (hash table for
-// equi-conditions, plain materialization otherwise) and charged against the
-// memory budget; left chunks probe it through the morsel dispatcher, which
-// preserves chunk order, so probing emits the same sequence at any worker
-// count. The build side cannot spill — overflowing it is a BudgetError.
-// LEFT JOIN unmatched-row tracking is side-effecting, so the workers only
-// report per-row match flags and the consumer folds them into the unmatched
-// buffer itself, in chunk order.
+// sourceRel materializes a FROM-clause relation whole: the build side of a
+// join. A base table or subquery is already held; a nested join is drained.
+func (se *streamExec) sourceRel(ref TableRef) (*rel, error) {
+	chunks, err := se.sourceChunks(ref)
+	if err != nil {
+		return nil, err
+	}
+	if scan, ok := chunks.(*scanChunks); ok {
+		return scan.src, nil
+	}
+	var parts []*rel
+	for {
+		c, err := chunks.next()
+		if err != nil {
+			return nil, err
+		}
+		if c == nil {
+			return concatRels(chunks.schema(), parts), nil
+		}
+		parts = append(parts, c)
+	}
+}
+
+// joinChunks streams a join: the right side is fully built (a hash table on
+// byte-encoded keys for equi-conditions, plain materialization otherwise) and
+// charged against the memory budget; left chunks probe it through the morsel
+// dispatcher, which preserves chunk order, so probing emits the same sequence
+// at any worker count. The build side cannot spill — overflowing it is a
+// BudgetError. LEFT JOIN unmatched-row tracking is side-effecting, so the
+// workers only report per-row match flags and the consumer folds them into
+// the unmatched buffer itself, in chunk order.
 type joinChunks struct {
 	se                  *streamExec
 	j                   *Join
@@ -551,9 +589,10 @@ type joinChunks struct {
 	right               *rel
 	combined            *rel // schema-level; used for qualified-name resolution only
 	leftKeys, rightKeys []int
-	build               map[string][]int
+	build               map[string][]int32 // encoded equi-key → right rows, ascending; nil without equi-keys
 	pipe                *parallelPipe[*rel, *joinProbe]
-	unmatched           *rel // buffered unmatched left rows (LEFT JOIN)
+	unmatched           []*rel // buffered unmatched left rows (LEFT JOIN), in chunk order
+	nUnmatched          int
 	extended            bool
 	done                bool
 }
@@ -571,7 +610,7 @@ func (se *streamExec) newJoinChunks(j *Join) (*joinChunks, error) {
 	if err != nil {
 		return nil, err
 	}
-	right, err := se.ex.execRef(j.Right)
+	right, err := se.sourceRel(j.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -588,18 +627,7 @@ func (se *streamExec) newJoinChunks(j *Join) (*joinChunks, error) {
 	if len(jc.leftKeys) > 0 {
 		jc.buildHashTable()
 	}
-	if j.Kind == LeftJoin {
-		cols := make([]*dataset.Column, len(ls.cols))
-		for i, c := range ls.cols {
-			cols[i] = dataset.NewColumn(c.Name(), c.Type())
-		}
-		jc.unmatched = &rel{cols: cols, quals: ls.quals}
-	}
-	jc.pipe = newParallelPipe(se.workers(), 2*se.workers(),
-		pullRel(jc.left),
-		func(c *rel, _ int) (*joinProbe, error) { return jc.probe(c) },
-	)
-	se.onStop(jc.pipe.stop)
+	jc.pipe = newParallelPipe(se, pullRel(jc.left), jc.probe)
 	return jc, nil
 }
 
@@ -609,17 +637,22 @@ func (se *streamExec) newJoinChunks(j *Join) (*joinChunks, error) {
 // ascending right-row order at any worker count.
 func (jc *joinChunks) buildHashTable() {
 	n := jc.right.numRows()
-	w := jc.se.workers()
+	w := jc.se.nw
 	if w > n {
 		w = 1
 	}
-	parts := make([]map[string][]int, w)
+	vecs := keyVecs(jc.right, jc.rightKeys)
+	parts := make([]map[string][]int32, w)
 	fanOut(w, func(p int) {
 		lo, hi := p*n/w, (p+1)*n/w
-		m := make(map[string][]int, hi-lo)
+		m := make(map[string][]int32, hi-lo)
+		var buf []byte
 		for ri := lo; ri < hi; ri++ {
-			k := joinKey(jc.right, jc.rightKeys, ri)
-			m[k] = append(m[k], ri)
+			key, ok := appendJoinKey(buf[:0], vecs, ri)
+			buf = key
+			if ok {
+				m[string(key)] = append(m[string(key)], int32(ri))
+			}
 		}
 		parts[p] = m
 	})
@@ -629,6 +662,7 @@ func (jc *joinChunks) buildHashTable() {
 			jc.build[k] = append(jc.build[k], ris...)
 		}
 	}
+	vecStats.Joins.Add(1)
 }
 
 func (jc *joinChunks) schema() *rel { return windowRel(jc.combined, 0, 0) }
@@ -640,7 +674,7 @@ func (jc *joinChunks) next() (*rel, error) {
 		}
 		if jc.extended {
 			jc.done = true
-			if jc.unmatched == nil || jc.unmatched.numRows() == 0 {
+			if jc.nUnmatched == 0 {
 				return nil, nil
 			}
 			return jc.nullExtension(), nil
@@ -653,24 +687,22 @@ func (jc *joinChunks) next() (*rel, error) {
 			jc.extended = true
 			continue
 		}
-		if jc.unmatched != nil {
-			appended := false
+		if jc.j.Kind == LeftJoin {
+			var miss []int
 			for li, m := range p.matched {
-				if m {
-					continue
+				if !m {
+					miss = append(miss, li)
 				}
-				for ci, col := range jc.unmatched.cols {
-					col.Append(p.c.cols[ci].Value(li))
-				}
-				appended = true
 			}
-			if appended {
-				if err := jc.se.buffer("join-unmatched", jc.unmatched.numRows()); err != nil {
+			if len(miss) > 0 {
+				jc.unmatched = append(jc.unmatched, takeRel(p.c, miss))
+				jc.nUnmatched += len(miss)
+				if err := jc.se.buffer("join-unmatched", jc.nUnmatched); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if p.out == nil || p.out.numRows() == 0 {
+		if p.out == nil {
 			continue
 		}
 		return p.out, nil
@@ -678,153 +710,159 @@ func (jc *joinChunks) next() (*rel, error) {
 }
 
 // probe matches one left chunk against the build side. It is pure — shared
-// state is read-only — so the dispatcher can run it on any worker.
-func (jc *joinChunks) probe(c *rel) (*joinProbe, error) {
+// state is read-only — so the dispatcher can run it on any worker. With
+// equi-keys the hash table yields candidate pairs and the full ON expression
+// is re-checked over all of them as one kernel (per pair when it does not
+// compile); without, every pair is checked row by row.
+func (jc *joinChunks) probe(c *rel, seq int) (*joinProbe, error) {
 	var leftIdx, rightIdx []int
-	matched := make([]bool, c.numRows())
-	residual := func(li, ri int) (bool, error) {
-		if jc.j.On == nil {
-			return true, nil
-		}
-		return expr.EvalBool(jc.j.On, joinEnv{left: c, leftRow: li, right: jc.right, rightRow: ri, combined: jc.combined})
-	}
+	p := &joinProbe{c: c, matched: make([]bool, c.numRows())}
 	if jc.build != nil {
+		vecs := keyVecs(c, jc.leftKeys)
+		var buf []byte
 		for li := 0; li < c.numRows(); li++ {
-			for _, ri := range jc.build[joinKey(c, jc.leftKeys, li)] {
-				ok, err := residual(li, ri)
+			key, ok := appendJoinKey(buf[:0], vecs, li)
+			buf = key
+			if !ok {
+				continue
+			}
+			for _, ri := range jc.build[string(key)] {
+				leftIdx = append(leftIdx, li)
+				rightIdx = append(rightIdx, int(ri))
+			}
+		}
+		pb := &pairBinder{combined: jc.combined, left: c, right: jc.right, leftIdx: leftIdx, rightIdx: rightIdx, cache: map[int]*dataset.Column{}}
+		k, compiled := expr.Compile(jc.j.On, pb, len(leftIdx))
+		if seq == 0 && !compiled {
+			vecStats.ResidualFallbacks.Add(1)
+		}
+		keep := 0
+		if compiled {
+			v, err := k()
+			if err != nil {
+				return nil, err
+			}
+			for _, pair := range v.SelectTrue(-1) {
+				leftIdx[keep], rightIdx[keep] = leftIdx[pair], rightIdx[pair]
+				keep++
+			}
+		} else {
+			for pair, li := range leftIdx {
+				ok, err := jc.se.ex.joinResidual(jc.j.On, jc.combined, c, li, jc.right, rightIdx[pair])
 				if err != nil {
 					return nil, err
 				}
 				if ok {
-					leftIdx = append(leftIdx, li)
-					rightIdx = append(rightIdx, ri)
-					matched[li] = true
+					leftIdx[keep], rightIdx[keep] = li, rightIdx[pair]
+					keep++
 				}
 			}
 		}
+		leftIdx, rightIdx = leftIdx[:keep], rightIdx[:keep]
 	} else {
 		for li := 0; li < c.numRows(); li++ {
 			for ri := 0; ri < jc.right.numRows(); ri++ {
-				ok, err := residual(li, ri)
+				ok, err := jc.se.ex.joinResidual(jc.j.On, jc.combined, c, li, jc.right, ri)
 				if err != nil {
 					return nil, err
 				}
 				if ok {
 					leftIdx = append(leftIdx, li)
 					rightIdx = append(rightIdx, ri)
-					matched[li] = true
 				}
 			}
 		}
 	}
-	p := &joinProbe{c: c, matched: matched}
 	if len(leftIdx) == 0 {
 		return p, nil
 	}
-	out := &rel{cols: make([]*dataset.Column, len(jc.combined.cols)), quals: jc.combined.quals}
+	for _, li := range leftIdx {
+		p.matched[li] = true
+	}
+	p.out = &rel{cols: make([]*dataset.Column, len(jc.combined.cols)), quals: jc.combined.quals}
 	nLeft := len(c.cols)
 	for ci := range jc.combined.cols {
 		if ci < nLeft {
-			out.cols[ci] = c.cols[ci].Take(leftIdx)
+			p.out.cols[ci] = c.cols[ci].Take(leftIdx)
 		} else {
-			out.cols[ci] = jc.right.cols[ci-nLeft].Take(rightIdx)
+			p.out.cols[ci] = jc.right.cols[ci-nLeft].Take(rightIdx)
 		}
 	}
-	p.out = out
 	return p, nil
 }
 
 // nullExtension emits the buffered unmatched left rows with null right sides.
 func (jc *joinChunks) nullExtension() *rel {
-	n := jc.unmatched.numRows()
-	nulls := make([]int, n)
+	left := concatRels(jc.left.schema(), jc.unmatched)
+	nulls := make([]int, jc.nUnmatched)
 	for i := range nulls {
 		nulls[i] = -1
 	}
-	out := &rel{cols: make([]*dataset.Column, len(jc.combined.cols)), quals: jc.combined.quals}
-	nLeft := len(jc.unmatched.cols)
-	for ci := range jc.combined.cols {
-		if ci < nLeft {
-			out.cols[ci] = jc.unmatched.cols[ci]
-		} else {
-			out.cols[ci] = jc.right.cols[ci-nLeft].Take(nulls)
-		}
+	out := &rel{cols: append([]*dataset.Column{}, left.cols...), quals: jc.combined.quals}
+	for _, col := range jc.right.cols {
+		out.cols = append(out.cols, col.Take(nulls))
 	}
 	return out
 }
 
+// selectList is a statement's expanded select list, resolved against the
+// FROM relation's schema once per stream.
+type selectList struct {
+	names []string
+	exprs []expr.Expr
+	plain []int // source column per item when every item is a plain column reference, else nil
+}
+
+func (se *streamExec) newSelectList(stmt *SelectStmt, schema *rel) *selectList {
+	sl := &selectList{}
+	sl.names, sl.exprs = se.ex.expandItems(stmt.Items, schema)
+	sl.plain = plainColumns(sl.exprs, schema)
+	return sl
+}
+
 // buildPipeline assembles the streaming operator pipeline for a statement.
-// ok=false means the statement must fall back to materialized execution.
-func (se *streamExec) buildPipeline(stmt *SelectStmt) (func() (*dataset.Table, error), bool, error) {
-	if stmt.From == nil {
-		return nil, false, nil // SELECT without FROM evaluates items once, materialized
-	}
+func (se *streamExec) buildPipeline(stmt *SelectStmt) (pull func() (*dataset.Table, error), err error) {
 	aggs := se.ex.collectAllAggs(stmt)
 	grouped := len(stmt.GroupBy) > 0 || len(aggs) > 0
-	if grouped {
-		for _, a := range aggs {
-			if a.Distinct {
-				return nil, false, nil
-			}
-			switch a.Name {
-			case "COUNT", "SUM", "AVG", "MIN", "MAX":
-			default: // MEDIAN, STDDEV need the full value set per group
-				return nil, false, nil
-			}
-		}
-	}
 
 	// A LIMIT that can stop the scan early — un-ordered, and either over a
 	// plain scan (rowBudget) or over DISTINCT — runs on one inline worker,
 	// which pulls a morsel only when the consumer asks for it. Prefetching
 	// workers would evaluate chunks the reference never reaches and could
 	// surface their errors. Every other shape consumes its whole input.
-	rowBudget := -1
-	if !grouped && len(stmt.OrderBy) == 0 && !stmt.Distinct && stmt.Limit >= 0 {
-		rowBudget = stmt.Offset + stmt.Limit
-	}
+	budget := rowBudget(stmt, grouped)
 	se.nw = se.opts.workers()
-	if rowBudget >= 0 || (stmt.Distinct && stmt.Limit >= 0 && len(stmt.OrderBy) == 0) {
+	if budget >= 0 || (stmt.Distinct && stmt.Limit >= 0 && len(stmt.OrderBy) == 0) {
 		se.nw = 1
 	}
-
+	if stmt.From == nil {
+		return se.referenceTail(stmt, nil), nil // evaluates the items once
+	}
 	chunks, err := se.sourceChunks(stmt.From)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	schema := chunks.schema()
-
-	names, exprs := se.ex.expandItems(stmt.Items, schema)
-	plain := true
-	plainIdx := make([]int, len(exprs))
-	for i, ex := range exprs {
-		c, ok := ex.(*expr.Col)
-		if !ok {
-			plain = false
-			break
+	sl := se.newSelectList(stmt, schema)
+	for _, a := range aggs {
+		if a.Distinct || a.Name == "MEDIAN" || a.Name == "STDDEV" {
+			return se.referenceTail(stmt, chunks), nil // need the full value set per group
 		}
-		idx, err := schema.lookup(c.Name)
-		if err != nil {
-			plain = false
-			break
-		}
-		plainIdx[i] = idx
 	}
 	// Streaming DISTINCT dedups on rendered row keys, which include column
 	// types; only plain-column projections have chunk-stable output types
 	// matching what the materialized path dedups on.
-	if stmt.Distinct && !grouped && !plain {
-		return nil, false, nil
+	if stmt.Distinct && !grouped && sl.plain == nil {
+		return se.referenceTail(stmt, chunks), nil
 	}
 
-	var pull func() (*dataset.Table, error)
 	switch {
 	case grouped:
 		pull = se.partitionedGroupedPull(stmt, chunks, aggs, schema)
 	case len(stmt.OrderBy) > 0:
-		pull = se.orderedPull(stmt, chunks, names, exprs, plain, plainIdx, schema)
+		pull = se.orderedPull(stmt, chunks, sl, schema)
 	default:
-		pull = se.parallelProjectPull(chunks, stmt.Where, rowBudget, names, exprs, plain, plainIdx)
+		pull = se.parallelProjectPull(chunks, stmt.Where, budget, sl)
 	}
 	if !grouped {
 		if stmt.Distinct {
@@ -835,108 +873,168 @@ func (se *streamExec) buildPipeline(stmt *SelectStmt) (func() (*dataset.Table, e
 		}
 	}
 	empty := func() (*dataset.Table, error) {
-		return se.projectChunk(windowRel(schema, 0, 0), names, exprs, plain, plainIdx)
+		return se.projectChunk(windowRel(schema, 0, 0), sl, false)
 	}
-	return ensureOneChunk(pull, empty), true, nil
+	return ensureOneChunk(pull, empty), nil
 }
 
-// projectChunk evaluates the select list over one chunk: zero-copy column
-// aliasing for plain references, compiled kernels where they apply, and the
-// boxed row loop otherwise. Values are identical across all three; only the
-// inferred column types can differ, which result comparison tolerates.
-func (se *streamExec) projectChunk(c *rel, names []string, exprs []expr.Expr, plain bool, plainIdx []int) (*dataset.Table, error) {
-	if plain {
-		cols := make([]*dataset.Column, len(plainIdx))
-		for i, idx := range plainIdx {
-			cols[i] = c.cols[idx].Rename(names[i])
+// referenceTail finishes a statement the pipeline does not stream end to end:
+// on the first chunk request the pipeline's workers scan, join and filter
+// chunks (nil: SELECT without FROM) into the FROM/WHERE relation, and the
+// reference executor groups or projects it, re-chunked on the way out.
+func (se *streamExec) referenceTail(stmt *SelectStmt, chunks relChunks) func() (*dataset.Table, error) {
+	se.fellBack = true
+	return deferredPull(func() (func() (*dataset.Table, error), error) {
+		source := &rel{}
+		if chunks != nil {
+			pipe := newParallelPipe(se, pullRel(chunks),
+				func(c *rel, seq int) (*rel, error) { return se.filterRel(stmt.Where, c, -1, seq == 0) })
+			var kept []*rel
+			for {
+				c, ok, err := pipe.next()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					break
+				}
+				if c != nil {
+					kept = append(kept, c)
+				}
+			}
+			source = concatRels(chunks.schema(), kept)
 		}
+		out, err := se.ex.finishSelect(stmt, source)
+		if err != nil {
+			return nil, err
+		}
+		return rechunkTable(out, se.opts.chunkRows()), nil
+	})
+}
+
+// projectCols evaluates the select list over one chunk as typed columns:
+// zero-copy aliasing for plain references, compiled kernels otherwise.
+// ok=false means some item needs the row evaluator.
+func (se *streamExec) projectCols(c *rel, sl *selectList) (cols []*dataset.Column, ok bool, err error) {
+	cols = make([]*dataset.Column, len(sl.exprs))
+	if sl.plain != nil {
+		for i, idx := range sl.plain {
+			cols[i] = c.cols[idx].Rename(sl.names[i])
+		}
+		return cols, true, nil
+	}
+	binder := relBinder{c}
+	for i, ex := range sl.exprs {
+		k, compiled := expr.Compile(ex, binder, c.numRows())
+		if !compiled {
+			return nil, false, nil
+		}
+		v, err := k()
+		if err != nil {
+			return nil, false, err
+		}
+		cols[i] = v.Column(sl.names[i])
+	}
+	return cols, true, nil
+}
+
+// projectChunk evaluates the select list over one chunk: typed columns where
+// projectCols applies, the boxed row loop otherwise. Values are identical
+// either way; only the inferred column types can differ, which result
+// comparison tolerates and Drain reconciles.
+func (se *streamExec) projectChunk(c *rel, sl *selectList, first bool) (*dataset.Table, error) {
+	cols, ok, err := se.projectCols(c, sl)
+	if err != nil {
+		return nil, err
+	}
+	countFirst(first && sl.plain == nil, ok, &vecStats.Projections, &vecStats.ProjectionFallbacks)
+	if ok {
 		return assembleTable("result", cols)
 	}
-	if se.ex.vec {
-		binder := relBinder{c}
-		cols := make([]*dataset.Column, len(exprs))
-		compiled := true
-		for i, ex := range exprs {
-			k, ok := expr.Compile(ex, binder, c.numRows())
-			if !ok {
-				compiled = false
-				break
-			}
-			v, err := k()
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = v.Column(names[i])
-		}
-		if compiled {
-			return assembleTable("result", cols)
-		}
+	vals, _, err := projectRows(sl.names, sl.exprs, nil, nil, c.numRows(), func(i int) expr.Env { return rowEnv{c, i} })
+	if err != nil {
+		return nil, err
 	}
-	builders := make([]*valueColumnBuilder, len(exprs))
-	for i, name := range names {
-		builders[i] = newValueColumnBuilder(name)
+	return rowsTable(sl.names, nil, vals)
+}
+
+// selectRows returns the indexes of the rows of one morsel that pass where,
+// at most limit of them (< 0 means unlimited) — one kernel pass when the
+// predicate compiles, the reference's boxed row loop otherwise.
+func (se *streamExec) selectRows(where expr.Expr, c *rel, limit int, first bool) ([]int, error) {
+	k, compiled := expr.Compile(where, relBinder{c}, c.numRows())
+	countFirst(first, compiled, &vecStats.Filters, &vecStats.FilterFallbacks)
+	if !compiled {
+		return se.ex.filterRows(where, c, limit)
 	}
-	for i := 0; i < c.numRows(); i++ {
-		env := rowEnv{c, i}
-		for ci, ex := range exprs {
-			v, err := ex.Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			builders[ci].append(v)
-		}
+	v, err := k()
+	if err != nil {
+		return nil, err
 	}
-	return buildTable("result", builders)
+	return v.SelectTrue(limit), nil
 }
 
 // filterRel keeps the rows of one morsel that pass where (nil keeps all), at
 // most remaining of them (< 0 means unlimited) — the LIMIT push-down budget.
 // It returns nil when no row survives.
-func (e *executor) filterRel(where expr.Expr, c *rel, remaining int) (*rel, error) {
+func (se *streamExec) filterRel(where expr.Expr, c *rel, remaining int, first bool) (*rel, error) {
+	return se.filterCols(where, c, c, remaining, first)
+}
+
+// filterCols is filterRel gathering the surviving rows from out, a subset
+// of c's columns, so that columns only the predicate reads are not copied.
+func (se *streamExec) filterCols(where expr.Expr, c, out *rel, remaining int, first bool) (*rel, error) {
 	if where == nil {
-		if remaining >= 0 && c.numRows() > remaining {
-			c = windowRel(c, 0, remaining)
+		if remaining >= 0 && out.numRows() > remaining {
+			out = windowRel(out, 0, remaining)
 		}
-		return c, nil
+		return out, nil
 	}
-	keep, err := e.filterRows(where, c, remaining)
+	keep, err := se.selectRows(where, c, remaining, first)
 	switch {
 	case err != nil || len(keep) == 0:
 		return nil, err
 	case len(keep) == c.numRows():
-		return c, nil
+		return out, nil
 	}
-	return takeRel(c, keep), nil
+	return takeRel(out, keep), nil
 }
 
 // parallelProjectPull fans source chunks out to the pipeline workers, each
 // filtering and projecting its own morsels; reassembly preserves chunk
 // order, so the output sequence does not depend on the worker count.
-func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, rowBudget int, names []string, exprs []expr.Expr, plain bool, plainIdx []int) func() (*dataset.Table, error) {
+func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, rowBudget int, sl *selectList) func() (*dataset.Table, error) {
 	// LIMIT push-down: only the first rowBudget surviving rows matter. A
 	// budget (>= 0) implies one inline worker, so the countdown needs no
 	// lock; without one (-1) the workers only read it.
 	remaining := rowBudget
 	source := pullRel(chunks)
-	pipe := newParallelPipe(se.workers(), 2*se.workers(),
+	pipe := newParallelPipe(se,
 		func() (*rel, bool, error) {
 			if remaining == 0 {
 				return nil, false, nil
 			}
 			return source()
 		},
-		func(c *rel, _ int) (*dataset.Table, error) {
-			fc, err := se.ex.filterRel(where, c, remaining)
+		func(c *rel, seq int) (*dataset.Table, error) {
+			out := c
+			if sl.plain != nil {
+				cols, _, _ := se.projectCols(c, sl) // zero-copy, so project before gathering
+				out = &rel{cols: cols}
+			}
+			fc, err := se.filterCols(where, c, out, remaining, seq == 0)
 			if err != nil || fc == nil {
 				return nil, err
 			}
 			if remaining > 0 {
 				remaining -= fc.numRows()
 			}
-			return se.projectChunk(fc, names, exprs, plain, plainIdx)
+			if sl.plain != nil {
+				return assembleTable("result", fc.cols)
+			}
+			return se.projectChunk(fc, sl, seq == 0)
 		},
 	)
-	se.onStop(pipe.stop)
 	return func() (*dataset.Table, error) {
 		for {
 			t, ok, err := pipe.next()
@@ -951,144 +1049,182 @@ func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, row
 	}
 }
 
-// orderedRun is one chunk's projected rows and sort keys, built by a
-// pipeline worker.
+// orderedRun is one morsel's projected rows and sort keys, built by a
+// pipeline worker: typed columns when the select list and every key evaluate
+// through column references and kernels, boxed rows when an expression needs
+// the row evaluator.
 type orderedRun struct {
-	vals  [][]dataset.Value // projected rows in input order
-	keys  [][]dataset.Value
-	order []int // stable sort of row indexes by keys, computed in the worker
+	out  *dataset.Table
+	keys []*dataset.Column
+
+	vals  [][]dataset.Value // boxed: projected rows in input order
+	bkeys [][]dataset.Value
+	order []int // stable sort of the boxed rows by bkeys, computed in the worker
 }
 
-// orderedPull implements chunked ORDER BY as a sorted-run merge: each input
-// chunk becomes a run sorted stably by its keys, built by a pipeline worker
-// after it applied WHERE; exhausted input is merged k-way with ties broken
-// by run sequence, which reproduces a global stable sort. Buffered rows are
-// charged against the budget; overflow merges the buffered runs into an
-// on-disk run (a contiguous sequence range, so the final disk+memory merge
-// is still the exact stable sort).
-func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, names []string, exprs []expr.Expr, plain bool, plainIdx []int, schema *rel) func() (*dataset.Table, error) {
+func (r *orderedRun) numRows() int {
+	if r.out != nil {
+		return r.out.NumRows()
+	}
+	return len(r.vals)
+}
+
+// boxed converts a typed run to the external sorter's boxed rows, with the
+// run's stable sort computed on the typed keys.
+func (r *orderedRun) boxed(desc []bool) (vals, keys [][]dataset.Value, order []int) {
+	if r.out == nil {
+		return r.vals, r.bkeys, r.order
+	}
+	n := r.out.NumRows()
+	vals, keys = make([][]dataset.Value, n), make([][]dataset.Value, n)
+	for i := range vals {
+		vals[i] = r.out.Row(i)
+		keys[i] = make([]dataset.Value, len(r.keys))
+		for k, col := range r.keys {
+			keys[i][k] = col.Value(i)
+		}
+	}
+	return vals, keys, dataset.SortIndex(r.keys, desc)
+}
+
+// orderedPull implements ORDER BY: pipeline workers filter, project and key
+// each morsel into a run charged against the budget. While the runs fit and
+// are typed, exhausted input is finished by one stable typed sort over their
+// concatenation. A run that does not fit (or is boxed) moves everything to
+// the external sorter: each run sorted stably by its keys, buffered runs
+// merged into an on-disk run on overflow (a contiguous sequence range), and a
+// final k-way merge with ties broken by run sequence — the same global stable
+// sort.
+func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, sl *selectList, schema *rel) func() (*dataset.Table, error) {
+	desc := make([]bool, len(stmt.OrderBy))
+	for i, o := range stmt.OrderBy {
+		desc[i] = o.Desc
+	}
 	var types []dataset.Type
-	if plain {
-		types = make([]dataset.Type, len(plainIdx))
-		for i, idx := range plainIdx {
+	if sl.plain != nil {
+		types = make([]dataset.Type, len(sl.plain))
+		for i, idx := range sl.plain {
 			types[i] = schema.cols[idx].Type()
 		}
 	}
-	buildRun := func(c *rel, _ int) (*orderedRun, error) {
-		fc, err := se.ex.filterRel(stmt.Where, c, -1)
+	buildRun := func(c *rel, seq int) (*orderedRun, error) {
+		fc, err := se.filterRel(stmt.Where, c, -1, seq == 0)
 		if err != nil {
 			return nil, err
 		}
 		if fc == nil {
-			return &orderedRun{}, nil
+			fc = windowRel(c, 0, 0) // fully filtered: an empty typed run
 		}
 		n := fc.numRows()
-		r := &orderedRun{vals: make([][]dataset.Value, 0, n), keys: make([][]dataset.Value, 0, n)}
-		// One output env reused across the chunk's rows: every row writes
-		// the same name set, so per-row maps would only add allocations.
-		outRow := make(expr.MapEnv, len(exprs))
-		for i := 0; i < n; i++ {
-			env := rowEnv{fc, i}
-			vals := make([]dataset.Value, len(exprs))
-			for ci, ex := range exprs {
-				v, err := ex.Eval(env)
-				if err != nil {
-					return nil, err
-				}
-				vals[ci] = v
-				outRow[names[ci]] = v
-			}
-			keys := make([]dataset.Value, len(stmt.OrderBy))
-			orderEnv := chainEnv{outRow, env}
-			for ki, o := range stmt.OrderBy {
-				v, err := o.Expr.Eval(orderEnv)
-				if err != nil {
-					return nil, err
-				}
-				keys[ki] = v
-			}
-			r.vals = append(r.vals, vals)
-			r.keys = append(r.keys, keys)
+		cols, typed, err := se.projectCols(fc, sl)
+		if err != nil {
+			return nil, err
 		}
-		r.order = sortIndexes(len(r.vals), stmt.OrderBy, func(row, k int) dataset.Value { return r.keys[row][k] })
+		var keys []*dataset.Column
+		if typed {
+			ob := outputBinder{names: sl.names, cols: cols, src: relBinder{fc}}
+			for _, o := range stmt.OrderBy {
+				k, compiled := expr.Compile(o.Expr, ob, n)
+				if !compiled {
+					typed = false
+					break
+				}
+				v, err := k()
+				if err != nil {
+					return nil, err
+				}
+				keys = append(keys, v.Column(""))
+			}
+		}
+		countFirst(seq == 0, typed, &vecStats.Projections, &vecStats.ProjectionFallbacks)
+		if typed {
+			out, err := assembleTable("result", cols)
+			return &orderedRun{out: out, keys: keys}, err
+		}
+		r := &orderedRun{}
+		r.vals, r.bkeys, err = projectRows(sl.names, sl.exprs, nil, stmt.OrderBy, n, func(i int) expr.Env { return rowEnv{fc, i} })
+		if err != nil {
+			return nil, err
+		}
+		r.order = sortIndexes(n, stmt.OrderBy, func(row, k int) dataset.Value { return r.bkeys[row][k] })
 		return r, nil
 	}
-	pipe := newParallelPipe(se.workers(), 2*se.workers(),
-		pullRel(chunks),
-		buildRun,
-	)
-	se.onStop(pipe.stop)
-	sorter := newExtSorter(se, "order-by", stmt.OrderBy)
-	consumed := false
-	var sorted []sortedSource
-	consume := func() error {
-		seq := 0
-		for {
+	pipe := newParallelPipe(se, pullRel(chunks), buildRun)
+	const op = "order-by"
+	// consume drains the input into typed runs, or — from the first run that
+	// is boxed or overflows the budget — into the external sorter.
+	consume := func() (func() (*dataset.Table, error), error) {
+		var typed []*orderedRun // every run so far, while they are typed and fit
+		var sorter *extSorter
+		held := 0
+		for seq := 0; ; seq++ {
 			r, ok, err := pipe.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				sorted = sorter.sources()
-				return nil
-			}
-			if err := sorter.addRun(seq, r.vals, r.keys, r.order); err != nil {
-				return err
-			}
-			seq++
-		}
-	}
-	return func() (*dataset.Table, error) {
-		if !consumed {
-			consumed = true
-			if err := consume(); err != nil {
-				return nil, err
-			}
-		}
-		chunkRows := se.opts.chunkRows()
-		var rows [][]dataset.Value
-		for len(rows) < chunkRows {
-			vals, _, ok, err := sorter.mergeStep(sorted)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				break
 			}
-			rows = append(rows, vals)
+			n := r.numRows()
+			if sorter == nil && r.out != nil && se.tryBuffer(op, held+n) {
+				typed = append(typed, r)
+				held += n
+				continue
+			}
+			if sorter == nil {
+				sorter = newExtSorter(se, op, stmt.OrderBy)
+				for i, tr := range typed {
+					vals, keys, order := tr.boxed(desc)
+					if err := sorter.addRun(i, vals, keys, order); err != nil {
+						return nil, err
+					}
+				}
+				typed = nil
+			}
+			vals, keys, order := r.boxed(desc)
+			if err := sorter.addRun(seq, vals, keys, order); err != nil {
+				return nil, err
+			}
+		}
+		if sorter != nil {
+			return se.chunked(sl.names, types, sorter.rows()), nil
+		}
+		if len(typed) == 0 {
+			return func() (*dataset.Table, error) { return nil, nil }, nil
+		}
+		outs := make([][]*dataset.Column, len(typed))
+		keys := make([][]*dataset.Column, len(typed))
+		for i, r := range typed {
+			outs[i], keys[i] = r.out.Columns(), r.keys
+		}
+		all, err := dataset.NewTable("result", concatCols(outs)...)
+		if err != nil {
+			return nil, err
+		}
+		return rechunkTable(all.Take(dataset.SortIndex(concatCols(keys), desc)), se.opts.chunkRows()), nil
+	}
+	return deferredPull(consume)
+}
+
+// chunked groups a row source into tables of at most ChunkRows rows.
+func (se *streamExec) chunked(names []string, types []dataset.Type, next func() ([]dataset.Value, bool, error)) func() (*dataset.Table, error) {
+	return func() (*dataset.Table, error) {
+		var rows [][]dataset.Value
+		for len(rows) < se.opts.chunkRows() {
+			row, ok, err := next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			rows = append(rows, row)
 		}
 		if len(rows) == 0 {
 			return nil, nil
 		}
-		return buildValueChunk(names, types, rows)
+		return rowsTable(names, types, rows)
 	}
-}
-
-// buildValueChunk materializes boxed rows into a chunk table, pinning column
-// types when the projection is plain (chunk-stable types keep DISTINCT and
-// the wire encoding consistent with the materialized path).
-func buildValueChunk(names []string, types []dataset.Type, rows [][]dataset.Value) (*dataset.Table, error) {
-	if types != nil {
-		cols := make([]*dataset.Column, len(names))
-		for i, name := range names {
-			c := dataset.NewColumn(name, types[i])
-			for _, row := range rows {
-				c.Append(row[i])
-			}
-			cols[i] = c
-		}
-		return assembleTable("result", cols)
-	}
-	builders := make([]*valueColumnBuilder, len(names))
-	for i, name := range names {
-		builders[i] = newValueColumnBuilder(name)
-	}
-	for _, row := range rows {
-		for ci := range builders {
-			builders[ci].append(row[ci])
-		}
-	}
-	return buildTable("result", builders)
 }
 
 // distinctBatch is one chunk with its row keys rendered (and sharded) by a
@@ -1108,14 +1244,14 @@ type distinctBatch struct {
 // count. The budget is charged per shard; overflow hands the remaining input
 // to a distinctSpiller (external dedupe on disk).
 func (se *streamExec) parallelDistinctPull(in func() (*dataset.Table, error)) func() (*dataset.Table, error) {
-	shards := se.workers()
+	shards := se.nw
 	seen := make([]map[string]bool, shards)
 	ops := make([]string, shards)
 	for i := range seen {
 		seen[i] = map[string]bool{}
 		ops[i] = fmt.Sprintf("distinct#%d", i)
 	}
-	pipe := newParallelPipe(se.workers(), 2*se.workers(),
+	pipe := newParallelPipe(se,
 		func() (*dataset.Table, bool, error) {
 			t, err := in()
 			return t, t != nil, err
@@ -1125,12 +1261,11 @@ func (se *streamExec) parallelDistinctPull(in func() (*dataset.Table, error)) fu
 			b := &distinctBatch{t: t, keys: make([]string, n), shard: make([]uint32, n)}
 			for r := 0; r < n; r++ {
 				b.keys[r] = streamRowKey(t.Row(r))
-				b.shard[r] = hash32str(b.keys[r]) % uint32(shards)
+				b.shard[r] = hash32(b.keys[r]) % uint32(shards)
 			}
 			return b, nil
 		},
 	)
-	se.onStop(pipe.stop)
 	var sp *distinctSpiller
 	var tail func() (*dataset.Table, error)
 	return func() (*dataset.Table, error) {
@@ -1219,7 +1354,9 @@ func streamRowKey(row []dataset.Value) string {
 	return b.String()
 }
 
-// offsetLimitPull skips Offset rows and truncates at Limit, streaming.
+// offsetLimitPull skips Offset rows and truncates at Limit, streaming. LIMIT 0
+// still pulls once: a pipeline breaker below it evaluates its whole input —
+// and surfaces its errors — on the first pull, as the reference does.
 func offsetLimitPull(in func() (*dataset.Table, error), offset, limit int) func() (*dataset.Table, error) {
 	skipped, emitted := 0, 0
 	done := false
@@ -1228,7 +1365,7 @@ func offsetLimitPull(in func() (*dataset.Table, error), offset, limit int) func(
 			if done {
 				return nil, nil
 			}
-			if limit >= 0 && emitted >= limit {
+			if limit > 0 && emitted >= limit {
 				done = true
 				return nil, nil
 			}
@@ -1236,7 +1373,7 @@ func offsetLimitPull(in func() (*dataset.Table, error), offset, limit int) func(
 			if err != nil {
 				return nil, err
 			}
-			if t == nil {
+			if t == nil || limit == 0 {
 				done = true
 				return nil, nil
 			}

@@ -13,10 +13,11 @@ import (
 // This file implements the partitioned streaming group-by engine: scan
 // workers evaluate group keys and aggregate arguments per morsel (with the
 // vectorized kernels when they compile, the boxed row loop otherwise) and
-// hash-partition rows; one reducer per partition folds rows into per-group
-// aggregate states, consuming batches in chunk-sequence order so every group
-// accumulates in global row order — float SUM/AVG results are bit-identical
-// at every worker count. When the states overflow the memory budget a reducer
+// hash-partition rows; one reducer per partition folds each batch's typed
+// argument vectors into per-group aggregate states, consuming batches in
+// chunk-sequence order and rows in batch order so every group accumulates in
+// global row order — float SUM/AVG results are bit-identical at every worker
+// count. When the states overflow the memory budget a reducer
 // spills rows of *new* keys to a disk run (keys already holding a state keep
 // accumulating in memory), finalizes the pass, writes the finished states to
 // a state run, and replays the spilled rows as the next pass; spilled key
@@ -63,10 +64,10 @@ func appendKeyValue(buf []byte, v dataset.Value) []byte {
 // hash32 is FNV-1a over a group key — the radix partitioning hash. It is
 // deliberately unseeded so partition assignment is deterministic across runs
 // and worker counts.
-func hash32(b []byte) uint32 {
+func hash32[K []byte | string](key K) uint32 {
 	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
 		h *= 16777619
 	}
 	return h
@@ -84,6 +85,17 @@ func intGroupKey(key []byte) (int64, bool) {
 	return 0, false
 }
 
+// strGroupKey decodes a single-string-column group key (tag 3 + 8 LE length
+// bytes + the string), the string analogue of intGroupKey: such keys live in
+// a map keyed by the string itself, which a columnar batch probes with its
+// column values — no encoding, no copy.
+func strGroupKey(key []byte) ([]byte, bool) {
+	if len(key) >= 9 && key[0] == 3 && binary.LittleEndian.Uint64(key[1:]) == uint64(len(key)-9) {
+		return key[9:], true
+	}
+	return nil, false
+}
+
 // hash32int is hash32 over the 9-byte encoding of a single-int group key
 // (tag 1 + 8 LE bytes) without materializing it, so columnar int-key batches
 // partition identically to byte-encoded ones.
@@ -98,21 +110,11 @@ func hash32int(v int64) uint32 {
 	return h
 }
 
-// hash32str is hash32 over a string key without the []byte conversion.
-func hash32str(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// argCol is one aggregate argument over a batch: the compiled kernel's
-// columnar vector when the expression compiled, boxed values otherwise, and
-// neither for COUNT(*). Holding the vector instead of boxing every row into
-// a []dataset.Value keeps the scan free of per-batch Value slices (and the
-// GC scanning they cost); rows box on the stack only as they accumulate.
+// argCol is one expression evaluated over a batch — a group key or an
+// aggregate argument: the compiled kernel's columnar vector when the
+// expression compiled, boxed values otherwise, and neither for COUNT(*).
+// Holding the vector instead of boxing every row into a []dataset.Value keeps
+// the scan free of per-batch Value slices (and the GC scanning they cost).
 type argCol struct {
 	vec  *expr.Vec
 	vals []dataset.Value
@@ -127,34 +129,39 @@ func (a argCol) at(i int) dataset.Value {
 	return a.vals[i]
 }
 
-// groupedBatch is one scanned morsel, ready for reduction: encoded group key
-// per row, per-partition row index lists, and the aggregate argument values.
+// groupedBatch is one scanned morsel, ready for reduction: the group key
+// columns, per-partition row index lists, and the aggregate argument values.
 type groupedBatch struct {
 	seq   int
 	n     int
-	keys  [][]byte  // per-row encoded group key; nil for a single group or when ikeys is set
+	keys  []argCol  // per GROUP BY expression; nil for a single group or when ikeys or skeys is set
 	ikeys []int64   // columnar keys when the single GROUP BY column is int with no nulls
+	skeys []string  // columnar keys when it is string with no nulls
 	rows  [][]int32 // per partition: row indices it owns; nil when parts == 1
 	args  []argCol  // per AggCall: argument values (zero for COUNT(*))
 	rep   *rel      // the scanned chunk, source of representative rows
 }
 
-func (b *groupedBatch) keyAt(i int) []byte {
-	if b.keys == nil {
-		return nil
+// appendKey encodes row i's group key onto buf — cell by cell, a vector cell
+// (appendGroupKey) exactly the way a boxed one (appendKeyValue), so batches
+// of the same stream always bucket identically. Keys are encoded into a
+// reused buffer where they are needed (the scan's partition hash, the
+// reducer's state lookup) rather than stored per row.
+func (b *groupedBatch) appendKey(buf []byte, i int) []byte {
+	switch {
+	case b.ikeys != nil:
+		return binary.LittleEndian.AppendUint64(append(buf, 1), uint64(b.ikeys[i]))
+	case b.skeys != nil:
+		return append(binary.LittleEndian.AppendUint64(append(buf, 3), uint64(len(b.skeys[i]))), b.skeys[i]...)
 	}
-	return b.keys[i]
-}
-
-// encodedKey materializes row i's group key bytes for a spill record —
-// copied (or encoded from the columnar int key) so it outlives the batch.
-func (b *groupedBatch) encodedKey(i int) []byte {
-	if b.ikeys != nil {
-		buf := make([]byte, 0, 9)
-		buf = append(buf, 1)
-		return binary.LittleEndian.AppendUint64(buf, uint64(b.ikeys[i]))
+	for _, k := range b.keys {
+		if k.vec != nil {
+			buf = appendGroupKey(buf, k.vec, i)
+		} else {
+			buf = appendKeyValue(buf, k.vals[i])
+		}
 	}
-	return append([]byte(nil), b.keyAt(i)...)
+	return buf
 }
 
 // argsAt boxes row i's aggregate arguments for a spill record; COUNT(*)
@@ -189,7 +196,7 @@ type groupedScan struct {
 }
 
 func (gs *groupedScan) build(c *rel, seq int) (*groupedBatch, error) {
-	c, err := gs.se.ex.filterRel(gs.stmt.Where, c, -1)
+	c, err := gs.se.filterRel(gs.stmt.Where, c, -1, seq == 0)
 	if err != nil {
 		return nil, err
 	}
@@ -198,9 +205,25 @@ func (gs *groupedScan) build(c *rel, seq int) (*groupedBatch, error) {
 	}
 	n := c.numRows()
 	b := &groupedBatch{seq: seq, n: n, rep: c, args: make([]argCol, len(gs.aggs))}
-	if len(gs.stmt.GroupBy) > 0 {
-		if err := gs.buildKeys(c, b); err != nil {
+	compiled := true // keys and every argument ran as kernels
+	for _, ge := range gs.stmt.GroupBy {
+		key, err := gs.evalColumn(c, ge, n)
+		if err != nil {
 			return nil, err
+		}
+		b.keys = append(b.keys, key)
+		compiled = compiled && key.vec != nil
+	}
+	if len(b.keys) == 1 && compiled && !hasNulls(b.keys[0].vec) {
+		// Columnar fast path: keep the int or string vector as the key
+		// column and skip the byte encoding in the reducer entirely.
+		// Partitioning and state lookup (the typed maps) agree with the
+		// encoded form, so mixed batches still bucket identically.
+		switch v := b.keys[0].vec; v.Type {
+		case dataset.TypeInt:
+			b.ikeys, b.keys = v.I, nil
+		case dataset.TypeString:
+			b.skeys, b.keys = v.S, nil
 		}
 	}
 	if gs.parts > 1 {
@@ -209,12 +232,14 @@ func (gs *groupedScan) build(c *rel, seq int) (*groupedBatch, error) {
 		// whole batch and skipping the other partitions' rows — the reducer
 		// side does n row visits total rather than parts×n.
 		b.rows = make([][]int32, gs.parts)
+		var key []byte
 		for i := 0; i < n; i++ {
 			var h uint32
 			if b.ikeys != nil {
 				h = hash32int(b.ikeys[i])
 			} else {
-				h = hash32(b.keyAt(i))
+				key = b.appendKey(key[:0], i)
+				h = hash32(key)
 			}
 			p := h % uint32(gs.parts)
 			b.rows[p] = append(b.rows[p], int32(i))
@@ -229,7 +254,9 @@ func (gs *groupedScan) build(c *rel, seq int) (*groupedBatch, error) {
 			return nil, err
 		}
 		b.args[ai] = vals
+		compiled = compiled && vals.vec != nil
 	}
+	countFirst(seq == 0, compiled, &vecStats.Groups, &vecStats.GroupFallbacks)
 	return b, nil
 }
 
@@ -245,70 +272,15 @@ func hasNulls(v *expr.Vec) bool {
 	return false
 }
 
-func (gs *groupedScan) buildKeys(c *rel, b *groupedBatch) error {
-	n := c.numRows()
-	var flat []byte
-	if gs.se.ex.vec {
-		kvecs := make([]*expr.Vec, 0, len(gs.stmt.GroupBy))
-		for _, ge := range gs.stmt.GroupBy {
-			k, ok := expr.Compile(ge, relBinder{c}, n)
-			if !ok {
-				kvecs = nil
-				break
-			}
-			v, err := k()
-			if err != nil {
-				return err
-			}
-			kvecs = append(kvecs, v)
-		}
-		if kvecs != nil {
-			if len(kvecs) == 1 && kvecs[0].Type == dataset.TypeInt && !hasNulls(kvecs[0]) {
-				// Columnar fast path: keep the int vector as the key column
-				// and skip the per-row byte encoding entirely. Partitioning
-				// (hash32int) and state lookup (the int map) agree with the
-				// encoded form, so mixed batches still bucket identically.
-				b.ikeys = kvecs[0].I
-				return nil
-			}
-			b.keys = make([][]byte, n)
-			for i := 0; i < n; i++ {
-				start := len(flat)
-				for _, kv := range kvecs {
-					flat = appendGroupKey(flat, kv, i)
-				}
-				b.keys[i] = flat[start:len(flat):len(flat)]
-			}
-			return nil
-		}
-	}
-	b.keys = make([][]byte, n)
-	for i := 0; i < n; i++ {
-		env := rowEnv{c, i}
-		start := len(flat)
-		for _, ge := range gs.stmt.GroupBy {
-			v, err := ge.Eval(env)
-			if err != nil {
-				return err
-			}
-			flat = appendKeyValue(flat, v)
-		}
-		b.keys[i] = flat[start:len(flat):len(flat)]
-	}
-	return nil
-}
-
 // evalColumn evaluates one expression over the chunk, keeping the columnar
 // vector when a kernel compiles and boxing per row otherwise.
 func (gs *groupedScan) evalColumn(c *rel, ex expr.Expr, n int) (argCol, error) {
-	if gs.se.ex.vec {
-		if k, ok := expr.Compile(ex, relBinder{c}, n); ok {
-			v, err := k()
-			if err != nil {
-				return argCol{}, err
-			}
-			return argCol{vec: v}, nil
+	if k, ok := expr.Compile(ex, relBinder{c}, n); ok {
+		v, err := k()
+		if err != nil {
+			return argCol{}, err
 		}
+		return argCol{vec: v}, nil
 	}
 	vals := make([]dataset.Value, n)
 	for i := 0; i < n; i++ {
@@ -335,9 +307,10 @@ func (g *finGroup) before(o *finGroup) bool {
 	return g.seq < o.seq || (g.seq == o.seq && g.row < o.row)
 }
 
-// pgState is one live group state in a partition reducer.
-type pgState struct {
-	gState
+// liveGroup is one group holding an in-memory state in a partition reducer:
+// its first appearance and its representative source row. Its aggregate
+// state lives in the reducer's aggAccs at the group's index.
+type liveGroup struct {
 	seq, row int
 	rep      []dataset.Value
 }
@@ -349,12 +322,15 @@ type groupReducer struct {
 	id        int
 	op        string
 	aggs      []*AggCall
-	states    map[string]*pgState
-	ints      map[int64]*pgState // fast path for single-int group keys
-	order     []*pgState
+	states    map[string]int32 // encoded group key → index into groups
+	ints      map[int64]int32  // single-int group keys (intGroupKey)
+	strs      map[string]int32 // single-string group keys (strGroupKey)
+	groups    []liveGroup      // this pass's admitted groups, in first-seen order
+	acc       []aggAcc         // per AggCall, indexed by group
+	all, gids []int32          // scratch: the identity row list, a batch's group ids
+	key       []byte           // scratch: the row key being looked up
 	spilling  bool
 	sw        *spillWriter
-	admitted  int
 	stateRuns []*spillRun
 	fin       []finGroup
 	err       error
@@ -366,40 +342,43 @@ func newGroupReducer(se *streamExec, id int, aggs []*AggCall) *groupReducer {
 		id:     id,
 		op:     fmt.Sprintf("group-by#%d", id),
 		aggs:   aggs,
-		states: map[string]*pgState{},
-		ints:   map[int64]*pgState{},
+		states: map[string]int32{},
+		ints:   map[int64]int32{},
+		strs:   map[string]int32{},
+		acc:    make([]aggAcc, len(aggs)),
 	}
 }
 
-// gState is one group's streaming aggregate state, one slot per AggCall.
-type gState struct {
-	counts  []int64
-	sums    []float64
-	allInt  []bool
-	best    []dataset.Value
-	hasBest []bool
+// aggAcc is one aggregate's streaming state for every live group of a
+// reducer, indexed by group — the per-table arrays of a one-pass aggregate,
+// grown as groups are admitted. Only the arrays the aggregate reads exist.
+type aggAcc struct {
+	counts []int64         // COUNT; SUM/AVG: values seen
+	sums   []float64       // SUM/AVG, accumulated in row order
+	notInt []bool          // SUM saw a non-int value
+	best   []dataset.Value // MIN/MAX; null until the group sees a value
 }
 
-func newGState(naggs int) *gState {
-	g := &gState{
-		counts:  make([]int64, naggs),
-		sums:    make([]float64, naggs),
-		allInt:  make([]bool, naggs),
-		best:    make([]dataset.Value, naggs),
-		hasBest: make([]bool, naggs),
+func (s *aggAcc) addGroup(a *AggCall) {
+	switch {
+	case a.Star || a.Name == "COUNT":
+		s.counts = append(s.counts, 0)
+	case a.Name == "MIN" || a.Name == "MAX":
+		s.best = append(s.best, dataset.Null)
+	default:
+		s.counts = append(s.counts, 0)
+		s.sums = append(s.sums, 0)
+		s.notInt = append(s.notInt, false)
 	}
-	for i := range g.allInt {
-		g.allInt[i] = true
-	}
-	return g
 }
 
-// accumulate folds one row's argument into one aggregate slot, mirroring
-// computeAgg exactly (same null handling, same float64 addition order per
-// group, same Compare-based MIN/MAX).
-func (g *gState) accumulate(a *AggCall, ai int, v dataset.Value) error {
+// add folds one boxed argument into group g, mirroring computeAgg exactly
+// (same null handling, same float64 addition order per group, same
+// Compare-based MIN/MAX). It serves spill replay, arguments that did not
+// compile, and the vector types fold has no typed loop for.
+func (s *aggAcc) add(a *AggCall, g int32, v dataset.Value) error {
 	if a.Star {
-		g.counts[ai]++
+		s.counts[g]++
 		return nil
 	}
 	if v.IsNull() {
@@ -407,15 +386,15 @@ func (g *gState) accumulate(a *AggCall, ai int, v dataset.Value) error {
 	}
 	switch a.Name {
 	case "COUNT":
-		g.counts[ai]++
+		s.counts[g]++
 	case "MIN", "MAX":
-		if !g.hasBest[ai] {
-			g.best[ai], g.hasBest[ai] = v, true
+		if s.best[g].IsNull() {
+			s.best[g] = v
 			return nil
 		}
-		cmp := dataset.Compare(v, g.best[ai])
+		cmp := dataset.Compare(v, s.best[g])
 		if (a.Name == "MIN" && cmp < 0) || (a.Name == "MAX" && cmp > 0) {
-			g.best[ai] = v
+			s.best[g] = v
 		}
 	default: // SUM, AVG accumulate in ascending row order, like computeAgg
 		f, ok := v.AsFloat()
@@ -423,44 +402,123 @@ func (g *gState) accumulate(a *AggCall, ai int, v dataset.Value) error {
 			return fmt.Errorf("sql: %s over non-numeric value %v", a.Name, v)
 		}
 		if v.Type != dataset.TypeInt {
-			g.allInt[ai] = false
+			s.notInt[g] = true
 		}
-		g.sums[ai] += f
-		g.counts[ai]++
+		s.sums[g] += f
+		s.counts[g]++
 	}
 	return nil
 }
 
-// finishAggValues finalizes one group's aggregate slots the way computeAgg
-// does.
-func finishAggValues(g *gState, aggs []*AggCall) []dataset.Value {
-	out := make([]dataset.Value, len(aggs))
-	for ai, a := range aggs {
-		var v dataset.Value
-		switch {
-		case a.Star || a.Name == "COUNT":
-			v = dataset.Int(g.counts[ai])
-		case a.Name == "MIN" || a.Name == "MAX":
-			v = dataset.Null
-			if g.hasBest[ai] {
-				v = g.best[ai]
-			}
-		case a.Name == "SUM":
-			switch {
-			case g.counts[ai] == 0:
-				v = dataset.Null
-			case g.allInt[ai]:
-				v = dataset.Int(int64(g.sums[ai]))
-			default:
-				v = dataset.Float(g.sums[ai])
-			}
-		default: // AVG
-			v = dataset.Null
-			if g.counts[ai] > 0 {
-				v = dataset.Float(g.sums[ai] / float64(g.counts[ai]))
+// fold accumulates one batch's argument column: rows lists the batch rows
+// this reducer owns and gids[p] the group of rows[p] (negative: the row
+// spilled). Rows are visited in batch order, so each group sees the same
+// float64 addition sequence as the reference's per-group loop.
+func (s *aggAcc) fold(a *AggCall, arg argCol, rows, gids []int32) error {
+	v := arg.vec
+	switch {
+	case a.Star:
+		counts := s.counts
+		for _, g := range gids {
+			if g >= 0 {
+				counts[g]++
 			}
 		}
-		out[ai] = v
+		return nil
+	case v == nil:
+	case a.Name == "COUNT":
+		for p, i := range rows {
+			if g := gids[p]; g >= 0 && !v.NullAt(int(i)) {
+				s.counts[g]++
+			}
+		}
+		return nil
+	case a.Name == "SUM" || a.Name == "AVG":
+		switch v.Type {
+		case dataset.TypeInt:
+			sumInto(s, v.I, v.Nulls, rows, gids, false)
+			return nil
+		case dataset.TypeFloat:
+			sumInto(s, v.F, v.Nulls, rows, gids, true)
+			return nil
+		}
+	default: // MIN, MAX
+		switch v.Type {
+		case dataset.TypeInt:
+			return bestInto(s, a, v, v.I, rows, gids, func(b *dataset.Value) *int64 { return &b.I })
+		case dataset.TypeFloat:
+			return bestInto(s, a, v, v.F, rows, gids, func(b *dataset.Value) *float64 { return &b.F })
+		case dataset.TypeString:
+			return bestInto(s, a, v, v.S, rows, gids, func(b *dataset.Value) *string { return &b.S })
+		}
+	}
+	for p, i := range rows {
+		if g := gids[p]; g >= 0 {
+			if err := s.add(a, g, arg.at(int(i))); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+func sumInto[T int64 | float64](s *aggAcc, vals []T, nulls []bool, rows, gids []int32, notInt bool) {
+	sums, counts, flags := s.sums, s.counts, s.notInt
+	for p, i := range rows {
+		g := gids[p]
+		if g < 0 || (nulls != nil && nulls[i]) {
+			continue
+		}
+		sums[g] += float64(vals[i])
+		counts[g]++
+		if notInt {
+			flags[g] = true
+		}
+	}
+}
+
+// bestInto is MIN/MAX over a typed vector: a held value of the vector's type
+// is replaced only on a strict typed compare — the same rule as add's Compare,
+// so a NaN neither displaces a held value nor is displaced once held. A
+// group's first value, or a held value of another type, goes through add.
+func bestInto[T int64 | float64 | string](s *aggAcc, a *AggCall, v *expr.Vec, vals []T, rows, gids []int32, held func(*dataset.Value) *T) error {
+	min, best, nulls, typ := a.Name == "MIN", s.best, v.Nulls, v.Type
+	for p, i := range rows {
+		g := gids[p]
+		if g < 0 || (nulls != nil && nulls[i]) {
+			continue
+		}
+		if best[g].Type != typ {
+			if err := s.add(a, g, v.ValueAt(int(i))); err != nil {
+				return err
+			}
+			continue
+		}
+		if cur := held(&best[g]); (min && vals[i] < *cur) || (!min && vals[i] > *cur) {
+			*cur = vals[i]
+		}
+	}
+	return nil
+}
+
+// finishAggValues finalizes group g's aggregate slots the way computeAgg
+// does.
+func finishAggValues(acc []aggAcc, aggs []*AggCall, g int) []dataset.Value {
+	out := make([]dataset.Value, len(aggs))
+	for ai, a := range aggs {
+		s := &acc[ai]
+		switch {
+		case a.Star || a.Name == "COUNT":
+			out[ai] = dataset.Int(s.counts[g])
+		case a.Name == "MIN" || a.Name == "MAX":
+			out[ai] = s.best[g]
+		case s.counts[g] == 0: // SUM, AVG over no values stay null
+		case a.Name == "AVG":
+			out[ai] = dataset.Float(s.sums[g] / float64(s.counts[g]))
+		case s.notInt[g]:
+			out[ai] = dataset.Float(s.sums[g])
+		default:
+			out[ai] = dataset.Int(int64(s.sums[g]))
+		}
 	}
 	return out
 }
@@ -475,10 +533,10 @@ func finishAggValues(g *gState, aggs []*AggCall) []dataset.Value {
 // first-seen merge order relies on.
 func (r *groupReducer) admit() (bool, error) {
 	if !r.spilling {
-		if r.se.tryBuffer(r.op, len(r.order)+1) {
+		if r.se.tryBuffer(r.op, len(r.groups)+1) {
 			return true, nil
 		}
-		if len(r.order) == 0 {
+		if len(r.groups) == 0 {
 			r.se.forceBuffer(r.op, 1)
 			return true, nil
 		}
@@ -494,84 +552,100 @@ func (r *groupReducer) admit() (bool, error) {
 	return false, nil
 }
 
-// feed folds one batch's rows for this partition into the live states,
-// spilling rows of new keys once the budget refuses another state.
+// feed folds one batch's rows for this partition into the live states: it
+// resolves each row's group, spilling rows of new keys once the budget
+// refuses another state, then accumulates each aggregate's argument column.
 func (r *groupReducer) feed(b *groupedBatch) error {
+	if b.n == 0 {
+		return nil // fully filtered morsel
+	}
+	rows := r.all
 	if b.rows != nil {
-		for _, i := range b.rows[r.id] {
-			if err := r.feedRow(b, int(i)); err != nil {
+		rows = b.rows[r.id]
+	} else {
+		for len(rows) < b.n {
+			rows = append(rows, int32(len(rows)))
+		}
+		r.all, rows = rows, rows[:b.n]
+	}
+	if cap(r.gids) < len(rows) {
+		r.gids = make([]int32, len(rows))
+	}
+	gids, key := r.gids[:len(rows)], r.key
+	single := b.keys == nil && b.ikeys == nil && b.skeys == nil // no GROUP BY: every row joins the first row's group
+	for p, i := range rows {
+		if single && p > 0 && gids[0] >= 0 {
+			gids[p] = gids[0]
+			continue
+		}
+		var g int32
+		var ok bool
+		switch {
+		case b.ikeys != nil:
+			g, ok = r.ints[b.ikeys[i]]
+		case b.skeys != nil:
+			g, ok = r.strs[b.skeys[i]]
+		default:
+			key = b.appendKey(key[:0], int(i))
+			g, ok = r.lookup(key)
+		}
+		if !ok {
+			admit, err := r.admit()
+			if err != nil {
 				return err
 			}
+			if !admit {
+				rec := &spillRec{Seq: b.seq, Row: int(i), Key: b.appendKey(nil, int(i)), A: b.argsAt(int(i)), B: repRow(b.rep, int(i))}
+				if err := r.sw.write(rec); err != nil {
+					return err
+				}
+				gids[p] = -1
+				continue
+			}
+			key = b.appendKey(key[:0], int(i))
+			g = r.newGroup(key, b.seq, int(i), repRow(b.rep, int(i)))
 		}
-		return nil
+		gids[p] = g
 	}
-	for i := 0; i < b.n; i++ {
-		if err := r.feedRow(b, i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *groupReducer) feedRow(b *groupedBatch, i int) error {
-	var g *pgState
-	var ok bool
-	if b.ikeys != nil {
-		g, ok = r.ints[b.ikeys[i]]
-	} else {
-		g, ok = r.lookup(b.keyAt(i))
-	}
-	if !ok {
-		admit, err := r.admit()
-		if err != nil {
-			return err
-		}
-		if !admit {
-			return r.sw.write(&spillRec{Seq: b.seq, Row: i, Key: b.encodedKey(i), A: b.argsAt(i), B: repRow(b.rep, i)})
-		}
-		if b.ikeys != nil {
-			g = r.newIntState(b.ikeys[i], b.seq, i, repRow(b.rep, i))
-		} else {
-			g = r.newState(b.keyAt(i), b.seq, i, repRow(b.rep, i))
-		}
-	}
+	r.key = key
 	for ai, a := range r.aggs {
-		var v dataset.Value
-		if col := b.args[ai]; col.valid() {
-			v = col.at(i)
-		}
-		if err := g.accumulate(a, ai, v); err != nil {
+		if err := r.acc[ai].fold(a, b.args[ai], rows, gids); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (r *groupReducer) lookup(key []byte) (*pgState, bool) {
+// lookup resolves an encoded key to its live group. Single-int and
+// single-string keys live in typed maps, whichever representation — columnar
+// or encoded — the batch that first saw them used.
+func (r *groupReducer) lookup(key []byte) (int32, bool) {
 	if k, ok := intGroupKey(key); ok {
 		g, hit := r.ints[k]
+		return g, hit
+	}
+	if k, ok := strGroupKey(key); ok {
+		g, hit := r.strs[string(k)]
 		return g, hit
 	}
 	g, hit := r.states[string(key)]
 	return g, hit
 }
 
-func (r *groupReducer) newState(key []byte, seq, row int, rep []dataset.Value) *pgState {
-	if k, ok := intGroupKey(key); ok {
-		return r.newIntState(k, seq, row, rep)
+// newGroup admits the group of an encoded key, first seen at (seq, row).
+func (r *groupReducer) newGroup(key []byte, seq, row int, rep []dataset.Value) int32 {
+	g := int32(len(r.groups))
+	r.groups = append(r.groups, liveGroup{seq: seq, row: row, rep: rep})
+	for ai, a := range r.aggs {
+		r.acc[ai].addGroup(a)
 	}
-	g := &pgState{gState: *newGState(len(r.aggs)), seq: seq, row: row, rep: rep}
-	r.states[string(key)] = g
-	r.order = append(r.order, g)
-	r.admitted++
-	return g
-}
-
-func (r *groupReducer) newIntState(k int64, seq, row int, rep []dataset.Value) *pgState {
-	g := &pgState{gState: *newGState(len(r.aggs)), seq: seq, row: row, rep: rep}
-	r.ints[k] = g
-	r.order = append(r.order, g)
-	r.admitted++
+	if k, ok := intGroupKey(key); ok {
+		r.ints[k] = g
+	} else if k, ok := strGroupKey(key); ok {
+		r.strs[string(k)] = g
+	} else {
+		r.states[string(key)] = g
+	}
 	return g
 }
 
@@ -579,9 +653,9 @@ func (r *groupReducer) newIntState(k int64, seq, row int, rep []dataset.Value) *
 // order) followed by fin hold this partition's groups in first-seen order.
 func (r *groupReducer) finish() error {
 	for {
-		fin := make([]finGroup, len(r.order))
-		for gi, g := range r.order {
-			fin[gi] = finGroup{seq: g.seq, row: g.row, rep: g.rep, agg: finishAggValues(&g.gState, r.aggs)}
+		fin := make([]finGroup, len(r.groups))
+		for gi, g := range r.groups {
+			fin[gi] = finGroup{seq: g.seq, row: g.row, rep: g.rep, agg: finishAggValues(r.acc, r.aggs, gi)}
 		}
 		if r.sw == nil {
 			r.fin = fin
@@ -604,9 +678,9 @@ func (r *groupReducer) finish() error {
 			return err
 		}
 		r.stateRuns = append(r.stateRuns, run)
-		r.states = map[string]*pgState{}
-		r.ints = map[int64]*pgState{}
-		r.order = nil
+		r.states, r.ints, r.strs = map[string]int32{}, map[int64]int32{}, map[string]int32{}
+		r.groups = nil
+		r.acc = make([]aggAcc, len(r.aggs))
 		// Releasing this partition's charge must never fail: sibling
 		// partitions' forced admissions can hold the global total over budget
 		// right now, and the checked buffer() would turn that transient into
@@ -615,14 +689,13 @@ func (r *groupReducer) finish() error {
 		rowRun, err := r.sw.finish()
 		r.sw = nil
 		r.spilling = false
-		r.admitted = 0
 		if err != nil {
 			return err
 		}
 		if err := r.replay(rowRun); err != nil {
 			return err
 		}
-		if r.admitted == 0 && r.sw != nil {
+		if len(r.groups) == 0 && r.sw != nil {
 			// Unreachable with forced first-state admission, kept as a
 			// hard stop: a pass that admits nothing while still spilling
 			// would otherwise replay the same rows forever. Must fail
@@ -662,10 +735,10 @@ func (r *groupReducer) replay(run *spillRun) error {
 				}
 				continue
 			}
-			g = r.newState(rec.Key, rec.Seq, rec.Row, rec.B)
+			g = r.newGroup(rec.Key, rec.Seq, rec.Row, rec.B)
 		}
 		for ai, a := range r.aggs {
-			if err := g.accumulate(a, ai, rec.A[ai]); err != nil {
+			if err := r.acc[ai].add(a, g, rec.A[ai]); err != nil {
 				return err
 			}
 		}
@@ -717,8 +790,36 @@ type mergedGroups struct {
 	heads []*finGroup
 }
 
-func newMergedGroups(srcs []*groupSource) *mergedGroups {
+func newMergedGroups(reducers []*groupReducer) *mergedGroups {
+	srcs := make([]*groupSource, len(reducers))
+	for p, red := range reducers {
+		srcs[p] = &groupSource{runs: red.stateRuns, mem: red.fin}
+	}
 	return &mergedGroups{srcs: srcs, heads: make([]*finGroup, len(srcs))}
+}
+
+// groupRows lays finished groups out the way the per-group output phase
+// (finishGrouped) reads them: the representative rows as a relation, and each
+// group's aggregates keyed by AggCall.Key.
+func groupRows(schema *rel, aggs []*AggCall, fin []*finGroup) (*rel, []groupData) {
+	reps := &rel{cols: make([]*dataset.Column, len(schema.cols)), quals: schema.quals}
+	for i, c := range schema.cols {
+		reps.cols[i] = dataset.NewColumn(c.Name(), c.Type())
+	}
+	groups := make([]groupData, len(fin))
+	for gi, fg := range fin {
+		if fg.rep != nil { // nil: the one group of an aggregate over no rows
+			for ci, col := range reps.cols {
+				col.Append(fg.rep[ci])
+			}
+		}
+		aggVals := make(expr.MapEnv, len(aggs))
+		for ai, a := range aggs {
+			aggVals[a.Key()] = fg.agg[ai]
+		}
+		groups[gi] = groupData{firstRow: gi, aggVals: aggVals}
+	}
+	return reps, groups
 }
 
 func (m *mergedGroups) next() (*finGroup, error) {
@@ -751,13 +852,9 @@ func (m *mergedGroups) next() (*finGroup, error) {
 // partition folds inline on the consumer; more get a reducer goroutine each.
 func (se *streamExec) partitionedGroupedPull(stmt *SelectStmt, chunks relChunks, aggs []*AggCall, schema *rel) func() (*dataset.Table, error) {
 	return deferredPull(func() (func() (*dataset.Table, error), error) {
-		parts := se.workers()
+		parts := se.nw
 		gs := &groupedScan{se: se, stmt: stmt, aggs: aggs, parts: parts}
-		pipe := newParallelPipe(parts, 2*parts,
-			pullRel(chunks),
-			gs.build,
-		)
-		se.onStop(pipe.stop)
+		pipe := newParallelPipe(se, pullRel(chunks), gs.build)
 
 		reducers := make([]*groupReducer, parts)
 		for p := range reducers {
@@ -828,69 +925,38 @@ func (se *streamExec) partitionedGroupedPull(stmt *SelectStmt, chunks relChunks,
 }
 
 // finishGroupedInMemory is the no-spill epilogue: merge the partitions'
-// groups into global first-seen order and run the buffered executor's own
+// groups into global first-seen order and run the reference executor's own
 // finishing phase (finishGrouped → DISTINCT → OFFSET/LIMIT), re-chunked, so
 // output is identical to it down to column types.
 func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, schema *rel, reducers []*groupReducer) (func() (*dataset.Table, error), error) {
-	idx := make([]int, len(reducers))
-	var order []finGroup
+	merged := newMergedGroups(reducers)
+	var order []*finGroup
 	for {
-		best := -1
-		for p, red := range reducers {
-			if idx[p] >= len(red.fin) {
-				continue
-			}
-			if best < 0 || red.fin[idx[p]].before(&reducers[best].fin[idx[best]]) {
-				best = p
-			}
+		g, err := merged.next()
+		if err != nil {
+			return nil, err
 		}
-		if best < 0 {
+		if g == nil {
 			break
 		}
-		order = append(order, reducers[best].fin[idx[best]])
-		idx[best]++
+		order = append(order, g)
 	}
 	if len(stmt.GroupBy) == 0 && len(order) == 0 {
 		// Aggregates over zero rows still produce one output group, with no
 		// representative row buffered.
-		g := newGState(len(aggs))
-		order = append(order, finGroup{agg: finishAggValues(g, aggs)})
-	}
-	firstRows := &rel{cols: make([]*dataset.Column, len(schema.cols)), quals: schema.quals}
-	for i, c := range schema.cols {
-		firstRows.cols[i] = dataset.NewColumn(c.Name(), c.Type())
-	}
-	groups := make([]groupData, len(order))
-	for gi := range order {
-		fg := &order[gi]
-		if fg.rep != nil {
-			for ci, col := range firstRows.cols {
-				col.Append(fg.rep[ci])
-			}
-		}
-		aggVals := make(expr.MapEnv, len(aggs))
+		acc := make([]aggAcc, len(aggs))
 		for ai, a := range aggs {
-			aggVals[a.Key()] = fg.agg[ai]
+			acc[ai].addGroup(a)
 		}
-		groups[gi] = groupData{firstRow: gi, aggVals: aggVals}
+		order = append(order, &finGroup{agg: finishAggValues(acc, aggs, 0)})
 	}
+	firstRows, groups := groupRows(schema, aggs, order)
 	out, err := se.ex.finishGrouped(stmt, firstRows, groups)
+	if err == nil {
+		out, err = distinctLimit(stmt, out)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if stmt.Distinct {
-		out, err = out.Distinct()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if stmt.Offset > 0 || stmt.Limit >= 0 {
-		from := stmt.Offset
-		to := out.NumRows()
-		if stmt.Limit >= 0 && from+stmt.Limit < to {
-			to = from + stmt.Limit
-		}
-		out = out.Slice(from, to)
 	}
 	return rechunkTable(out, se.opts.chunkRows()), nil
 }
@@ -900,69 +966,14 @@ func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, s
 // present, and emit fixed-size chunks so the chunk boundaries match the
 // in-memory epilogue's re-chunked output.
 func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, schema *rel, reducers []*groupReducer) (func() (*dataset.Table, error), error) {
-	srcs := make([]*groupSource, len(reducers))
-	for p, red := range reducers {
-		srcs[p] = &groupSource{runs: red.stateRuns, mem: red.fin}
-	}
-	merged := newMergedGroups(srcs)
+	merged := newMergedGroups(reducers)
 	names, exprs := se.ex.expandItems(stmt.Items, schema)
-	colTypes := make([]dataset.Type, len(schema.cols))
-	for i, c := range schema.cols {
-		colTypes[i] = c.Type()
-	}
 
-	// finishBatch mirrors finishGrouped's per-group phase: HAVING filter,
-	// projection, and ORDER BY key evaluation against the same environments.
-	finishBatch := func(batch []*finGroup) (vals [][]dataset.Value, keys [][]dataset.Value, err error) {
-		source := &rel{cols: make([]*dataset.Column, len(schema.cols)), quals: schema.quals}
-		for i, c := range schema.cols {
-			source.cols[i] = dataset.NewColumn(c.Name(), colTypes[i])
-		}
-		for _, fg := range batch {
-			for ci, col := range source.cols {
-				col.Append(fg.rep[ci])
-			}
-		}
-		outRow := make(expr.MapEnv, len(exprs))
-		for bi, fg := range batch {
-			aggVals := make(expr.MapEnv, len(aggs))
-			for ai, a := range aggs {
-				aggVals[a.Key()] = fg.agg[ai]
-			}
-			env := chainEnv{aggVals, rowEnv{source, bi}}
-			if stmt.Having != nil {
-				ok, err := expr.EvalBool(stmt.Having, env)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			row := make([]dataset.Value, len(exprs))
-			for ci, ex := range exprs {
-				v, err := ex.Eval(env)
-				if err != nil {
-					return nil, nil, err
-				}
-				row[ci] = v
-				outRow[names[ci]] = v
-			}
-			vals = append(vals, row)
-			if len(stmt.OrderBy) > 0 {
-				orderEnv := chainEnv{outRow, env}
-				krow := make([]dataset.Value, len(stmt.OrderBy))
-				for ki, o := range stmt.OrderBy {
-					v, err := o.Expr.Eval(orderEnv)
-					if err != nil {
-						return nil, nil, err
-					}
-					krow[ki] = v
-				}
-				keys = append(keys, krow)
-			}
-		}
-		return vals, keys, nil
+	// finishBatch is finishGrouped's per-group phase over one batch of groups:
+	// HAVING filter, projection, and ORDER BY key evaluation.
+	finishBatch := func(batch []*finGroup) (vals, keys [][]dataset.Value, err error) {
+		source, groups := groupRows(schema, aggs, batch)
+		return projectRows(names, exprs, stmt.Having, stmt.OrderBy, len(groups), groupEnv(source, groups))
 	}
 
 	chunkRows := se.opts.chunkRows()
@@ -1005,11 +1016,7 @@ func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, sc
 			}
 			seq++
 		}
-		sorted := sorter.sources()
-		rowSrc = func() ([]dataset.Value, bool, error) {
-			vals, _, ok, err := sorter.mergeStep(sorted)
-			return vals, ok, err
-		}
+		rowSrc = sorter.rows()
 	} else {
 		var pending [][]dataset.Value
 		done := false
@@ -1034,36 +1041,7 @@ func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, sc
 		}
 	}
 
-	// Emit fixed-size chunks; guarantee one (possibly empty) chunk so the
-	// schema always reaches the consumer, like rechunkTable.
-	emitted := false
-	finished := false
-	pull := func() (*dataset.Table, error) {
-		if finished {
-			return nil, nil
-		}
-		rows := make([][]dataset.Value, 0, chunkRows)
-		for len(rows) < chunkRows {
-			row, ok, err := rowSrc()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				finished = true
-				break
-			}
-			rows = append(rows, row)
-		}
-		if len(rows) == 0 {
-			if !emitted {
-				emitted = true
-				return buildValueChunk(names, nil, nil)
-			}
-			return nil, nil
-		}
-		emitted = true
-		return buildValueChunk(names, nil, rows)
-	}
+	pull := se.chunked(names, nil, rowSrc)
 	if stmt.Distinct {
 		pull = se.parallelDistinctPull(pull)
 	}

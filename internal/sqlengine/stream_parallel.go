@@ -63,24 +63,21 @@ type parallelPipe[I, O any] struct {
 	serialDone bool
 }
 
-// newParallelPipe builds a pipe. Workers are spawned lazily on first next()
-// so pipelines that are never consumed never start goroutines.
-func newParallelPipe[I, O any](workers, window int, pull func() (I, bool, error), work func(I, int) (O, error)) *parallelPipe[I, O] {
-	if workers < 1 {
-		workers = 1
-	}
-	if window < workers {
-		window = workers * 2
-	}
+// newParallelPipe builds a pipe over the stream's workers, with a reassembly
+// window of two items per worker, and registers its teardown with the stream.
+// Workers are spawned lazily on first next() so pipelines that are never
+// consumed never start goroutines.
+func newParallelPipe[I, O any](se *streamExec, pull func() (I, bool, error), work func(I, int) (O, error)) *parallelPipe[I, O] {
 	p := &parallelPipe[I, O]{
 		pull:    pull,
 		work:    work,
-		workers: workers,
-		window:  window,
+		workers: se.nw,
+		window:  2 * se.nw,
 		results: make(map[int]O),
 		errSeq:  -1,
 	}
 	p.cond = sync.NewCond(&p.mu)
+	se.onStop(p.stop)
 	return p
 }
 

@@ -73,7 +73,7 @@ func runSameChunksAtWorkers(t *testing.T, catalog MapCatalog, query string, base
 
 // TestDifferentialChunksIndependentOfWorkers runs the randomized corpus at
 // several worker counts and pins every output chunk against the one-worker
-// stream — including tiny chunks (many fan-out rounds) and disabled kernels.
+// stream — including tiny chunks (many fan-out rounds).
 // The corpus tail holds the early-stopping LIMIT shapes buildPipeline forces
 // to one worker, one of which fails on a row past its limit: no worker count
 // may surface that error.
@@ -85,7 +85,6 @@ func TestDifferentialChunksIndependentOfWorkers(t *testing.T) {
 	variants := []StreamOptions{
 		{},
 		{ChunkRows: 7},
-		{ChunkRows: 32, Options: Options{DisableVectorized: true}},
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		seed := seed
@@ -139,7 +138,7 @@ func TestDifferentialForcedSpill(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q (workers=%d): %v", q, workers, err)
 			}
-			out, err := rs.ReadAll()
+			out, err := rs.Drain(nil)
 			if err != nil {
 				t.Fatalf("%q (workers=%d): drain: %v", q, workers, err)
 			}
@@ -178,7 +177,7 @@ func TestStreamGroupBySpillsUnderBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := rs.ReadAll()
+	out, err := rs.Drain(nil)
 	if err != nil {
 		t.Fatalf("engine failed under the budget: %v", err)
 	}
@@ -223,7 +222,7 @@ func TestStreamBudgetRacingSpill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := rs.ReadAll()
+		out, err := rs.Drain(nil)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -289,7 +288,7 @@ func TestStreamSpillCleanupOnError(t *testing.T) {
 		Parallelism:     4,
 	})
 	if err == nil {
-		_, err = rs.ReadAll()
+		_, err = rs.Drain(nil)
 	}
 	if err == nil {
 		t.Fatal("SUM over strings succeeded; want an evaluation error")

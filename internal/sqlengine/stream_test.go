@@ -12,33 +12,29 @@ import (
 // runStreamAndReference pins the morsel pipeline to the row-at-a-time
 // reference: the drained stream must equal the reference result, or both
 // paths must fail.
-func runStreamAndReference(t *testing.T, catalog MapCatalog, query string, opts StreamOptions) {
+func runStreamAndReference(t *testing.T, catalog MapCatalog, query string, opts StreamOptions) *RowStream {
 	t.Helper()
-	stmt, err := Parse(query)
-	if err != nil {
-		t.Fatalf("parse %q: %v", query, err)
-	}
+	stmt := mustParse(t, query)
 	var streamOut *dataset.Table
 	rs, streamErr := ExecStreamStmt(catalog, stmt, opts)
 	if streamErr == nil {
-		streamOut, streamErr = rs.ReadAll()
+		streamOut, streamErr = rs.Drain(nil)
 	}
 	refOut, refErr := ExecStmtOptions(catalog, stmt, Options{DisableVectorized: true})
 	if (streamErr == nil) != (refErr == nil) {
 		t.Fatalf("error divergence for %q:\n  stream:    %v\n  reference: %v", query, streamErr, refErr)
 	}
-	if streamErr != nil {
-		return
-	}
-	if !streamOut.Equal(refOut) {
+	if streamErr == nil && !streamOut.Equal(refOut) {
 		t.Fatalf("result divergence for %q (fellBack=%v):\nstream:\n%s\nreference:\n%s",
 			query, rs.FellBack(), streamOut, refOut)
 	}
+	return rs
 }
 
 // TestDifferentialStreamVsReference runs every corpus query through the
 // streaming pipeline under several chunk sizes (including a tiny one that
-// forces many chunk boundaries) and both kernel settings.
+// forces many chunk boundaries), then the explicit cases of a computed
+// column whose inferred type differs between chunks.
 func TestDifferentialStreamVsReference(t *testing.T) {
 	seeds := int64(6)
 	if testing.Short() {
@@ -47,7 +43,6 @@ func TestDifferentialStreamVsReference(t *testing.T) {
 	variants := []StreamOptions{
 		{},
 		{ChunkRows: 7},
-		{ChunkRows: 32, Options: Options{DisableVectorized: true}},
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
 		seed := seed
@@ -61,6 +56,90 @@ func TestDifferentialStreamVsReference(t *testing.T) {
 				}
 			}
 		})
+	}
+	t.Run("chunk-unstable-types", testChunkUnstableTypes)
+}
+
+// testChunkUnstableTypes drains, at 32-row chunks, select lists whose chunks
+// disagree on a column's type: IF is not a kernel, so its column's type is
+// inferred per chunk from the values the chunk happens to hold. The drained
+// table must hold the reference's values under the reference's column types.
+func testChunkUnstableTypes(t *testing.T) {
+	const rows = 100
+	ns := make([]int64, rows)
+	xs := make([]float64, rows)
+	z := dataset.NewColumn("z", dataset.TypeNull)
+	for i := range ns {
+		ns[i], xs[i] = int64(i), float64(i)+0.5
+		z.Append(dataset.Null)
+	}
+	catalog := NewMapCatalog(map[string]*dataset.Table{
+		"u": dataset.MustNewTable("u", dataset.IntColumn("n", ns, nil), dataset.FloatColumn("x", xs, nil), z),
+	})
+	for _, tc := range []struct {
+		query string
+		want  dataset.Type
+	}{
+		{"SELECT IF(n < 40, n, x) AS c FROM u", dataset.TypeFloat},                  // an int-only chunk, then float chunks
+		{"SELECT IF(n < 32, NULL, n) AS c FROM u", dataset.TypeInt},                 // an all-null chunk first
+		{"SELECT IF(n < 32, NULL, n) AS c FROM u WHERE n < 20", dataset.TypeString}, // never a value: as the reference infers
+		{"SELECT IF(n >= 64, 'late', n) AS c FROM u", dataset.TypeString},           // int chunks, then a string chunk
+		{"SELECT z AS c, n FROM u", dataset.TypeNull},                               // a plain column renamed over TypeNull windows
+		{"SELECT z AS c, n FROM u ORDER BY n DESC", dataset.TypeNull},
+	} {
+		for _, workers := range []int{1, 4} {
+			opts := StreamOptions{ChunkRows: 32, Parallelism: workers}
+			runStreamAndReference(t, catalog, tc.query, opts)
+			rs, err := ExecStream(catalog, tc.query, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := rs.Drain(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := ExecStmtOptions(catalog, mustParse(t, tc.query), Options{DisableVectorized: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, refType := out.Columns()[0].Type(), ref.Columns()[0].Type()
+			if got != tc.want || got != refType {
+				t.Errorf("%q (workers=%d): drained column type %v, reference %v, want %v", tc.query, workers, got, refType, tc.want)
+			}
+		}
+	}
+}
+
+func mustParse(t *testing.T, query string) *SelectStmt {
+	t.Helper()
+	stmt, err := Parse(query)
+	if err != nil {
+		t.Fatalf("parse %q: %v", query, err)
+	}
+	return stmt
+}
+
+// TestSingleChunkDrainAllocatesNoCells pins that draining a stream of one
+// chunk hands that chunk over: the allocation count is the pipeline's fixed
+// set-up, not a function of the row count.
+func TestSingleChunkDrainAllocatesNoCells(t *testing.T) {
+	allocs := func(rows int) float64 {
+		catalog := NewMapCatalog(benchTables(rows))
+		stmt := mustParse(t, "SELECT id, v, s FROM big")
+		return testing.AllocsPerRun(5, func() {
+			rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{ChunkRows: rows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := rs.Drain(nil)
+			if err != nil || out.NumRows() != rows {
+				t.Fatalf("drained %v, %v; want %d rows", out, err, rows)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(8192)
+	if large > small || large > 64 {
+		t.Fatalf("single-chunk drain allocates %.0f times at 8192 rows, %.0f at 64; want the same small constant", large, small)
 	}
 }
 
@@ -145,7 +224,7 @@ func TestStreamBudgetError(t *testing.T) {
 	} {
 		rs, err := ExecStream(catalog, tc.query, StreamOptions{MaxBufferedRows: tc.budget})
 		if err == nil {
-			_, err = rs.ReadAll()
+			_, err = rs.Drain(nil)
 		}
 		var be *BudgetError
 		if !errors.As(err, &be) {
@@ -176,7 +255,7 @@ func TestStreamGroupByConstantMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := rs.ReadAll()
+	out, err := rs.Drain(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,26 +6,27 @@ import (
 	"math"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"datachat/internal/dataset"
 	"datachat/internal/expr"
 )
 
-// This file holds the vectorized side of the executor. Each entry point
-// (vecFilter, vecProjection, vecGrouped, vecJoinPairs) tries to compile the
-// statement fragment into typed kernels over whole columns; when a fragment
-// uses something the kernel compiler does not support, it reports !ok and
-// the caller runs the row-at-a-time path, which remains authoritative. The
-// differential tests execute queries both ways and require identical
-// tables, so everything here replicates the row path's semantics exactly:
+// This file holds what the morsel pipeline needs to run a statement fragment
+// as typed kernels over a morsel's columns: the column binders the kernel
+// compiler resolves names through, the byte encodings of group and join keys,
+// and the counters that record which side ran. When a fragment uses something
+// the kernel compiler does not support, the operator evaluates that morsel
+// row at a time instead; the reference executor remains authoritative. The
+// differential tests execute queries both ways and require identical tables,
+// so everything here replicates the row path's semantics exactly:
 // three-valued null logic, Compare's NaN-equals-everything floats, the
 // rendered group-key equivalence, and the hash-prefilter-plus-full-residual
 // join contract.
 
-// vecStats counts, per executor feature, how often the vectorized path ran
-// and how often it fell back. The differential harness asserts both sides
-// are exercised; the experiment driver reports them.
+// vecStats counts, per pipeline operator of a statement, whether it ran on
+// kernels or fell back to the row evaluator — once per operator (on its first
+// morsel), not once per morsel. The differential harness asserts both sides
+// are exercised; /statsz reports them.
 var vecStats struct {
 	Filters, FilterFallbacks         atomic.Int64
 	Projections, ProjectionFallbacks atomic.Int64
@@ -33,9 +34,12 @@ var vecStats struct {
 	Joins, ResidualFallbacks         atomic.Int64
 }
 
-// VecCounters snapshots the vectorized-execution counters. Keys:
-// filters, filter_fallbacks, projections, projection_fallbacks, groups,
-// group_fallbacks, joins, residual_fallbacks.
+// VecCounters snapshots the kernel-execution counters. Keys: filters /
+// filter_fallbacks (a WHERE compiled / was evaluated per row), projections /
+// projection_fallbacks (a computed select list or ORDER BY key set),
+// groups / group_fallbacks (group keys and aggregate arguments), joins (an
+// equi join built its byte-keyed hash table), residual_fallbacks (a join's ON
+// residual was re-checked per candidate pair).
 func VecCounters() map[string]int64 {
 	return map[string]int64{
 		"filters":              vecStats.Filters.Load(),
@@ -46,6 +50,18 @@ func VecCounters() map[string]int64 {
 		"group_fallbacks":      vecStats.GroupFallbacks.Load(),
 		"joins":                vecStats.Joins.Load(),
 		"residual_fallbacks":   vecStats.ResidualFallbacks.Load(),
+	}
+}
+
+// countFirst bumps kernel, or fallback when the operator could not compile,
+// if this is the operator's first morsel.
+func countFirst(first, compiled bool, kernel, fallback *atomic.Int64) {
+	switch {
+	case !first:
+	case compiled:
+		kernel.Add(1)
+	default:
+		fallback.Add(1)
 	}
 }
 
@@ -60,26 +76,6 @@ func (b relBinder) BindColumn(name string) (*dataset.Column, error) {
 		return nil, err
 	}
 	return b.r.cols[i], nil
-}
-
-// vecFilter evaluates WHERE as one kernel pass and returns the selection
-// vector of surviving row indexes, truncated to rowBudget when the LIMIT
-// push-down applies (rowBudget < 0 means unbounded).
-func (e *executor) vecFilter(where expr.Expr, source *rel, rowBudget int) ([]int, bool, error) {
-	if !e.vec {
-		return nil, false, nil
-	}
-	k, ok := expr.Compile(where, relBinder{source}, source.numRows())
-	if !ok {
-		vecStats.FilterFallbacks.Add(1)
-		return nil, false, nil
-	}
-	v, err := k()
-	if err != nil {
-		return nil, false, err
-	}
-	vecStats.Filters.Add(1)
-	return v.SelectTrue(rowBudget), true, nil
 }
 
 // outputBinder resolves ORDER BY column references the way the row path's
@@ -118,187 +114,9 @@ func (b outputBinder) BindColumn(name string) (*dataset.Column, error) {
 	return b.src.BindColumn(name)
 }
 
-// vecProjection evaluates the select list as kernels, one vector per output
-// column, and sorts via typed key columns decoded once. It runs after
-// columnarProjection (pure column lists never reach here) and reports
-// ok=false when any item or order key fails to compile.
-func (e *executor) vecProjection(stmt *SelectStmt, source *rel) (*dataset.Table, bool, error) {
-	if !e.vec {
-		return nil, false, nil
-	}
-	names, exprs := e.expandItems(stmt.Items, source)
-	n := source.numRows()
-	binder := relBinder{source}
-	kernels := make([]expr.Kernel, len(exprs))
-	for i, ex := range exprs {
-		k, ok := expr.Compile(ex, binder, n)
-		if !ok {
-			vecStats.ProjectionFallbacks.Add(1)
-			return nil, false, nil
-		}
-		kernels[i] = k
-	}
-	outCols := make([]*dataset.Column, len(kernels))
-	for i, k := range kernels {
-		v, err := k()
-		if err != nil {
-			return nil, false, err
-		}
-		outCols[i] = v.Column(names[i])
-	}
-	var sortIdx []int
-	if len(stmt.OrderBy) > 0 {
-		ob := outputBinder{names: names, cols: outCols, src: binder}
-		keyCols := make([]*dataset.Column, len(stmt.OrderBy))
-		desc := make([]bool, len(stmt.OrderBy))
-		for ki, o := range stmt.OrderBy {
-			k, ok := expr.Compile(o.Expr, ob, n)
-			if !ok {
-				vecStats.ProjectionFallbacks.Add(1)
-				return nil, false, nil
-			}
-			v, err := k()
-			if err != nil {
-				return nil, false, err
-			}
-			keyCols[ki] = v.Column("")
-			desc[ki] = o.Desc
-		}
-		sortIdx = dataset.SortIndex(keyCols, desc)
-	}
-	out, err := assembleTable("result", outCols)
-	if err != nil {
-		return nil, false, err
-	}
-	if sortIdx != nil {
-		out = out.Take(sortIdx)
-	}
-	vecStats.Projections.Add(1)
-	return out, true, nil
-}
-
-// vecGrouped computes group assignment and aggregates in vectorized form:
-// byte-encoded composite keys into a hash table of dense group ids, then
-// one streaming pass per aggregate over typed slices — no per-group row
-// index slices and no boxed values until the per-group output phase.
-func (e *executor) vecGrouped(stmt *SelectStmt, source *rel, aggs []*AggCall) ([]groupData, bool, error) {
-	if !e.vec {
-		return nil, false, nil
-	}
-	for _, a := range aggs {
-		if a.Distinct {
-			vecStats.GroupFallbacks.Add(1)
-			return nil, false, nil
-		}
-		switch a.Name {
-		case "COUNT", "SUM", "AVG", "MIN", "MAX":
-		default: // MEDIAN, STDDEV need the full value set per group
-			vecStats.GroupFallbacks.Add(1)
-			return nil, false, nil
-		}
-	}
-	n := source.numRows()
-	binder := relBinder{source}
-
-	var groupOf []int32
-	var firstRows []int
-	if len(stmt.GroupBy) == 0 {
-		// Everything aggregates into one group, even over zero rows.
-		groupOf = make([]int32, n)
-		firstRows = []int{0}
-	} else {
-		keyVecs := make([]*expr.Vec, len(stmt.GroupBy))
-		for i, ge := range stmt.GroupBy {
-			k, ok := expr.Compile(ge, binder, n)
-			if !ok {
-				vecStats.GroupFallbacks.Add(1)
-				return nil, false, nil
-			}
-			v, err := k()
-			if err != nil {
-				return nil, false, err
-			}
-			keyVecs[i] = v
-		}
-		groupOf, firstRows = hashGroups(keyVecs, n)
-	}
-
-	argVecs := make([]*expr.Vec, len(aggs))
-	for ai, a := range aggs {
-		if a.Star {
-			continue
-		}
-		k, ok := expr.Compile(a.Arg, binder, n)
-		if !ok {
-			vecStats.GroupFallbacks.Add(1)
-			return nil, false, nil
-		}
-		v, err := k()
-		if err != nil {
-			return nil, false, err
-		}
-		if (a.Name == "SUM" || a.Name == "AVG") && !numericAggVec(v.Type) {
-			// The reference errors on SUM/AVG over non-numeric values;
-			// reproduce it by running the row path.
-			vecStats.GroupFallbacks.Add(1)
-			return nil, false, nil
-		}
-		argVecs[ai] = v
-	}
-
-	ngroups := len(firstRows)
-	groups := make([]groupData, ngroups)
-	for gi := range groups {
-		groups[gi] = groupData{firstRow: firstRows[gi], aggVals: make(expr.MapEnv, len(aggs))}
-	}
-	for ai, a := range aggs {
-		vals := streamAgg(a, argVecs[ai], groupOf, ngroups)
-		key := a.Key()
-		for gi, v := range vals {
-			groups[gi].aggVals[key] = v
-		}
-	}
-	vecStats.Groups.Add(1)
-	return groups, true, nil
-}
-
-func numericAggVec(t dataset.Type) bool {
-	// Bool joins the numerics because AsFloat coerces it; TypeNull never
-	// yields a value, so SUM/AVG stay null without erroring.
-	switch t {
-	case dataset.TypeInt, dataset.TypeFloat, dataset.TypeBool, dataset.TypeNull:
-		return true
-	}
-	return false
-}
-
 var canonicalNaNBits = math.Float64bits(math.NaN())
 
-// hashGroups assigns each row a dense group id by byte-encoding its
-// composite key into a reused buffer. Group ids run in first-seen order,
-// matching the reference path's output ordering; the map only allocates a
-// key string on insert, once per distinct group.
-func hashGroups(keys []*expr.Vec, n int) (groupOf []int32, firstRows []int) {
-	groupOf = make([]int32, n)
-	ids := make(map[string]int32, 64)
-	var buf []byte
-	for i := 0; i < n; i++ {
-		buf = buf[:0]
-		for _, kv := range keys {
-			buf = appendGroupKey(buf, kv, i)
-		}
-		id, ok := ids[string(buf)]
-		if !ok {
-			id = int32(len(firstRows))
-			ids[string(buf)] = id
-			firstRows = append(firstRows, i)
-		}
-		groupOf[i] = id
-	}
-	return groupOf, firstRows
-}
-
-// appendGroupKey encodes one key cell. The encoding's equivalence classes
+// appendGroupKey encodes one group-key cell into a reused buffer. The encoding's equivalence classes
 // match the reference's rendered keys per type: int64 and unix-nano times
 // are bijective with their renders, float bits are bijective with the %g
 // render apart from NaN (canonicalized, as all NaNs render "NaN") while -0
@@ -338,211 +156,6 @@ func appendGroupKey(buf []byte, v *expr.Vec, i int) []byte {
 	return buf
 }
 
-// streamAgg computes one aggregate for every group in a single pass over
-// the argument vector. Accumulation visits rows in ascending order, so each
-// group sees the same float64 addition sequence as the reference's
-// per-group loop and sums are bit-identical.
-func streamAgg(a *AggCall, arg *expr.Vec, groupOf []int32, ngroups int) []dataset.Value {
-	out := make([]dataset.Value, ngroups) // zero Value is null
-	if a.Star {
-		counts := make([]int64, ngroups)
-		for _, g := range groupOf {
-			counts[g]++
-		}
-		for gi, c := range counts {
-			out[gi] = dataset.Int(c)
-		}
-		return out
-	}
-	switch a.Name {
-	case "COUNT":
-		counts := make([]int64, ngroups)
-		for i, g := range groupOf {
-			if !arg.NullAt(i) {
-				counts[g]++
-			}
-		}
-		for gi, c := range counts {
-			out[gi] = dataset.Int(c)
-		}
-	case "SUM", "AVG":
-		sums := make([]float64, ngroups)
-		counts := make([]int64, ngroups)
-		nulls := arg.Nulls
-		switch arg.Type {
-		case dataset.TypeInt:
-			for i, g := range groupOf {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				sums[g] += float64(arg.I[i])
-				counts[g]++
-			}
-		case dataset.TypeFloat:
-			for i, g := range groupOf {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				sums[g] += arg.F[i]
-				counts[g]++
-			}
-		case dataset.TypeBool:
-			for i, g := range groupOf {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				if arg.B[i] {
-					sums[g]++
-				}
-				counts[g]++
-			}
-		case dataset.TypeNull:
-			// no values anywhere: every group stays null
-		}
-		for gi := range out {
-			if counts[gi] == 0 {
-				continue
-			}
-			switch {
-			case a.Name == "AVG":
-				out[gi] = dataset.Float(sums[gi] / float64(counts[gi]))
-			case arg.Type == dataset.TypeInt:
-				// The reference accumulates in float64 even for int
-				// columns, then truncates; keep its precision behavior.
-				out[gi] = dataset.Int(int64(sums[gi]))
-			default:
-				out[gi] = dataset.Float(sums[gi])
-			}
-		}
-	case "MIN", "MAX":
-		min := a.Name == "MIN"
-		switch arg.Type {
-		case dataset.TypeInt:
-			return minMaxVals(arg.I, arg.Nulls, groupOf, ngroups, min, dataset.Int)
-		case dataset.TypeFloat:
-			return minMaxVals(arg.F, arg.Nulls, groupOf, ngroups, min, dataset.Float)
-		case dataset.TypeString:
-			return minMaxVals(arg.S, arg.Nulls, groupOf, ngroups, min, dataset.Str)
-		case dataset.TypeTime:
-			return minMaxVals(arg.T, arg.Nulls, groupOf, ngroups, min, func(nanos int64) dataset.Value {
-				return dataset.Time(time.Unix(0, nanos).UTC())
-			})
-		case dataset.TypeBool:
-			ints := make([]int64, len(arg.B))
-			for i, bv := range arg.B {
-				if bv {
-					ints[i] = 1
-				}
-			}
-			return minMaxVals(ints, arg.Nulls, groupOf, ngroups, min, func(x int64) dataset.Value {
-				return dataset.Bool(x != 0)
-			})
-		case dataset.TypeNull:
-			// every group stays null
-		}
-	}
-	return out
-}
-
-// minMaxVals keeps the first non-null value per group and replaces it only
-// on a strict compare — the same rule as the reference's Compare loop, so a
-// NaN neither displaces a held value nor is displaced once held.
-func minMaxVals[T int64 | float64 | string](vals []T, nulls []bool, groupOf []int32, ngroups int, min bool, box func(T) dataset.Value) []dataset.Value {
-	best := make([]T, ngroups)
-	has := make([]bool, ngroups)
-	for i, g := range groupOf {
-		if nulls != nil && nulls[i] {
-			continue
-		}
-		v := vals[i]
-		if !has[g] {
-			best[g], has[g] = v, true
-			continue
-		}
-		if min {
-			if v < best[g] {
-				best[g] = v
-			}
-		} else if v > best[g] {
-			best[g] = v
-		}
-	}
-	out := make([]dataset.Value, ngroups)
-	for gi := range out {
-		if has[gi] {
-			out[gi] = box(best[gi])
-		}
-	}
-	return out
-}
-
-// vecJoinPairs runs the equi hash join with byte-encoded composite keys.
-// The hash key is a prefilter — the full ON expression is always re-checked
-// per candidate pair, vectorized over gathered pair columns when it
-// compiles — so the key encoding only needs to preserve the reference's
-// candidate equivalence: numerics (ints, floats, bools) normalize to
-// float64 bits the way joinKey's %g render normalizes them, NaNs
-// canonicalize, -0 stays distinct from +0, and rows with a null key are
-// skipped outright because the residual rejects null comparisons anyway.
-func (e *executor) vecJoinPairs(on expr.Expr, combined, left, right *rel, leftKeys, rightKeys []int, matchedLeft []bool) (leftIdx, rightIdx []int, err error) {
-	leftVecs := keyVecs(left, leftKeys)
-	rightVecs := keyVecs(right, rightKeys)
-
-	build := make(map[string][]int32, right.numRows())
-	var buf []byte
-	for ri := 0; ri < right.numRows(); ri++ {
-		key, ok := appendJoinKey(buf[:0], rightVecs, ri)
-		buf = key
-		if !ok {
-			continue
-		}
-		build[string(key)] = append(build[string(key)], int32(ri))
-	}
-	var candL, candR []int
-	for li := 0; li < left.numRows(); li++ {
-		key, ok := appendJoinKey(buf[:0], leftVecs, li)
-		buf = key
-		if !ok {
-			continue
-		}
-		for _, ri := range build[string(key)] {
-			candL = append(candL, li)
-			candR = append(candR, int(ri))
-		}
-	}
-	vecStats.Joins.Add(1)
-
-	accept := func(p int) {
-		leftIdx = append(leftIdx, candL[p])
-		rightIdx = append(rightIdx, candR[p])
-		if matchedLeft != nil {
-			matchedLeft[candL[p]] = true
-		}
-	}
-	pb := &pairBinder{combined: combined, left: left, right: right, leftIdx: candL, rightIdx: candR, cache: map[int]*dataset.Column{}}
-	if k, ok := expr.Compile(on, pb, len(candL)); ok {
-		v, kerr := k()
-		if kerr != nil {
-			return nil, nil, kerr
-		}
-		for _, p := range v.SelectTrue(-1) {
-			accept(p)
-		}
-		return leftIdx, rightIdx, nil
-	}
-	vecStats.ResidualFallbacks.Add(1)
-	for p := range candL {
-		ok, rerr := e.joinResidual(on, combined, left, candL[p], right, candR[p])
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		if ok {
-			accept(p)
-		}
-	}
-	return leftIdx, rightIdx, nil
-}
-
 func keyVecs(r *rel, keys []int) []*expr.Vec {
 	vecs := make([]*expr.Vec, len(keys))
 	for i, k := range keys {
@@ -552,8 +165,14 @@ func keyVecs(r *rel, keys []int) []*expr.Vec {
 	return vecs
 }
 
-// appendJoinKey encodes one side's composite join key for row i, or
-// reports false when any key cell is null.
+// appendJoinKey encodes one side's composite join key for row i, or reports
+// false when any key cell is null. The hash key is a prefilter — the full ON
+// expression is always re-checked per candidate pair — so the encoding only
+// needs to preserve the reference's candidate equivalence: numerics (ints,
+// floats, bools) normalize to float64 bits the way joinKey's %g render
+// normalizes them, NaNs canonicalize, -0 stays distinct from +0, and rows
+// with a null key are skipped outright because the residual rejects null
+// comparisons anyway.
 func appendJoinKey(buf []byte, vecs []*expr.Vec, i int) ([]byte, bool) {
 	for _, v := range vecs {
 		if v.NullAt(i) {
@@ -590,10 +209,10 @@ func appendJoinKey(buf []byte, vecs []*expr.Vec, i int) ([]byte, bool) {
 	return buf, true
 }
 
-// pairBinder exposes candidate pairs as columns: a reference to a left or
-// right column materializes as a gather over the candidate index vector,
-// lazily and at most once per column. This lets the full ON residual run as
-// one kernel over all candidate pairs.
+// pairBinder exposes a probed morsel's candidate pairs as columns: a
+// reference to a left or right column materializes as a gather over the
+// candidate index vector, lazily and at most once per column. This lets the
+// full ON residual run as one kernel over all candidate pairs.
 type pairBinder struct {
 	combined, left, right *rel
 	leftIdx, rightIdx     []int
