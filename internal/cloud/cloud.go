@@ -6,10 +6,7 @@
 package cloud
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -196,12 +193,13 @@ func (d *Database) Meter() *Meter { return &d.meter }
 // CreateTable stores a table, partitioning it into blocks. Loading data in
 // is free, matching cloud warehouses that charge for scans, not ingest.
 func (d *Database) CreateTable(t *dataset.Table) error {
+	st := d.store(t)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, exists := d.tables[strings.ToLower(t.Name())]; exists {
 		return fmt.Errorf("cloud: table %q already exists in %s", t.Name(), d.name)
 	}
-	d.tables[strings.ToLower(t.Name())] = d.store(t)
+	d.tables[strings.ToLower(t.Name())] = st
 	return nil
 }
 
@@ -210,74 +208,100 @@ func (d *Database) CreateTable(t *dataset.Table) error {
 // The table keeps its name but its content fingerprint moves, so schedulers
 // diffing Stats see the change without scanning anything.
 func (d *Database) ReplaceTable(t *dataset.Table) error {
+	st := d.store(t)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, ok := d.tables[strings.ToLower(t.Name())]; !ok {
 		return fmt.Errorf("cloud: unknown table %q", t.Name())
 	}
-	d.tables[strings.ToLower(t.Name())] = d.store(t)
+	d.tables[strings.ToLower(t.Name())] = st
 	return nil
 }
 
-// store partitions t into blocks and fingerprints its content; callers hold
-// the write lock.
+// store partitions t into blocks — views of t, which is immutable once
+// handed over — and fingerprints its content. It reads nothing of d that
+// changes, so ingest runs before the write lock is taken: a reader sees the
+// old stored table or the new one, whole, and never waits for a fingerprint.
 func (d *Database) store(t *dataset.Table) *storedTable {
-	st := &storedTable{name: t.Name(), totalRows: t.NumRows()}
+	st := &storedTable{name: t.Name(), totalRows: t.NumRows(), fingerprint: contentFingerprint(t)}
 	for from := 0; from < t.NumRows() || from == 0; from += d.blockRows {
-		to := from + d.blockRows
-		if to > t.NumRows() {
-			to = t.NumRows()
-		}
-		b := &block{rows: t.Slice(from, to)}
+		b := &block{rows: t.Window(from, from+d.blockRows)}
 		b.bytes = estimateBytes(b.rows)
 		st.blocks = append(st.blocks, b)
 		st.totalBytes += b.bytes
-		if t.NumRows() == 0 {
-			break
-		}
 	}
-	st.fingerprint = contentFingerprint(t)
 	return st
 }
 
+// fnv64a is the FNV-1a state hash/fnv's New64a keeps, written to a byte at a
+// time so that hashing a cell converts and allocates nothing.
+type fnv64a uint64
+
+func (h *fnv64a) byte(b byte) { *h = (*h ^ fnv64a(b)) * 1099511628211 }
+
+func (h *fnv64a) str(s string) {
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
+}
+
+func (h *fnv64a) u64(u uint64) {
+	for shift := 0; shift < 64; shift += 8 {
+		h.byte(byte(u >> shift))
+	}
+}
+
+// hashCells writes one column's cells: 0xff for a null, cell(v) otherwise.
+func hashCells[T any](h *fnv64a, vals []T, nulls []bool, cell func(T)) {
+	for i, v := range vals {
+		if nulls != nil && nulls[i] {
+			h.byte(0xff)
+		} else {
+			cell(v)
+		}
+	}
+}
+
 // contentFingerprint hashes every cell of t (schema included), so two tables
-// with the same rows hash equal and any cell change moves the hash.
+// with the same rows hash equal and any cell change moves the hash. The byte
+// stream is fixed — cache keys and schedulers' diffs are made of it: names and
+// type names raw, a null 0xff, numbers and unix nanoseconds as 8 little-endian
+// bytes, a string followed by 0, true 1 and false 2.
 func contentFingerprint(t *dataset.Table) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, t.Name())
-	var buf [8]byte
+	h := fnv64a(14695981039346656037)
+	h.str(t.Name())
 	for _, c := range t.Columns() {
-		io.WriteString(h, c.Name())
-		io.WriteString(h, c.Type().String())
-		for i := 0; i < c.Len(); i++ {
-			if c.IsNull(i) {
-				h.Write([]byte{0xff})
-				continue
-			}
-			v := c.Value(i)
-			switch v.Type {
-			case dataset.TypeInt:
-				binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
-				h.Write(buf[:])
-			case dataset.TypeFloat:
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.F))
-				h.Write(buf[:])
-			case dataset.TypeString:
-				io.WriteString(h, v.S)
-				h.Write([]byte{0})
-			case dataset.TypeBool:
-				if v.B {
-					h.Write([]byte{1})
+		h.str(c.Name())
+		h.str(c.Type().String())
+		switch c.Type() {
+		case dataset.TypeInt:
+			vals, nulls, _ := c.Ints()
+			hashCells(&h, vals, nulls, func(v int64) { h.u64(uint64(v)) })
+		case dataset.TypeFloat:
+			vals, nulls, _ := c.FloatVals()
+			hashCells(&h, vals, nulls, func(v float64) { h.u64(math.Float64bits(v)) })
+		case dataset.TypeString:
+			vals, nulls, _ := c.Strs()
+			hashCells(&h, vals, nulls, func(v string) { h.str(v); h.byte(0) })
+		case dataset.TypeBool:
+			vals, nulls, _ := c.Bools()
+			hashCells(&h, vals, nulls, func(v bool) {
+				if v {
+					h.byte(1)
 				} else {
-					h.Write([]byte{2})
+					h.byte(2)
 				}
-			case dataset.TypeTime:
-				binary.LittleEndian.PutUint64(buf[:], uint64(v.T.UnixNano()))
-				h.Write(buf[:])
+			})
+		case dataset.TypeTime:
+			vals, nulls, _ := c.Times()
+			hashCells(&h, vals, nulls, func(v int64) { h.u64(uint64(v)) })
+		default: // TypeNull: every row is null
+			for i := 0; i < c.Len(); i++ {
+				h.byte(0xff)
 			}
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // DropTable removes a table.
@@ -386,24 +410,19 @@ func (d *Database) SampleBlocks(name string, rate float64, seed int64) (*dataset
 	return t.WithName(st.name + "_sample"), nil
 }
 
+// assemble concatenates the blocks' columns on their typed storage; a table
+// of one block is that block's view.
 func assemble(name string, blocks []*block) (*dataset.Table, error) {
 	if len(blocks) == 0 {
 		return dataset.NewTable(name)
 	}
-	first := blocks[0].rows
-	cols := make([]*dataset.Column, first.NumCols())
-	for ci, proto := range first.Columns() {
-		col := dataset.NewColumn(proto.Name(), proto.Type())
-		for _, b := range blocks {
-			src, err := b.rows.Column(proto.Name())
-			if err != nil {
-				return nil, err
-			}
-			for r := 0; r < src.Len(); r++ {
-				col.Append(src.Value(r))
-			}
+	cols := make([]*dataset.Column, blocks[0].rows.NumCols())
+	parts := make([]*dataset.Column, len(blocks))
+	for ci := range cols {
+		for bi, b := range blocks {
+			parts[bi] = b.rows.Columns()[ci]
 		}
-		cols[ci] = col
+		cols[ci] = dataset.ConcatColumns(parts)
 	}
 	return dataset.NewTable(name, cols...)
 }
@@ -420,9 +439,10 @@ func estimateBytes(t *dataset.Table) int64 {
 		case dataset.TypeBool:
 			total += int64(c.Len())
 		case dataset.TypeString:
-			for i := 0; i < c.Len(); i++ {
-				if !c.IsNull(i) {
-					total += int64(len(c.Value(i).S))
+			vals, nulls, _ := c.Strs()
+			for i, v := range vals {
+				if nulls == nil || !nulls[i] {
+					total += int64(len(v))
 				}
 			}
 			total += int64(4 * c.Len()) // offsets

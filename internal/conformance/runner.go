@@ -750,14 +750,7 @@ func RunMatrix(c *Case, ref *RouteResult, pt MatrixPoint, spillDir string) error
 			pt.Workers, pt.MaxBufferedRows, tableDiff(res.Table, ref.Table))
 	}
 	if len(parts) > 0 {
-		assembled := parts[0]
-		for _, p := range parts[1:] {
-			assembled, err = assembled.Concat(p, false)
-			if err != nil {
-				return fmt.Errorf("reassembling chunks: %w", err)
-			}
-		}
-		if !assembled.Equal(ref.Table) {
+		if assembled := dataset.Concat(parts); !assembled.Equal(ref.Table) {
 			return fmt.Errorf("reassembled chunk stream (workers=%d) diverges from buffered:\n%s",
 				pt.Workers, tableDiff(assembled, ref.Table))
 		}

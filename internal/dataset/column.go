@@ -248,7 +248,9 @@ func takeSlice[T any](src []T, srcNulls []bool, idx []int) ([]T, []bool) {
 // Window returns rows [from, to) as a zero-copy view: the typed storage and
 // null mask are subsliced, not gathered, so a morsel over a large column costs
 // O(1) regardless of chunk size. The view shares storage with the parent,
-// which is safe because columns are immutable by convention once published.
+// which is safe because columns are immutable by convention once published;
+// its capacity ends at to, so an Append on the view copies and never writes
+// into the parent's next row.
 func (c *Column) Window(from, to int) *Column {
 	if from < 0 {
 		from = 0
@@ -262,18 +264,18 @@ func (c *Column) Window(from, to int) *Column {
 	out := &Column{name: c.name, typ: c.typ, n: to - from}
 	switch c.typ {
 	case TypeInt:
-		out.ints = c.ints[from:to]
+		out.ints = c.ints[from:to:to]
 	case TypeFloat:
-		out.fls = c.fls[from:to]
+		out.fls = c.fls[from:to:to]
 	case TypeString:
-		out.strs = c.strs[from:to]
+		out.strs = c.strs[from:to:to]
 	case TypeBool:
-		out.bools = c.bools[from:to]
+		out.bools = c.bools[from:to:to]
 	case TypeTime:
-		out.times = c.times[from:to]
+		out.times = c.times[from:to:to]
 	}
 	if c.nulls != nil {
-		out.nulls = c.nulls[from:to]
+		out.nulls = c.nulls[from:to:to]
 	}
 	return out
 }

@@ -344,10 +344,7 @@ func TestTableConcatAndDedupe(t *testing.T) {
 		IntColumn("x", []int64{2, 3}, nil),
 		FloatColumn("y", []float64{0.5, 0.7}, nil),
 	)
-	merged, err := a.Concat(b, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := Concat([]*Table{a, b})
 	if merged.NumRows() != 4 || merged.NumCols() != 3 {
 		t.Fatalf("merged shape = %d×%d", merged.NumRows(), merged.NumCols())
 	}
@@ -358,7 +355,7 @@ func TestTableConcatAndDedupe(t *testing.T) {
 
 	c := MustNewTable("c", IntColumn("x", []int64{1, 1, 2}, nil))
 	d := MustNewTable("d", IntColumn("x", []int64{2, 5}, nil))
-	deduped, err := c.Concat(d, true)
+	deduped, err := Concat([]*Table{c, d}).Distinct()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,16 +385,16 @@ func TestTableDistinct(t *testing.T) {
 	}
 }
 
-func TestTableSliceHead(t *testing.T) {
+func TestTableWindowHead(t *testing.T) {
 	tbl := newSampleTable(t)
 	if got := tbl.Head(2).NumRows(); got != 2 {
 		t.Errorf("Head(2) = %d rows", got)
 	}
-	if got := tbl.Slice(-5, 100).NumRows(); got != 4 {
-		t.Errorf("Slice clamping failed: %d rows", got)
+	if got := tbl.Window(-5, 100).NumRows(); got != 4 {
+		t.Errorf("Window clamping failed: %d rows", got)
 	}
-	if got := tbl.Slice(3, 1).NumRows(); got != 0 {
-		t.Errorf("inverted slice should be empty: %d rows", got)
+	if got := tbl.Window(3, 1).NumRows(); got != 0 {
+		t.Errorf("inverted window should be empty: %d rows", got)
 	}
 }
 

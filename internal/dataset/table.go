@@ -174,27 +174,8 @@ func (t *Table) Take(idx []int) *Table {
 	return MustNewTable(t.name, cols...)
 }
 
-// Slice returns rows [from, to).
-func (t *Table) Slice(from, to int) *Table {
-	n := t.NumRows()
-	if from < 0 {
-		from = 0
-	}
-	if to > n {
-		to = n
-	}
-	if from > to {
-		from = to
-	}
-	idx := make([]int, to-from)
-	for i := range idx {
-		idx[i] = from + i
-	}
-	return t.Take(idx)
-}
-
-// Head returns the first n rows.
-func (t *Table) Head(n int) *Table { return t.Slice(0, n) }
+// Head returns the first n rows, as a view (see Window).
+func (t *Table) Head(n int) *Table { return t.Window(0, n) }
 
 // Window returns rows [from, to) as a zero-copy view: every column is
 // windowed in place rather than gathered, so carving a morsel out of a large
@@ -225,59 +206,55 @@ func (t *Table) SortBy(keys []string, desc []bool) (*Table, error) {
 	return t.Take(SortIndex(keyCols, desc)), nil
 }
 
-// Concat appends other's rows to t. Columns are matched by name; columns
-// missing on either side become null-padded. When dedupe is true, duplicate
-// rows (by full-row equality) are removed, keeping first occurrences —
-// matching GEL's "Concatenate … remove all duplicates".
-func (t *Table) Concat(other *Table, dedupe bool) (*Table, error) {
-	names := t.ColumnNames()
-	seen := make(map[string]bool, len(names))
-	for _, n := range names {
-		seen[n] = true
-	}
-	for _, n := range other.ColumnNames() {
-		if !seen[n] {
-			names = append(names, n)
+// Concat appends the rows of tables end to end, in order, under the first
+// table's name. Columns are matched by name and appear in first-seen order; a
+// table missing a column contributes nulls for its rows. Each column
+// concatenates its typed storage (ConcatColumns); only a column whose type
+// differs between tables is promoted first, to the CommonType of its parts.
+// tables must not be empty.
+func Concat(tables []*Table) *Table {
+	var names []string
+	seen := make(map[string]bool)
+	for _, t := range tables {
+		for _, c := range t.cols {
+			if !seen[c.name] {
+				seen[c.name] = true
+				names = append(names, c.name)
+			}
 		}
 	}
 	cols := make([]*Column, len(names))
+	parts := make([]*Column, len(tables))
 	for i, name := range names {
 		typ := TypeNull
-		if c, err := t.Column(name); err == nil {
-			typ = c.Type()
+		for j, t := range tables {
+			if parts[j], _ = t.Column(name); parts[j] != nil {
+				typ = CommonType(typ, parts[j].typ)
+			}
 		}
-		if c, err := other.Column(name); err == nil {
-			typ = CommonType(typ, c.Type())
-		}
-		out := NewColumn(name, typ)
-		appendFrom := func(src *Table) {
-			c, err := src.Column(name)
-			for r := 0; r < src.NumRows(); r++ {
-				if err != nil {
-					out.Append(Null)
-				} else {
-					out.Append(c.Value(r))
+		for j, t := range tables {
+			switch p := parts[j]; {
+			case p == nil || p.typ == TypeNull:
+				parts[j] = nullColumn(name, typ, t.NumRows())
+			case p.typ != typ:
+				parts[j] = NewColumn(name, typ)
+				for r := 0; r < p.n; r++ {
+					parts[j].Append(p.Value(r))
 				}
 			}
 		}
-		appendFrom(t)
-		appendFrom(other)
-		cols[i] = out
+		cols[i] = ConcatColumns(parts).Rename(name)
 	}
-	merged := MustNewTable(t.name, cols...)
-	if !dedupe {
-		return merged, nil
+	return MustNewTable(tables[0].name, cols...)
+}
+
+// nullColumn returns a column of n nulls.
+func nullColumn(name string, typ Type, n int) *Column {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = -1
 	}
-	keep := make([]int, 0, merged.NumRows())
-	seenRows := make(map[string]bool, merged.NumRows())
-	for r := 0; r < merged.NumRows(); r++ {
-		key := rowKey(merged.Row(r))
-		if !seenRows[key] {
-			seenRows[key] = true
-			keep = append(keep, r)
-		}
-	}
-	return merged.Take(keep), nil
+	return NewColumn(name, typ).Take(idx)
 }
 
 // Distinct returns the table with duplicate rows over the named columns

@@ -35,32 +35,74 @@ func parseCondition(s string) (expr.Expr, error) {
 	return cond, nil
 }
 
-// filterTable returns the rows of t satisfying cond.
-func filterTable(t *dataset.Table, cond expr.Expr) (*dataset.Table, error) {
-	keep := make([]int, 0, t.NumRows())
-	for i := 0; i < t.NumRows(); i++ {
-		ok, err := expr.EvalBool(cond, tableEnv{t, i})
+// tableBinder resolves kernel column references the way tableEnv.Lookup
+// resolves them for a row.
+type tableBinder struct{ t *dataset.Table }
+
+// BindColumn implements expr.ColumnBinder.
+func (b tableBinder) BindColumn(name string) (*dataset.Column, error) { return b.t.Column(name) }
+
+// evalKernel evaluates e over every row of t in one typed kernel pass. ok is
+// false when the expression does not compile or its kernel fails; the caller
+// then runs evalRows, whose results and error text are authoritative.
+func evalKernel(t *dataset.Table, e expr.Expr) (v *expr.Vec, ok bool) {
+	k, compiled := expr.Compile(e, tableBinder{t}, t.NumRows())
+	if !compiled {
+		return nil, false
+	}
+	v, err := k()
+	return v, err == nil
+}
+
+// evalRows evaluates e one row at a time — the fallback under evalKernel and
+// the only row loop the direct skills' filters and computed columns have.
+func evalRows(t *dataset.Table, e expr.Expr) ([]dataset.Value, error) {
+	vals := make([]dataset.Value, t.NumRows())
+	for i := range vals {
+		v, err := e.Eval(tableEnv{t, i})
 		if err != nil {
 			return nil, err
 		}
-		if ok {
+		vals[i] = v
+	}
+	return vals, nil
+}
+
+// filterTable returns the rows of t satisfying cond: null and false reject,
+// as expr.EvalBool has it.
+func filterTable(t *dataset.Table, cond expr.Expr) (*dataset.Table, error) {
+	if v, ok := evalKernel(t, cond); ok {
+		return t.Take(v.SelectTrue(-1)), nil
+	}
+	vals, err := evalRows(t, cond)
+	if err != nil {
+		return nil, err
+	}
+	keep := make([]int, 0, len(vals))
+	for i, v := range vals {
+		if f, ok := v.AsFloat(); ok && f != 0 {
 			keep = append(keep, i)
 		}
 	}
 	return t.Take(keep), nil
 }
 
-// evalColumn evaluates an expression for every row, producing a new column.
+// evalColumn evaluates an expression for every row, producing a new column
+// typed by its non-null values; a column that never sees one is a string
+// column.
 func evalColumn(t *dataset.Table, name string, e expr.Expr) (*dataset.Column, error) {
-	builder := dataset.NewColumn(name, dataset.TypeNull)
-	vals := make([]dataset.Value, t.NumRows())
-	typ := dataset.TypeNull
-	for i := 0; i < t.NumRows(); i++ {
-		v, err := e.Eval(tableEnv{t, i})
-		if err != nil {
-			return nil, err
+	if v, ok := evalKernel(t, e); ok {
+		if c := v.Column(name); c.NullCount() < c.Len() {
+			return c, nil
 		}
-		vals[i] = v
+		return (&expr.Vec{Type: dataset.TypeNull, N: v.N}).Column(name), nil
+	}
+	vals, err := evalRows(t, e)
+	if err != nil {
+		return nil, err
+	}
+	typ := dataset.TypeNull
+	for _, v := range vals {
 		if !v.IsNull() {
 			typ = dataset.CommonType(typ, v.Type)
 		}
@@ -68,11 +110,11 @@ func evalColumn(t *dataset.Table, name string, e expr.Expr) (*dataset.Column, er
 	if typ == dataset.TypeNull {
 		typ = dataset.TypeString
 	}
-	builder = dataset.NewColumn(name, typ)
+	col := dataset.NewColumn(name, typ)
 	for _, v := range vals {
-		builder.Append(v)
+		col.Append(v)
 	}
-	return builder, nil
+	return col, nil
 }
 
 func wranglingSkills() []*Definition {
@@ -581,19 +623,14 @@ func wranglingSkills() []*Definition {
 				if len(inv.Inputs) < 2 {
 					return nil, fmt.Errorf("skills: Concatenate needs at least two input datasets")
 				}
-				out, err := ctx.Dataset(inv.Inputs[0])
-				if err != nil {
-					return nil, err
-				}
-				for _, name := range inv.Inputs[1:] {
-					next, err := ctx.Dataset(name)
-					if err != nil {
-						return nil, err
-					}
-					if out, err = out.Concat(next, false); err != nil {
+				inputs := make([]*dataset.Table, len(inv.Inputs))
+				for i, name := range inv.Inputs {
+					var err error
+					if inputs[i], err = ctx.Dataset(name); err != nil {
 						return nil, err
 					}
 				}
+				out := dataset.Concat(inputs)
 				if inv.Args.Bool("dedupe") {
 					var err error
 					if out, err = out.Distinct(); err != nil {

@@ -248,7 +248,7 @@ func distinctLimit(stmt *SelectStmt, out *dataset.Table) (*dataset.Table, error)
 		if stmt.Limit >= 0 && from+stmt.Limit < to {
 			to = from + stmt.Limit
 		}
-		out = out.Slice(from, to)
+		out = out.Window(from, to)
 	}
 	return out, nil
 }

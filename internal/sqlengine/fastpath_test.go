@@ -95,7 +95,7 @@ func TestLimitPushdownEquivalence(t *testing.T) {
 func TestLimitPushdownWithOffset(t *testing.T) {
 	out := mustExec(t, "SELECT id FROM people WHERE age >= 25 LIMIT 2 OFFSET 1")
 	full := mustExec(t, "SELECT id FROM people WHERE age >= 25")
-	want := full.Slice(1, 3)
+	want := full.Window(1, 3)
 	if !out.Equal(want.WithName(out.Name())) {
 		t.Errorf("offset+limit = %s, want %s", out, want)
 	}
