@@ -130,7 +130,7 @@ func BenchmarkFigure2GDPRecipe(b *testing.B) {
 	var series int
 	for i := 0; i < b.N; i++ {
 		ctx := skills.NewContext()
-		ctx.Files[url] = csv
+		ctx.PutFile(url, csv)
 		parser := gel.MustNewParser(reg)
 		parser.Now = time.Date(2023, 6, 18, 0, 0, 0, 0, time.UTC)
 		runner := gel.NewRunner(parser, dag.NewExecutor(reg, ctx), lines)
@@ -513,8 +513,8 @@ func BenchmarkParallelBranchExecution(b *testing.B) {
 // followers, hits, and evictions — the shape a busy multi-session platform
 // puts on the cache.
 func BenchmarkCacheContention(b *testing.B) {
-	c := dag.NewCache(64)
 	shared := dataset.MustNewTable("r", dataset.IntColumn("x", []int64{1, 2, 3}, nil))
+	c := dag.NewCache(64 * int(shared.PinnedBytes()+160)) // room for about 64 entries
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {

@@ -52,7 +52,7 @@ func main() {
 	reg := skills.NewRegistry()
 	ctx := skills.NewContext()
 	for name, content := range files {
-		ctx.Files[name] = content
+		ctx.PutFile(name, content)
 	}
 	if *demo {
 		ctx.Datasets["collisions"] = demoTable()

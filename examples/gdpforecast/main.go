@@ -50,7 +50,7 @@ func main() {
 	const url = "https://fred.stlouisfed.org/graph/fredgraph.csv?fo=open%20sans&id=GDPC1&fq=Quarterly"
 	reg := skills.NewRegistry()
 	ctx := skills.NewContext()
-	ctx.Files[url] = fredCSV()
+	ctx.PutFile(url, fredCSV())
 	executor := dag.NewExecutor(reg, ctx)
 	parser := gel.MustNewParser(reg)
 	parser.Now = time.Date(2023, 6, 18, 0, 0, 0, 0, time.UTC)

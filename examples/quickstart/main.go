@@ -31,7 +31,7 @@ const salesCSV = `order_id,region,status,price,discount
 func main() {
 	reg := skills.NewRegistry()
 	ctx := skills.NewContext()
-	ctx.Files["sales.csv"] = salesCSV
+	ctx.PutFile("sales.csv", salesCSV)
 	executor := dag.NewExecutor(reg, ctx)
 	parser := gel.MustNewParser(reg)
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -139,17 +140,19 @@ func (m *Meter) Reset() {
 	m.bytesScanned, m.queries, m.latency = 0, 0, 0
 }
 
-// block is one row group with its estimated on-disk size.
+// block is one row group — rows [from, to) of its stored table — with its
+// estimated on-disk size.
 type block struct {
-	rows  *dataset.Table
-	bytes int64
+	from, to int
+	bytes    int64
 }
 
-// storedTable is a table partitioned into blocks.
+// storedTable is a table partitioned into blocks: the ingested table itself,
+// immutable once handed over, and the row ranges that meter its scans.
 type storedTable struct {
 	name       string
-	blocks     []*block
-	totalRows  int
+	rows       *dataset.Table
+	blocks     []block
 	totalBytes int64
 	// fingerprint is a content hash of every cell, computed once at ingest
 	// (free, like the rest of the metadata) so Stats can report whether the
@@ -218,23 +221,28 @@ func (d *Database) ReplaceTable(t *dataset.Table) error {
 	return nil
 }
 
-// store partitions t into blocks — views of t, which is immutable once
+// store partitions t into blocks — row ranges of t, which is immutable once
 // handed over — and fingerprints its content. It reads nothing of d that
 // changes, so ingest runs before the write lock is taken: a reader sees the
 // old stored table or the new one, whole, and never waits for a fingerprint.
 func (d *Database) store(t *dataset.Table) *storedTable {
-	st := &storedTable{name: t.Name(), totalRows: t.NumRows(), fingerprint: contentFingerprint(t)}
-	for from := 0; from < t.NumRows() || from == 0; from += d.blockRows {
-		b := &block{rows: t.Window(from, from+d.blockRows)}
-		b.bytes = estimateBytes(b.rows)
+	n := t.NumRows()
+	st := &storedTable{name: t.Name(), rows: t, fingerprint: contentFingerprint(t)}
+	for from := 0; from < n || from == 0; from += d.blockRows {
+		b := block{from: from, to: min(from+d.blockRows, n)}
+		b.bytes = estimateBytes(t, b.from, b.to)
 		st.blocks = append(st.blocks, b)
 		st.totalBytes += b.bytes
 	}
 	return st
 }
 
-// fnv64a is the FNV-1a state hash/fnv's New64a keeps, written to a byte at a
-// time so that hashing a cell converts and allocates nothing.
+// fnv64a is the FNV-1a state hash/fnv's New64a keeps, fed in place so that
+// hashing a cell converts and allocates nothing. Strings go a byte at a time;
+// a number is one 8-byte word mixed in one step, FNV-1a widened to the word.
+// A multiply carries a bit only upward, so a difference in a word's top bit
+// (a float's sign) would stay alone in bit 63 and two of them would cancel:
+// folding the high half down after the multiply spreads it to later steps.
 type fnv64a uint64
 
 func (h *fnv64a) byte(b byte) { *h = (*h ^ fnv64a(b)) * 1099511628211 }
@@ -246,9 +254,8 @@ func (h *fnv64a) str(s string) {
 }
 
 func (h *fnv64a) u64(u uint64) {
-	for shift := 0; shift < 64; shift += 8 {
-		h.byte(byte(u >> shift))
-	}
+	*h = (*h ^ fnv64a(u)) * 1099511628211
+	*h ^= *h >> 32
 }
 
 // hashCells writes one column's cells: 0xff for a null, cell(v) otherwise.
@@ -263,10 +270,12 @@ func hashCells[T any](h *fnv64a, vals []T, nulls []bool, cell func(T)) {
 }
 
 // contentFingerprint hashes every cell of t (schema included), so two tables
-// with the same rows hash equal and any cell change moves the hash. The byte
-// stream is fixed — cache keys and schedulers' diffs are made of it: names and
-// type names raw, a null 0xff, numbers and unix nanoseconds as 8 little-endian
-// bytes, a string followed by 0, true 1 and false 2.
+// with the same rows hash equal and any cell change moves the hash. Cache keys
+// and schedulers' diffs are made of its stream: names and type names raw, a
+// null 0xff, numbers and unix nanoseconds as one 8-byte word (u64), a string
+// followed by 0, true 1 and false 2. Nothing persists a fingerprint — it keys
+// in-memory caches and diffs only — so the stream may change between builds,
+// never within one.
 func contentFingerprint(t *dataset.Table) uint64 {
 	h := fnv64a(14695981039346656037)
 	h.str(t.Name())
@@ -349,7 +358,7 @@ func (d *Database) Stats(name string) (TableStats, error) {
 	if !ok {
 		return TableStats{}, fmt.Errorf("cloud: unknown table %q", name)
 	}
-	return TableStats{Name: st.name, Rows: st.totalRows, Blocks: len(st.blocks), Bytes: st.totalBytes, Fingerprint: st.fingerprint}, nil
+	return TableStats{Name: st.name, Rows: st.rows.NumRows(), Blocks: len(st.blocks), Bytes: st.totalBytes, Fingerprint: st.fingerprint}, nil
 }
 
 // Table implements sqlengine.Catalog: a full scan of the named table,
@@ -359,7 +368,8 @@ func (d *Database) Table(name string) (*dataset.Table, error) {
 	return d.Scan(name)
 }
 
-// Scan reads the full table, charging for every block.
+// Scan reads the full table, charging for every block. Every block is read,
+// so the result is the stored table itself, shared rather than copied.
 func (d *Database) Scan(name string) (*dataset.Table, error) {
 	d.mu.RLock()
 	st, ok := d.tables[strings.ToLower(name)]
@@ -368,7 +378,7 @@ func (d *Database) Scan(name string) (*dataset.Table, error) {
 		return nil, fmt.Errorf("cloud: unknown table %q", name)
 	}
 	d.meter.charge(st.totalBytes, d.pricing)
-	return assemble(st.name, st.blocks)
+	return st.rows, nil
 }
 
 // SampleBlocks reads approximately rate (0, 1] of the table's blocks chosen
@@ -396,59 +406,60 @@ func (d *Database) SampleBlocks(name string, rate float64, seed int64) (*dataset
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(n)[:want]
 	sort.Ints(perm)
-	chosen := make([]*block, want)
+	chosen := make([]block, want)
 	var charged int64
 	for i, bi := range perm {
 		chosen[i] = st.blocks[bi]
 		charged += st.blocks[bi].bytes
 	}
 	d.meter.charge(charged, d.pricing)
-	t, err := assemble(st.name, chosen)
-	if err != nil {
-		return nil, err
-	}
-	return t.WithName(st.name + "_sample"), nil
+	return assemble(st.rows, chosen).WithName(st.name + "_sample"), nil
 }
 
-// assemble concatenates the blocks' columns on their typed storage; a table
+// assemble concatenates the blocks' rows of t on their typed storage; a table
 // of one block is that block's view.
-func assemble(name string, blocks []*block) (*dataset.Table, error) {
-	if len(blocks) == 0 {
-		return dataset.NewTable(name)
+func assemble(t *dataset.Table, blocks []block) *dataset.Table {
+	if len(blocks) == 1 {
+		return t.Window(blocks[0].from, blocks[0].to)
 	}
-	cols := make([]*dataset.Column, blocks[0].rows.NumCols())
+	cols := make([]*dataset.Column, t.NumCols())
 	parts := make([]*dataset.Column, len(blocks))
-	for ci := range cols {
+	for ci, c := range t.Columns() {
 		for bi, b := range blocks {
-			parts[bi] = b.rows.Columns()[ci]
+			parts[bi] = c.Window(b.from, b.to)
 		}
 		cols[ci] = dataset.ConcatColumns(parts)
 	}
-	return dataset.NewTable(name, cols...)
+	return dataset.MustNewTable(t.Name(), cols...)
 }
 
-// estimateBytes approximates the stored size of a table from its schema:
-// 8 bytes per numeric/time cell, 1 per bool, string length per string cell,
-// plus one bit (rounded up to a byte here) per nullable cell.
-func estimateBytes(t *dataset.Table) int64 {
+// estimateBytes approximates the stored size of rows [from, to) of t from
+// its schema: 8 bytes per numeric/time cell, 1 per bool, string length per
+// string cell, plus one bit (rounded up to a byte here) per nullable cell.
+func estimateBytes(t *dataset.Table, from, to int) int64 {
 	var total int64
+	n := int64(to - from)
 	for _, c := range t.Columns() {
+		nulls := c.Nulls()
+		if nulls != nil {
+			nulls = nulls[from:to]
+		}
 		switch c.Type() {
 		case dataset.TypeInt, dataset.TypeFloat, dataset.TypeTime:
-			total += int64(8 * c.Len())
+			total += 8 * n
 		case dataset.TypeBool:
-			total += int64(c.Len())
+			total += n
 		case dataset.TypeString:
-			vals, nulls, _ := c.Strs()
-			for i, v := range vals {
+			vals, _, _ := c.Strs()
+			for i, v := range vals[from:to] {
 				if nulls == nil || !nulls[i] {
 					total += int64(len(v))
 				}
 			}
-			total += int64(4 * c.Len()) // offsets
+			total += 4 * n // offsets
 		}
-		if c.NullCount() > 0 {
-			total += int64(c.Len() / 8)
+		if c.Type() == dataset.TypeNull || slices.Contains(nulls, true) {
+			total += n / 8
 		}
 	}
 	return total

@@ -47,8 +47,10 @@ type Platform struct {
 	sessions map[string]*session.Session
 	boards   map[string]*session.InsightsBoard
 	clouds   map[string]cloud.DB
-	files    map[string]string
-	nl2      *nl2code.System
+	// files are hashed once, at registration; every session shares the
+	// content and the hash.
+	files map[string]skills.File
+	nl2   *nl2code.System
 	// cache is the deployment-wide sub-DAG result cache. Every session's
 	// executor shares it, so concurrent sessions reuse — and deduplicate —
 	// each other's work (§2.2): cache keys combine the structural DAG
@@ -74,15 +76,31 @@ func New() *Platform {
 		sessions:  map[string]*session.Session{},
 		boards:    map[string]*session.InsightsBoard{},
 		clouds:    map[string]cloud.DB{},
-		files:     map[string]string{},
+		files:     map[string]skills.File{},
 		cache:     dag.NewCache(dag.DefaultCacheCapacity),
 		stats:     plan.NewStatsRegistry(plan.DefaultStatsCapacity),
 	}
 }
 
 // CacheStats reports the shared sub-DAG cache's hit/miss/eviction counters
-// across all sessions.
+// and the bytes its entries pin, across all sessions.
 func (p *Platform) CacheStats() dag.CacheStats { return p.cache.Stats() }
+
+// SessionBytes reports, per open session, the bytes the datasets its context
+// holds pin — what the retention rule leaves beside the shared cache.
+func (p *Platform) SessionBytes() map[string]int64 {
+	p.mu.Lock()
+	sessions := make([]*session.Session, 0, len(p.sessions))
+	for _, s := range p.sessions {
+		sessions = append(sessions, s)
+	}
+	p.mu.Unlock()
+	out := make(map[string]int64, len(sessions))
+	for _, s := range sessions {
+		out[s.Name] = s.Context().DatasetBytes()
+	}
+	return out
+}
 
 // ExecStats sums execution statistics across every open session's executor —
 // the deployment-wide view /statsz serves.
@@ -126,11 +144,15 @@ func (p *Platform) Database(name string) (cloud.DB, error) {
 }
 
 // RegisterFile makes CSV content loadable by name or URL in every session
-// created afterwards (the offline stand-in for file upload / URL fetch).
+// created afterwards (the offline stand-in for file upload / URL fetch). The
+// content is hashed here, once (skills.NewFile): planning a LoadData looks
+// the hash up instead of reading the file, and re-registering the name with
+// new bytes gives every downstream cache key a new value.
 func (p *Platform) RegisterFile(name, csvContent string) {
+	f := skills.NewFile(name, csvContent)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.files[name] = csvContent
+	p.files[name] = f
 }
 
 // CreateSession opens a session for owner, seeded with the platform's
@@ -143,8 +165,8 @@ func (p *Platform) CreateSession(name, owner string) (*session.Session, error) {
 		return nil, fmt.Errorf("core: session %q already exists", name)
 	}
 	ctx := skills.NewContext()
-	for fileName, content := range p.files {
-		ctx.Files[fileName] = content
+	for fileName, f := range p.files {
+		ctx.AddFile(fileName, f)
 	}
 	for _, db := range p.clouds {
 		ctx.Cloud[db.Name()] = db
@@ -347,7 +369,9 @@ func (p *Platform) UseNL2Code(sys *nl2code.System) {
 }
 
 // NL2Code translates an English request into a checked program against a
-// session's datasets (Figure 6's pipeline, end to end).
+// session's datasets (Figure 6's pipeline, end to end): the ones it holds —
+// the latest step's output and inputs and every dataset no step produces —
+// without re-deriving the outputs its retention rule handed to the cache.
 func (p *Platform) NL2Code(sessionName, question string) (*nl2code.Response, error) {
 	p.mu.Lock()
 	sys := p.nl2
@@ -361,7 +385,7 @@ func (p *Platform) NL2Code(sessionName, question string) (*nl2code.Response, err
 	}
 	return sys.Generate(nl2code.Request{
 		Question: question,
-		Tables:   s.Context().Datasets,
+		Tables:   s.Context().Fork().Datasets,
 		Layer:    p.Semantic,
 	})
 }

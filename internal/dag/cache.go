@@ -8,9 +8,23 @@ import (
 )
 
 // DefaultCacheCapacity bounds the sub-DAG cache of a freshly built executor
-// or platform. Entries hold result tables by reference, so capacity controls
-// how many distinct sub-DAG results stay pinned, not bytes.
-const DefaultCacheCapacity = 256
+// or platform, in bytes: what its entries pin (see charge), not how many
+// there are.
+const DefaultCacheCapacity = 256 << 20
+
+// entryOverhead is what an entry costs beside its key and table: the LRU
+// element, the map slot and the result struct.
+const entryOverhead = 128
+
+// charge is the bytes a cached result pins: its table's backing arrays —
+// whole, for a Window view of a larger table — plus the key and the entry.
+func charge(key string, res *skills.Result) int64 {
+	b := int64(entryOverhead + len(key))
+	if res != nil && res.Table != nil {
+		b += res.Table.PinnedBytes()
+	}
+	return b
+}
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
 type CacheStats struct {
@@ -24,17 +38,20 @@ type CacheStats struct {
 	Evictions int64
 	// Entries is the current number of stored results.
 	Entries int
+	// Bytes is what the stored results pin; Capacity is the bound on it.
+	Bytes, Capacity int64
 }
 
-// Cache is a concurrency-safe, bounded LRU cache of sub-DAG results keyed by
-// content signature (§2.2). It may be shared by the executors of many
-// sessions: identical computations submitted concurrently share a single
-// execution (singleflight), and Invalidate bumps a generation counter so
-// executions that started before an invalidation cannot store stale results
-// after it.
+// Cache is a concurrency-safe LRU cache of sub-DAG results keyed by content
+// signature (§2.2), bounded by the bytes its entries pin. It may be shared by
+// the executors of many sessions: identical computations submitted
+// concurrently share a single execution (singleflight), and Invalidate bumps
+// a generation counter so executions that started before an invalidation
+// cannot store stale results after it.
 type Cache struct {
 	mu       sync.Mutex
-	capacity int
+	capacity int64
+	bytes    int64
 	lru      *list.List // front = most recently used
 	entries  map[string]*list.Element
 	flights  map[string]*flight
@@ -44,8 +61,9 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key string
-	res *skills.Result
+	key   string
+	res   *skills.Result
+	bytes int64
 }
 
 // flight is one in-progress computation that concurrent callers of the same
@@ -56,14 +74,14 @@ type flight struct {
 	err  error
 }
 
-// NewCache returns an empty cache holding at most capacity results
+// NewCache returns an empty cache whose entries pin at most capacity bytes
 // (DefaultCacheCapacity when capacity <= 0).
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
 	return &Cache{
-		capacity: capacity,
+		capacity: int64(capacity),
 		lru:      list.New(),
 		entries:  map[string]*list.Element{},
 		flights:  map[string]*flight{},
@@ -140,19 +158,29 @@ func (c *Cache) Do(key string, fn func() (*skills.Result, error)) (res *skills.R
 	return f.res, false, f.err
 }
 
+// storeLocked inserts (or replaces) an entry and evicts least recently used
+// ones until the pinned bytes fit the capacity. A result that alone exceeds
+// the capacity is not stored.
 func (c *Cache) storeLocked(key string, res *skills.Result) {
+	b := charge(key, res)
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.lru.MoveToFront(el)
+		c.removeLocked(el)
+	}
+	if b > c.capacity {
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, res: res})
-	for c.lru.Len() > c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, res: res, bytes: b})
+	c.bytes += b
+	for c.bytes > c.capacity {
+		c.removeLocked(c.lru.Back())
 		c.evictions++
 	}
+}
+
+func (c *Cache) removeLocked(el *list.Element) {
+	e := c.lru.Remove(el).(*cacheEntry)
+	delete(c.entries, e.key)
+	c.bytes -= e.bytes
 }
 
 // Invalidate drops every entry and bumps the generation, so computations
@@ -163,6 +191,7 @@ func (c *Cache) Invalidate() {
 	c.gen++
 	c.lru.Init()
 	c.entries = map[string]*list.Element{}
+	c.bytes = 0
 	c.mu.Unlock()
 }
 
@@ -182,5 +211,7 @@ func (c *Cache) Stats() CacheStats {
 		Misses:    c.misses,
 		Evictions: c.evictions,
 		Entries:   len(c.entries),
+		Bytes:     c.bytes,
+		Capacity:  c.capacity,
 	}
 }

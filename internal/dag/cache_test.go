@@ -17,8 +17,13 @@ func resultNamed(name string) *skills.Result {
 	}
 }
 
+// entries is the byte capacity that holds n resultNamed entries under keys
+// of up to two bytes: the cache is bounded in bytes, these tests count
+// entries.
+func entries(n int) int { return n * int(charge("k0", resultNamed("k0"))) }
+
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(entries(2))
 	for i := 0; i < 3; i++ {
 		key := fmt.Sprintf("k%d", i)
 		if _, hit, err := c.Do(key, func() (*skills.Result, error) {
@@ -46,7 +51,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheLRUOrderRefreshedByUse(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache(entries(2))
 	store := func(key string) {
 		c.Do(key, func() (*skills.Result, error) { return resultNamed(key), nil })
 	}
@@ -63,7 +68,7 @@ func TestCacheLRUOrderRefreshedByUse(t *testing.T) {
 }
 
 func TestCacheSingleflightDeduplicates(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(entries(16))
 	var executions atomic.Int64
 	var hits atomic.Int64
 	release := make(chan struct{})
@@ -103,7 +108,7 @@ func TestCacheSingleflightDeduplicates(t *testing.T) {
 }
 
 func TestCacheLeaderErrorPropagatesAndStoresNothing(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(entries(16))
 	boom := errors.New("boom")
 	if _, _, err := c.Do("bad", func() (*skills.Result, error) {
 		return nil, boom
@@ -123,7 +128,7 @@ func TestCacheLeaderErrorPropagatesAndStoresNothing(t *testing.T) {
 }
 
 func TestCacheInvalidateDiscardsInFlightResults(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(entries(16))
 	_, _, err := c.Do("k", func() (*skills.Result, error) {
 		// Invalidation lands while the computation is running: its result
 		// must not be stored afterwards.
@@ -139,7 +144,7 @@ func TestCacheInvalidateDiscardsInFlightResults(t *testing.T) {
 }
 
 func TestCacheInvalidateClearsEntries(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(entries(16))
 	c.Do("k", func() (*skills.Result, error) { return resultNamed("k"), nil })
 	c.Invalidate()
 	if _, ok := c.Get("k"); ok {
@@ -152,7 +157,7 @@ func TestCacheInvalidateClearsEntries(t *testing.T) {
 }
 
 func TestCachePeekHasNoSideEffects(t *testing.T) {
-	c := NewCache(1)
+	c := NewCache(entries(1))
 	c.Do("a", func() (*skills.Result, error) { return resultNamed("a"), nil })
 	before := c.Stats()
 	if !c.Peek("a") {
@@ -168,7 +173,7 @@ func TestCachePeekHasNoSideEffects(t *testing.T) {
 }
 
 func TestCacheConcurrentMixedAccess(t *testing.T) {
-	c := NewCache(8)
+	c := NewCache(entries(8))
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -194,7 +199,7 @@ func TestCacheConcurrentMixedAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Len() > 8 {
-		t.Errorf("capacity exceeded: %d", c.Len())
+	if st := c.Stats(); c.Len() > 8 || st.Bytes > st.Capacity {
+		t.Errorf("capacity exceeded: %d entries, %+v", c.Len(), st)
 	}
 }

@@ -93,7 +93,7 @@ func corpusPipeline(rng *rand.Rand) *Graph {
 func runDifferential(t *testing.T, seed int64, count int, opts ExecOptions) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	cache := NewCache(256)
+	cache := NewCache(4 << 20)
 	for i := 0; i < count; i++ {
 		pipeRng := rand.New(rand.NewSource(rng.Int63()))
 		tableRng := rand.New(rand.NewSource(seed)) // same tables every pipeline

@@ -128,9 +128,13 @@ type Executor struct {
 
 	cache    *Cache
 	statsReg *plan.StatsRegistry
+	runs     *runTotals
+}
 
+// runTotals sums the reports of an executor's finished runs.
+type runTotals struct {
 	mu    sync.Mutex
-	total Stats // sum of every run's Report.Stats
+	total Stats
 }
 
 // NewExecutor returns an executor with every optimizing pass and caching
@@ -149,7 +153,16 @@ func NewExecutor(reg *skills.Registry, ctx *skills.Context) *Executor {
 		CostModel:   true,
 		cache:       NewCache(DefaultCacheCapacity),
 		statsReg:    plan.NewStatsRegistry(plan.DefaultStatsCapacity),
+		runs:        &runTotals{},
 	}
+}
+
+// WithContext returns an executor configured like e — registry, passes,
+// cache and stats registry — that runs in ctx and keeps its own counters.
+func (e *Executor) WithContext(ctx *skills.Context) *Executor {
+	cp := *e
+	cp.Ctx, cp.runs = ctx, &runTotals{}
+	return &cp
 }
 
 // SetCache replaces the executor's sub-DAG cache, typically with one shared
@@ -180,9 +193,9 @@ func (e *Executor) StatsRegistry() *plan.StatsRegistry { return e.statsReg }
 // Stats returns cumulative execution statistics: the sum of the reports of
 // every finished run.
 func (e *Executor) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.total
+	e.runs.mu.Lock()
+	defer e.runs.mu.Unlock()
+	return e.runs.total
 }
 
 // CacheStats returns the cache's own counters (shared figures when the cache
@@ -230,9 +243,9 @@ func (e *Executor) RunWith(ctx context.Context, g *Graph, target NodeID, opts Ex
 	for _, t := range p.tasks {
 		rep.Stats.Add(t.stats)
 	}
-	e.mu.Lock()
-	e.total.Add(rep.Stats)
-	e.mu.Unlock()
+	e.runs.mu.Lock()
+	e.runs.total.Add(rep.Stats)
+	e.runs.mu.Unlock()
 	if err != nil {
 		return nil, rep, err
 	}
@@ -291,7 +304,7 @@ func (e *Executor) CompileSQL(g *Graph, target NodeID) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if err := def.MergeSQL(builder, node.Inv); err != nil {
+		if err := def.MergeSQL(builder, *node.Inv); err != nil {
 			return "", err
 		}
 	}

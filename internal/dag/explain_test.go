@@ -40,7 +40,7 @@ func checkGolden(t *testing.T, name, got string) {
 // chain on one side consolidates, the join and grouping ride on top.
 func TestExplainGoldenJoinGroupBy(t *testing.T) {
 	ctx := newCtx(t)
-	ctx.Files["sales.csv"] = "id,amount\n1,10\n2,20\n"
+	ctx.PutFile("sales.csv", "id,amount\n1,10\n2,20\n")
 	ex := NewExecutor(reg, ctx)
 	g := NewGraph()
 	g.Add(skills.Invocation{Skill: "LoadData", Inputs: nil,

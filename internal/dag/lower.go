@@ -15,14 +15,13 @@ func lowerGraph(g *Graph, target NodeID) (*plan.Plan, error) {
 	// access (the locked accessors would self-deadlock under RWMutex).
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if _, ok := g.nodes[target]; !ok {
+	if g.nodeLocked(target) == nil {
 		return nil, fmt.Errorf("dag: no node %d", target)
 	}
 	lp := plan.New(int(target))
-	for _, id := range g.order {
-		n := g.nodes[id]
+	for _, n := range g.nodes {
 		pn := &plan.Node{
-			ID:     int(id),
+			ID:     int(n.ID),
 			Skill:  n.Inv.Skill,
 			Args:   n.Inv.Args,
 			Output: n.Inv.Output,

@@ -23,7 +23,7 @@ func RenderDOT(g *Graph, reg *skills.Registry) string {
 		}
 		label := node.Inv.Skill
 		if reg != nil {
-			if sentence, err := reg.RenderGEL(node.Inv); err == nil && len(sentence) <= 60 {
+			if sentence, err := reg.RenderGEL(*node.Inv); err == nil && len(sentence) <= 60 {
 				label = sentence
 			}
 		}
@@ -93,7 +93,7 @@ func RenderASCII(g *Graph, reg *skills.Registry) string {
 		indent := strings.Repeat("  ", depth)
 		label := node.Inv.Skill
 		if reg != nil {
-			if sentence, err := reg.RenderGEL(node.Inv); err == nil {
+			if sentence, err := reg.RenderGEL(*node.Inv); err == nil {
 				label = sentence
 			}
 		}

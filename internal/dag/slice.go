@@ -71,8 +71,7 @@ func IsLinear(g *Graph) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	consumerCount := map[NodeID]int{}
-	for _, id := range g.order {
-		n := g.nodes[id]
+	for _, n := range g.nodes {
 		realParents := 0
 		for _, p := range n.Parents {
 			if p >= 0 {

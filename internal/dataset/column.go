@@ -18,6 +18,10 @@ type Column struct {
 	times []int64 // unix nanoseconds
 	nulls []bool
 	n     int
+	// owner is the column whose backing arrays a Window view shares (nil
+	// when the column owns its storage), so PinnedBytes charges a view the
+	// whole arrays it keeps alive.
+	owner *Column
 }
 
 // NewColumn returns an empty column of the given name and type.
@@ -128,6 +132,7 @@ func (c *Column) Value(i int) Value {
 // Append appends a value, coercing it to the column type. Appending a value
 // that cannot coerce records a null.
 func (c *Column) Append(v Value) {
+	c.owner = nil // a view's append reallocates: the column owns its storage from here
 	if v.IsNull() {
 		c.appendNullSlot()
 		return
@@ -156,6 +161,7 @@ func (c *Column) Append(v Value) {
 }
 
 func (c *Column) appendNullSlot() {
+	c.owner = nil
 	switch c.typ {
 	case TypeInt:
 		c.ints = append(c.ints, 0)
@@ -261,7 +267,7 @@ func (c *Column) Window(from, to int) *Column {
 	if from > to {
 		from = to
 	}
-	out := &Column{name: c.name, typ: c.typ, n: to - from}
+	out := &Column{name: c.name, typ: c.typ, n: to - from, owner: c.storage()}
 	switch c.typ {
 	case TypeInt:
 		out.ints = c.ints[from:to:to]
@@ -278,6 +284,32 @@ func (c *Column) Window(from, to int) *Column {
 		out.nulls = c.nulls[from:to:to]
 	}
 	return out
+}
+
+// storage returns the column whose backing arrays c shares.
+func (c *Column) storage() *Column {
+	if c.owner != nil {
+		return c.owner
+	}
+	return c
+}
+
+// pinnedBytes is what c's backing arrays occupy, whole: a view answers for
+// its owner's. String contents are estimated from up to 64 sampled cells, so
+// the charge costs O(1) however long the column.
+func (c *Column) pinnedBytes() int64 {
+	s := c.storage()
+	b := int64(cap(s.ints)+cap(s.fls)+cap(s.times))*8 + int64(cap(s.bools)+cap(s.nulls))
+	if n := len(s.strs); n > 0 {
+		step := max(1, n/64)
+		var sampled, chars int64
+		for i := 0; i < n; i += step {
+			sampled++
+			chars += int64(len(s.strs[i]))
+		}
+		b += int64(cap(s.strs))*16 + chars*int64(n)/sampled
+	}
+	return b
 }
 
 // ConcatColumns appends parts end to end under the first part's name. Parts

@@ -179,13 +179,30 @@ func (t *Table) Head(n int) *Table { return t.Window(0, n) }
 
 // Window returns rows [from, to) as a zero-copy view: every column is
 // windowed in place rather than gathered, so carving a morsel out of a large
-// table is O(columns), not O(rows). The view shares storage with the parent.
+// table is O(columns), not O(rows). The view shares storage with the parent,
+// and its immutable column index too: the schema is the parent's.
 func (t *Table) Window(from, to int) *Table {
 	cols := make([]*Column, len(t.cols))
 	for i, c := range t.cols {
 		cols[i] = c.Window(from, to)
 	}
-	return MustNewTable(t.name, cols...)
+	return &Table{name: t.name, cols: cols, byName: t.byName}
+}
+
+// PinnedBytes is the memory the table keeps alive: every column's backing
+// arrays, whole — a Window view answers for its parent's arrays, which it
+// pins — plus string contents estimated from a sample. A column stored
+// twice, or shared by two views, is charged once.
+func (t *Table) PinnedBytes() int64 {
+	var b int64
+	seen := make(map[*Column]bool, len(t.cols))
+	for _, c := range t.cols {
+		if s := c.storage(); !seen[s] {
+			seen[s] = true
+			b += c.pinnedBytes()
+		}
+	}
+	return b
 }
 
 // SortBy returns a table sorted by the named columns; desc[i] flips the

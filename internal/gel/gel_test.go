@@ -301,7 +301,7 @@ func itoa(n int) string {
 func TestRunnerFigure2Recipe(t *testing.T) {
 	ctx := skills.NewContext()
 	url := "https://fred.stlouisfed.org/graph/fredgraph.csv?id=GDPC1&fq=Quarterly"
-	ctx.Files[url] = gdpCSV()
+	ctx.PutFile(url, gdpCSV())
 	executor := dag.NewExecutor(reg, ctx)
 	p := MustNewParser(reg)
 	p.Now = time.Date(2023, 6, 18, 0, 0, 0, 0, time.UTC)

@@ -59,7 +59,7 @@ func FromGraphAt(name string, g *dag.Graph, clock faults.Clock) (*Recipe, error)
 		if err != nil {
 			return nil, err
 		}
-		inv := node.Inv
+		inv := *node.Inv
 		step := Step{
 			Skill:  inv.Skill,
 			Inputs: append([]string{}, inv.Inputs...),

@@ -130,8 +130,11 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"misses":    cache.Misses,
 			"evictions": cache.Evictions,
 			"entries":   int64(cache.Entries),
+			"bytes":     cache.Bytes,
+			"budget":    cache.Capacity,
 		},
-		Vec: sqlengine.VecCounters(),
+		SessionBytes: s.platform.SessionBytes(),
+		Vec:          sqlengine.VecCounters(),
 	}
 	statsz.Admission = s.adm.snapshot()
 	if s.sched != nil {

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,6 +23,7 @@ import (
 
 	"datachat/internal/artifact"
 	"datachat/internal/dag"
+	"datachat/internal/dataset"
 	"datachat/internal/faults"
 	"datachat/internal/plan"
 	"datachat/internal/recipe"
@@ -46,7 +48,11 @@ type Session struct {
 	mu      sync.Mutex
 	running bool
 	members map[string]artifact.Access
-	history []HistoryEntry
+	// logged counts the graph nodes whose request has finished: the history
+	// is those nodes' step records.
+	logged int
+	// replayable memoizes rederivable, indexed by NodeID.
+	replayable []bool
 
 	// busyRetry optionally retries lock acquisition on ErrBusy with
 	// backoff. The zero policy keeps the paper's fail-fast semantics:
@@ -58,7 +64,8 @@ type Session struct {
 
 // HistoryEntry records one executed request, so every member sees the same
 // synchronized view of the work (§2.4: actions are tracked in the platform,
-// not the client).
+// not the client). The graph keeps each step's record on its node; History
+// renders the entries when asked.
 type HistoryEntry struct {
 	User  string
 	Node  dag.NodeID
@@ -67,9 +74,10 @@ type HistoryEntry struct {
 	Error string
 }
 
-// New creates a session owned by owner.
+// New creates a session owned by owner. The session becomes ctx's Derive
+// hook, so a node output its retention rule dropped stays readable by name.
 func New(name, owner string, reg *skills.Registry, ctx *skills.Context) *Session {
-	return &Session{
+	s := &Session{
 		Name:     name,
 		Owner:    owner,
 		reg:      reg,
@@ -77,6 +85,8 @@ func New(name, owner string, reg *skills.Registry, ctx *skills.Context) *Session
 		graph:    dag.NewGraph(),
 		members:  map[string]artifact.Access{owner: artifact.OwnerAccess},
 	}
+	ctx.Derive = s.derive
+	return s
 }
 
 // Executor exposes the session's executor (benchmarks and the console use
@@ -88,6 +98,79 @@ func (s *Session) Graph() *dag.Graph { return s.graph }
 
 // Context returns the session's execution context.
 func (s *Session) Context() *skills.Context { return s.executor.Ctx }
+
+// derive is the context's Derive hook: it re-computes the output of the
+// graph node answering to name by planning that node again — the shared
+// cache serves whatever it still holds, the rest recomputes. It runs in a
+// fork of the context, so it needs no §2.4 lock and publishes nothing into
+// the session. ok is false when no node produces name, or when re-running
+// the node's lineage would cost or change anything (see rederivable): such
+// an output is never dropped, so a miss means it was never produced.
+func (s *Session) derive(name string) (t *dataset.Table, ok bool, err error) {
+	id, ok := s.graph.ProducerOf(name)
+	if !ok || !s.rederivable(id) {
+		return nil, false, nil
+	}
+	ex := s.executor.WithContext(s.executor.Ctx.Fork())
+	res, _, err := ex.RunWith(context.Background(), s.graph, id, Tuning{})
+	if err != nil {
+		return nil, true, err
+	}
+	if res.Table == nil {
+		return nil, true, fmt.Errorf("session: step %d (%s) produces no dataset", id, name)
+	}
+	return res.Table.WithName(name), true, nil
+}
+
+// retain applies the session's retention rule after a run: of the datasets
+// graph nodes produce, the context keeps only the target's output, the
+// outputs of its direct inputs, and outputs it could not re-derive for free
+// (see rederivable). Every other node output is the shared cache's to keep
+// or evict, and the context's Dataset re-derives it on demand; datasets no
+// node produces are never dropped. So what a session holds does not grow
+// with the steps it has run.
+func (s *Session) retain(target dag.NodeID) {
+	node, err := s.graph.Node(target)
+	if err != nil {
+		return
+	}
+	ctx, out := s.executor.Ctx, node.OutputName()
+	for _, name := range ctx.DatasetNames() {
+		if name == out || slices.ContainsFunc(node.Inv.Inputs, func(in string) bool {
+			return strings.EqualFold(in, name)
+		}) {
+			continue
+		}
+		if id, produced := s.graph.ProducerOf(name); produced && s.rederivable(id) {
+			ctx.DropDataset(name)
+		}
+	}
+}
+
+// rederivable reports whether reading node id's output again by re-running
+// its lineage is free of cost and side effects: every Volatile skill in the
+// lineage is Replayable. A lineage with anything else — a cloud scan that
+// charges the meter, a snapshot create or refresh that rewrites the shared
+// store and wipes the cache, a model or a live-state read that could answer
+// differently — keeps its outputs in the session. A node's lineage is fixed
+// when it is added, so each answer is memoized, one byte per node.
+func (s *Session) rederivable(id dag.NodeID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for next := dag.NodeID(len(s.replayable)); next <= id; next++ {
+		node, err := s.graph.Node(next)
+		if err != nil {
+			return false
+		}
+		def, err := s.reg.Lookup(node.Inv.Skill)
+		ok := err == nil && (!def.Volatile || def.Replayable) && !def.Invalidates
+		for _, p := range node.Parents {
+			ok = ok && (p < 0 || s.replayable[p])
+		}
+		s.replayable = append(s.replayable, ok)
+	}
+	return s.replayable[id]
+}
 
 // Share grants a user access to the session.
 func (s *Session) Share(byUser, withUser string, access artifact.Access) error {
@@ -233,10 +316,11 @@ type Tuning = dag.ExecOptions
 // RequestProgram executes a multi-step program under one acquisition of the
 // session lock: all steps are appended to the session DAG, the final step is
 // planned and run as one unit (earlier steps execute as its ancestors), and
-// every step is recorded in the history. This is the shared entry point the
-// front ends funnel through — a GEL program, a pyapi script, and a replayed
-// recipe describing the same pipeline lower into identical logical plans and
-// therefore share sub-DAG cache entries.
+// every step is recorded in the history; afterwards the session holds only
+// what its retention rule keeps (see retain). This is the shared entry point
+// the front ends funnel through — a GEL program, a pyapi script, and a
+// replayed recipe describing the same pipeline lower into identical logical
+// plans and therefore share sub-DAG cache entries.
 func (s *Session) RequestProgram(user string, invs ...skills.Invocation) (*skills.Result, []dag.NodeID, error) {
 	res, ids, _, err := s.RequestProgramCtx(context.Background(), user, Tuning{}, invs...)
 	return res, ids, err
@@ -257,21 +341,17 @@ func (s *Session) RequestProgramCtx(ctx context.Context, user string, tune Tunin
 	defer s.unlock()
 
 	ids := make([]dag.NodeID, len(invs))
-	entries := make([]HistoryEntry, len(invs))
 	for i, inv := range invs {
-		ids[i] = s.graph.Add(inv)
-		gelLine, gerr := s.reg.RenderGEL(inv)
-		if gerr != nil {
-			gelLine = inv.Skill
-		}
-		entries[i] = HistoryEntry{User: user, Node: ids[i], GEL: gelLine, When: time.Now()}
+		ids[i] = s.graph.AddBy(inv, user, time.Now())
 	}
-	res, rep, err := s.executor.RunWith(ctx, s.graph, ids[len(ids)-1], tune)
+	target := ids[len(ids)-1]
+	res, rep, err := s.executor.RunWith(ctx, s.graph, target, tune)
 	if err != nil {
-		entries[len(entries)-1].Error = err.Error()
+		s.graph.Fail(target, err.Error())
 	}
+	s.retain(target)
 	s.mu.Lock()
-	s.history = append(s.history, entries...)
+	s.logged = int(target) + 1
 	s.mu.Unlock()
 	return res, ids, rep, err
 }
@@ -297,11 +377,25 @@ func (s *Session) Explain(output string) (*plan.Explain, error) {
 	return s.executor.ExplainWith(s.graph, target, Tuning{})
 }
 
-// History returns the synchronized request log.
+// History returns the synchronized request log: the step records of the
+// finished requests' nodes, each rendered back to its GEL sentence.
 func (s *Session) History() []HistoryEntry {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]HistoryEntry{}, s.history...)
+	n := s.logged
+	s.mu.Unlock()
+	out := make([]HistoryEntry, 0, n)
+	for id := dag.NodeID(0); int(id) < n; id++ {
+		node, err := s.graph.Node(id)
+		if err != nil {
+			break
+		}
+		gelLine, gerr := s.reg.RenderGEL(*node.Inv)
+		if gerr != nil {
+			gelLine = node.Inv.Skill
+		}
+		out = append(out, HistoryEntry{User: node.User, Node: id, GEL: gelLine, When: node.When, Error: node.Err})
+	}
+	return out
 }
 
 // ReplayRecipe re-executes a recipe on the session's executor under the

@@ -22,25 +22,19 @@ func ingestionSkills() []*Definition {
 				{"source", "string", true, "file name or URL to load"},
 				{"name", "string", false, "dataset name (defaults to the file stem)"},
 			},
-			GEL:      "Load data from the URL {source}",
-			Volatile: true, // re-registered files must be re-read
+			GEL:        "Load data from the URL {source}",
+			Volatile:   true, // re-registered files must be re-read
+			Replayable: true, // parsing a session file is free of cost and side effects
 			// The file's content hash keys the cache, so LoadData (and its
 			// descendants) cache across requests yet re-registering a file
-			// with new bytes changes every downstream key.
+			// with new bytes changes every downstream key. The hash was
+			// taken when the file was registered (NewFile).
 			SourceFingerprint: func(ctx *Context, args Args) (uint64, bool) {
 				source, err := args.String("source")
 				if err != nil {
 					return 0, false
 				}
-				content, ok := ctx.File(source)
-				if !ok {
-					return 0, false
-				}
-				h := fnv.New64a()
-				io.WriteString(h, source)
-				h.Write([]byte{0})
-				io.WriteString(h, content)
-				return h.Sum64(), true
+				return ctx.FileHash(source)
 			},
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				source, err := inv.Args.String("source")

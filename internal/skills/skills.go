@@ -13,6 +13,7 @@ package skills
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -232,18 +233,45 @@ type Context struct {
 	Degrade DegradePolicy
 	// Models holds trained models by name.
 	Models map[string]ml.Model
-	// Files maps file names/URLs to CSV content for LoadData. Deterministic
-	// stand-in for network and filesystem access.
-	Files map[string]string
 	// Definitions holds semantic-layer phrase definitions added via Define.
 	Definitions map[string]string
 	// Seed drives every randomized skill (sampling, train/test splits).
 	Seed int64
+	// Derive, when set, re-derives a dataset the context does not hold:
+	// Dataset calls it on a miss, and ok=false says it knows no such name
+	// either. A session sets it so the node outputs its retention rule
+	// dropped stay readable by name, through the plan.
+	Derive func(name string) (t *dataset.Table, ok bool, err error)
 
 	mu sync.RWMutex
 	// fps memoizes dataset content fingerprints by table identity, so the
 	// executor can fold them into cache keys without rehashing per run.
 	fps map[string]fpEntry
+	// files maps file names/URLs to CSV content for LoadData — the
+	// deterministic stand-in for network and filesystem access — each with
+	// the hash taken when it was registered, so FileHash is a lookup.
+	files map[string]File
+}
+
+// File is one registered in-memory file: its content and the FNV-1a hash of
+// its name and content, taken once, when it is registered.
+type File struct {
+	Content string
+	Hash    uint64
+}
+
+// NewFile hashes content once, in place: FNV-1a over name, a 0 byte, then
+// content — the byte stream LoadData's cache keys have always been made of.
+func NewFile(name, content string) File {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	h *= 1099511628211 // the 0 separator
+	for i := 0; i < len(content); i++ {
+		h = (h ^ uint64(content[i])) * 1099511628211
+	}
+	return File{Content: content, Hash: h}
 }
 
 type fpEntry struct {
@@ -257,17 +285,24 @@ func NewContext() *Context {
 		Datasets:    map[string]*dataset.Table{},
 		Cloud:       map[string]cloud.DB{},
 		Models:      map[string]ml.Model{},
-		Files:       map[string]string{},
 		Definitions: map[string]string{},
 		Seed:        1,
+		files:       map[string]File{},
 	}
 }
 
-// Dataset returns a named session dataset.
+// Dataset returns a named session dataset, or the Derive hook's answer for
+// one the context does not hold.
 func (c *Context) Dataset(name string) (*dataset.Table, error) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.datasetLocked(name)
+	t, err := c.datasetLocked(name)
+	c.mu.RUnlock()
+	if err != nil && c.Derive != nil {
+		if dt, ok, derr := c.Derive(name); ok {
+			return dt, derr
+		}
+	}
+	return t, err
 }
 
 func (c *Context) datasetLocked(name string) (*dataset.Table, error) {
@@ -291,6 +326,45 @@ func (c *Context) PutDataset(name string, t *dataset.Table) {
 	c.Datasets[name] = t
 	delete(c.fps, name)
 	c.mu.Unlock()
+}
+
+// DropDataset forgets a named dataset and its memoized fingerprint (a
+// session's retention rule hands node outputs back to the cache this way).
+func (c *Context) DropDataset(name string) {
+	c.mu.Lock()
+	delete(c.Datasets, name)
+	delete(c.fps, name)
+	c.mu.Unlock()
+}
+
+// DatasetBytes sums the bytes the held datasets pin (Table.PinnedBytes).
+func (c *Context) DatasetBytes() int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var b int64
+	for _, t := range c.Datasets {
+		b += t.PinnedBytes()
+	}
+	return b
+}
+
+// Fork returns a context over copies of c's maps — tables, files and their
+// hashes, models and databases shared by reference — with no Derive hook:
+// what runs in the fork publishes nothing into c.
+func (c *Context) Fork() *Context {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return &Context{
+		Datasets:    maps.Clone(c.Datasets),
+		Cloud:       maps.Clone(c.Cloud),
+		Snapshots:   c.Snapshots,
+		Degrade:     c.Degrade,
+		Models:      maps.Clone(c.Models),
+		Definitions: maps.Clone(c.Definitions),
+		Seed:        c.Seed,
+		fps:         maps.Clone(c.fps),
+		files:       maps.Clone(c.files),
+	}
 }
 
 // DatasetNames returns the session's dataset names, sorted.
@@ -353,15 +427,27 @@ func (c *Context) PutModel(name string, m ml.Model) {
 func (c *Context) File(name string) (string, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s, ok := c.Files[name]
-	return s, ok
+	f, ok := c.files[name]
+	return f.Content, ok
 }
 
-// PutFile stores an in-memory file.
-func (c *Context) PutFile(name, content string) {
+// PutFile stores an in-memory file, hashing it once (NewFile).
+func (c *Context) PutFile(name, content string) { c.AddFile(name, NewFile(name, content)) }
+
+// AddFile stores a file registered elsewhere, with the hash it was given
+// there: a platform hashes a file once and every session shares the result.
+func (c *Context) AddFile(name string, f File) {
 	c.mu.Lock()
-	c.Files[name] = content
+	c.files[name] = f
 	c.mu.Unlock()
+}
+
+// FileHash returns a file's registration hash (NewFile).
+func (c *Context) FileHash(name string) (uint64, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	f, ok := c.files[name]
+	return f.Hash, ok
 }
 
 // DefinePhrase records a semantic-layer phrase definition.
@@ -404,6 +490,12 @@ type Definition struct {
 	// (snapshot create/refresh); running one bumps the sub-DAG cache
 	// generation so stale results cannot be served afterwards.
 	Invalidates bool
+	// Replayable marks a Volatile skill whose re-run costs nothing and
+	// changes nothing: it reads only what its SourceFingerprint hashes, held
+	// by the session itself (LoadData over a registered file). A session
+	// drops a step's output only when every Volatile step in its lineage is
+	// Replayable, because reading the output again re-runs that lineage.
+	Replayable bool
 	// Apply is the direct execution path.
 	Apply ApplyFunc
 	// SourceFingerprint, when set on a volatile skill, returns a content

@@ -301,7 +301,7 @@ func mustCSV(t *testing.T, name, data string) *dataset.Table {
 
 func TestLoadDataFromRegisteredFile(t *testing.T) {
 	ctx := newTestContext(t)
-	ctx.Files["https://example.com/data.csv?x=1"] = "a,b\n1,2\n"
+	ctx.PutFile("https://example.com/data.csv?x=1", "a,b\n1,2\n")
 	res := run(t, ctx, Invocation{Skill: "LoadData",
 		Args: Args{"source": "https://example.com/data.csv?x=1"}})
 	if res.Table.Name() != "data" || res.Table.NumRows() != 1 {
@@ -574,7 +574,7 @@ func TestCollaborationSkills(t *testing.T) {
 	if !strings.Contains(res.Message, "Exported 6 rows") {
 		t.Errorf("export message = %s", res.Message)
 	}
-	if _, ok := ctx.Files["out.csv"]; !ok {
+	if _, ok := ctx.File("out.csv"); !ok {
 		t.Error("export did not register the file")
 	}
 	res = run(t, ctx, Invocation{Skill: "Define",
