@@ -495,7 +495,7 @@ func streamTable(opts ExecOptions, t *task, tab *dataset.Table) error {
 // The target of a streamed run forwards each chunk to the sink as the engine
 // produces it, under the run's stream options, while still assembling the
 // full table for materialization and the sub-DAG cache; every other fragment
-// is the same pipeline drained with no sink on one inline worker.
+// is ExecStmt: the same pipeline drained with no sink on one inline worker.
 func (e *Executor) execChainStream(ctx context.Context, opts ExecOptions, t *task) (*skills.Result, error) {
 	frag := t.frag
 	if frag.Base.Node == plan.External {
@@ -503,48 +503,46 @@ func (e *Executor) execChainStream(ctx context.Context, opts ExecOptions, t *tas
 			return nil, fmt.Errorf("dag: node %d: %w", frag.Nodes[0], err)
 		}
 	}
-	var so sqlengine.StreamOptions
-	var sink func(*dataset.Table) error
-	streaming := t.stream && opts.Stream != nil
-	if streaming {
-		par := opts.streamParallelism()
-		if par < 0 && e.CostModel && frag.EstBaseRows > 0 {
-			// Adaptive fan-out: with no explicit worker ask, size the morsel
-			// pool from the estimated base cardinality instead of bare
-			// GOMAXPROCS, so small inputs skip the fan-out overhead.
-			par = plan.AdaptiveWorkers(frag.EstBaseRows, runtime.GOMAXPROCS(0))
+	if !t.stream || opts.Stream == nil {
+		table, err := sqlengine.ExecStmt(e.Ctx, frag.Builder.Stmt())
+		if err != nil {
+			return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)
 		}
-		so = sqlengine.StreamOptions{
-			ChunkRows:       opts.chunkRows(),
-			Parallelism:     par,
-			MaxBufferedRows: opts.StreamMaxBufferedRows,
-			SpillDir:        opts.StreamSpillDir,
-			Ctx:             ctx,
-		}
-		seen := 0
-		sink = func(chunk *dataset.Table) error {
-			at := seen
-			seen += chunk.NumRows()
-			return emitChunk(opts.Stream, t, chunk, at)
-		}
+		return t.sqlResult(table), nil
 	}
-	rs, err := sqlengine.ExecStreamStmt(e.Ctx, frag.Builder.Stmt(), so)
+	par := opts.streamParallelism()
+	if par < 0 && e.CostModel && frag.EstBaseRows > 0 {
+		// Adaptive fan-out: with no explicit worker ask, size the morsel
+		// pool from the estimated base cardinality instead of bare
+		// GOMAXPROCS, so small inputs skip the fan-out overhead.
+		par = plan.AdaptiveWorkers(frag.EstBaseRows, runtime.GOMAXPROCS(0))
+	}
+	rs, err := sqlengine.ExecStreamStmt(e.Ctx, frag.Builder.Stmt(), sqlengine.StreamOptions{
+		ChunkRows:       opts.chunkRows(),
+		Parallelism:     par,
+		MaxBufferedRows: opts.StreamMaxBufferedRows,
+		SpillDir:        opts.StreamSpillDir,
+		Ctx:             ctx,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)
 	}
-	table, err := rs.Drain(sink)
-	if streaming {
-		ss := rs.SpillStats()
-		t.stats.Add(Stats{
-			PeakBufferedRows: rs.PeakBufferedRows(),
-			StreamWorkers:    rs.Workers(),
-			SpillRuns:        ss.Runs,
-			SpilledRows:      ss.SpilledRows,
-			SpilledBytes:     ss.SpilledBytes,
-		})
-		if ss.Runs > 0 && e.CostModel && e.statsReg != nil {
-			e.statsReg.ObserveSpill(t.node.Fingerprint)
-		}
+	seen := 0
+	table, err := rs.Drain(func(chunk *dataset.Table) error {
+		at := seen
+		seen += chunk.NumRows()
+		return emitChunk(opts.Stream, t, chunk, at)
+	})
+	ss := rs.SpillStats()
+	t.stats.Add(Stats{
+		PeakBufferedRows: rs.PeakBufferedRows(),
+		StreamWorkers:    rs.Workers(),
+		SpillRuns:        ss.Runs,
+		SpilledRows:      ss.SpilledRows,
+		SpilledBytes:     ss.SpilledBytes,
+	})
+	if ss.Runs > 0 && e.CostModel && e.statsReg != nil {
+		e.statsReg.ObserveSpill(t.node.Fingerprint)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dag: consolidated task %q: %w", frag.SQL, err)

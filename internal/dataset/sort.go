@@ -1,13 +1,15 @@
 package dataset
 
-import "sort"
+import "slices"
 
 // SortIndex returns the row indexes that order the rows by the given key
 // columns; desc[i] flips key i (missing entries default to ascending). The
 // sort is stable, and nulls order before every non-null value, matching
 // Compare. Each key column's typed storage is decoded once into a typed
 // comparator, so no per-comparison Value boxing happens — this is the sort
-// primitive behind ORDER BY and Table.SortBy.
+// primitive behind ORDER BY and Table.SortBy. Rows whose keys tie order by
+// row index, which makes the order total: an unstable O(n log n) sort then
+// yields the stable order.
 func SortIndex(cols []*Column, desc []bool) []int {
 	if len(cols) == 0 {
 		return nil
@@ -21,18 +23,16 @@ func SortIndex(cols []*Column, desc []bool) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
+	slices.SortFunc(idx, func(a, b int) int {
 		for k, cmp := range cmps {
-			c := cmp(idx[a], idx[b])
-			if c == 0 {
-				continue
+			if c := cmp(a, b); c != 0 {
+				if k < len(desc) && desc[k] {
+					return -c
+				}
+				return c
 			}
-			if k < len(desc) && desc[k] {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return cmpInt(int64(a), int64(b))
 	})
 	return idx
 }

@@ -117,34 +117,56 @@ func ColumnVec(c *dataset.Column) (*Vec, bool) {
 // SelectTrue returns the indexes of rows where the vec is truthy and
 // non-null — EvalBool's predicate acceptance rule (null and false reject;
 // int and float vecs are true when non-zero; string and time vecs are never
-// true). limit < 0 means no cap.
+// true). limit < 0 means no cap. It counts the rows before gathering them,
+// so the result is allocated at its size, not the vec's.
 func (v *Vec) SelectTrue(limit int) []int {
 	if limit < 0 || limit > v.N {
 		limit = v.N
 	}
-	sel := make([]int, 0, limit)
-	nulls := v.Nulls
 	switch v.Type {
 	case dataset.TypeBool:
-		for i := 0; i < v.N && len(sel) < limit; i++ {
-			if (nulls == nil || !nulls[i]) && v.B[i] {
-				sel = append(sel, i)
-			}
-		}
+		return selectNonZero(v.B, v.Nulls, limit)
 	case dataset.TypeInt:
-		for i := 0; i < v.N && len(sel) < limit; i++ {
-			if (nulls == nil || !nulls[i]) && v.I[i] != 0 {
-				sel = append(sel, i)
-			}
-		}
+		return selectNonZero(v.I, v.Nulls, limit)
 	case dataset.TypeFloat:
-		for i := 0; i < v.N && len(sel) < limit; i++ {
-			if (nulls == nil || !nulls[i]) && v.F[i] != 0 {
+		return selectNonZero(v.F, v.Nulls, limit)
+	}
+	return []int{}
+}
+
+// selectNonZero is SelectTrue over one backing slice. Without a cap it
+// counts the matches, then gathers them into an exact-size result; both
+// passes are branch-free, since a predicate over unordered rows keeps and
+// drops them in no pattern a branch predictor can follow.
+func selectNonZero[T bool | int64 | float64](vals []T, nulls []bool, limit int) []int {
+	var zero T
+	if limit < len(vals) {
+		sel := make([]int, 0, limit)
+		for i := 0; i < len(vals) && len(sel) < limit; i++ {
+			if vals[i] != zero && (nulls == nil || !nulls[i]) {
 				sel = append(sel, i)
 			}
 		}
+		return sel
 	}
-	return sel
+	n := 0
+	for i, x := range vals {
+		n += b2i(x != zero) & b2i(nulls == nil || !nulls[i])
+	}
+	sel := make([]int, n+1) // the last write of the gather lands in the spare slot
+	n = 0
+	for i, x := range vals {
+		sel[n] = i
+		n += b2i(x != zero) & b2i(nulls == nil || !nulls[i])
+	}
+	return sel[:n]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // floats returns the vec's values widened to float64, copying for int vecs.

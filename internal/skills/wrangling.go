@@ -1048,12 +1048,21 @@ func directAgg(a AggSpec, col *dataset.Column, rows []int) (dataset.Value, error
 		}
 		switch strings.ToLower(a.Func) {
 		case "sum":
+			if allInt {
+				// Exact in int64, as the SQL engine sums ints.
+				var total int64
+				for _, v := range vals {
+					next := total + v.I
+					if (total^next)&(v.I^next) < 0 {
+						return dataset.Null, fmt.Errorf("skills: %s of %q overflows int64", a.Func, a.Column)
+					}
+					total = next
+				}
+				return dataset.Int(total), nil
+			}
 			total := 0.0
 			for _, f := range nums {
 				total += f
-			}
-			if allInt {
-				return dataset.Int(int64(total)), nil
 			}
 			return dataset.Float(total), nil
 		case "avg", "average":

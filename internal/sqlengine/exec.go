@@ -84,12 +84,13 @@ func ExecStmt(catalog Catalog, stmt *SelectStmt) (*dataset.Table, error) {
 
 // ExecStmtOptions executes a parsed statement with explicit options: the
 // morsel pipeline drained on one inline worker, or — DisableVectorized — the
-// row reference.
+// row reference. Nothing consumes the pipeline's morsels, so it reads each
+// input as one morsel (see execStream).
 func ExecStmtOptions(catalog Catalog, stmt *SelectStmt, opts Options) (*dataset.Table, error) {
 	if opts.DisableVectorized {
 		return (&executor{catalog: catalog}).execSelect(stmt)
 	}
-	rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{})
+	rs, err := execStream(catalog, stmt, StreamOptions{}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -101,6 +102,13 @@ func ExecStmtOptions(catalog Catalog, stmt *SelectStmt, opts Options) (*dataset.
 type rel struct {
 	cols  []*dataset.Column
 	quals []string // alias of the relation each column came from
+
+	// boxed, when set, holds per column (nil: none) the cells of a column
+	// whose values do not share one type — an aggregate that finished as an
+	// int for some groups and a float for others. The column holds them
+	// converted to their common type, as a column built from them would;
+	// the row evaluator reads the boxed cells, and kernels do not bind it.
+	boxed [][]dataset.Value
 }
 
 func (r *rel) numRows() int {
@@ -149,6 +157,9 @@ func (e rowEnv) Lookup(name string) (dataset.Value, error) {
 		// No such row: the representative of an aggregate over no rows.
 		return dataset.Null, err
 	}
+	if e.r.boxed != nil && e.r.boxed[i] != nil {
+		return e.r.boxed[i][e.row], nil
+	}
 	return e.r.cols[i].Value(e.row), nil
 }
 
@@ -174,7 +185,7 @@ func (c chainEnv) Lookup(name string) (dataset.Value, error) {
 // executor is the row-at-a-time reference: every expression is evaluated
 // boxed, one row at a time, over whole materialized relations. The morsel
 // pipeline (stream.go) borrows its statement analysis (collectAllAggs,
-// expandItems), its per-row fallbacks and its per-group output phase.
+// expandItems) and its per-row fallbacks.
 type executor struct {
 	catalog Catalog
 }
@@ -332,6 +343,17 @@ func takeRel(r *rel, idx []int) *rel {
 	out := &rel{cols: make([]*dataset.Column, len(r.cols)), quals: r.quals}
 	for i, c := range r.cols {
 		out.cols[i] = c.Take(idx)
+	}
+	if r.boxed != nil {
+		out.boxed = make([][]dataset.Value, len(r.boxed))
+		for i, vals := range r.boxed {
+			if vals != nil {
+				out.boxed[i] = make([]dataset.Value, len(idx))
+				for o, at := range idx {
+					out.boxed[i][o] = vals[at]
+				}
+			}
+		}
 	}
 	return out
 }
@@ -656,11 +678,9 @@ func (e *executor) expandItems(items []SelectItem, source *rel) (names []string,
 	return names, exprs
 }
 
-// groupData is one group ready for the output phase: the source row whose
-// values stand in for the group's non-aggregate columns, plus each computed
-// aggregate keyed by AggCall.Key. Both the reference (boxed per-group) and
-// the pipeline's partitioned grouping produce this and share finishGrouped
-// for HAVING, projection, and ORDER BY.
+// groupData is one group ready for the reference's output phase
+// (finishGrouped): the source row whose values stand in for the group's
+// non-aggregate columns, plus each computed aggregate keyed by AggCall.Key.
 type groupData struct {
 	firstRow int
 	aggVals  expr.MapEnv
@@ -819,12 +839,20 @@ func computeAgg(a *AggCall, source *rel, rows []int) (dataset.Value, error) {
 		}
 		switch a.Name {
 		case "SUM":
+			if allInt {
+				var total int64
+				over := false
+				for _, v := range vals {
+					total, over = addExact(total, v.I, over)
+				}
+				if over {
+					return dataset.Null, sumOverflow(a)
+				}
+				return dataset.Int(total), nil
+			}
 			total := 0.0
 			for _, f := range nums {
 				total += f
-			}
-			if allInt {
-				return dataset.Int(int64(total)), nil
 			}
 			return dataset.Float(total), nil
 		case "AVG":
@@ -855,6 +883,19 @@ func computeAgg(a *AggCall, source *rel, rows []int) (dataset.Value, error) {
 	default:
 		return dataset.Null, fmt.Errorf("sql: unknown aggregate %q", a.Name)
 	}
+}
+
+// addExact adds v to an exact int64 sum, reporting overflow — sticky, so a
+// sum that overflowed stays failed whatever it adds next.
+func addExact(sum, v int64, over bool) (int64, bool) {
+	r := sum + v
+	return r, over || (sum^r)&(v^r) < 0
+}
+
+// sumOverflow is the one error an integer SUM that leaves int64 fails with,
+// on every engine path.
+func sumOverflow(a *AggCall) error {
+	return fmt.Errorf("sql: %s overflows int64", a)
 }
 
 // rowsTable materializes boxed rows as a table. A column's type is types[i]

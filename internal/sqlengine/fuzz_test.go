@@ -44,6 +44,9 @@ func FuzzSQLParse(f *testing.F) {
 // error-or-table agreement on statements without such rows.
 func FuzzEngineVsReference(f *testing.F) {
 	addCorpusSeeds(f)
+	for _, q := range groupedCases {
+		f.Add(q)
+	}
 	catalog := NewMapCatalog(CorpusTables(rand.New(rand.NewSource(1)), 120, 40))
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := Parse(src)

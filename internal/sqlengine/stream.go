@@ -2,11 +2,14 @@ package sqlengine
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"datachat/internal/dataset"
 	"datachat/internal/expr"
@@ -30,7 +33,15 @@ import (
 // reference executor's tail finishes it, re-chunked on the way out — so
 // ExecStream always produces the same rows, in the same order, as the
 // row-at-a-time reference path; the differential harness pins both. ExecStmt
-// is this pipeline drained on one inline worker.
+// is this pipeline drained on one inline worker; nothing consumes its
+// morsels, so it reads each input as one (execStream).
+//
+// The file also holds what lets a fragment run as typed kernels over a
+// morsel's columns: the column binders the kernel compiler resolves names
+// through, the join-key encoding, and the counters that record which side
+// ran. Everything there replicates the row path's semantics exactly:
+// three-valued null logic, Compare's NaN-equals-everything floats, and the
+// hash-prefilter-plus-full-residual join contract.
 
 // DefaultChunkRows is the morsel size when StreamOptions.ChunkRows is unset.
 const DefaultChunkRows = 1024
@@ -96,6 +107,48 @@ func (e *BudgetError) Error() string {
 		e.Op, e.Buffered, e.Budget)
 }
 
+// vecStats counts, per pipeline operator of a statement, whether it ran on
+// kernels or fell back to the row evaluator — once per operator (on its first
+// morsel), not once per morsel. The differential harness asserts both sides
+// are exercised; /statsz reports them.
+var vecStats struct {
+	Filters, FilterFallbacks         atomic.Int64
+	Projections, ProjectionFallbacks atomic.Int64
+	Groups, GroupFallbacks           atomic.Int64
+	Joins, ResidualFallbacks         atomic.Int64
+}
+
+// VecCounters snapshots the kernel-execution counters. Keys: filters /
+// filter_fallbacks (a WHERE compiled / was evaluated per row), projections /
+// projection_fallbacks (a computed select list or ORDER BY key set),
+// groups / group_fallbacks (group keys and aggregate arguments), joins (an
+// equi join built its byte-keyed hash table), residual_fallbacks (a join's ON
+// residual was re-checked per candidate pair).
+func VecCounters() map[string]int64 {
+	return map[string]int64{
+		"filters":              vecStats.Filters.Load(),
+		"filter_fallbacks":     vecStats.FilterFallbacks.Load(),
+		"projections":          vecStats.Projections.Load(),
+		"projection_fallbacks": vecStats.ProjectionFallbacks.Load(),
+		"groups":               vecStats.Groups.Load(),
+		"group_fallbacks":      vecStats.GroupFallbacks.Load(),
+		"joins":                vecStats.Joins.Load(),
+		"residual_fallbacks":   vecStats.ResidualFallbacks.Load(),
+	}
+}
+
+// countFirst bumps kernel, or fallback when the operator could not compile,
+// if this is the operator's first morsel.
+func countFirst(first, compiled bool, kernel, fallback *atomic.Int64) {
+	switch {
+	case !first:
+	case compiled:
+		kernel.Add(1)
+	default:
+		fallback.Add(1)
+	}
+}
+
 // streamExec carries per-stream execution state: the reference executor (for
 // the catalog, the statement analysis, the per-row fallbacks and the tail of
 // the shapes that are not streamed), the buffered-row accounting across operators (one
@@ -103,9 +156,10 @@ func (e *BudgetError) Error() string {
 // concurrent reducers account correctly), spill-file tracking, and the stop
 // functions that tear down parallel workers on close or cancellation.
 type streamExec struct {
-	ex   *executor
-	opts StreamOptions
-	nw   int // worker count every operator of this stream runs with
+	ex    *executor
+	opts  StreamOptions
+	nw    int  // worker count every operator of this stream runs with
+	whole bool // each input is one morsel and each output one chunk (morselRows)
 
 	fellBack bool // the reference's tail finishes the statement or one of its FROM-subqueries
 
@@ -259,6 +313,15 @@ func (se *streamExec) spillStats() SpillStats {
 	return se.spill
 }
 
+// morselRows is the morsel size for an input of n rows, and the chunk size
+// for an output of n: all n when the stream is whole, ChunkRows otherwise.
+func (se *streamExec) morselRows(n int) int {
+	if se.whole {
+		return max(n, 1)
+	}
+	return se.opts.chunkRows()
+}
+
 // RowStream yields a statement's result as a sequence of bounded chunks.
 type RowStream struct {
 	se   *streamExec
@@ -381,9 +444,20 @@ func ExecStream(catalog Catalog, query string, opts StreamOptions) (*RowStream, 
 // joins and filters, and the reference executor groups/projects the resulting
 // relation, re-chunked on the way out; FellBack reports that.
 func ExecStreamStmt(catalog Catalog, stmt *SelectStmt, opts StreamOptions) (*RowStream, error) {
+	return execStream(catalog, stmt, opts, false)
+}
+
+// execStream builds a statement's stream. A whole stream — ExecStmt's: one
+// inline worker, no context, no budget, no sink — reads each input as one
+// morsel of its row count and emits its result as one chunk, so a filter
+// makes one kernel pass and one gather per column and Drain has nothing to
+// concatenate. A LIMIT that can stop the scan early is the exception: it
+// still pulls ChunkRows morsels (buildPipeline).
+func execStream(catalog Catalog, stmt *SelectStmt, opts StreamOptions, whole bool) (*RowStream, error) {
 	se := &streamExec{
 		ex:         &executor{catalog: catalog},
 		opts:       opts,
+		whole:      whole,
 		buffered:   map[string]int{},
 		spillFiles: map[string]bool{},
 		doneCh:     make(chan struct{}),
@@ -440,6 +514,14 @@ func windowRel(r *rel, from, to int) *rel {
 	out := &rel{cols: make([]*dataset.Column, len(r.cols)), quals: r.quals}
 	for i, c := range r.cols {
 		out.cols[i] = c.Window(from, to)
+	}
+	if r.boxed != nil {
+		out.boxed = make([][]dataset.Value, len(r.boxed))
+		for i, vals := range r.boxed {
+			if vals != nil {
+				out.boxed[i] = vals[from:to]
+			}
+		}
 	}
 	return out
 }
@@ -512,9 +594,9 @@ func concatRels(schema *rel, chunks []*rel) *rel {
 
 // sourceChunks builds the chunk source for a FROM-clause relation. Base
 // tables scan as zero-copy windows; a subquery runs to completion as a stream
-// of its own — same chunk size, workers and context, no budget: its result is
-// held whole either way — and is scanned the same way; joins stream their
-// left side.
+// of its own — same chunk size, workers, context and wholeness, no budget:
+// its result is held whole either way — and is scanned the same way; joins
+// stream their left side.
 func (se *streamExec) sourceChunks(ref TableRef) (relChunks, error) {
 	switch r := ref.(type) {
 	case *BaseTable:
@@ -522,11 +604,11 @@ func (se *streamExec) sourceChunks(ref TableRef) (relChunks, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &scanChunks{src: tableToRel(t, r.Alias), chunk: se.opts.chunkRows()}, nil
+		return &scanChunks{src: tableToRel(t, r.Alias), chunk: se.morselRows(t.NumRows())}, nil
 	case *Subquery:
-		rs, err := ExecStreamStmt(se.ex.catalog, r.Stmt, StreamOptions{
+		rs, err := execStream(se.ex.catalog, r.Stmt, StreamOptions{
 			ChunkRows: se.opts.ChunkRows, Parallelism: se.opts.Parallelism, Ctx: se.opts.Ctx,
-		})
+		}, se.whole)
 		if err != nil {
 			return nil, err
 		}
@@ -539,11 +621,14 @@ func (se *streamExec) sourceChunks(ref TableRef) (relChunks, error) {
 		if alias == "" {
 			alias = "subquery"
 		}
-		return &scanChunks{src: tableToRel(t, alias), chunk: se.opts.chunkRows()}, nil
+		return &scanChunks{src: tableToRel(t, alias), chunk: se.morselRows(t.NumRows())}, nil
 	case *Join:
 		jc, err := se.newJoinChunks(r)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
+		case se.whole:
+			return jc, nil // a probe's output is its one morsel
 		}
 		return &rechunkRel{in: jc, chunk: se.opts.chunkRows()}, nil
 	default:
@@ -805,6 +890,88 @@ func (jc *joinChunks) nullExtension() *rel {
 	return out
 }
 
+func keyVecs(r *rel, keys []int) []*expr.Vec {
+	vecs := make([]*expr.Vec, len(keys))
+	for i, k := range keys {
+		v, _ := expr.ColumnVec(r.cols[k])
+		vecs[i] = v
+	}
+	return vecs
+}
+
+// appendJoinKey encodes one side's composite join key for row i, or reports
+// false when any key cell is null. The hash key is a prefilter — the full ON
+// expression is always re-checked per candidate pair — so the encoding only
+// needs to preserve the reference's candidate equivalence: numerics (ints,
+// floats, bools) normalize to float64 bits the way joinKey's %g render
+// normalizes them, NaNs canonicalize, -0 stays distinct from +0, and rows
+// with a null key are skipped outright because the residual rejects null
+// comparisons anyway.
+func appendJoinKey(buf []byte, vecs []*expr.Vec, i int) ([]byte, bool) {
+	for _, v := range vecs {
+		if v.NullAt(i) {
+			return buf, false
+		}
+		switch v.Type {
+		case dataset.TypeInt:
+			buf = append(buf, 'n')
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(v.I[i])))
+		case dataset.TypeFloat:
+			bits := math.Float64bits(v.F[i])
+			if v.F[i] != v.F[i] {
+				bits = canonicalNaNBits
+			}
+			buf = append(buf, 'n')
+			buf = binary.LittleEndian.AppendUint64(buf, bits)
+		case dataset.TypeBool:
+			var f float64
+			if v.B[i] {
+				f = 1
+			}
+			buf = append(buf, 'n')
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+		case dataset.TypeString:
+			s := v.S[i]
+			buf = append(buf, 's')
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+			buf = append(buf, s...)
+		case dataset.TypeTime:
+			buf = append(buf, 't')
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.T[i]))
+		}
+	}
+	return buf, true
+}
+
+// pairBinder exposes a probed morsel's candidate pairs as columns: a
+// reference to a left or right column materializes as a gather over the
+// candidate index vector, lazily and at most once per column. This lets the
+// full ON residual run as one kernel over all candidate pairs.
+type pairBinder struct {
+	combined, left, right *rel
+	leftIdx, rightIdx     []int
+	cache                 map[int]*dataset.Column
+}
+
+// BindColumn implements expr.ColumnBinder.
+func (b *pairBinder) BindColumn(name string) (*dataset.Column, error) {
+	ci, err := b.combined.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := b.cache[ci]; ok {
+		return c, nil
+	}
+	var col *dataset.Column
+	if ci < len(b.left.cols) {
+		col = b.left.cols[ci].Take(b.leftIdx)
+	} else {
+		col = b.right.cols[ci-len(b.left.cols)].Take(b.rightIdx)
+	}
+	b.cache[ci] = col
+	return col, nil
+}
+
 // selectList is a statement's expanded select list, resolved against the
 // FROM relation's schema once per stream.
 type selectList struct {
@@ -820,6 +987,59 @@ func (se *streamExec) newSelectList(stmt *SelectStmt, schema *rel) *selectList {
 	return sl
 }
 
+// relBinder exposes a rel's columns to the kernel compiler using the same
+// qualified-name resolution (and the same ambiguity errors) as rowEnv. A
+// boxed column does not bind: only the row evaluator reads its cells.
+type relBinder struct{ r *rel }
+
+// BindColumn implements expr.ColumnBinder.
+func (b relBinder) BindColumn(name string) (*dataset.Column, error) {
+	i, err := b.r.lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if b.r.boxed != nil && b.r.boxed[i] != nil {
+		return nil, fmt.Errorf("sql: column %q holds values of several types", name)
+	}
+	return b.r.cols[i], nil
+}
+
+// outputBinder resolves ORDER BY column references the way the row path's
+// chainEnv{outRow, rowEnv} does: select-list output names first (exact
+// match wins, last duplicate wins, then a unique case-insensitive match),
+// then the source relation. An ambiguous fold match errors so the caller
+// falls back.
+type outputBinder struct {
+	names []string
+	cols  []*dataset.Column
+	src   relBinder
+}
+
+// BindColumn implements expr.ColumnBinder.
+func (b outputBinder) BindColumn(name string) (*dataset.Column, error) {
+	for i := len(b.names) - 1; i >= 0; i-- {
+		if b.names[i] == name {
+			return b.cols[i], nil
+		}
+	}
+	matchIdx := -1
+	matchName := ""
+	for i := len(b.names) - 1; i >= 0; i-- {
+		if strings.EqualFold(b.names[i], name) {
+			if matchIdx >= 0 && b.names[i] != matchName {
+				return nil, fmt.Errorf("sql: ambiguous order key %q", name)
+			}
+			if matchIdx < 0 {
+				matchIdx, matchName = i, b.names[i]
+			}
+		}
+	}
+	if matchIdx >= 0 {
+		return b.cols[matchIdx], nil
+	}
+	return b.src.BindColumn(name)
+}
+
 // buildPipeline assembles the streaming operator pipeline for a statement.
 func (se *streamExec) buildPipeline(stmt *SelectStmt) (pull func() (*dataset.Table, error), err error) {
 	aggs := se.ex.collectAllAggs(stmt)
@@ -827,13 +1047,14 @@ func (se *streamExec) buildPipeline(stmt *SelectStmt) (pull func() (*dataset.Tab
 
 	// A LIMIT that can stop the scan early — un-ordered, and either over a
 	// plain scan (rowBudget) or over DISTINCT — runs on one inline worker,
-	// which pulls a morsel only when the consumer asks for it. Prefetching
-	// workers would evaluate chunks the reference never reaches and could
-	// surface their errors. Every other shape consumes its whole input.
+	// which pulls a ChunkRows morsel only when the consumer asks for it,
+	// even in a whole stream. Prefetching workers would evaluate chunks the
+	// reference never reaches and could surface their errors. Every other
+	// shape consumes its whole input.
 	budget := rowBudget(stmt, grouped)
 	se.nw = se.opts.workers()
 	if budget >= 0 || (stmt.Distinct && stmt.Limit >= 0 && len(stmt.OrderBy) == 0) {
-		se.nw = 1
+		se.nw, se.whole = 1, false
 	}
 	if stmt.From == nil {
 		return se.referenceTail(stmt, nil), nil // evaluates the items once
@@ -856,26 +1077,36 @@ func (se *streamExec) buildPipeline(stmt *SelectStmt) (pull func() (*dataset.Tab
 		return se.referenceTail(stmt, chunks), nil
 	}
 
-	switch {
-	case grouped:
+	if grouped {
 		pull = se.partitionedGroupedPull(stmt, chunks, aggs, schema)
-	case len(stmt.OrderBy) > 0:
-		pull = se.orderedPull(stmt, chunks, sl, schema)
-	default:
-		pull = se.parallelProjectPull(chunks, stmt.Where, budget, sl)
-	}
-	if !grouped {
-		if stmt.Distinct {
-			pull = se.parallelDistinctPull(pull)
-		}
-		if stmt.Offset > 0 || stmt.Limit >= 0 {
-			pull = offsetLimitPull(pull, stmt.Offset, stmt.Limit)
-		}
+	} else {
+		pull = se.projectPipeline(stmt, chunks, sl, schema, budget)
 	}
 	empty := func() (*dataset.Table, error) {
 		return se.projectChunk(windowRel(schema, 0, 0), sl, false)
 	}
 	return ensureOneChunk(pull, empty), nil
+}
+
+// projectPipeline runs everything after FROM of a statement without
+// grouping over chunks: WHERE, the select list, ORDER BY, DISTINCT and
+// OFFSET/LIMIT, with at most rowBudget rows scanned for (see rowBudget).
+// A grouped statement's finished groups run through it batch by batch, with
+// no schema (see orderedPull).
+func (se *streamExec) projectPipeline(stmt *SelectStmt, chunks relChunks, sl *selectList, schema *rel, rowBudget int) func() (*dataset.Table, error) {
+	var pull func() (*dataset.Table, error)
+	if len(stmt.OrderBy) > 0 {
+		pull = se.orderedPull(stmt, chunks, sl, schema)
+	} else {
+		pull = se.parallelProjectPull(chunks, stmt.Where, rowBudget, sl)
+	}
+	if stmt.Distinct {
+		pull = se.parallelDistinctPull(pull)
+	}
+	if stmt.Offset > 0 || stmt.Limit >= 0 {
+		pull = offsetLimitPull(pull, stmt.Offset, stmt.Limit)
+	}
+	return pull
 }
 
 // referenceTail finishes a statement the pipeline does not stream end to end:
@@ -908,16 +1139,18 @@ func (se *streamExec) referenceTail(stmt *SelectStmt, chunks relChunks) func() (
 		if err != nil {
 			return nil, err
 		}
-		return rechunkTable(out, se.opts.chunkRows()), nil
+		return rechunkTable(out, se.morselRows(out.NumRows())), nil
 	})
 }
 
 // projectCols evaluates the select list over one chunk as typed columns:
 // zero-copy aliasing for plain references, compiled kernels otherwise.
-// ok=false means some item needs the row evaluator.
+// ok=false means some item needs the row evaluator. A chunk with boxed
+// columns is not aliased: what survives of a boxed column takes the type of
+// its surviving cells, as the row evaluator's output does.
 func (se *streamExec) projectCols(c *rel, sl *selectList) (cols []*dataset.Column, ok bool, err error) {
 	cols = make([]*dataset.Column, len(sl.exprs))
-	if sl.plain != nil {
+	if sl.plain != nil && c.boxed == nil {
 		for i, idx := range sl.plain {
 			cols[i] = c.cols[idx].Rename(sl.names[i])
 		}
@@ -1000,6 +1233,25 @@ func (se *streamExec) filterCols(where expr.Expr, c, out *rel, remaining int, fi
 	return takeRel(out, keep), nil
 }
 
+// projectMorsel filters one morsel — at most remaining survivors, < 0 for
+// all — and projects the survivors; nil when none survive.
+func (se *streamExec) projectMorsel(where expr.Expr, c *rel, remaining int, sl *selectList, first bool) (*dataset.Table, error) {
+	plain := sl.plain != nil && c.boxed == nil
+	out := c
+	if plain {
+		cols, _, _ := se.projectCols(c, sl) // zero-copy, so project before gathering
+		out = &rel{cols: cols}
+	}
+	fc, err := se.filterCols(where, c, out, remaining, first)
+	switch {
+	case err != nil || fc == nil:
+		return nil, err
+	case plain:
+		return assembleTable("result", fc.cols)
+	}
+	return se.projectChunk(fc, sl, first)
+}
+
 // parallelProjectPull fans source chunks out to the pipeline workers, each
 // filtering and projecting its own morsels; reassembly preserves chunk
 // order, so the output sequence does not depend on the worker count.
@@ -1017,22 +1269,11 @@ func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, row
 			return source()
 		},
 		func(c *rel, seq int) (*dataset.Table, error) {
-			out := c
-			if sl.plain != nil {
-				cols, _, _ := se.projectCols(c, sl) // zero-copy, so project before gathering
-				out = &rel{cols: cols}
+			t, err := se.projectMorsel(where, c, remaining, sl, seq == 0)
+			if t != nil && remaining > 0 {
+				remaining -= t.NumRows()
 			}
-			fc, err := se.filterCols(where, c, out, remaining, seq == 0)
-			if err != nil || fc == nil {
-				return nil, err
-			}
-			if remaining > 0 {
-				remaining -= fc.numRows()
-			}
-			if sl.plain != nil {
-				return assembleTable("result", fc.cols)
-			}
-			return se.projectChunk(fc, sl, seq == 0)
+			return t, err
 		},
 	)
 	return func() (*dataset.Table, error) {
@@ -1087,6 +1328,71 @@ func (r *orderedRun) boxed(desc []bool) (vals, keys [][]dataset.Value, order []i
 	return vals, keys, dataset.SortIndex(r.keys, desc)
 }
 
+// sorted is the run as one table in its ORDER BY order; names are the
+// select list's, which a boxed run's column builder needs.
+func (r *orderedRun) sorted(names []string, desc []bool) (*dataset.Table, error) {
+	if r.out != nil {
+		return r.out.Take(dataset.SortIndex(r.keys, desc)), nil
+	}
+	t, err := rowsTable(names, nil, r.vals)
+	if err != nil {
+		return nil, err
+	}
+	return t.Take(r.order), nil
+}
+
+func orderDesc(orderBy []OrderItem) []bool {
+	desc := make([]bool, len(orderBy))
+	for i, o := range orderBy {
+		desc[i] = o.Desc
+	}
+	return desc
+}
+
+// buildRun filters, projects and keys one morsel into an ordered run.
+func (se *streamExec) buildRun(stmt *SelectStmt, sl *selectList, c *rel, first bool) (*orderedRun, error) {
+	fc, err := se.filterRel(stmt.Where, c, -1, first)
+	if err != nil {
+		return nil, err
+	}
+	if fc == nil {
+		fc = windowRel(c, 0, 0) // fully filtered: an empty typed run
+	}
+	n := fc.numRows()
+	cols, typed, err := se.projectCols(fc, sl)
+	if err != nil {
+		return nil, err
+	}
+	var keys []*dataset.Column
+	if typed {
+		ob := outputBinder{names: sl.names, cols: cols, src: relBinder{fc}}
+		for _, o := range stmt.OrderBy {
+			k, compiled := expr.Compile(o.Expr, ob, n)
+			if !compiled {
+				typed = false
+				break
+			}
+			v, err := k()
+			if err != nil {
+				return nil, err
+			}
+			keys = append(keys, v.Column(""))
+		}
+	}
+	countFirst(first, typed, &vecStats.Projections, &vecStats.ProjectionFallbacks)
+	if typed {
+		out, err := assembleTable("result", cols)
+		return &orderedRun{out: out, keys: keys}, err
+	}
+	r := &orderedRun{}
+	r.vals, r.bkeys, err = projectRows(sl.names, sl.exprs, nil, stmt.OrderBy, n, func(i int) expr.Env { return rowEnv{fc, i} })
+	if err != nil {
+		return nil, err
+	}
+	r.order = sortIndexes(n, stmt.OrderBy, func(row, k int) dataset.Value { return r.bkeys[row][k] })
+	return r, nil
+}
+
 // orderedPull implements ORDER BY: pipeline workers filter, project and key
 // each morsel into a run charged against the budget. While the runs fit and
 // are typed, exhausted input is finished by one stable typed sort over their
@@ -1094,62 +1400,21 @@ func (r *orderedRun) boxed(desc []bool) (vals, keys [][]dataset.Value, order []i
 // the external sorter: each run sorted stably by its keys, buffered runs
 // merged into an on-disk run on overflow (a contiguous sequence range), and a
 // final k-way merge with ties broken by run sequence — the same global stable
-// sort.
+// sort. The sorter's rows are built with a plain projection's column types
+// from schema; with no schema (a group relation, whose aggregate columns have
+// no type before they are finished) the types are inferred per chunk.
 func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, sl *selectList, schema *rel) func() (*dataset.Table, error) {
-	desc := make([]bool, len(stmt.OrderBy))
-	for i, o := range stmt.OrderBy {
-		desc[i] = o.Desc
-	}
+	desc := orderDesc(stmt.OrderBy)
 	var types []dataset.Type
-	if sl.plain != nil {
+	if sl.plain != nil && schema != nil {
 		types = make([]dataset.Type, len(sl.plain))
 		for i, idx := range sl.plain {
 			types[i] = schema.cols[idx].Type()
 		}
 	}
-	buildRun := func(c *rel, seq int) (*orderedRun, error) {
-		fc, err := se.filterRel(stmt.Where, c, -1, seq == 0)
-		if err != nil {
-			return nil, err
-		}
-		if fc == nil {
-			fc = windowRel(c, 0, 0) // fully filtered: an empty typed run
-		}
-		n := fc.numRows()
-		cols, typed, err := se.projectCols(fc, sl)
-		if err != nil {
-			return nil, err
-		}
-		var keys []*dataset.Column
-		if typed {
-			ob := outputBinder{names: sl.names, cols: cols, src: relBinder{fc}}
-			for _, o := range stmt.OrderBy {
-				k, compiled := expr.Compile(o.Expr, ob, n)
-				if !compiled {
-					typed = false
-					break
-				}
-				v, err := k()
-				if err != nil {
-					return nil, err
-				}
-				keys = append(keys, v.Column(""))
-			}
-		}
-		countFirst(seq == 0, typed, &vecStats.Projections, &vecStats.ProjectionFallbacks)
-		if typed {
-			out, err := assembleTable("result", cols)
-			return &orderedRun{out: out, keys: keys}, err
-		}
-		r := &orderedRun{}
-		r.vals, r.bkeys, err = projectRows(sl.names, sl.exprs, nil, stmt.OrderBy, n, func(i int) expr.Env { return rowEnv{fc, i} })
-		if err != nil {
-			return nil, err
-		}
-		r.order = sortIndexes(n, stmt.OrderBy, func(row, k int) dataset.Value { return r.bkeys[row][k] })
-		return r, nil
-	}
-	pipe := newParallelPipe(se, pullRel(chunks), buildRun)
+	pipe := newParallelPipe(se, pullRel(chunks), func(c *rel, seq int) (*orderedRun, error) {
+		return se.buildRun(stmt, sl, c, seq == 0)
+	})
 	const op = "order-by"
 	// consume drains the input into typed runs, or — from the first run that
 	// is boxed or overflows the budget — into the external sorter.
@@ -1201,16 +1466,16 @@ func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, sl *select
 		if err != nil {
 			return nil, err
 		}
-		return rechunkTable(all.Take(dataset.SortIndex(concatCols(keys), desc)), se.opts.chunkRows()), nil
+		return rechunkTable(all.Take(dataset.SortIndex(concatCols(keys), desc)), se.morselRows(all.NumRows())), nil
 	}
 	return deferredPull(consume)
 }
 
-// chunked groups a row source into tables of at most ChunkRows rows.
+// chunked groups a row source of unknown length into output chunks.
 func (se *streamExec) chunked(names []string, types []dataset.Type, next func() ([]dataset.Value, bool, error)) func() (*dataset.Table, error) {
 	return func() (*dataset.Table, error) {
 		var rows [][]dataset.Value
-		for len(rows) < se.opts.chunkRows() {
+		for len(rows) < se.morselRows(math.MaxInt) {
 			row, ok, err := next()
 			if err != nil {
 				return nil, err

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"sync"
 
 	"datachat/internal/dataset"
@@ -25,6 +27,11 @@ import (
 // passes yields its groups in first-seen order. A final merge across
 // partitions by (chunk, row) of first appearance restores the exact global
 // first-seen order the reference executor produces.
+//
+// The finished groups become a typed relation — the first-seen value of
+// every source column the statement's tail reads, then one column per
+// aggregate — and HAVING, the select list and ORDER BY run over it through
+// the stages a statement without grouping runs through (groupFinish).
 
 // appendKeyValue encodes one boxed key cell exactly the way appendGroupKey
 // encodes a vector cell, so boxed and vectorized chunks of the same stream
@@ -57,6 +64,48 @@ func appendKeyValue(buf []byte, v dataset.Value) []byte {
 	case dataset.TypeTime:
 		buf = append(buf, 5)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.T.UnixNano()))
+	}
+	return buf
+}
+
+var canonicalNaNBits = math.Float64bits(math.NaN())
+
+// appendGroupKey encodes one group-key cell into a reused buffer. The encoding's equivalence classes
+// match the reference's rendered keys per type: int64 and unix-nano times
+// are bijective with their renders, float bits are bijective with the %g
+// render apart from NaN (canonicalized, as all NaNs render "NaN") while -0
+// stays distinct from +0 as the renders do, and a type tag separates types
+// the way the "type:" prefix does. Strings are length-prefixed, which is
+// strictly more precise than the reference's \x00-delimited concatenation.
+func appendGroupKey(buf []byte, v *expr.Vec, i int) []byte {
+	if v.NullAt(i) {
+		return append(buf, 0)
+	}
+	switch v.Type {
+	case dataset.TypeInt:
+		buf = append(buf, 1)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I[i]))
+	case dataset.TypeFloat:
+		bits := math.Float64bits(v.F[i])
+		if v.F[i] != v.F[i] {
+			bits = canonicalNaNBits
+		}
+		buf = append(buf, 2)
+		buf = binary.LittleEndian.AppendUint64(buf, bits)
+	case dataset.TypeString:
+		s := v.S[i]
+		buf = append(buf, 3)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+		buf = append(buf, s...)
+	case dataset.TypeBool:
+		if v.B[i] {
+			buf = append(buf, 4, 1)
+		} else {
+			buf = append(buf, 4, 0)
+		}
+	case dataset.TypeTime:
+		buf = append(buf, 5)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.T[i]))
 	}
 	return buf
 }
@@ -139,7 +188,7 @@ type groupedBatch struct {
 	skeys []string  // columnar keys when it is string with no nulls
 	rows  [][]int32 // per partition: row indices it owns; nil when parts == 1
 	args  []argCol  // per AggCall: argument values (zero for COUNT(*))
-	rep   *rel      // the scanned chunk, source of representative rows
+	rep   *rel      // the scanned chunk, source of first-seen values
 }
 
 // appendKey encodes row i's group key onto buf — cell by cell, a vector cell
@@ -172,14 +221,6 @@ func (b *groupedBatch) argsAt(i int) []dataset.Value {
 		if col.valid() {
 			out[ai] = col.at(i)
 		}
-	}
-	return out
-}
-
-func repRow(c *rel, i int) []dataset.Value {
-	out := make([]dataset.Value, len(c.cols))
-	for ci, col := range c.cols {
-		out[ci] = col.Value(i)
 	}
 	return out
 }
@@ -293,60 +334,48 @@ func (gs *groupedScan) evalColumn(c *rel, ex expr.Expr, n int) (argCol, error) {
 	return argCol{vals: vals}, nil
 }
 
-// finGroup is one finished group: its first appearance (chunk, row), its
-// representative source row, and its finalized aggregate values (indexed by
-// AggCall position). A nil rep marks the synthetic zero-row group of a
-// global aggregate, which buffers no representative row.
-type finGroup struct {
-	seq, row int
-	rep      []dataset.Value
-	agg      []dataset.Value
-}
+// liveGroup is one group holding an in-memory state in a partition reducer:
+// its first appearance (chunk, row). Its first-seen values live in the
+// reducer's reps and its aggregate state in its aggAccs, at the group's index.
+type liveGroup struct{ seq, row int }
 
-func (g *finGroup) before(o *finGroup) bool {
+func (g liveGroup) before(o liveGroup) bool {
 	return g.seq < o.seq || (g.seq == o.seq && g.row < o.row)
 }
 
-// liveGroup is one group holding an in-memory state in a partition reducer:
-// its first appearance and its representative source row. Its aggregate
-// state lives in the reducer's aggAccs at the group's index.
-type liveGroup struct {
-	seq, row int
-	rep      []dataset.Value
-}
-
 // groupReducer owns one hash partition: its live states, its spill passes,
-// and its finished groups.
+// and, once finished, its final pass held live.
 type groupReducer struct {
 	se        *streamExec
 	id        int
 	op        string
-	aggs      []*AggCall
-	states    map[string]int32 // encoded group key → index into groups
-	ints      map[int64]int32  // single-int group keys (intGroupKey)
-	strs      map[string]int32 // single-string group keys (strGroupKey)
-	groups    []liveGroup      // this pass's admitted groups, in first-seen order
-	acc       []aggAcc         // per AggCall, indexed by group
-	all, gids []int32          // scratch: the identity row list, a batch's group ids
-	key       []byte           // scratch: the row key being looked up
+	gf        *groupFinish
+	states    map[string]int32  // encoded group key → index into groups
+	ints      map[int64]int32   // single-int group keys (intGroupKey)
+	strs      map[string]int32  // single-string group keys (strGroupKey)
+	groups    []liveGroup       // this pass's admitted groups, in first-seen order
+	reps      []*dataset.Column // per gf.repCols: each admitted group's first-seen value
+	acc       []aggAcc          // per AggCall, indexed by group
+	all, gids []int32           // scratch: the identity row list, a batch's group ids
+	key       []byte            // scratch: the row key being looked up
 	spilling  bool
 	sw        *spillWriter
 	stateRuns []*spillRun
-	fin       []finGroup
 	err       error
 }
 
-func newGroupReducer(se *streamExec, id int, aggs []*AggCall) *groupReducer {
-	return &groupReducer{
-		se:     se,
-		id:     id,
-		op:     fmt.Sprintf("group-by#%d", id),
-		aggs:   aggs,
-		states: map[string]int32{},
-		ints:   map[int64]int32{},
-		strs:   map[string]int32{},
-		acc:    make([]aggAcc, len(aggs)),
-	}
+func newGroupReducer(se *streamExec, id int, gf *groupFinish) *groupReducer {
+	r := &groupReducer{se: se, id: id, op: fmt.Sprintf("group-by#%d", id), gf: gf}
+	r.reset()
+	return r
+}
+
+// reset starts a pass that holds no group.
+func (r *groupReducer) reset() {
+	r.states, r.ints, r.strs = map[string]int32{}, map[int64]int32{}, map[string]int32{}
+	r.groups = nil
+	r.reps = r.gf.repColumns()
+	r.acc = make([]aggAcc, len(r.gf.aggs))
 }
 
 // aggAcc is one aggregate's streaming state for every live group of a
@@ -354,8 +383,10 @@ func newGroupReducer(se *streamExec, id int, aggs []*AggCall) *groupReducer {
 // grown as groups are admitted. Only the arrays the aggregate reads exist.
 type aggAcc struct {
 	counts []int64         // COUNT; SUM/AVG: values seen
-	sums   []float64       // SUM/AVG, accumulated in row order
-	notInt []bool          // SUM saw a non-int value
+	sums   []float64       // SUM/AVG: the float64 sum, in row order
+	isums  []int64         // SUM: the exact sum of the int values
+	notInt []bool          // SUM saw a non-int value: it finishes as the float sum
+	over   []bool          // SUM: the exact sum overflowed int64
 	best   []dataset.Value // MIN/MAX; null until the group sees a value
 }
 
@@ -365,17 +396,22 @@ func (s *aggAcc) addGroup(a *AggCall) {
 		s.counts = append(s.counts, 0)
 	case a.Name == "MIN" || a.Name == "MAX":
 		s.best = append(s.best, dataset.Null)
-	default:
+	case a.Name == "AVG":
 		s.counts = append(s.counts, 0)
 		s.sums = append(s.sums, 0)
+	default: // SUM
+		s.counts = append(s.counts, 0)
+		s.sums = append(s.sums, 0)
+		s.isums = append(s.isums, 0)
 		s.notInt = append(s.notInt, false)
+		s.over = append(s.over, false)
 	}
 }
 
 // add folds one boxed argument into group g, mirroring computeAgg exactly
-// (same null handling, same float64 addition order per group, same
-// Compare-based MIN/MAX). It serves spill replay, arguments that did not
-// compile, and the vector types fold has no typed loop for.
+// (same null handling, same float64 addition order per group, same exact
+// int64 sum, same Compare-based MIN/MAX). It serves spill replay, arguments
+// that did not compile, and the vector types fold has no typed loop for.
 func (s *aggAcc) add(a *AggCall, g int32, v dataset.Value) error {
 	if a.Star {
 		s.counts[g]++
@@ -401,11 +437,15 @@ func (s *aggAcc) add(a *AggCall, g int32, v dataset.Value) error {
 		if !ok {
 			return fmt.Errorf("sql: %s over non-numeric value %v", a.Name, v)
 		}
-		if v.Type != dataset.TypeInt {
-			s.notInt[g] = true
-		}
 		s.sums[g] += f
 		s.counts[g]++
+		switch {
+		case a.Name == "AVG":
+		case v.Type == dataset.TypeInt:
+			s.isums[g], s.over[g] = addExact(s.isums[g], v.I, s.over[g])
+		default:
+			s.notInt[g] = true
+		}
 	}
 	return nil
 }
@@ -413,7 +453,7 @@ func (s *aggAcc) add(a *AggCall, g int32, v dataset.Value) error {
 // fold accumulates one batch's argument column: rows lists the batch rows
 // this reducer owns and gids[p] the group of rows[p] (negative: the row
 // spilled). Rows are visited in batch order, so each group sees the same
-// float64 addition sequence as the reference's per-group loop.
+// addition sequence as the reference's per-group loop.
 func (s *aggAcc) fold(a *AggCall, arg argCol, rows, gids []int32) error {
 	v := arg.vec
 	switch {
@@ -436,10 +476,10 @@ func (s *aggAcc) fold(a *AggCall, arg argCol, rows, gids []int32) error {
 	case a.Name == "SUM" || a.Name == "AVG":
 		switch v.Type {
 		case dataset.TypeInt:
-			sumInto(s, v.I, v.Nulls, rows, gids, false)
+			sumInts(s, v.I, v.Nulls, rows, gids, a.Name == "SUM")
 			return nil
 		case dataset.TypeFloat:
-			sumInto(s, v.F, v.Nulls, rows, gids, true)
+			sumFloats(s, v.F, v.Nulls, rows, gids, a.Name == "SUM")
 			return nil
 		}
 	default: // MIN, MAX
@@ -461,8 +501,11 @@ func (s *aggAcc) fold(a *AggCall, arg argCol, rows, gids []int32) error {
 	}
 	return nil
 }
-func sumInto[T int64 | float64](s *aggAcc, vals []T, nulls []bool, rows, gids []int32, notInt bool) {
-	sums, counts, flags := s.sums, s.counts, s.notInt
+
+// sumInts folds an int vector: the float64 sum AVG reads and, for a SUM
+// (exact), the int64 sum it finishes as.
+func sumInts(s *aggAcc, vals []int64, nulls []bool, rows, gids []int32, exact bool) {
+	sums, counts := s.sums, s.counts
 	for p, i := range rows {
 		g := gids[p]
 		if g < 0 || (nulls != nil && nulls[i]) {
@@ -470,8 +513,25 @@ func sumInto[T int64 | float64](s *aggAcc, vals []T, nulls []bool, rows, gids []
 		}
 		sums[g] += float64(vals[i])
 		counts[g]++
-		if notInt {
-			flags[g] = true
+		if exact {
+			s.isums[g], s.over[g] = addExact(s.isums[g], vals[i], s.over[g])
+		}
+	}
+}
+
+// sumFloats folds a float vector; a SUM that sees one finishes as its
+// float sum.
+func sumFloats(s *aggAcc, vals []float64, nulls []bool, rows, gids []int32, sum bool) {
+	sums, counts := s.sums, s.counts
+	for p, i := range rows {
+		g := gids[p]
+		if g < 0 || (nulls != nil && nulls[i]) {
+			continue
+		}
+		sums[g] += vals[i]
+		counts[g]++
+		if sum {
+			s.notInt[g] = true
 		}
 	}
 }
@@ -500,27 +560,23 @@ func bestInto[T int64 | float64 | string](s *aggAcc, a *AggCall, v *expr.Vec, va
 	return nil
 }
 
-// finishAggValues finalizes group g's aggregate slots the way computeAgg
-// does.
-func finishAggValues(acc []aggAcc, aggs []*AggCall, g int) []dataset.Value {
-	out := make([]dataset.Value, len(aggs))
-	for ai, a := range aggs {
-		s := &acc[ai]
-		switch {
-		case a.Star || a.Name == "COUNT":
-			out[ai] = dataset.Int(s.counts[g])
-		case a.Name == "MIN" || a.Name == "MAX":
-			out[ai] = s.best[g]
-		case s.counts[g] == 0: // SUM, AVG over no values stay null
-		case a.Name == "AVG":
-			out[ai] = dataset.Float(s.sums[g] / float64(s.counts[g]))
-		case s.notInt[g]:
-			out[ai] = dataset.Float(s.sums[g])
-		default:
-			out[ai] = dataset.Int(int64(s.sums[g]))
-		}
+// value finalizes group g's aggregate the way computeAgg does.
+func (s *aggAcc) value(a *AggCall, g int) (dataset.Value, error) {
+	switch {
+	case a.Star || a.Name == "COUNT":
+		return dataset.Int(s.counts[g]), nil
+	case a.Name == "MIN" || a.Name == "MAX":
+		return s.best[g], nil
+	case s.counts[g] == 0: // SUM, AVG over no values stay null
+		return dataset.Null, nil
+	case a.Name == "AVG":
+		return dataset.Float(s.sums[g] / float64(s.counts[g])), nil
+	case s.notInt[g]:
+		return dataset.Float(s.sums[g]), nil
+	case s.over[g]:
+		return dataset.Null, sumOverflow(a)
 	}
-	return out
+	return dataset.Int(s.isums[g]), nil
 }
 
 // admit decides whether a new group key gets an in-memory state (true) or
@@ -563,10 +619,14 @@ func (r *groupReducer) feed(b *groupedBatch) error {
 	if b.rows != nil {
 		rows = b.rows[r.id]
 	} else {
-		for len(rows) < b.n {
-			rows = append(rows, int32(len(rows)))
+		if len(rows) < b.n {
+			rows = make([]int32, b.n)
+			for i := range rows {
+				rows[i] = int32(i)
+			}
+			r.all = rows
 		}
-		r.all, rows = rows, rows[:b.n]
+		rows = rows[:b.n]
 	}
 	if cap(r.gids) < len(rows) {
 		r.gids = make([]int32, len(rows))
@@ -595,20 +655,33 @@ func (r *groupReducer) feed(b *groupedBatch) error {
 				return err
 			}
 			if !admit {
-				rec := &spillRec{Seq: b.seq, Row: int(i), Key: b.appendKey(nil, int(i)), A: b.argsAt(int(i)), B: repRow(b.rep, int(i))}
+				rec := &spillRec{Seq: b.seq, Row: int(i), Key: b.appendKey(nil, int(i)), A: b.argsAt(int(i)), B: make([]dataset.Value, len(r.reps))}
+				for j, ci := range r.gf.repCols {
+					rec.B[j] = b.rep.cols[ci].Value(int(i))
+				}
 				if err := r.sw.write(rec); err != nil {
 					return err
 				}
 				gids[p] = -1
 				continue
 			}
-			key = b.appendKey(key[:0], int(i))
-			g = r.newGroup(key, b.seq, int(i), repRow(b.rep, int(i)))
+			g = r.newGroup(b.seq, int(i))
+			for j, ci := range r.gf.repCols {
+				r.reps[j].Append(b.rep.cols[ci].Value(int(i)))
+			}
+			switch {
+			case b.ikeys != nil:
+				r.ints[b.ikeys[i]] = g
+			case b.skeys != nil:
+				r.strs[b.skeys[i]] = g
+			default:
+				r.insert(key, g)
+			}
 		}
 		gids[p] = g
 	}
 	r.key = key
-	for ai, a := range r.aggs {
+	for ai, a := range r.gf.aggs {
 		if err := r.acc[ai].fold(a, b.args[ai], rows, gids); err != nil {
 			return err
 		}
@@ -632,13 +705,8 @@ func (r *groupReducer) lookup(key []byte) (int32, bool) {
 	return g, hit
 }
 
-// newGroup admits the group of an encoded key, first seen at (seq, row).
-func (r *groupReducer) newGroup(key []byte, seq, row int, rep []dataset.Value) int32 {
-	g := int32(len(r.groups))
-	r.groups = append(r.groups, liveGroup{seq: seq, row: row, rep: rep})
-	for ai, a := range r.aggs {
-		r.acc[ai].addGroup(a)
-	}
+// insert records group g under an encoded key, in the map lookup reads.
+func (r *groupReducer) insert(key []byte, g int32) {
 	if k, ok := intGroupKey(key); ok {
 		r.ints[k] = g
 	} else if k, ok := strGroupKey(key); ok {
@@ -646,29 +714,51 @@ func (r *groupReducer) newGroup(key []byte, seq, row int, rep []dataset.Value) i
 	} else {
 		r.states[string(key)] = g
 	}
+}
+
+// newGroup admits a group first seen at (seq, row); the caller records its
+// key and appends its first-seen values.
+func (r *groupReducer) newGroup(seq, row int) int32 {
+	g := int32(len(r.groups))
+	r.groups = append(r.groups, liveGroup{seq: seq, row: row})
+	for ai, a := range r.gf.aggs {
+		r.acc[ai].addGroup(a)
+	}
 	return g
 }
 
+// nullGroup admits the one group of an aggregate over no rows, whose
+// first-seen values are null.
+func (r *groupReducer) nullGroup() {
+	r.newGroup(0, 0)
+	for _, c := range r.reps {
+		c.Append(dataset.Null)
+	}
+}
+
 // finish runs the spill passes to completion. Afterwards stateRuns (in pass
-// order) followed by fin hold this partition's groups in first-seen order.
+// order) followed by the final pass, still live, hold this partition's
+// groups in first-seen order.
 func (r *groupReducer) finish() error {
-	for {
-		fin := make([]finGroup, len(r.groups))
-		for gi, g := range r.groups {
-			fin[gi] = finGroup{seq: g.seq, row: g.row, rep: g.rep, agg: finishAggValues(r.acc, r.aggs, gi)}
-		}
-		if r.sw == nil {
-			r.fin = fin
-			return nil
-		}
+	for r.sw != nil {
 		// Over budget this pass: park the finished states on disk, release
 		// the memory, and replay the spilled rows as the next pass.
 		sw, err := r.se.newSpillWriter("gstate")
 		if err != nil {
 			return err
 		}
-		for gi := range fin {
-			if err := sw.write(&spillRec{Seq: fin[gi].seq, Row: fin[gi].row, A: fin[gi].agg, B: fin[gi].rep}); err != nil {
+		for gi, g := range r.groups {
+			rec := &spillRec{Seq: g.seq, Row: g.row, A: make([]dataset.Value, len(r.acc)), B: make([]dataset.Value, len(r.reps))}
+			for ai, a := range r.gf.aggs {
+				if rec.A[ai], err = r.acc[ai].value(a, gi); err != nil {
+					sw.abort()
+					return err
+				}
+			}
+			for j, c := range r.reps {
+				rec.B[j] = c.Value(gi)
+			}
+			if err := sw.write(rec); err != nil {
 				sw.abort()
 				return err
 			}
@@ -678,9 +768,7 @@ func (r *groupReducer) finish() error {
 			return err
 		}
 		r.stateRuns = append(r.stateRuns, run)
-		r.states, r.ints, r.strs = map[string]int32{}, map[int64]int32{}, map[string]int32{}
-		r.groups = nil
-		r.acc = make([]aggAcc, len(r.aggs))
+		r.reset()
 		// Releasing this partition's charge must never fail: sibling
 		// partitions' forced admissions can hold the global total over budget
 		// right now, and the checked buffer() would turn that transient into
@@ -707,6 +795,7 @@ func (r *groupReducer) finish() error {
 			return &BudgetError{Op: r.op, Buffered: buffered, Budget: r.se.opts.MaxBufferedRows}
 		}
 	}
+	return nil
 }
 
 func (r *groupReducer) replay(run *spillRun) error {
@@ -735,9 +824,13 @@ func (r *groupReducer) replay(run *spillRun) error {
 				}
 				continue
 			}
-			g = r.newGroup(rec.Key, rec.Seq, rec.Row, rec.B)
+			g = r.newGroup(rec.Seq, rec.Row)
+			for j, v := range rec.B {
+				r.reps[j].Append(v)
+			}
+			r.insert(rec.Key, g)
 		}
-		for ai, a := range r.aggs {
+		for ai, a := range r.gf.aggs {
 			if err := r.acc[ai].add(a, g, rec.A[ai]); err != nil {
 				return err
 			}
@@ -745,20 +838,32 @@ func (r *groupReducer) replay(run *spillRun) error {
 	}
 }
 
-// groupSource streams one partition's finished groups in first-seen order:
-// state runs from earlier passes, then the final in-memory pass.
-type groupSource struct {
-	runs []*spillRun
-	mem  []finGroup
-	rd   *spillReader
+// finGroup is one finished group in the final merge: its first appearance,
+// and where its values are — group g of reducer part's final pass, still
+// live, or (part < 0) the first-seen and aggregate values a state run read
+// back.
+type finGroup struct {
+	liveGroup
+	part, g  int
+	rep, agg []dataset.Value
 }
 
-func (s *groupSource) next() (*finGroup, error) {
+// groupSource streams one partition's finished groups in first-seen order:
+// state runs from earlier passes, then the final pass.
+type groupSource struct {
+	part int
+	runs []*spillRun
+	rd   *spillReader
+	live []liveGroup
+	pos  int
+}
+
+func (s *groupSource) next() (finGroup, bool, error) {
 	for {
 		if s.rd == nil && len(s.runs) > 0 {
 			rd, err := s.runs[0].open()
 			if err != nil {
-				return nil, err
+				return finGroup{}, false, err
 			}
 			s.runs = s.runs[1:]
 			s.rd = rd
@@ -766,85 +871,255 @@ func (s *groupSource) next() (*finGroup, error) {
 		if s.rd != nil {
 			rec, err := s.rd.next()
 			if err != nil {
-				return nil, err
+				return finGroup{}, false, err
 			}
 			if rec == nil {
 				s.rd.close()
 				s.rd = nil
 				continue
 			}
-			return &finGroup{seq: rec.Seq, row: rec.Row, rep: rec.B, agg: rec.A}, nil
+			return finGroup{liveGroup: liveGroup{rec.Seq, rec.Row}, part: -1, rep: rec.B, agg: rec.A}, true, nil
 		}
-		if len(s.mem) > 0 {
-			g := &s.mem[0]
-			s.mem = s.mem[1:]
-			return g, nil
+		if s.pos < len(s.live) {
+			s.pos++
+			return finGroup{liveGroup: s.live[s.pos-1], part: s.part, g: s.pos - 1}, true, nil
 		}
-		return nil, nil
+		return finGroup{}, false, nil
 	}
 }
 
 // mergedGroups merges the partitions' group streams by first appearance.
 type mergedGroups struct {
 	srcs  []*groupSource
-	heads []*finGroup
+	heads []finGroup
+	held  []bool
 }
 
 func newMergedGroups(reducers []*groupReducer) *mergedGroups {
-	srcs := make([]*groupSource, len(reducers))
+	m := &mergedGroups{heads: make([]finGroup, len(reducers)), held: make([]bool, len(reducers))}
 	for p, red := range reducers {
-		srcs[p] = &groupSource{runs: red.stateRuns, mem: red.fin}
+		m.srcs = append(m.srcs, &groupSource{part: p, runs: red.stateRuns, live: red.groups})
 	}
-	return &mergedGroups{srcs: srcs, heads: make([]*finGroup, len(srcs))}
+	return m
 }
 
-// groupRows lays finished groups out the way the per-group output phase
-// (finishGrouped) reads them: the representative rows as a relation, and each
-// group's aggregates keyed by AggCall.Key.
-func groupRows(schema *rel, aggs []*AggCall, fin []*finGroup) (*rel, []groupData) {
-	reps := &rel{cols: make([]*dataset.Column, len(schema.cols)), quals: schema.quals}
-	for i, c := range schema.cols {
-		reps.cols[i] = dataset.NewColumn(c.Name(), c.Type())
-	}
-	groups := make([]groupData, len(fin))
-	for gi, fg := range fin {
-		if fg.rep != nil { // nil: the one group of an aggregate over no rows
-			for ci, col := range reps.cols {
-				col.Append(fg.rep[ci])
-			}
-		}
-		aggVals := make(expr.MapEnv, len(aggs))
-		for ai, a := range aggs {
-			aggVals[a.Key()] = fg.agg[ai]
-		}
-		groups[gi] = groupData{firstRow: gi, aggVals: aggVals}
-	}
-	return reps, groups
-}
-
-func (m *mergedGroups) next() (*finGroup, error) {
+func (m *mergedGroups) next() (finGroup, bool, error) {
 	best := -1
 	for i, s := range m.srcs {
-		if m.heads[i] == nil {
-			g, err := s.next()
+		if !m.held[i] {
+			g, ok, err := s.next()
 			if err != nil {
-				return nil, err
+				return finGroup{}, false, err
 			}
-			m.heads[i] = g
+			m.heads[i], m.held[i] = g, ok
 		}
-		if m.heads[i] == nil {
-			continue
-		}
-		if best < 0 || m.heads[i].before(m.heads[best]) {
+		if m.held[i] && (best < 0 || m.heads[i].before(m.heads[best].liveGroup)) {
 			best = i
 		}
 	}
 	if best < 0 {
+		return finGroup{}, false, nil
+	}
+	m.held[best] = false
+	return m.heads[best], true, nil
+}
+
+// groupFinish is a grouped statement's tail rewritten over the relation of
+// its finished groups: the first-seen value of each source column the tail
+// reads (repCols, in schema order), then one column per aggregate. HAVING
+// becomes the rewritten statement's WHERE; there, in the select items and in
+// the ORDER BY keys, every aggregate call is a reference to its column, and
+// the items keep their original output names.
+type groupFinish struct {
+	aggs    []*AggCall
+	repCols []int       // the source columns the tail reads, by schema index
+	schema  *rel        // the group relation with no rows
+	stmt    *SelectStmt // the tail over the group relation
+	sl      *selectList
+	global  bool // no GROUP BY: no rows still make one group
+}
+
+// aggColumn names aggregate i's column in the group relation. An aggregate's
+// Key may hold a '.', which a lookup would read as a qualifier.
+func aggColumn(i int) string { return "\x00agg" + strconv.Itoa(i) }
+
+func (se *streamExec) newGroupFinish(stmt *SelectStmt, aggs []*AggCall, schema *rel) *groupFinish {
+	cols := make(map[string]string, len(aggs))
+	for i, a := range aggs {
+		cols[a.Key()] = aggColumn(i)
+	}
+	gs := &SelectStmt{Distinct: stmt.Distinct, Where: bindAggs(stmt.Having, cols), Limit: stmt.Limit, Offset: stmt.Offset}
+	var refs []string
+	if gs.Where != nil {
+		refs = gs.Where.Columns(refs)
+	}
+	names, exprs := se.ex.expandItems(stmt.Items, schema)
+	for i, e := range exprs {
+		e = bindAggs(e, cols)
+		gs.Items = append(gs.Items, SelectItem{Expr: e, Alias: names[i]})
+		refs = e.Columns(refs)
+	}
+	for _, o := range stmt.OrderBy {
+		e := bindAggs(o.Expr, cols)
+		gs.OrderBy = append(gs.OrderBy, OrderItem{Expr: e, Desc: o.Desc})
+		refs = e.Columns(refs)
+	}
+	gf := &groupFinish{aggs: aggs, stmt: gs, global: len(stmt.GroupBy) == 0, schema: &rel{}}
+	// Keep every column a reference could resolve to, bare or qualified, so
+	// a name resolves — or fails as ambiguous — as over the full relation.
+	for ci, c := range schema.cols {
+		for _, name := range refs {
+			if strings.EqualFold(c.Name(), name[strings.LastIndexByte(name, '.')+1:]) {
+				gf.repCols = append(gf.repCols, ci)
+				break
+			}
+		}
+	}
+	if len(gf.repCols) == 0 && len(aggs) == 0 && len(schema.cols) > 0 {
+		gf.repCols = []int{0} // a relation needs a column to carry its row count
+	}
+	for _, ci := range gf.repCols {
+		gf.schema.cols = append(gf.schema.cols, schema.cols[ci])
+		gf.schema.quals = append(gf.schema.quals, schema.quals[ci])
+	}
+	for i := range aggs {
+		gf.schema.cols = append(gf.schema.cols, dataset.NewColumn(aggColumn(i), dataset.TypeNull))
+		gf.schema.quals = append(gf.schema.quals, "")
+	}
+	gf.sl = se.newSelectList(gs, gf.schema)
+	return gf
+}
+
+// bindAggs returns e with every aggregate call replaced by a reference to
+// its column in the group relation.
+func bindAggs(e expr.Expr, cols map[string]string) expr.Expr {
+	switch n := e.(type) {
+	case *AggCall:
+		return expr.Column(cols[n.Key()])
+	case *expr.Binary:
+		return expr.Bin(n.Op, bindAggs(n.Left, cols), bindAggs(n.Right, cols))
+	case *expr.Unary:
+		return &expr.Unary{Negate: n.Negate, Operand: bindAggs(n.Operand, cols)}
+	case *expr.FuncCall:
+		args := make([]expr.Expr, len(n.Args))
+		for i, a := range n.Args {
+			args[i] = bindAggs(a, cols)
+		}
+		return &expr.FuncCall{Name: n.Name, Args: args}
+	case *expr.IsNull:
+		return &expr.IsNull{Operand: bindAggs(n.Operand, cols), Negated: n.Negated}
+	case *expr.In:
+		list := make([]expr.Expr, len(n.List))
+		for i, item := range n.List {
+			list[i] = bindAggs(item, cols)
+		}
+		return &expr.In{Operand: bindAggs(n.Operand, cols), List: list, Negated: n.Negated}
+	case *expr.Between:
+		return &expr.Between{Operand: bindAggs(n.Operand, cols), Lo: bindAggs(n.Lo, cols), Hi: bindAggs(n.Hi, cols), Negated: n.Negated}
+	case *expr.Case:
+		whens := make([]expr.When, len(n.Whens))
+		for i, w := range n.Whens {
+			whens[i] = expr.When{Cond: bindAggs(w.Cond, cols), Result: bindAggs(w.Result, cols)}
+		}
+		return &expr.Case{Whens: whens, Else: bindAggs(n.Else, cols)}
+	}
+	return e
+}
+
+// repColumns returns empty columns for a pass's first-seen values.
+func (gf *groupFinish) repColumns() []*dataset.Column {
+	cols := make([]*dataset.Column, len(gf.repCols))
+	for j := range cols {
+		c := gf.schema.cols[j]
+		cols[j] = dataset.NewColumn(c.Name(), c.Type())
+	}
+	return cols
+}
+
+// groupBatches lays the merged finished groups out as group relations of at
+// most rows groups each.
+type groupBatches struct {
+	gf     *groupFinish
+	reds   []*groupReducer
+	groups *mergedGroups
+	rows   int
+}
+
+func (b *groupBatches) schema() *rel { return b.gf.schema }
+
+func (b *groupBatches) next() (*rel, error) {
+	gf := b.gf
+	reps := gf.repColumns()
+	aggs := make([][]dataset.Value, len(gf.aggs))
+	for ai := range aggs {
+		aggs[ai] = make([]dataset.Value, 0, b.rows)
+	}
+	n := 0
+	for ; n < b.rows; n++ {
+		g, ok, err := b.groups.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if g.part < 0 { // read back from a state run
+			for j, c := range reps {
+				c.Append(g.rep[j])
+			}
+			for ai := range aggs {
+				aggs[ai] = append(aggs[ai], g.agg[ai])
+			}
+			continue
+		}
+		red := b.reds[g.part]
+		for j, c := range reps {
+			c.Append(red.reps[j].Value(g.g))
+		}
+		for ai, a := range gf.aggs {
+			v, err := red.acc[ai].value(a, g.g)
+			if err != nil {
+				return nil, err
+			}
+			aggs[ai] = append(aggs[ai], v)
+		}
+	}
+	if n == 0 {
 		return nil, nil
 	}
-	g := m.heads[best]
-	m.heads[best] = nil
-	return g, nil
+	out := &rel{cols: reps, quals: gf.schema.quals}
+	for ai, vals := range aggs {
+		col, boxed := valuesColumn(aggColumn(ai), vals)
+		if boxed != nil {
+			if out.boxed == nil {
+				out.boxed = make([][]dataset.Value, len(gf.schema.cols))
+			}
+			out.boxed[len(out.cols)] = boxed
+		}
+		out.cols = append(out.cols, col)
+	}
+	return out, nil
+}
+
+// valuesColumn builds a column from an aggregate's per-group values: typed
+// when they share a type; otherwise of their common type, with the values
+// returned to be kept boxed beside it (rel.boxed).
+func valuesColumn(name string, vals []dataset.Value) (*dataset.Column, []dataset.Value) {
+	typ, mixed := dataset.TypeNull, false
+	for _, v := range vals {
+		if !v.IsNull() {
+			mixed = mixed || (typ != dataset.TypeNull && v.Type != typ)
+			typ = dataset.CommonType(typ, v.Type)
+		}
+	}
+	col := dataset.NewColumn(name, typ)
+	for _, v := range vals {
+		col.Append(v)
+	}
+	if mixed {
+		return col, vals
+	}
+	return col, nil
 }
 
 // partitionedGroupedPull drives the whole engine on the first chunk request:
@@ -852,13 +1127,14 @@ func (m *mergedGroups) next() (*finGroup, error) {
 // partition folds inline on the consumer; more get a reducer goroutine each.
 func (se *streamExec) partitionedGroupedPull(stmt *SelectStmt, chunks relChunks, aggs []*AggCall, schema *rel) func() (*dataset.Table, error) {
 	return deferredPull(func() (func() (*dataset.Table, error), error) {
+		gf := se.newGroupFinish(stmt, aggs, schema)
 		parts := se.nw
 		gs := &groupedScan{se: se, stmt: stmt, aggs: aggs, parts: parts}
 		pipe := newParallelPipe(se, pullRel(chunks), gs.build)
 
 		reducers := make([]*groupReducer, parts)
 		for p := range reducers {
-			reducers[p] = newGroupReducer(se, p, aggs)
+			reducers[p] = newGroupReducer(se, p, gf)
 		}
 		var chans []chan *groupedBatch
 		var wg sync.WaitGroup
@@ -910,143 +1186,93 @@ func (se *streamExec) partitionedGroupedPull(stmt *SelectStmt, chunks relChunks,
 				reducers[p].err = reducers[p].finish()
 			}
 		})
-		spilled := false
+		spilled, groups := false, 0
 		for _, red := range reducers {
 			if red.err != nil {
 				return nil, red.err
 			}
 			spilled = spilled || len(red.stateRuns) > 0
+			groups += len(red.groups)
 		}
-		if !spilled {
-			return se.finishGroupedInMemory(stmt, aggs, schema, reducers)
+		if spilled {
+			return se.finishGroupedSpilled(gf, reducers), nil
 		}
-		return se.finishGroupedSpilled(stmt, aggs, schema, reducers)
+		return se.finishGroupedInMemory(gf, reducers, groups)
 	})
 }
 
-// finishGroupedInMemory is the no-spill epilogue: merge the partitions'
-// groups into global first-seen order and run the reference executor's own
-// finishing phase (finishGrouped → DISTINCT → OFFSET/LIMIT), re-chunked, so
-// output is identical to it down to column types.
-func (se *streamExec) finishGroupedInMemory(stmt *SelectStmt, aggs []*AggCall, schema *rel, reducers []*groupReducer) (func() (*dataset.Table, error), error) {
-	merged := newMergedGroups(reducers)
-	var order []*finGroup
-	for {
-		g, err := merged.next()
-		if err != nil {
-			return nil, err
-		}
-		if g == nil {
-			break
-		}
-		order = append(order, g)
+// finishGroupedInMemory is the no-spill epilogue: the groups, merged into
+// global first-seen order, become one group relation; HAVING, the select
+// list and ORDER BY run over it as one morsel, then DISTINCT and
+// OFFSET/LIMIT over the whole result, which is emitted in chunks.
+func (se *streamExec) finishGroupedInMemory(gf *groupFinish, reducers []*groupReducer, groups int) (func() (*dataset.Table, error), error) {
+	if groups == 0 && gf.global {
+		reducers[0].nullGroup() // aggregates over no rows still make one group
+		groups = 1
 	}
-	if len(stmt.GroupBy) == 0 && len(order) == 0 {
-		// Aggregates over zero rows still produce one output group, with no
-		// representative row buffered.
-		acc := make([]aggAcc, len(aggs))
-		for ai, a := range aggs {
-			acc[ai].addGroup(a)
-		}
-		order = append(order, &finGroup{agg: finishAggValues(acc, aggs, 0)})
+	batches := &groupBatches{gf: gf, reds: reducers, groups: newMergedGroups(reducers), rows: max(groups, 1)}
+	grel, err := batches.next()
+	if err != nil {
+		return nil, err
 	}
-	firstRows, groups := groupRows(schema, aggs, order)
-	out, err := se.ex.finishGrouped(stmt, firstRows, groups)
+	if grel == nil {
+		grel = gf.schema
+	}
+	var out *dataset.Table
+	if len(gf.stmt.OrderBy) == 0 {
+		out, err = se.projectMorsel(gf.stmt.Where, grel, -1, gf.sl, true)
+		if out == nil && err == nil {
+			out, err = se.projectChunk(windowRel(grel, 0, 0), gf.sl, false)
+		}
+	} else {
+		var run *orderedRun
+		if run, err = se.buildRun(gf.stmt, gf.sl, grel, true); err == nil {
+			out, err = run.sorted(gf.sl.names, orderDesc(gf.stmt.OrderBy))
+		}
+	}
 	if err == nil {
-		out, err = distinctLimit(stmt, out)
+		out, err = nullsAsString(out)
+	}
+	if err == nil {
+		out, err = distinctLimit(gf.stmt, out)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return rechunkTable(out, se.opts.chunkRows()), nil
+	return rechunkTable(out, se.morselRows(out.NumRows())), nil
 }
 
-// finishGroupedSpilled is the out-of-core epilogue: stream the merged groups
-// in batches through HAVING and projection, sort externally when ORDER BY is
-// present, and emit fixed-size chunks so the chunk boundaries match the
-// in-memory epilogue's re-chunked output.
-func (se *streamExec) finishGroupedSpilled(stmt *SelectStmt, aggs []*AggCall, schema *rel, reducers []*groupReducer) (func() (*dataset.Table, error), error) {
-	merged := newMergedGroups(reducers)
-	names, exprs := se.ex.expandItems(stmt.Items, schema)
-
-	// finishBatch is finishGrouped's per-group phase over one batch of groups:
-	// HAVING filter, projection, and ORDER BY key evaluation.
-	finishBatch := func(batch []*finGroup) (vals, keys [][]dataset.Value, err error) {
-		source, groups := groupRows(schema, aggs, batch)
-		return projectRows(names, exprs, stmt.Having, stmt.OrderBy, len(groups), groupEnv(source, groups))
-	}
-
-	chunkRows := se.opts.chunkRows()
-	nextBatch := func() ([][]dataset.Value, [][]dataset.Value, bool, error) {
-		batch := make([]*finGroup, 0, chunkRows)
-		for len(batch) < chunkRows {
-			g, err := merged.next()
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if g == nil {
-				break
-			}
-			batch = append(batch, g)
+// finishGroupedSpilled is the out-of-core epilogue: the merged groups run
+// through the stages of a statement without grouping in batches of
+// ChunkRows groups, the sort spilling as ORDER BY spills.
+func (se *streamExec) finishGroupedSpilled(gf *groupFinish, reducers []*groupReducer) func() (*dataset.Table, error) {
+	batches := &groupBatches{gf: gf, reds: reducers, groups: newMergedGroups(reducers), rows: se.opts.chunkRows()}
+	pull := se.projectPipeline(gf.stmt, batches, gf.sl, nil, -1)
+	return func() (*dataset.Table, error) {
+		t, err := pull()
+		if t == nil || err != nil {
+			return t, err
 		}
-		if len(batch) == 0 {
-			return nil, nil, false, nil
-		}
-		vals, keys, err := finishBatch(batch)
-		return vals, keys, true, err
+		return nullsAsString(t)
 	}
+}
 
-	var rowSrc func() ([]dataset.Value, bool, error)
-	if len(stmt.OrderBy) > 0 {
-		// Feed every surviving group through the external sorter; batches
-		// arrive in first-seen order, so the stable merge reproduces the
-		// reference's stable sort.
-		sorter := newExtSorter(se, "order-by", stmt.OrderBy)
-		seq := 0
-		for {
-			vals, keys, ok, err := nextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			if err := sorter.addRun(seq, vals, keys, nil); err != nil {
-				return nil, err
-			}
-			seq++
+// nullsAsString gives every column that holds no value the type the
+// reference's column builder infers for one: an all-null string column.
+func nullsAsString(t *dataset.Table) (*dataset.Table, error) {
+	cols := t.Columns()
+	var out []*dataset.Column
+	for i, c := range cols {
+		if c.Type() == dataset.TypeString || c.NullCount() < c.Len() {
+			continue
 		}
-		rowSrc = sorter.rows()
-	} else {
-		var pending [][]dataset.Value
-		done := false
-		rowSrc = func() ([]dataset.Value, bool, error) {
-			for len(pending) == 0 && !done {
-				vals, _, ok, err := nextBatch()
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					done = true
-					break
-				}
-				pending = vals
-			}
-			if len(pending) == 0 {
-				return nil, false, nil
-			}
-			row := pending[0]
-			pending = pending[1:]
-			return row, true, nil
+		if out == nil {
+			out = append([]*dataset.Column(nil), cols...)
 		}
+		out[i] = (&expr.Vec{Type: dataset.TypeNull, N: c.Len()}).Column(c.Name())
 	}
-
-	pull := se.chunked(names, nil, rowSrc)
-	if stmt.Distinct {
-		pull = se.parallelDistinctPull(pull)
+	if out == nil {
+		return t, nil
 	}
-	if stmt.Offset > 0 || stmt.Limit >= 0 {
-		pull = offsetLimitPull(pull, stmt.Offset, stmt.Limit)
-	}
-	return pull, nil
+	return dataset.NewTable(t.Name(), out...)
 }

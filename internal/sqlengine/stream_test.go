@@ -3,7 +3,9 @@ package sqlengine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"datachat/internal/dataset"
@@ -140,6 +142,56 @@ func TestSingleChunkDrainAllocatesNoCells(t *testing.T) {
 	small, large := allocs(64), allocs(8192)
 	if large > small || large > 64 {
 		t.Fatalf("single-chunk drain allocates %.0f times at 8192 rows, %.0f at 64; want the same small constant", large, small)
+	}
+}
+
+// allocatedBytes is the fewest heap bytes any of three runs of f allocates.
+func allocatedBytes(f func()) uint64 {
+	best := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestExecStmtCopiesOnce pins that ExecStmt gathers a filter's survivors
+// once: it reads the whole input as one morsel and returns that one result
+// chunk, so what a 200k-row filter allocates is its result plus the
+// predicate and selection vectors — no second copy of every column.
+func TestExecStmtCopiesOnce(t *testing.T) {
+	catalog := NewMapCatalog(map[string]*dataset.Table{"facts": factsTable(200_000)})
+	stmt := mustParse(t, coldChainFilter)
+	var out *dataset.Table
+	bytes := allocatedBytes(func() {
+		var err error
+		if out, err = ExecStmt(catalog, stmt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ratio := float64(bytes) / float64(out.PinnedBytes()); ratio > 1.3 {
+		t.Fatalf("a drained filter allocated %d bytes for a %d-byte result (%.2f×); want at most 1.3×", bytes, out.PinnedBytes(), ratio)
+	}
+}
+
+// TestLimitScanStopsEarly pins the one-morsel rule's exception: a LIMIT that
+// can stop the scan early still pulls DefaultChunkRows morsels, so it never
+// evaluates the predicate over the whole input.
+func TestLimitScanStopsEarly(t *testing.T) {
+	catalog := NewMapCatalog(benchTables(1_000_000))
+	stmt := mustParse(t, "SELECT id FROM big WHERE v > 0 LIMIT 5")
+	bytes := allocatedBytes(func() {
+		out, err := ExecStmt(catalog, stmt)
+		if err != nil || out.NumRows() != 5 {
+			t.Fatalf("got %v, %v; want 5 rows", out, err)
+		}
+	})
+	if bytes >= 256<<10 {
+		t.Fatalf("LIMIT 5 over 1M rows allocated %d bytes; want under 256 KB", bytes)
 	}
 }
 

@@ -3,7 +3,9 @@ package sqlengine
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
+	"time"
 
 	"datachat/internal/dataset"
 )
@@ -47,6 +49,67 @@ func benchTables(n int) map[string]*dataset.Table {
 		dataset.FloatColumn("dw", dw, nil),
 	)
 	return map[string]*dataset.Table{"big": big, "dims": dims}
+}
+
+// factsTable builds the interactive workload's shape: n rows of an int id, a
+// 13-value and a 1 000-value string, an int v uniform on [0, 1e6) and a time.
+func factsTable(n int) *dataset.Table {
+	rng := rand.New(rand.NewSource(1))
+	ids, vs := make([]int64, n), make([]int64, n)
+	grps, cats := make([]string, n), make([]string, n)
+	ts := make([]time.Time, n)
+	base := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := range ids {
+		ids[i] = int64(i)
+		grps[i] = "g" + strconv.Itoa(rng.Intn(13))
+		cats[i] = "c" + strconv.Itoa(rng.Intn(1000))
+		vs[i] = rng.Int63n(1_000_000)
+		ts[i] = base.Add(time.Duration(i) * time.Second)
+	}
+	return dataset.MustNewTable("facts",
+		dataset.IntColumn("id", ids, nil),
+		dataset.StringColumn("grp", grps, nil),
+		dataset.StringColumn("cat", cats, nil),
+		dataset.IntColumn("v", vs, nil),
+		dataset.TimeColumn("ts", ts, nil),
+	)
+}
+
+// coldChainFilter keeps ≈ 18 % of a factsTable.
+const coldChainFilter = "SELECT * FROM facts WHERE v >= 820000"
+
+// BenchmarkColdChain runs the four statements of one interactive chain with
+// a never-seen constant, each over its predecessor's result the way the
+// session's steps read one another: the filter over 200k facts rows, GROUP BY
+// the 1 000 cats over what it keeps, the sort by sum, and the limit.
+func BenchmarkColdChain(b *testing.B) {
+	tables := map[string]*dataset.Table{"facts": factsTable(200_000)}
+	steps := []struct{ name, out, query string }{
+		{"filter", "kept", coldChainFilter},
+		{"group", "grouped", "SELECT cat, SUM(v) AS sum_v, COUNT(*) AS count_records FROM kept GROUP BY cat ORDER BY cat"},
+		{"sort", "sorted", "SELECT * FROM grouped ORDER BY sum_v DESC"},
+		{"limit", "limited", "SELECT * FROM sorted LIMIT 10"},
+	}
+	for _, step := range steps {
+		catalog := NewMapCatalog(tables)
+		stmt, err := Parse(step.query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := ExecStmt(catalog, stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tables[step.out] = out
+		b.Run(step.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ExecStmt(catalog, stmt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func benchBothPaths(b *testing.B, n int, query string) {
