@@ -247,11 +247,13 @@ func benchChainSQL(b *testing.B, alwaysNest bool) {
 	ctx := skills.NewContext()
 	ctx.Datasets["base"] = wideTable(30000, steps+2)
 	builder := skills.NewQueryBuilder("base")
-	builder.AlwaysNest = alwaysNest
 	for s := 0; s < steps; s++ {
 		cols := []string{"id"}
 		for c := 0; c < steps-s; c++ {
 			cols = append(cols, fmt.Sprintf("c%d", c))
+		}
+		if alwaysNest {
+			builder.Nest()
 		}
 		builder.Project(cols)
 	}

@@ -27,7 +27,7 @@ func main() {
 		fmt.Printf("%s (%d skills)\n%s\n", cat, len(defs), strings.Repeat("=", len(string(cat))+12))
 		for _, def := range defs {
 			relational := ""
-			if def.Relational {
+			if def.MergeSQL != nil {
 				relational = "  [SQL-mergeable]"
 			}
 			fmt.Printf("  %-22s %s%s\n", def.Name, def.Summary, relational)

@@ -35,18 +35,34 @@ func BenchmarkConcatenate(b *testing.B) {
 	}
 }
 
-// BenchmarkKeepRowsDirect is the KeepRows skill run directly (not
-// consolidated into SQL) over 50 000 rows, keeping about a third.
-func BenchmarkKeepRowsDirect(b *testing.B) {
+// BenchmarkRelationalApply runs each relational skill alone — its merge rule
+// as a one-clause statement — and Pivot — its GROUP BY and reshape — over
+// 50 000 rows, one sub-benchmark per skill.
+func BenchmarkRelationalApply(b *testing.B) {
 	ctx := benchTables(1, 50_000)
-	inv := Invocation{Skill: "KeepRows", Inputs: []string{"t0"}, Args: Args{"condition": "f > 2.5 AND i >= 0"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := reg.Execute(ctx, inv)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchResult = res
+	for _, inv := range []Invocation{
+		{Skill: "KeepRows", Args: Args{"condition": "f > 2.5 AND i >= 0"}},
+		{Skill: "DropRows", Args: Args{"condition": "f > 2.5 AND i >= 0"}},
+		{Skill: "KeepColumns", Args: Args{"columns": []string{"s", "i"}}},
+		{Skill: "NewColumn", Args: Args{"name": "x", "formula": "i * 2 + f"}},
+		{Skill: "SortRows", Args: Args{"columns": []string{"s", "f"}, "descending": true}},
+		{Skill: "LimitRows", Args: Args{"count": 500}},
+		{Skill: "DistinctRows", Args: Args{"columns": []string{"s", "b"}}},
+		{Skill: "Compute", Args: Args{"aggregates": []string{"count of records", "avg of f", "max of i"}, "for_each": []string{"s"}}},
+		{Skill: "Bin", Args: Args{"column": "f", "size": 2.5}},
+		{Skill: "ExtractDatePart", Args: Args{"column": "ts", "part": "day"}},
+		{Skill: "Pivot", Args: Args{"rows": "s", "columns": "b", "measure": "sum of i"}},
+	} {
+		inv.Inputs = []string{"t0"}
+		b.Run(inv.Skill, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := reg.Execute(ctx, inv)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchResult = res
+			}
+		})
 	}
 }

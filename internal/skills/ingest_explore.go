@@ -169,26 +169,27 @@ func ingestionSkills() []*Definition {
 
 // applyScanPushdown applies the optional "condition" and "columns"
 // parameters the plan pushdown pass injects into scan skills, so sampling
-// and snapshot reads materialize fewer rows and columns (§3). The filter
-// runs on the scanned table first, then the projection narrows it.
+// and snapshot reads materialize fewer rows and columns (§3): they are the
+// consumer's own KeepRows and KeepColumns rules, run over the scanned table —
+// the filter first, then the projection.
 func applyScanPushdown(t *dataset.Table, inv Invocation) (*dataset.Table, error) {
-	if condStr, err := inv.Args.String("condition"); err == nil {
-		cond, err := parseCondition(condStr)
-		if err != nil {
-			return nil, err
-		}
-		if t, err = filterTable(t, cond); err != nil {
+	_, cond := inv.Args["condition"]
+	_, cols := inv.Args["columns"]
+	if !cond && !cols {
+		return t, nil
+	}
+	b := NewQueryBuilder(t.Name())
+	if cond {
+		if err := where(b, inv.Args, "condition", false); err != nil {
 			return nil, err
 		}
 	}
-	if cols, err := inv.Args.StringList("columns"); err == nil {
-		out, err := t.Select(cols...)
-		if err != nil {
+	if cols {
+		if err := keepColumns(b, inv); err != nil {
 			return nil, err
 		}
-		t = out
 	}
-	return t, nil
+	return execOn(t, b.Stmt())
 }
 
 func datasetNameFromSource(source string) string {

@@ -83,12 +83,13 @@ func visualizationSkills() []*Definition {
 				if err != nil {
 					return nil, err
 				}
-				if filterStr := inv.Args.StringOr("filter", ""); filterStr != "" {
-					cond, err := parseCondition(filterStr)
-					if err != nil {
+				if inv.Args.StringOr("filter", "") != "" {
+					// The filter is KeepRows' rule, run over the input.
+					b := NewQueryBuilder(t.Name())
+					if err := where(b, inv.Args, "filter", false); err != nil {
 						return nil, err
 					}
-					if t, err = filterTable(t, cond); err != nil {
+					if t, err = execOn(t, b.Stmt()); err != nil {
 						return nil, err
 					}
 				}

@@ -3,12 +3,12 @@
 // forms, the Python API, or GEL sentences. All three entry paths converge on
 // an Invocation — a discrete, parameterized request — and every skill knows
 // how to render itself as GEL, as a Python API call, and (for relational
-// skills) as a SQL clause, and how to execute directly on tables.
+// skills) as a SQL clause, and how to execute on the session's tables.
 //
-// Relational skills carry two implementations, mirroring the paper's §2.2:
-// a direct table transform (the "Python" execution path) and a SQL merge
-// rule used by the DAG compiler to consolidate chains of skills into one
-// flattened query (Figure 4).
+// A relational skill has one implementation, its SQL merge rule (§2.2). The
+// DAG compiler merges chains of such skills into one flattened query (Figure
+// 4); a relational skill run alone is its rule merged into SELECT * FROM its
+// input — a chain of one — executed by the same engine.
 package skills
 
 import (
@@ -460,7 +460,7 @@ func (c *Context) DefinePhrase(phrase, meaning string) {
 // Table implements sqlengine.Catalog over the session datasets.
 func (c *Context) Table(name string) (*dataset.Table, error) { return c.Dataset(name) }
 
-// ApplyFunc executes a skill directly (the non-SQL execution path).
+// ApplyFunc executes one skill invocation in a context.
 type ApplyFunc func(ctx *Context, inv Invocation) (*Result, error)
 
 // Definition describes one skill: metadata, parameters, renderings, and its
@@ -479,8 +479,6 @@ type Definition struct {
 	GEL string
 	// PyName is the method name in the DataChat Python API (snake_case).
 	PyName string
-	// Relational marks skills the DAG compiler can merge into SQL.
-	Relational bool
 	// Volatile marks skills whose results depend on state outside the DAG
 	// signature (cloud tables, the snapshot store, trained models, session
 	// files) or that mutate session state when applied. The executor never
@@ -496,7 +494,8 @@ type Definition struct {
 	// drops a step's output only when every Volatile step in its lineage is
 	// Replayable, because reading the output again re-runs that lineage.
 	Replayable bool
-	// Apply is the direct execution path.
+	// Apply executes the skill. Register sets it for a skill that has a
+	// MergeSQL rule and no Apply: the rule run alone (runAlone).
 	Apply ApplyFunc
 	// SourceFingerprint, when set on a volatile skill, returns a content
 	// hash of the out-of-DAG state an invocation would read (e.g. a
@@ -507,8 +506,8 @@ type Definition struct {
 	// ok=false leaves the node volatile and uncached.
 	SourceFingerprint func(ctx *Context, args Args) (uint64, bool)
 	// MergeSQL merges the skill into a query under construction; nil for
-	// non-relational skills. Returning ErrCannotMerge makes the compiler
-	// wrap the current query as a subquery and retry.
+	// non-relational skills. The planner consolidates chains of skills that
+	// have one.
 	MergeSQL func(b *QueryBuilder, inv Invocation) error
 }
 
@@ -548,6 +547,9 @@ func (r *Registry) Register(def *Definition) error {
 	if def.PyName == "" {
 		def.PyName = toSnake(def.Name)
 	}
+	if def.Apply == nil && def.MergeSQL != nil {
+		def.Apply = runAlone(def.MergeSQL)
+	}
 	r.byName[strings.ToLower(def.Name)] = def
 	r.order = append(r.order, def.Name)
 	return nil
@@ -578,7 +580,7 @@ func (r *Registry) ByCategory() map[Category][]*Definition {
 	return out
 }
 
-// Execute validates and runs an invocation through the direct path.
+// Execute validates and runs one invocation on its own.
 func (r *Registry) Execute(ctx *Context, inv Invocation) (*Result, error) {
 	def, err := r.Lookup(inv.Skill)
 	if err != nil {

@@ -259,10 +259,29 @@ func TestComputeAggregateFunctions(t *testing.T) {
 
 func TestPivot(t *testing.T) {
 	ctx := newTestContext(t)
-	res := run(t, ctx, Invocation{Skill: "Pivot", Inputs: []string{"people"},
-		Args: Args{"rows": "dept", "columns": "name", "measure": "sum of age"}})
-	if res.Table.NumRows() != 3 || res.Table.NumCols() != 7 {
-		t.Errorf("pivot shape = %d×%d", res.Table.NumRows(), res.Table.NumCols())
+	for _, c := range []struct {
+		args Args
+		want string
+	}{
+		{Args{"rows": "dept", "columns": "name", "measure": "sum of age"},
+			"dept,ann,bob,carl,dee,eve,fay\neng,30,25,,,,\nhr,,,,,35,52\nsales,,,40,25,,\n"},
+		// Labels sort as strings ("100" before "70"); a null value is "null".
+		{Args{"rows": "dept", "columns": "salary", "measure": "count of records"},
+			"dept,100,70,80,85,90,null\neng,1,,1,,,\nhr,,1,,,,1\nsales,,,,1,1,\n"},
+	} {
+		res := run(t, ctx, Invocation{Skill: "Pivot", Inputs: []string{"people"}, Args: c.args})
+		var got strings.Builder
+		if err := dataset.WriteCSV(res.Table, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != c.want {
+			t.Errorf("Pivot %v =\n%s\nwant\n%s", c.args, got.String(), c.want)
+		}
+		for _, col := range res.Table.Columns()[1:] {
+			if col.Type() != dataset.TypeFloat {
+				t.Errorf("Pivot %v: measure column %s is %s, want float", c.args, col.Name(), col.Type())
+			}
+		}
 	}
 }
 
@@ -589,9 +608,10 @@ func TestCollaborationSkills(t *testing.T) {
 	run(t, ctx, Invocation{Skill: "AddComment", Args: Args{"text": "check this"}})
 }
 
-// TestDualPathEquivalence verifies the §2.2 claim that relational skills
-// have equivalent SQL and direct implementations: the same chain executed
-// through the QueryBuilder and through Apply yields the same table.
+// TestDualPathEquivalence verifies the §2.2 claim that consolidating a chain
+// of relational skills does not change its answer: the chain run one
+// statement per skill, each on the row reference, equals its consolidated
+// statement run by the pipeline.
 func TestDualPathEquivalence(t *testing.T) {
 	ctx := newTestContext(t)
 	chains := [][]Invocation{
@@ -622,20 +642,19 @@ func TestDualPathEquivalence(t *testing.T) {
 		},
 	}
 	for ci, chain := range chains {
-		// Direct path.
+		// One statement per step.
 		ctx.Datasets["work"] = ctx.Datasets["people"].WithName("work")
-		current := "work"
 		for _, inv := range chain {
-			inv.Inputs = []string{current}
-			res, err := reg.Execute(ctx, inv)
+			inv.Inputs = []string{"work"}
+			step, err := viaReference(ctx, inv)
 			if err != nil {
-				t.Fatalf("chain %d direct %s: %v", ci, inv.Skill, err)
+				t.Fatalf("chain %d step %s: %v", ci, inv.Skill, err)
 			}
-			ctx.Datasets["work"] = res.Table.WithName("work")
+			ctx.Datasets["work"] = step.WithName("work")
 		}
-		direct := ctx.Datasets["work"]
+		perStep := ctx.Datasets["work"]
 
-		// SQL path.
+		// One consolidated statement.
 		b := NewQueryBuilder("people")
 		for _, inv := range chain {
 			def, err := reg.Lookup(inv.Skill)
@@ -649,13 +668,13 @@ func TestDualPathEquivalence(t *testing.T) {
 				t.Fatalf("chain %d merge %s: %v", ci, inv.Skill, err)
 			}
 		}
-		viaSQL, err := sqlengine.ExecStmt(ctx, b.Stmt())
+		consolidated, err := sqlengine.ExecStmt(ctx, b.Stmt())
 		if err != nil {
 			t.Fatalf("chain %d sql exec (%s): %v", ci, b.SQL(), err)
 		}
-		if !direct.Equal(viaSQL.WithName(direct.Name())) {
-			t.Errorf("chain %d: direct and SQL paths disagree\nSQL: %s\ndirect:\n%s\nsql:\n%s",
-				ci, b.SQL(), direct, viaSQL)
+		if !perStep.Equal(consolidated) {
+			t.Errorf("chain %d: per-step and consolidated statements disagree\nSQL: %s\nper step:\n%s\nconsolidated:\n%s",
+				ci, b.SQL(), perStep, consolidated)
 		}
 	}
 }
@@ -673,10 +692,11 @@ func TestQueryBuilderConsolidation(t *testing.T) {
 		t.Errorf("consolidated blocks = %d, want 1\n%s", got, b.SQL())
 	}
 
-	// The naive path nests every step.
+	// The naive path nests before every step.
 	naive := NewQueryBuilder("collisions")
-	naive.AlwaysNest = true
+	naive.Nest()
 	naive.Where(cond)
+	naive.Nest()
 	naive.Limit(100)
 	if got := naive.Blocks(); got < 3 {
 		t.Errorf("naive blocks = %d, want >= 3", got)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"datachat/internal/dataset"
 	"datachat/internal/expr"
 	"datachat/internal/sqlengine"
 )
@@ -19,9 +20,6 @@ type QueryBuilder struct {
 	grouped bool
 	limited bool
 	nestSeq int
-	// AlwaysNest disables consolidation: every merge first wraps the
-	// current block. Used by the naive-baseline benchmarks.
-	AlwaysNest bool
 }
 
 // NewQueryBuilder starts a query as SELECT * FROM table.
@@ -55,12 +53,6 @@ func (b *QueryBuilder) Nest() {
 	b.limited = false
 }
 
-func (b *QueryBuilder) preMerge() {
-	if b.AlwaysNest {
-		b.Nest()
-	}
-}
-
 // starOnly reports whether the current projection is a bare SELECT *.
 func (b *QueryBuilder) starOnly() bool {
 	return len(b.stmt.Items) == 1 && b.stmt.Items[0].Star
@@ -70,7 +62,6 @@ func (b *QueryBuilder) starOnly() bool {
 // already aggregates, limits, or deduplicates (where a later filter would
 // change meaning).
 func (b *QueryBuilder) Where(cond expr.Expr) {
-	b.preMerge()
 	if b.grouped || b.limited || b.stmt.Distinct || b.condUsesComputed(cond) {
 		b.Nest()
 	}
@@ -85,7 +76,6 @@ func (b *QueryBuilder) Where(cond expr.Expr) {
 // bare * block or narrow an existing explicit projection; anything else
 // (aggregates, computed columns the projection keeps) nests.
 func (b *QueryBuilder) Project(cols []string) {
-	b.preMerge()
 	if b.grouped {
 		b.Nest()
 	}
@@ -136,7 +126,6 @@ func itemName(item sqlengine.SelectItem) string {
 
 // AddColumn appends a computed column (SELECT *, e AS name).
 func (b *QueryBuilder) AddColumn(name string, e expr.Expr) {
-	b.preMerge()
 	if b.grouped || b.stmt.Distinct {
 		b.Nest()
 	}
@@ -147,7 +136,6 @@ func (b *QueryBuilder) AddColumn(name string, e expr.Expr) {
 // limit has already been applied (sorting after a limit reorders only the
 // retained rows, which is a different result).
 func (b *QueryBuilder) OrderBy(keys []string, desc []bool) {
-	b.preMerge()
 	if b.limited {
 		b.Nest()
 	}
@@ -163,7 +151,6 @@ func (b *QueryBuilder) OrderBy(keys []string, desc []bool) {
 
 // Limit caps the row count; successive limits keep the minimum.
 func (b *QueryBuilder) Limit(n int) {
-	b.preMerge()
 	if b.stmt.Limit < 0 || n < b.stmt.Limit {
 		b.stmt.Limit = n
 	}
@@ -172,7 +159,6 @@ func (b *QueryBuilder) Limit(n int) {
 
 // Distinct deduplicates the output rows.
 func (b *QueryBuilder) Distinct() {
-	b.preMerge()
 	if b.limited {
 		b.Nest()
 	}
@@ -182,7 +168,6 @@ func (b *QueryBuilder) Distinct() {
 // GroupBy turns the block into an aggregation; a block that already
 // projects, aggregates, or limits nests first.
 func (b *QueryBuilder) GroupBy(aggs []AggSpec, keys []string) error {
-	b.preMerge()
 	if b.grouped || b.limited || !b.starOnly() || b.stmt.Distinct {
 		b.Nest()
 	}
@@ -201,9 +186,8 @@ func (b *QueryBuilder) GroupBy(aggs []AggSpec, keys []string) error {
 	}
 	b.stmt.Items = items
 	b.stmt.GroupBy = groupExprs
-	// Deterministic output order: the direct Compute implementation sorts
-	// by the group keys, so the SQL path must too for the two execution
-	// paths to stay interchangeable (§2.2).
+	// Groups come out sorted by their keys, not in the order the input first
+	// shows them: a Compute answers in one row order whatever came before it.
 	b.stmt.OrderBy = nil
 	for _, k := range keys {
 		b.stmt.OrderBy = append(b.stmt.OrderBy, sqlengine.OrderItem{Expr: expr.Column(k)})
@@ -248,4 +232,29 @@ func (b *QueryBuilder) condUsesComputed(cond expr.Expr) bool {
 		}
 	}
 	return false
+}
+
+// runAlone is the Apply of a skill whose one implementation is its merge
+// rule: the rule merged into SELECT * FROM the input, executed against the
+// context — the statement the planner compiles for a chain of one.
+func runAlone(merge func(*QueryBuilder, Invocation) error) ApplyFunc {
+	return func(ctx *Context, inv Invocation) (*Result, error) {
+		if len(inv.Inputs) == 0 {
+			return nil, fmt.Errorf("skills: %s needs an input dataset", inv.Skill)
+		}
+		b := NewQueryBuilder(inv.Inputs[0])
+		if err := merge(b, inv); err != nil {
+			return nil, err
+		}
+		t, err := sqlengine.ExecStmt(ctx, b.Stmt())
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Table: t}, nil
+	}
+}
+
+// execOn runs stmt over t, the one table its FROM names.
+func execOn(t *dataset.Table, stmt *sqlengine.SelectStmt) (*dataset.Table, error) {
+	return sqlengine.ExecStmt(sqlengine.NewMapCatalog(map[string]*dataset.Table{t.Name(): t}), stmt)
 }

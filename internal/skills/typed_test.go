@@ -2,6 +2,7 @@ package skills
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"datachat/internal/dataset"
@@ -9,9 +10,10 @@ import (
 	"datachat/internal/sqlengine"
 )
 
-// filterTable and evalColumn run a compiled kernel and fall back, per
-// expression, to evalRows. These tests hold both to the seed's row
-// interpreter, written out here: cell for cell, type for type, error for error.
+// KeepRows runs its condition as a statement through the engine's pipeline;
+// evalColumn runs a compiled kernel and falls back, per expression, to
+// evalRows. These tests hold both to the seed's row interpreter, written out
+// here: cell for cell, type for type, error for error.
 
 func referenceFilter(t *dataset.Table, cond expr.Expr) (*dataset.Table, error) {
 	var keep []int
@@ -77,12 +79,20 @@ func checkFilter(t *testing.T, tbl *dataset.Table, src string) {
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
-	got, gotErr := filterTable(tbl, cond)
+	ctx := NewContext()
+	ctx.Datasets["t"] = tbl
+	inv := Invocation{Skill: "KeepRows", Inputs: []string{"t"}, Args: Args{"condition": src}}
+	got, gotErr := reg.Execute(ctx, inv)
 	want, wantErr := referenceFilter(tbl, cond)
+	if wantErr != nil && strings.Contains(wantErr.Error(), "has no column") {
+		// The one text the statement words its own way: an unknown column.
+		// Hold it to the same statement on the row reference.
+		_, wantErr = viaReference(ctx, inv)
+	}
 	if !sameErr(t, src, gotErr, wantErr) {
 		return
 	}
-	for i, c := range got.Columns() {
+	for i, c := range got.Table.Columns() {
 		sameColumn(t, src, c, want.Columns()[i])
 	}
 }

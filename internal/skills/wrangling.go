@@ -54,8 +54,8 @@ func evalKernel(t *dataset.Table, e expr.Expr) (v *expr.Vec, ok bool) {
 	return v, err == nil
 }
 
-// evalRows evaluates e one row at a time — the fallback under evalKernel and
-// the only row loop the direct skills' filters and computed columns have.
+// evalRows evaluates e one row at a time — the fallback under evalKernel, and
+// the package's one row loop.
 func evalRows(t *dataset.Table, e expr.Expr) ([]dataset.Value, error) {
 	vals := make([]dataset.Value, t.NumRows())
 	for i := range vals {
@@ -66,25 +66,6 @@ func evalRows(t *dataset.Table, e expr.Expr) ([]dataset.Value, error) {
 		vals[i] = v
 	}
 	return vals, nil
-}
-
-// filterTable returns the rows of t satisfying cond: null and false reject,
-// as expr.EvalBool has it.
-func filterTable(t *dataset.Table, cond expr.Expr) (*dataset.Table, error) {
-	if v, ok := evalKernel(t, cond); ok {
-		return t.Take(v.SelectTrue(-1)), nil
-	}
-	vals, err := evalRows(t, cond)
-	if err != nil {
-		return nil, err
-	}
-	keep := make([]int, 0, len(vals))
-	for i, v := range vals {
-		if f, ok := v.AsFloat(); ok && f != 0 {
-			keep = append(keep, i)
-		}
-	}
-	return t.Take(keep), nil
 }
 
 // evalColumn evaluates an expression for every row, producing a new column
@@ -126,38 +107,9 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"condition", "expression", true, "boolean expression rows must satisfy"},
 			},
-			GEL:        "Keep the rows where {condition}",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				condStr, err := inv.Args.String("condition")
-				if err != nil {
-					return nil, err
-				}
-				cond, err := parseCondition(condStr)
-				if err != nil {
-					return nil, err
-				}
-				out, err := filterTable(t, cond)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out, Message: fmt.Sprintf("Kept %d of %d rows", out.NumRows(), t.NumRows())}, nil
-			},
+			GEL: "Keep the rows where {condition}",
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
-				condStr, err := inv.Args.String("condition")
-				if err != nil {
-					return err
-				}
-				cond, err := parseCondition(condStr)
-				if err != nil {
-					return err
-				}
-				b.Where(cond)
-				return nil
+				return where(b, inv.Args, "condition", false)
 			},
 		},
 		{
@@ -167,38 +119,9 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"condition", "expression", true, "boolean expression of rows to remove"},
 			},
-			GEL:        "Drop the rows where {condition}",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				condStr, err := inv.Args.String("condition")
-				if err != nil {
-					return nil, err
-				}
-				cond, err := parseCondition(condStr)
-				if err != nil {
-					return nil, err
-				}
-				out, err := filterTable(t, expr.Not(cond))
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out, Message: fmt.Sprintf("Dropped %d rows", t.NumRows()-out.NumRows())}, nil
-			},
+			GEL: "Drop the rows where {condition}",
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
-				condStr, err := inv.Args.String("condition")
-				if err != nil {
-					return err
-				}
-				cond, err := parseCondition(condStr)
-				if err != nil {
-					return err
-				}
-				b.Where(expr.Not(cond))
-				return nil
+				return where(b, inv.Args, "condition", true)
 			},
 		},
 		{
@@ -208,31 +131,8 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"columns", "columns", true, "columns to keep"},
 			},
-			GEL:        "Keep the columns {columns}",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				cols, err := inv.Args.StringList("columns")
-				if err != nil {
-					return nil, err
-				}
-				out, err := t.Select(cols...)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out}, nil
-			},
-			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
-				cols, err := inv.Args.StringList("columns")
-				if err != nil {
-					return err
-				}
-				b.Project(cols)
-				return nil
-			},
+			GEL:      "Keep the columns {columns}",
+			MergeSQL: keepColumns,
 		},
 		{
 			Name:     "DropColumns",
@@ -311,43 +211,8 @@ func wranglingSkills() []*Definition {
 				{"formula", "expression", false, "expression computed per row"},
 				{"text", "string", false, "constant text value"},
 			},
-			GEL:        "Create a new column {name} with {formula}",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				name, err := inv.Args.String("name")
-				if err != nil {
-					return nil, err
-				}
-				e, err := newColumnExpr(inv.Args)
-				if err != nil {
-					return nil, err
-				}
-				col, err := evalColumn(t, name, e)
-				if err != nil {
-					return nil, err
-				}
-				out, err := t.WithColumn(col)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out}, nil
-			},
-			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
-				name, err := inv.Args.String("name")
-				if err != nil {
-					return err
-				}
-				e, err := newColumnExpr(inv.Args)
-				if err != nil {
-					return err
-				}
-				b.AddColumn(name, e)
-				return nil
-			},
+			GEL:      "Create a new column {name} with {formula}",
+			MergeSQL: addColumn(newColumnExpr),
 		},
 		{
 			Name:     "ChangeType",
@@ -470,29 +335,7 @@ func wranglingSkills() []*Definition {
 				{"columns", "columns", true, "sort keys, most significant first"},
 				{"descending", "bool", false, "sort in descending order"},
 			},
-			GEL:        "Sort the rows by {columns}",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				cols, err := inv.Args.StringList("columns")
-				if err != nil {
-					return nil, err
-				}
-				desc := make([]bool, len(cols))
-				if inv.Args.Bool("descending") {
-					for i := range desc {
-						desc[i] = true
-					}
-				}
-				out, err := t.SortBy(cols, desc)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out}, nil
-			},
+			GEL: "Sort the rows by {columns}",
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				cols, err := inv.Args.StringList("columns")
 				if err != nil {
@@ -515,22 +358,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"count", "number", true, "maximum rows to keep"},
 			},
-			GEL:        "Limit the data to {count} rows",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				n, err := inv.Args.Int("count")
-				if err != nil {
-					return nil, err
-				}
-				if n < 0 {
-					return nil, fmt.Errorf("skills: limit must be non-negative, got %d", n)
-				}
-				return &Result{Table: t.Head(n)}, nil
-			},
+			GEL: "Limit the data to {count} rows",
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				n, err := inv.Args.Int("count")
 				if err != nil {
@@ -580,29 +408,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"columns", "columns", false, "columns to deduplicate on (all when omitted)"},
 			},
-			GEL:        "Remove duplicate rows",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				// With explicit columns the result is the distinct
-				// combinations of those columns (matching SELECT DISTINCT
-				// cols); without, whole duplicate rows are removed.
-				if cols := inv.Args.StringListOr("columns"); len(cols) > 0 {
-					projected, err := t.Select(cols...)
-					if err != nil {
-						return nil, err
-					}
-					t = projected
-				}
-				out, err := t.Distinct()
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out}, nil
-			},
+			GEL: "Remove duplicate rows",
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				if cols := inv.Args.StringListOr("columns"); len(cols) > 0 {
 					b.Project(cols)
@@ -708,25 +514,8 @@ func wranglingSkills() []*Definition {
 				{"aggregates", "aggregates", true, "aggregates like 'count of case_id as NumberOfCases'"},
 				{"for_each", "columns", false, "grouping columns"},
 			},
-			GEL:        "Compute the {aggregates} for each {for_each}",
-			PyName:     "compute",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				aggs, err := inv.Args.AggSpecs("aggregates")
-				if err != nil {
-					return nil, err
-				}
-				keys := inv.Args.StringListOr("for_each")
-				out, err := computeGrouped(t, aggs, keys)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out}, nil
-			},
+			GEL:    "Compute the {aggregates} for each {for_each}",
+			PyName: "compute",
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				aggs, err := inv.Args.AggSpecs("aggregates")
 				if err != nil {
@@ -762,35 +551,8 @@ func wranglingSkills() []*Definition {
 				{"size", "number", true, "bin width"},
 				{"name", "string", false, "output column name (defaults to <column>Int<size>)"},
 			},
-			GEL:        "Create bins of size {size} on {column}",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				name, e, err := binExpr(inv.Args)
-				if err != nil {
-					return nil, err
-				}
-				col, err := evalColumn(t, name, e)
-				if err != nil {
-					return nil, err
-				}
-				out, err := t.WithColumn(col)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out}, nil
-			},
-			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
-				name, e, err := binExpr(inv.Args)
-				if err != nil {
-					return err
-				}
-				b.AddColumn(name, e)
-				return nil
-			},
+			GEL:      "Create bins of size {size} on {column}",
+			MergeSQL: addColumn(binExpr),
 		},
 		{
 			Name:     "ExtractDatePart",
@@ -801,48 +563,66 @@ func wranglingSkills() []*Definition {
 				{"part", "string", true, "year, month, or day"},
 				{"name", "string", false, "output column name"},
 			},
-			GEL:        "Extract the {part} from {column}",
-			Relational: true,
-			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
-				t, err := singleInput(ctx, inv)
-				if err != nil {
-					return nil, err
-				}
-				name, e, err := datePartExpr(inv.Args)
-				if err != nil {
-					return nil, err
-				}
-				col, err := evalColumn(t, name, e)
-				if err != nil {
-					return nil, err
-				}
-				out, err := t.WithColumn(col)
-				if err != nil {
-					return nil, err
-				}
-				return &Result{Table: out}, nil
-			},
-			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
-				name, e, err := datePartExpr(inv.Args)
-				if err != nil {
-					return err
-				}
-				b.AddColumn(name, e)
-				return nil
-			},
+			GEL:      "Extract the {part} from {column}",
+			MergeSQL: addColumn(datePartExpr),
 		},
 	}
 }
 
-func newColumnExpr(args Args) (expr.Expr, error) {
+// where is the row filter rule over the condition in args[key]: WHERE
+// condition (KeepRows), or WHERE NOT condition when negate is set (DropRows).
+func where(b *QueryBuilder, args Args, key string, negate bool) error {
+	src, err := args.String(key)
+	if err != nil {
+		return err
+	}
+	cond, err := parseCondition(src)
+	if err != nil {
+		return err
+	}
+	if negate {
+		cond = expr.Not(cond)
+	}
+	b.Where(cond)
+	return nil
+}
+
+// keepColumns is KeepColumns' merge rule: SELECT columns.
+func keepColumns(b *QueryBuilder, inv Invocation) error {
+	cols, err := inv.Args.StringList("columns")
+	if err != nil {
+		return err
+	}
+	b.Project(cols)
+	return nil
+}
+
+// addColumn is the merge rule of a skill that appends one computed column.
+func addColumn(column func(Args) (string, expr.Expr, error)) func(*QueryBuilder, Invocation) error {
+	return func(b *QueryBuilder, inv Invocation) error {
+		name, e, err := column(inv.Args)
+		if err != nil {
+			return err
+		}
+		b.AddColumn(name, e)
+		return nil
+	}
+}
+
+func newColumnExpr(args Args) (string, expr.Expr, error) {
+	name, err := args.String("name")
+	if err != nil {
+		return "", nil, err
+	}
 	if text, err := args.String("text"); err == nil {
-		return expr.Lit(dataset.Str(text)), nil
+		return name, expr.Lit(dataset.Str(text)), nil
 	}
 	formula, err := args.String("formula")
 	if err != nil {
-		return nil, fmt.Errorf("skills: NewColumn needs either a formula or text parameter")
+		return "", nil, fmt.Errorf("skills: NewColumn needs either a formula or text parameter")
 	}
-	return parseCondition(formula)
+	e, err := parseCondition(formula)
+	return name, e, err
 }
 
 func binExpr(args Args) (string, expr.Expr, error) {
@@ -880,8 +660,7 @@ func datePartExpr(args Args) (string, expr.Expr, error) {
 	return name, expr.Func(part, expr.Column(colName)), nil
 }
 
-// sqlOverTables executes a query against an ad-hoc catalog; the helper the
-// direct path uses for joins and pivots.
+// sqlOverTables executes a query over an ad-hoc catalog: JoinDatasets' inputs.
 func sqlOverTables(tables map[string]*dataset.Table, query string) (*Result, error) {
 	out, err := sqlengine.Exec(sqlengine.NewMapCatalog(tables), query)
 	if err != nil {
@@ -890,298 +669,121 @@ func sqlOverTables(tables map[string]*dataset.Table, query string) (*Result, err
 	return &Result{Table: out}, nil
 }
 
-// computeGrouped is the direct (non-SQL) implementation of Compute.
-func computeGrouped(t *dataset.Table, aggs []AggSpec, keys []string) (*dataset.Table, error) {
-	keyCols := make([]*dataset.Column, len(keys))
-	for i, k := range keys {
-		c, err := t.Column(k)
-		if err != nil {
-			return nil, err
-		}
-		keyCols[i] = c
-	}
-	type group struct {
-		first int
-		rows  []int
-	}
-	groups := map[string]*group{}
-	var order []string
-	for r := 0; r < t.NumRows(); r++ {
-		var kb strings.Builder
-		for _, c := range keyCols {
-			v := c.Value(r)
-			kb.WriteString(v.Type.String())
-			kb.WriteByte(':')
-			kb.WriteString(v.String())
-			kb.WriteByte('\x00')
-		}
-		key := kb.String()
-		g, ok := groups[key]
-		if !ok {
-			g = &group{first: r}
-			groups[key] = g
-			order = append(order, key)
-		}
-		g.rows = append(g.rows, r)
-	}
-	if len(keys) == 0 && len(order) == 0 {
-		// Aggregate over an empty ungrouped table still yields one row.
-		groups[""] = &group{first: -1}
-		order = append(order, "")
-	}
-	// Resolve aggregate input columns once.
-	aggCols := make([]*dataset.Column, len(aggs))
-	for i, a := range aggs {
-		if a.Column == "*" || a.Column == "" {
-			continue
-		}
-		c, err := t.Column(a.Column)
-		if err != nil {
-			return nil, err
-		}
-		aggCols[i] = c
-	}
-	outCols := make([]*dataset.Column, 0, len(keys)+len(aggs))
-	for i, k := range keys {
-		_ = k
-		outCols = append(outCols, dataset.NewColumn(keyCols[i].Name(), keyCols[i].Type()))
-	}
-	aggBuilders := make([][]dataset.Value, len(aggs))
-	for _, key := range order {
-		g := groups[key]
-		for i := range keys {
-			if g.first >= 0 {
-				outCols[i].Append(keyCols[i].Value(g.first))
-			} else {
-				outCols[i].Append(dataset.Null)
-			}
-		}
-		for ai, a := range aggs {
-			v, err := directAgg(a, aggCols[ai], g.rows)
-			if err != nil {
-				return nil, err
-			}
-			aggBuilders[ai] = append(aggBuilders[ai], v)
-		}
-	}
-	for ai, a := range aggs {
-		typ := dataset.TypeNull
-		for _, v := range aggBuilders[ai] {
-			if !v.IsNull() {
-				typ = dataset.CommonType(typ, v.Type)
-			}
-		}
-		if typ == dataset.TypeNull {
-			typ = dataset.TypeFloat
-		}
-		col := dataset.NewColumn(a.OutName(), typ)
-		for _, v := range aggBuilders[ai] {
-			col.Append(v)
-		}
-		outCols = append(outCols, col)
-	}
-	out, err := dataset.NewTable(t.Name(), outCols...)
-	if err != nil {
-		return nil, err
-	}
-	// Deterministic output order: sort by the group keys.
-	if len(keys) > 0 {
-		return out.SortBy(keys, nil)
-	}
-	return out, nil
-}
-
-func directAgg(a AggSpec, col *dataset.Column, rows []int) (dataset.Value, error) {
-	if a.Column == "*" || a.Column == "" {
-		if strings.ToLower(a.Func) != "count" {
-			return dataset.Null, fmt.Errorf("skills: %s requires a column", a.Func)
-		}
-		return dataset.Int(int64(len(rows))), nil
-	}
-	var vals []dataset.Value
-	seen := map[string]bool{}
-	distinct := strings.ToLower(a.Func) == "count_distinct"
-	for _, r := range rows {
-		v := col.Value(r)
-		if v.IsNull() {
-			continue
-		}
-		if distinct {
-			key := v.Type.String() + ":" + v.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		vals = append(vals, v)
-	}
-	switch strings.ToLower(a.Func) {
-	case "count", "count_distinct":
-		return dataset.Int(int64(len(vals))), nil
-	case "min", "max":
-		if len(vals) == 0 {
-			return dataset.Null, nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			cmp := dataset.Compare(v, best)
-			if (strings.EqualFold(a.Func, "min") && cmp < 0) || (strings.EqualFold(a.Func, "max") && cmp > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	case "sum", "avg", "average", "median", "stddev":
-		if len(vals) == 0 {
-			return dataset.Null, nil
-		}
-		nums := make([]float64, 0, len(vals))
-		allInt := true
-		for _, v := range vals {
-			f, ok := v.AsFloat()
-			if !ok {
-				return dataset.Null, fmt.Errorf("skills: %s over non-numeric column %q", a.Func, a.Column)
-			}
-			if v.Type != dataset.TypeInt {
-				allInt = false
-			}
-			nums = append(nums, f)
-		}
-		switch strings.ToLower(a.Func) {
-		case "sum":
-			if allInt {
-				// Exact in int64, as the SQL engine sums ints.
-				var total int64
-				for _, v := range vals {
-					next := total + v.I
-					if (total^next)&(v.I^next) < 0 {
-						return dataset.Null, fmt.Errorf("skills: %s of %q overflows int64", a.Func, a.Column)
-					}
-					total = next
-				}
-				return dataset.Int(total), nil
-			}
-			total := 0.0
-			for _, f := range nums {
-				total += f
-			}
-			return dataset.Float(total), nil
-		case "avg", "average":
-			total := 0.0
-			for _, f := range nums {
-				total += f
-			}
-			return dataset.Float(total / float64(len(nums))), nil
-		case "median":
-			sort.Float64s(nums)
-			mid := len(nums) / 2
-			if len(nums)%2 == 1 {
-				return dataset.Float(nums[mid]), nil
-			}
-			return dataset.Float((nums[mid-1] + nums[mid]) / 2), nil
-		default: // stddev (population)
-			mean := 0.0
-			for _, f := range nums {
-				mean += f
-			}
-			mean /= float64(len(nums))
-			ss := 0.0
-			for _, f := range nums {
-				ss += (f - mean) * (f - mean)
-			}
-			return dataset.Float(sqrt(ss / float64(len(nums)))), nil
-		}
-	default:
-		return dataset.Null, fmt.Errorf("skills: unknown aggregate function %q", a.Func)
-	}
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton's method; avoids importing math for one call site.
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
+// applyPivot runs Pivot as one statement (pivotStmt) and reshapes its
+// result (pivotTable).
 func applyPivot(t *dataset.Table, args Args) (*Result, error) {
-	rowsCol, err := args.String("rows")
+	in, stmt, err := pivotStmt(t, args)
 	if err != nil {
 		return nil, err
 	}
-	colsName, err := args.String("columns")
+	g, err := execOn(in, stmt)
 	if err != nil {
 		return nil, err
 	}
-	measures, err := args.AggSpecs("measure")
-	if err != nil {
-		return nil, err
-	}
-	if len(measures) != 1 {
-		return nil, fmt.Errorf("skills: Pivot takes exactly one measure, got %d", len(measures))
-	}
-	measure := measures[0]
-	rc, err := t.Column(rowsCol)
-	if err != nil {
-		return nil, err
-	}
-	cc, err := t.Column(colsName)
-	if err != nil {
-		return nil, err
-	}
-	var mc *dataset.Column
-	if measure.Column != "*" && measure.Column != "" {
-		if mc, err = t.Column(measure.Column); err != nil {
-			return nil, err
-		}
-	}
-	rowKeys, colKeys := map[string]int{}, map[string]int{}
-	var rowOrder, colOrder []string
-	cells := map[[2]string][]int{}
-	for r := 0; r < t.NumRows(); r++ {
-		rv := rc.Value(r).String()
-		cv := cc.Value(r).String()
-		if _, ok := rowKeys[rv]; !ok {
-			rowKeys[rv] = len(rowOrder)
-			rowOrder = append(rowOrder, rv)
-		}
-		if _, ok := colKeys[cv]; !ok {
-			colKeys[cv] = len(colOrder)
-			colOrder = append(colOrder, cv)
-		}
-		key := [2]string{rv, cv}
-		cells[key] = append(cells[key], r)
-	}
-	sort.Strings(rowOrder)
-	sort.Strings(colOrder)
-	outCols := make([]*dataset.Column, 0, 1+len(colOrder))
-	labelCol := dataset.NewColumn(rowsCol, dataset.TypeString)
-	for _, rv := range rowOrder {
-		labelCol.Append(dataset.Str(rv))
-	}
-	outCols = append(outCols, labelCol)
-	for _, cv := range colOrder {
-		col := dataset.NewColumn(cv, dataset.TypeFloat)
-		for _, rv := range rowOrder {
-			rows := cells[[2]string{rv, cv}]
-			if len(rows) == 0 {
-				col.Append(dataset.Null)
-				continue
-			}
-			v, err := directAgg(measure, mc, rows)
-			if err != nil {
-				return nil, err
-			}
-			col.Append(v)
-		}
-		outCols = append(outCols, col)
-	}
-	out, err := dataset.NewTable(t.Name()+"_pivot", outCols...)
+	out, err := pivotTable(t.Name()+"_pivot", g)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Table: out}, nil
+}
+
+// pivotStmt is Pivot's statement and the table it reads: t's rows and columns
+// as labels r and c — each value's rendering, "null" for null, so values that
+// render alike share a cell — beside the measure column m, grouped by r and c
+// with the measure of each group.
+func pivotStmt(t *dataset.Table, args Args) (*dataset.Table, *sqlengine.SelectStmt, error) {
+	rowsCol, err := args.String("rows")
+	if err != nil {
+		return nil, nil, err
+	}
+	colsName, err := args.String("columns")
+	if err != nil {
+		return nil, nil, err
+	}
+	measures, err := args.AggSpecs("measure")
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(measures) != 1 {
+		return nil, nil, fmt.Errorf("skills: Pivot takes exactly one measure, got %d", len(measures))
+	}
+	var cols []*dataset.Column
+	for i, name := range []string{rowsCol, colsName} {
+		c, err := t.Column(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		labels := make([]string, c.Len())
+		for r := range labels {
+			labels[r] = c.Value(r).String()
+		}
+		cols = append(cols, dataset.StringColumn([]string{"r", "c"}[i], labels, nil))
+	}
+	measure := measures[0]
+	if measure.Column != "*" && measure.Column != "" {
+		m, err := t.Column(measure.Column)
+		if err != nil {
+			return nil, nil, err
+		}
+		cols = append(cols, m.Rename("m"))
+		measure.Column = "m"
+	}
+	agg, err := aggCall(measure)
+	if err != nil {
+		return nil, nil, err
+	}
+	in, err := dataset.NewTable(t.Name(), cols...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return in, &sqlengine.SelectStmt{
+		Items:   []sqlengine.SelectItem{{Expr: expr.Column("r"), Alias: rowsCol}, {Expr: expr.Column("c")}, {Expr: agg}},
+		From:    &sqlengine.BaseTable{Name: in.Name(), Alias: in.Name()},
+		GroupBy: []expr.Expr{expr.Column("r"), expr.Column("c")},
+		Limit:   -1,
+	}, nil
+}
+
+// pivotTable reshapes pivotStmt's groups: one row per rows label, one float
+// column per columns label, both sorted as strings, null for a pair no input
+// row carries.
+func pivotTable(name string, g *dataset.Table) (*dataset.Table, error) {
+	rc, cc, mc := g.Columns()[0], g.Columns()[1], g.Columns()[2]
+	rowLabels, rowAt := sortedLabels(rc)
+	colLabels, colAt := sortedLabels(cc)
+	cells := make([][]dataset.Value, len(colLabels))
+	for i := range cells {
+		cells[i] = make([]dataset.Value, len(rowLabels)) // null until a group fills it
+	}
+	for r := 0; r < g.NumRows(); r++ {
+		cells[colAt[cc.Value(r).S]][rowAt[rc.Value(r).S]] = mc.Value(r)
+	}
+	cols := []*dataset.Column{dataset.StringColumn(rc.Name(), rowLabels, nil)}
+	for i, label := range colLabels {
+		col := dataset.NewColumn(label, dataset.TypeFloat)
+		for _, v := range cells[i] {
+			col.Append(v)
+		}
+		cols = append(cols, col)
+	}
+	return dataset.NewTable(name, cols...)
+}
+
+// sortedLabels returns the distinct labels of a column, sorted, and each
+// one's position among them.
+func sortedLabels(c *dataset.Column) ([]string, map[string]int) {
+	at := map[string]int{}
+	var labels []string
+	for r := 0; r < c.Len(); r++ {
+		l := c.Value(r).S
+		if _, seen := at[l]; !seen {
+			at[l] = 0
+			labels = append(labels, l)
+		}
+	}
+	sort.Strings(labels)
+	for i, l := range labels {
+		at[l] = i
+	}
+	return labels, at
 }
