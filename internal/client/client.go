@@ -246,7 +246,9 @@ func (c *Client) FetchTable(ctx context.Context, session, datasetName string, pa
 }
 
 // consumeStream reads an NDJSON row stream from body: the header line first,
-// then fn once per data chunk in order. The terminal sentinel chunk (Last
+// then fn once per data chunk in order; a chunk's rows are fn's to keep, since
+// no later chunk reuses their memory. Data lines go through rowChunkDecoder,
+// everything else through wire.DecodeJSON. The terminal sentinel chunk (Last
 // set) is consumed here, never passed to fn: a server-side failure recorded
 // in it comes back as a *wire.Error, and a stream that ends without one is
 // reported as truncated — a dropped connection can no longer masquerade as a
@@ -259,6 +261,7 @@ func consumeStream(body io.Reader, what string, fn func(header *wire.Table, rows
 	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
 	var header *wire.Table
 	var stats *wire.StreamStats
+	var chunks rowChunkDecoder
 	sawLast := false
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -273,9 +276,11 @@ func consumeStream(body io.Reader, what string, fn func(header *wire.Table, rows
 			header = &h
 			continue
 		}
-		var rc wire.RowChunk
-		if err := wire.DecodeJSON(bytes.NewReader(line), &rc); err != nil {
-			return nil, nil, fmt.Errorf("client: decoding stream chunk: %w", err)
+		rc, ok := chunks.decode(line)
+		if !ok {
+			if err := wire.DecodeJSON(bytes.NewReader(line), &rc); err != nil {
+				return nil, nil, fmt.Errorf("client: decoding stream chunk: %w", err)
+			}
 		}
 		if rc.Last {
 			sawLast = true

@@ -370,8 +370,9 @@ func (p *Platform) UseNL2Code(sys *nl2code.System) {
 
 // NL2Code translates an English request into a checked program against a
 // session's datasets (Figure 6's pipeline, end to end): the ones it holds —
-// the latest step's output and inputs and every dataset no step produces —
-// without re-deriving the outputs its retention rule handed to the cache.
+// every dataset no step produces and the outputs the cache does not hold —
+// and the latest step's output, re-derived if the retention rule handed it to
+// the cache; no other dropped output is re-derived.
 func (p *Platform) NL2Code(sessionName, question string) (*nl2code.Response, error) {
 	p.mu.Lock()
 	sys := p.nl2
@@ -383,9 +384,15 @@ func (p *Platform) NL2Code(sessionName, question string) (*nl2code.Response, err
 	if err != nil {
 		return nil, err
 	}
+	tables := s.Context().Fork().Datasets
+	if last, err := s.Graph().Node(s.Graph().Last()); err == nil {
+		if t, err := s.Context().Dataset(last.OutputName()); err == nil {
+			tables[last.OutputName()] = t
+		}
+	}
 	return sys.Generate(nl2code.Request{
 		Question: question,
-		Tables:   s.Context().Fork().Datasets,
+		Tables:   tables,
 		Layer:    p.Semantic,
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,16 +56,16 @@ func TestRequestGELEndToEnd(t *testing.T) {
 	if res.Table.NumRows() != 3 {
 		t.Errorf("rows = %d", res.Table.NumRows())
 	}
-	// The load materialized the output into the session; follow up on it.
+	// The load is the graph's latest step; follow up on its output by name
+	// (the cache holds it, so the session need not).
 	s, _ := p.Session("s")
-	var current string
-	for name := range s.Context().Datasets {
-		if strings.HasPrefix(name, "node") {
-			current = name
-		}
+	loaded, err := s.Graph().Node(s.Graph().Last())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if current == "" {
-		t.Fatal("loaded dataset not materialized")
+	current := loaded.OutputName()
+	if tab, err := s.Context().Dataset(current); err != nil || tab.NumRows() != 3 {
+		t.Fatalf("loaded dataset %q does not read back: %v", current, err)
 	}
 	res, err = p.RequestGEL("s", "ann", "Keep the rows where age > 26", current)
 	if err != nil {
@@ -200,6 +201,25 @@ func TestNL2CodeThroughPlatform(t *testing.T) {
 	}
 	if _, err := p.NL2Code("missing", "q"); err == nil {
 		t.Error("missing session should error")
+	}
+}
+
+// TestNL2CodeSeesTheLatestStep: a question asked right after a load is asked
+// of the loaded table, though the session left that result to the cache.
+func TestNL2CodeSeesTheLatestStep(t *testing.T) {
+	p := newPlatform(t)
+	if _, err := p.CreateSession("s", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.RequestGEL("s", "ann", "Load data from the file people.csv", ""); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.NL2Code("s", "What is the average age for each dept?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Program) == 0 || !slices.Contains(resp.Program[0].Inputs, "node0") {
+		t.Errorf("program %+v does not read the loaded node0", resp.Program)
 	}
 }
 

@@ -7,12 +7,14 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"datachat/internal/dag"
+	"datachat/internal/dataset"
 	"datachat/internal/session"
 	"datachat/internal/skills"
 )
@@ -226,9 +228,43 @@ func heldOutputs(s *session.Session) []string {
 	return out
 }
 
+// cacheHolds reports whether the shared cache holds name's result: the plan
+// for it pins its target from the cache.
+func cacheHolds(t testing.TB, s *session.Session, name string) bool {
+	t.Helper()
+	ex, err := s.Explain(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range ex.Nodes {
+		if n.Output == ex.Target {
+			return n.Cached
+		}
+	}
+	t.Fatalf("the plan of %q has no node for its target %q", name, ex.Target)
+	return false
+}
+
+// checkHeld fails unless the node outputs s holds are exactly those of names
+// the shared cache does not hold.
+func checkHeld(t testing.TB, s *session.Session, names ...string) {
+	t.Helper()
+	var want []string
+	for _, name := range names {
+		if !cacheHolds(t, s, name) {
+			want = append(want, name)
+		}
+	}
+	slices.Sort(want)
+	if held := heldOutputs(s); !slices.Equal(held, want) {
+		t.Fatalf("session holds %v; of %v the cache lacks %v", held, names, want)
+	}
+}
+
 // TestSessionRetainsTargetAndInputs: a session that runs 1 000 distinct
-// filters holds at most two node outputs after each — the target's and its
-// direct inputs' — and the cache they went to stays inside its byte budget,
+// filters holds, after each, only those of the target's and its direct
+// inputs' outputs the shared cache does not hold — here none, since every
+// result fits — and the cache they went to stays inside its byte budget,
 // evicting instead of growing.
 func TestSessionRetainsTargetAndInputs(t *testing.T) {
 	const budget = 64 << 10
@@ -240,15 +276,16 @@ func TestSessionRetainsTargetAndInputs(t *testing.T) {
 	s.Executor().SetCache(dag.NewCache(budget))
 	s.Context().PutDataset("base", planTable())
 	for i := 0; i < 1000; i++ {
-		_, _, err := s.Request("ann", skills.Invocation{Skill: "KeepRows", Inputs: []string{"base"},
+		_, id, err := s.Request("ann", skills.Invocation{Skill: "KeepRows", Inputs: []string{"base"},
 			Args: skills.Args{"condition": fmt.Sprintf("v >= %d", -i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if held := heldOutputs(s); len(held) > 2 {
-			t.Fatalf("after filter %d the session holds %v", i, held)
+		if held := heldOutputs(s); len(held) > 0 {
+			t.Fatalf("after filter %d (node%d) the session holds %v, though the cache holds every result", i, id, held)
 		}
 	}
+	checkHeld(t, s, "node999")
 	if _, err := s.Context().Dataset("base"); err != nil {
 		t.Errorf("a dataset no node produces was dropped: %v", err)
 	}
@@ -286,9 +323,7 @@ func TestDroppedCSEAliasesStayConsistent(t *testing.T) {
 	if _, err := p.Run("a", "ann", skillInv("LimitRows", []string{"both"}, "top", map[string]any{"count": 3})); err != nil {
 		t.Fatal(err)
 	}
-	if held := heldOutputs(s); len(held) != 2 {
-		t.Fatalf("session holds %v, want the target and its input", held)
-	}
+	checkHeld(t, s, "top", "both")
 	for _, invalidate := range []bool{false, true} {
 		if invalidate {
 			p.InvalidateCache()
@@ -305,8 +340,152 @@ func TestDroppedCSEAliasesStayConsistent(t *testing.T) {
 			t.Errorf("invalidated=%v: alias f2 differs from f1", invalidate)
 		}
 	}
-	if held := heldOutputs(s); len(held) != 2 {
+	if held := heldOutputs(s); len(held) != 0 {
 		t.Errorf("re-deriving published into the session: it holds %v", held)
+	}
+}
+
+// TestStreamingSessionsPinNothingTheCacheHolds is the "1 000 distinct
+// filters over one table" bound at a size -race can afford: 200 sessions,
+// each loading one file and streaming one distinct filter over it, hold no
+// bytes between them — every result they computed is the shared cache's —
+// and the cache stays inside its budget, evicting instead of growing.
+func TestStreamingSessionsPinNothingTheCacheHolds(t *testing.T) {
+	const sessions, budget = 200, 512 << 10
+	p := New()
+	p.RegisterFile("facts.csv", factsCSV(2000))
+	cache := dag.NewCache(budget)
+	for i := 0; i < sessions; i++ {
+		name := fmt.Sprintf("s%d", i)
+		s, err := p.CreateSession(name, "bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Executor().SetCache(cache)
+		streamed := 0
+		stream := &session.Tuning{Stream: func(chunk *dataset.Table) error {
+			streamed += chunk.NumRows()
+			return nil
+		}}
+		for step, tune := range []*session.Tuning{nil, stream} {
+			gel := chainStep(step, 100+i) // the load, then a filter on it
+			inv, err := p.ParseGEL(gel, chainInput(step))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := p.RunCtx(context.Background(), name, "bench", tune, inv); err != nil {
+				t.Fatalf("%s: %s: %v", name, gel, err)
+			}
+		}
+		if streamed == 0 {
+			t.Fatalf("%s streamed no rows", name)
+		}
+	}
+	var total int64
+	for _, b := range p.SessionBytes() {
+		total += b
+	}
+	st := cache.Stats()
+	t.Logf("%d sessions hold %d B; cache %d B of %d, %d evictions", sessions, total, st.Bytes, st.Capacity, st.Evictions)
+	if total != 0 {
+		t.Errorf("%d sessions hold %d B of results the cache holds", sessions, total)
+	}
+	if st.Bytes > budget || st.Evictions == 0 {
+		t.Errorf("cache %+v: want bytes within the %d B budget, with evictions", st, budget)
+	}
+}
+
+// wideBase is a table of n rows of an int and a float, every row kept by a
+// filter on v >= 0.
+func wideBase(n int) *dataset.Table {
+	ids, vs := make([]int64, n), make([]float64, n)
+	for i := range ids {
+		ids[i], vs[i] = int64(i), float64(i%97)
+	}
+	return dataset.MustNewTable("base", dataset.IntColumn("id", ids, nil), dataset.FloatColumn("v", vs, nil))
+}
+
+// TestResultOverBudgetStaysHeld: a target the cache refuses — its result is
+// larger than the whole budget — stays in the session, so reading it by name
+// (twice) answers from the session: nothing is planned, so the cache sees no
+// lookup and no task runs.
+func TestResultOverBudgetStaysHeld(t *testing.T) {
+	p := New()
+	s, err := p.CreateSession("s", "ann")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Executor().SetCache(dag.NewCache(16 << 10))
+	s.Context().PutDataset("base", wideBase(5000)) // 80 KB
+	res, id, err := s.Request("ann", skillInv("KeepRows", []string{"base"}, "", map[string]any{"condition": "v >= 0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("node%d", id)
+	checkHeld(t, s, name)
+	if held := heldOutputs(s); len(held) != 1 {
+		t.Fatalf("the refused result is not held: the session holds %v", held)
+	}
+	before := s.Executor().CacheStats()
+	for i := 0; i < 2; i++ {
+		got, err := s.Context().Dataset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(res.Table.WithName(name)) {
+			t.Errorf("read %d of %s differs from the run's result", i, name)
+		}
+	}
+	if after := s.Executor().CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("reading a held result by name went through the plan: cache %+v -> %+v", before, after)
+	}
+}
+
+// TestDroppedTargetReadsBackIdentical: each step's output, dropped because
+// the cache holds it, reads back by name cell for cell — types included — as
+// the request returned it: from the cache, and recomputed after an
+// invalidation.
+func TestDroppedTargetReadsBackIdentical(t *testing.T) {
+	p := New()
+	p.RegisterFile("facts.csv", factsCSV(500))
+	s, err := p.CreateSession("a", "ann")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []*dataset.Table
+	for node := 0; node <= 4; node++ {
+		inv, err := p.ParseGEL(chainStep(node, 300), chainInput(node))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := p.RunCtx(context.Background(), "a", "ann", nil, inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res.Table)
+	}
+	if held := heldOutputs(s); len(held) != 0 {
+		t.Fatalf("the session holds %v though the cache holds every step", held)
+	}
+	for _, invalidate := range []bool{false, true} {
+		if invalidate {
+			p.InvalidateCache()
+		}
+		for id, want := range results {
+			name := fmt.Sprintf("node%d", id)
+			got, err := s.Context().Dataset(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want.WithName(name)) {
+				t.Errorf("invalidated=%v: %s reads back unlike its run", invalidate, name)
+			}
+			for c, col := range got.Columns() {
+				if wt := want.Columns()[c].Type(); col.Type() != wt {
+					t.Errorf("invalidated=%v: %s column %s reads back as %v, ran as %v", invalidate, name, col.Name(), col.Type(), wt)
+				}
+			}
+		}
 	}
 }
 

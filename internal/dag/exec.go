@@ -78,11 +78,14 @@ func (s *Stats) Add(o Stats) {
 	s.StreamWorkers = max(s.StreamWorkers, o.StreamWorkers)
 }
 
-// Report is what one run did: its own execution counters and the cost
-// estimate of the plan it compiled (nil when the cost model is off).
+// Report is what one run did: its own execution counters, the cost estimate
+// of the plan it compiled (nil when the cost model is off), and the cache key
+// of every exact result it published into the context, by output name — the
+// key under which the shared cache holds that result, for as long as it does.
 type Report struct {
 	Stats Stats
 	Cost  *plan.PlanCost
+	Keys  map[string]string
 }
 
 // Executor compiles and runs DAGs against a skill context. Compilation
@@ -242,6 +245,15 @@ func (e *Executor) RunWith(ctx context.Context, g *Graph, target NodeID, opts Ex
 	rep := Report{Stats: p.planStats, Cost: p.logical.Cost}
 	for _, t := range p.tasks {
 		rep.Stats.Add(t.stats)
+		if res := t.result; t.cacheable && res != nil && res.Table != nil && !res.Degraded {
+			if rep.Keys == nil {
+				rep.Keys = map[string]string{}
+			}
+			rep.Keys[t.node.OutputName()] = t.key
+			for _, alias := range t.node.Aliases {
+				rep.Keys[alias] = t.key
+			}
+		}
 	}
 	e.runs.mu.Lock()
 	e.runs.total.Add(rep.Stats)

@@ -56,18 +56,46 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
+// writeJSON marshals v before it commits the status, so a body the wire
+// cannot carry goes out as a typed 500 instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		var e *wire.Error
+		status, e = wireError(&encodeError{err})
+		body, _ = json.Marshal(e) // a wire.Error always marshals
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
+}
+
+// encodeError is a response the wire cannot carry: JSON has no number for a
+// NaN or ±Inf cell, which SQRT(-1) or LN(0) produce.
+type encodeError struct{ err error }
+
+func (e *encodeError) Error() string { return "server: encoding the response: " + e.err.Error() }
+
+func (e *encodeError) Unwrap() error { return e.err }
+
+// wireError is err's status and typed payload. An encode failure reports its
+// own text, under whatever the executor wrapped it in, so a buffered response
+// and a stream's sentinel name the failing value the same way.
+func wireError(err error) (int, *wire.Error) {
+	status, code := errStatus(err)
+	msg := err.Error()
+	var enc *encodeError
+	if errors.As(err, &enc) {
+		msg = enc.Error()
+	}
+	return status, &wire.Error{Code: code, Message: msg}
 }
 
 // writeErr maps err onto the wire: status code, typed payload, and a
 // Retry-After hint on 409/429 so well-behaved clients back off.
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
-	status, code := errStatus(err)
+	status, e := wireError(err)
 	s.countRefusal(status)
-	e := &wire.Error{Code: code, Message: err.Error()}
 	if status == http.StatusConflict || status == http.StatusTooManyRequests {
 		e.RetryAfterMs = s.cfg.RetryAfter.Milliseconds()
 		secs := int64(s.cfg.RetryAfter.Seconds())
@@ -513,17 +541,20 @@ func (s *Server) handleRowStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := t.NumRows()
+	var line []byte
 	for off := 0; off < n; off += chunk {
-		end := off + chunk
-		if end > n {
-			end = n
-		}
 		// Check for a gone client before doing the encode work, not after:
 		// a cancelled request must not pay for (or emit) one more chunk.
 		if r.Context().Err() != nil {
 			return
 		}
-		if err := enc.Encode(wire.RowChunk{Offset: off, Rows: wire.EncodeRows(t, off, end)}); err != nil {
+		line, err = wire.AppendRowChunk(line[:0], off, t, off, min(off+chunk, n))
+		if err != nil {
+			_, e := wireError(&encodeError{err})
+			_ = enc.Encode(wire.RowChunk{Offset: off, Last: true, TotalRows: off, Error: e})
+			return
+		}
+		if _, err := w.Write(line); err != nil {
 			return
 		}
 		if flusher != nil {
@@ -584,6 +615,7 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	headerSent := false
 	offset := 0
+	var line []byte // every data line is built here, one chunk at a time
 	tune.StreamChunkRows = chunkRows
 	tune.Stream = func(t *dataset.Table) error {
 		// The sink runs on an executor worker goroutine, but strictly
@@ -606,7 +638,11 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 			headerSent = true
 		}
 		if t.NumRows() > 0 {
-			if err := enc.Encode(wire.RowChunk{Offset: offset, Rows: wire.EncodeRows(t, 0, t.NumRows())}); err != nil {
+			var err error
+			if line, err = wire.AppendRowChunk(line[:0], offset, t, 0, t.NumRows()); err != nil {
+				return &encodeError{err}
+			}
+			if _, err := w.Write(line); err != nil {
 				return err
 			}
 			offset += t.NumRows()
@@ -631,10 +667,9 @@ func (s *Server) handleRunStream(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, err)
 			return
 		}
-		status, code := errStatus(err)
+		status, e := wireError(err)
 		s.countRefusal(status)
-		_ = enc.Encode(wire.RowChunk{Offset: offset, Last: true, TotalRows: offset,
-			Error: &wire.Error{Code: code, Message: err.Error()}, Stats: streamStats})
+		_ = enc.Encode(wire.RowChunk{Offset: offset, Last: true, TotalRows: offset, Error: e, Stats: streamStats})
 		return
 	}
 	streamStats.Cost = costSummary(rep.Cost, tune.CostBudgetBytes)

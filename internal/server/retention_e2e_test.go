@@ -17,10 +17,10 @@ import (
 	"datachat/internal/server"
 )
 
-// TestRowsOfADroppedOutput: the session hands a step's output back to the
-// cache once later steps run, yet /rows still serves it — byte for byte what
-// it served while the session held it, whether the shared cache still has it
-// or, after an invalidation, it is recomputed.
+// TestRowsOfADroppedOutput: the session leaves a step's output to the cache,
+// yet /rows still serves it two steps later — byte for byte what it served
+// right after the step ran, whether the shared cache still has it or, after
+// an invalidation, it is recomputed.
 func TestRowsOfADroppedOutput(t *testing.T) {
 	p := core.New()
 	hs := httptest.NewServer(server.New(p, server.Config{}))
@@ -52,7 +52,7 @@ func TestRowsOfADroppedOutput(t *testing.T) {
 		"Compute the sum of revenue for each region and call the computed columns TotalRevenue",
 		"Sort the rows by TotalRevenue in descending order",
 	}
-	var held []byte
+	var first []byte
 	current := ""
 	for i, line := range lines {
 		resp, err := c.RunGEL(ctx, "s", "ann", line, current)
@@ -61,7 +61,7 @@ func TestRowsOfADroppedOutput(t *testing.T) {
 		}
 		current = nodeOutput(resp)
 		if i == 2 {
-			held = rows() // node2 is the target: the session holds it
+			first = rows() // node2 is the target
 		}
 	}
 	sess, err := p.Session("s")
@@ -72,16 +72,16 @@ func TestRowsOfADroppedOutput(t *testing.T) {
 		t.Fatal("node2 is still held two steps later")
 	}
 	before := p.CacheStats()
-	if hit := rows(); string(hit) != string(held) {
-		t.Errorf("from the cache:\n%s\nwhile held:\n%s", hit, held)
+	if hit := rows(); string(hit) != string(first) {
+		t.Errorf("from the cache:\n%s\nright after the step:\n%s", hit, first)
 	}
 	if after := p.CacheStats(); after.Hits == before.Hits || after.Misses != before.Misses {
 		t.Errorf("re-deriving node2 should be a cache hit: %+v -> %+v", before, after)
 	}
 	p.InvalidateCache()
 	before = p.CacheStats()
-	if recomputed := rows(); string(recomputed) != string(held) {
-		t.Errorf("recomputed:\n%s\nwhile held:\n%s", recomputed, held)
+	if recomputed := rows(); string(recomputed) != string(first) {
+		t.Errorf("recomputed:\n%s\nright after the step:\n%s", recomputed, first)
 	}
 	if after := p.CacheStats(); after.Misses == before.Misses {
 		t.Errorf("after an invalidation node2 should recompute: %+v -> %+v", before, after)
@@ -94,7 +94,8 @@ func TestRowsOfADroppedOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z.Cache["budget"] <= 0 || z.Cache["bytes"] <= 0 || z.Cache["bytes"] > z.Cache["budget"] || z.SessionBytes["s"] <= 0 {
+	// The cache holds every step, so the session pins none of them.
+	if held, ok := z.SessionBytes["s"]; z.Cache["budget"] <= 0 || z.Cache["bytes"] <= 0 || z.Cache["bytes"] > z.Cache["budget"] || !ok || held != 0 {
 		t.Errorf("statsz cache %v, session bytes %v", z.Cache, z.SessionBytes)
 	}
 }

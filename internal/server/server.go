@@ -322,7 +322,10 @@ func (s *Server) requestContext(r *http.Request, tune *session.Tuning) (context.
 // permission failures as plain fmt errors.
 func errStatus(err error) (int, string) {
 	var tooLarge *http.MaxBytesError
+	var unencodable *encodeError
 	switch {
+	case errors.As(err, &unencodable):
+		return http.StatusInternalServerError, wire.CodeInternal
 	case errors.As(err, &tooLarge):
 		return http.StatusRequestEntityTooLarge, wire.CodeTooLarge
 	case errors.Is(err, session.ErrBusy):

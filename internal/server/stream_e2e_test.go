@@ -626,3 +626,58 @@ func TestRunStreamDegradedSentinel(t *testing.T) {
 			stats.Degraded, stats.DegradedNote, resp.Result.Degraded, resp.Result.DegradedNote)
 	}
 }
+
+// TestNonFiniteCellIsATypedError: JSON has no number for NaN or ±Inf, which
+// SQRT of a negative and LN(0) produce. Every route answers such a result
+// with one typed internal error naming the value: the buffered run and the
+// rows page as a 500 — not a 200 with an empty body — and both streams as
+// their sentinel, after the chunks before the bad one and with nothing of
+// that one written.
+func TestNonFiniteCellIsATypedError(t *testing.T) {
+	_, c := newTestDeployment(t, server.Config{})
+	ctx := context.Background()
+	if err := c.RegisterFile(ctx, "sales.csv", salesCSV); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateSession(ctx, "s", "ann"); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := c.RunGEL(ctx, "s", "ann", "Load data from the file sales.csv", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := nodeOutput(loaded)
+	for i, tc := range []struct{ gel, value string }{
+		{"Create a new column r as SQRT(discount - 0.1)", "NaN"}, // row 2's discount is 0
+		{"Create a new column r as LN(discount)", "-Inf"},
+	} {
+		_, err := c.RunGEL(ctx, "s", "ann", tc.gel, base)
+		var buffered *wire.Error
+		if !errors.As(err, &buffered) || buffered.Status != http.StatusInternalServerError ||
+			buffered.Code != wire.CodeInternal || !strings.HasSuffix(buffered.Message, "unsupported value: "+tc.value) {
+			t.Fatalf("%s: buffered run returned %v, want a typed 500 naming %s", tc.gel, err, tc.value)
+		}
+		same := func(route string, err error) {
+			t.Helper()
+			var we *wire.Error
+			if !errors.As(err, &we) || we.Code != buffered.Code || we.Message != buffered.Message {
+				t.Errorf("%s: %s returned %v, want %q (%s)", tc.gel, route, err, buffered.Message, buffered.Code)
+			}
+		}
+		rows := 0
+		_, err = c.RunStream(ctx, "s", wire.RunRequest{User: "ann", GEL: tc.gel, Current: base, MaxRows: 1},
+			func(_ *wire.Table, rc wire.RowChunk) error {
+				rows += len(rc.Rows)
+				return nil
+			})
+		same("run/stream", err)
+		if rows != 1 {
+			t.Errorf("%s: the stream delivered %d rows before the bad one, want 1", tc.gel, rows)
+		}
+		name := fmt.Sprintf("node%d", 1+2*i) // the buffered run's step
+		_, err = c.Rows(ctx, "s", name, 0, 10)
+		same("rows", err)
+		_, err = c.StreamRows(ctx, "s", name, 1, nil)
+		same("datasets stream", err)
+	}
+}

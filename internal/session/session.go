@@ -122,28 +122,35 @@ func (s *Session) derive(name string) (t *dataset.Table, ok bool, err error) {
 	return res.Table.WithName(name), true, nil
 }
 
-// retain applies the session's retention rule after a run: of the datasets
-// graph nodes produce, the context keeps only the target's output, the
-// outputs of its direct inputs, and outputs it could not re-derive for free
-// (see rederivable). Every other node output is the shared cache's to keep
-// or evict, and the context's Dataset re-derives it on demand; datasets no
-// node produces are never dropped. So what a session holds does not grow
-// with the steps it has run.
-func (s *Session) retain(target dag.NodeID) {
+// retain applies the session's retention rule after a run, given the keys
+// the run's results are cached under: of the datasets graph nodes produce,
+// the context keeps the outputs it could not re-derive for free (see
+// rederivable), and the target's and its direct inputs' outputs only while
+// the shared cache does not hold them — a result the cache refused, over its
+// budget or degraded, or one this run did not publish. Every other node
+// output is the cache's to keep or evict, and the context's Dataset
+// re-derives it on demand; datasets no node produces are never dropped. So
+// what a session holds does not grow with the steps it has run, and a result
+// the cache holds is pinned once, by the cache, not again by every session
+// that computed it.
+func (s *Session) retain(target dag.NodeID, keys map[string]string) {
 	node, err := s.graph.Node(target)
 	if err != nil {
 		return
 	}
-	ctx, out := s.executor.Ctx, node.OutputName()
+	ctx, out, cache := s.executor.Ctx, node.OutputName(), s.executor.Cache()
 	for _, name := range ctx.DatasetNames() {
-		if name == out || slices.ContainsFunc(node.Inv.Inputs, func(in string) bool {
-			return strings.EqualFold(in, name)
-		}) {
+		if id, produced := s.graph.ProducerOf(name); !produced || !s.rederivable(id) {
 			continue
 		}
-		if id, produced := s.graph.ProducerOf(name); produced && s.rederivable(id) {
-			ctx.DropDataset(name)
+		recent := name == out || slices.ContainsFunc(node.Inv.Inputs, func(in string) bool {
+			return strings.EqualFold(in, name)
+		})
+		key, published := keys[name]
+		if recent && !(published && cache.Peek(key)) {
+			continue // nothing else holds it
 		}
+		ctx.DropDataset(name)
 	}
 }
 
@@ -349,7 +356,7 @@ func (s *Session) RequestProgramCtx(ctx context.Context, user string, tune Tunin
 	if err != nil {
 		s.graph.Fail(target, err.Error())
 	}
-	s.retain(target)
+	s.retain(target, rep.Keys)
 	s.mu.Lock()
 	s.logged = int(target) + 1
 	s.mu.Unlock()
