@@ -131,7 +131,7 @@ func BenchmarkFigure2GDPRecipe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := skills.NewContext()
 		ctx.PutFile(url, csv)
-		parser := gel.MustNewParser(reg)
+		parser := gel.NewParser(reg)
 		parser.Now = time.Date(2023, 6, 18, 0, 0, 0, 0, time.UTC)
 		runner := gel.NewRunner(parser, dag.NewExecutor(reg, ctx), lines)
 		steps, err := runner.RunAll()
@@ -147,7 +147,7 @@ func BenchmarkFigure2GDPRecipe(b *testing.B) {
 // invocation, Python API parse, GEL parse) converging on the same request.
 func BenchmarkFigure3EntryPaths(b *testing.B) {
 	reg := skills.NewRegistry()
-	parser := gel.MustNewParser(reg)
+	parser := gel.NewParser(reg)
 	b.Run("form", func(b *testing.B) {
 		ctx := skills.NewContext()
 		ctx.Datasets["parties"] = collisionsTable(2000)

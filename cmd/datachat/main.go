@@ -59,7 +59,7 @@ func main() {
 		fmt.Println("demo dataset 'collisions' loaded — try: Use the dataset collisions")
 	}
 	executor := dag.NewExecutor(reg, ctx)
-	parser := gel.MustNewParser(reg)
+	parser := gel.NewParser(reg)
 	runner := gel.NewRunner(parser, executor, nil)
 
 	fmt.Println("DataChat GEL console — type a GEL sentence, :help for commands, :quit to exit")

@@ -1,7 +1,8 @@
 // Command dcskills prints the skill catalog — the expanded form of the
-// paper's Table 1 — grouped by category, with each skill's GEL sentence,
-// Python API method, parameters, and whether the DAG compiler can merge it
-// into SQL.
+// paper's Table 1 — grouped by category, with each skill's GEL sentence
+// forms, whether a sentence naming no dataset acts on the current one, its
+// Python API method and parameters, and whether the DAG compiler can merge
+// it into SQL.
 package main
 
 import (
@@ -26,12 +27,24 @@ func main() {
 		}
 		fmt.Printf("%s (%d skills)\n%s\n", cat, len(defs), strings.Repeat("=", len(string(cat))+12))
 		for _, def := range defs {
-			relational := ""
+			tags := ""
 			if def.MergeSQL != nil {
-				relational = "  [SQL-mergeable]"
+				tags = "  [SQL-mergeable]"
 			}
-			fmt.Printf("  %-22s %s%s\n", def.Name, def.Summary, relational)
-			fmt.Printf("  %22s GEL:    %s\n", "", def.GEL)
+			if def.Standalone {
+				tags += "  [standalone: needs no current dataset]"
+			}
+			fmt.Printf("  %-22s %s%s\n", def.Name, def.Summary, tags)
+			for _, form := range def.GEL {
+				implied := ""
+				if len(form.Implies) > 0 {
+					implied = fmt.Sprintf("  (implies %v)", form.Implies)
+				}
+				fmt.Printf("  %22s GEL:    %s%s\n", "", form.Template, implied)
+			}
+			if len(def.GEL) == 0 {
+				fmt.Printf("  %22s GEL:    (an irregular sentence, parsed and rendered by hand)\n", "")
+			}
 			fmt.Printf("  %22s Python: .%s(...)\n", "", def.PyName)
 			if *verbose {
 				for _, p := range def.Params {

@@ -127,8 +127,9 @@ type (
 	Concept = semantic.Concept
 )
 
-// NewGELParser compiles the GEL grammar over a registry.
-func NewGELParser(reg *Registry) *GELParser { return gel.MustNewParser(reg) }
+// NewGELParser returns the GEL parser over the sentence forms a registry's
+// skills declare.
+func NewGELParser(reg *Registry) *GELParser { return gel.NewParser(reg) }
 
 // NewGELRunner prepares a recipe stepper over GEL lines.
 func NewGELRunner(parser *GELParser, executor *Executor, lines []string) *GELRunner {

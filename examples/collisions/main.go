@@ -109,7 +109,7 @@ func main() {
 	ctx.Datasets["parties"] = withCase
 	ctx.Datasets["collisions"] = buildCollisions(900, 8)
 	executor := dag.NewExecutor(reg, ctx)
-	parser := gel.MustNewParser(reg)
+	parser := gel.NewParser(reg)
 
 	lines := []string{
 		"Use the dataset parties",

@@ -52,7 +52,7 @@ func main() {
 	ctx := skills.NewContext()
 	ctx.PutFile(url, fredCSV())
 	executor := dag.NewExecutor(reg, ctx)
-	parser := gel.MustNewParser(reg)
+	parser := gel.NewParser(reg)
 	parser.Now = time.Date(2023, 6, 18, 0, 0, 0, 0, time.UTC)
 
 	// The recipe exactly as the Figure 2a editor shows it.

@@ -33,7 +33,7 @@ func main() {
 	ctx := skills.NewContext()
 	ctx.PutFile("sales.csv", salesCSV)
 	executor := dag.NewExecutor(reg, ctx)
-	parser := gel.MustNewParser(reg)
+	parser := gel.NewParser(reg)
 
 	// A working session is just GEL sentences executed in order.
 	lines := []string{

@@ -45,9 +45,26 @@ func Lint(c *Case) []error {
 		return errs
 	}
 	r := &recipe.Recipe{Name: c.Name, Steps: c.Steps}
-	reg, _ := frontEnds()
+	reg, parser := frontEnds()
 	if err := r.Validate(reg); err != nil {
 		report("canonical program: %v", err)
+	}
+	// A GEL line must survive parse → render → parse: the recipe view shows
+	// the rendered sentence, and replaying it must mean the same step.
+	if c.Dialect == "gel" {
+		for _, line := range strings.Split(c.Body, "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			inv, err := parser.Parse(line)
+			if err == nil {
+				_, err = parser.RoundTrip(inv)
+			}
+			if err != nil {
+				report("GEL line %q does not round-trip: %v", line, err)
+			}
+		}
 	}
 	// Every external input must be a declared fixture.
 	produced := map[string]bool{}

@@ -10,7 +10,6 @@ import (
 	"datachat/internal/dataset"
 	"datachat/internal/gel"
 	"datachat/internal/phrase"
-	"datachat/internal/pyapi"
 	"datachat/internal/recipe"
 	"datachat/internal/semantic"
 	"datachat/internal/skills"
@@ -27,7 +26,7 @@ var (
 func frontEnds() (*skills.Registry, *gel.Parser) {
 	lowerOnce.Do(func() {
 		lowerReg = skills.NewRegistry()
-		lowerParser = gel.MustNewParser(lowerReg)
+		lowerParser = gel.NewParser(lowerReg)
 	})
 	return lowerReg, lowerParser
 }
@@ -37,22 +36,26 @@ func frontEnds() (*skills.Registry, *gel.Parser) {
 // same program renders back to GEL and the Python API losslessly.
 func Lower(c *Case) error {
 	reg, parser := frontEnds()
+	var invs []skills.Invocation
 	var steps []recipe.Step
 	var err error
 	switch c.Dialect {
 	case "gel":
-		steps, err = lowerGEL(c.Body, reg, parser)
+		invs, err = lowerGEL(c.Body, reg, parser)
 	case "pyapi":
-		steps, err = lowerPyAPI(c.Body, reg)
+		invs, err = core.LowerPython(reg, c.Body)
 	case "recipe":
 		err = json.Unmarshal([]byte(c.Body), &steps)
-		if err == nil && len(steps) == 0 {
-			err = fmt.Errorf("recipe body has no steps")
-		}
 	case "phrase":
-		steps, err = lowerPhrase(c)
+		invs, err = lowerPhrase(c)
 	default:
 		err = fmt.Errorf("unknown dialect %q", c.Dialect)
+	}
+	for _, inv := range invs {
+		steps = append(steps, recipe.Step{Skill: inv.Skill, Inputs: inv.Inputs, Output: inv.Output, Args: inv.Args})
+	}
+	if err == nil && len(steps) == 0 {
+		err = fmt.Errorf("%s body has no steps", c.Dialect)
 	}
 	if err != nil {
 		return fmt.Errorf("conformance: lowering case %q: %w", c.Name, err)
@@ -66,8 +69,10 @@ func Lower(c *Case) error {
 	return nil
 }
 
-func lowerGEL(body string, reg *skills.Registry, parser *gel.Parser) ([]recipe.Step, error) {
-	var steps []recipe.Step
+// lowerGEL parses a GEL body line by line under the skills' current-dataset
+// rule, naming each step's output sN.
+func lowerGEL(body string, reg *skills.Registry, parser *gel.Parser) ([]skills.Invocation, error) {
+	var invs []skills.Invocation
 	current := ""
 	for _, line := range strings.Split(body, "\n") {
 		line = strings.TrimSpace(line)
@@ -78,41 +83,19 @@ func lowerGEL(body string, reg *skills.Registry, parser *gel.Parser) ([]recipe.S
 		if err != nil {
 			return nil, err
 		}
-		if len(inv.Inputs) == 0 && core.NeedsInput(inv.Skill) {
-			if current == "" {
-				return nil, fmt.Errorf("%q needs a dataset; use one first", line)
-			}
-			inv.Inputs = []string{current}
+		if err := reg.BindCurrent(&inv, current); err != nil {
+			return nil, err
 		}
-		out := fmt.Sprintf("s%d", len(steps)+1)
-		steps = append(steps, recipe.Step{Skill: inv.Skill, Inputs: inv.Inputs, Output: out, Args: inv.Args})
-		if advancesCurrent(reg, inv.Skill) {
-			current = out
+		inv.Output = fmt.Sprintf("s%d", len(invs)+1)
+		invs = append(invs, inv)
+		if def, err := reg.Lookup(inv.Skill); err == nil && def.AdvancesCurrent() {
+			current = inv.Output
 		}
 	}
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("gel body has no sentences")
-	}
-	return steps, nil
+	return invs, nil
 }
 
-func lowerPyAPI(body string, reg *skills.Registry) ([]recipe.Step, error) {
-	prog, err := pyapi.Parse(body)
-	if err != nil {
-		return nil, err
-	}
-	invs, err := pyapi.NewTranslator(reg).Invocations(prog)
-	if err != nil {
-		return nil, err
-	}
-	steps := make([]recipe.Step, len(invs))
-	for i, inv := range invs {
-		steps[i] = recipe.Step{Skill: inv.Skill, Inputs: inv.Inputs, Output: inv.Output, Args: inv.Args}
-	}
-	return steps, nil
-}
-
-func lowerPhrase(c *Case) ([]recipe.Step, error) {
+func lowerPhrase(c *Case) ([]skills.Invocation, error) {
 	var csv string
 	for _, f := range c.Fixtures {
 		if f.Name == c.PhraseDataset {
@@ -131,7 +114,7 @@ func lowerPhrase(c *Case) ([]recipe.Step, error) {
 	// the dataset without transforming it — so every line lowers against
 	// the same fixture schema and defaults its input to the same dataset.
 	tr := &phrase.Translator{Layer: semantic.NewLayer()}
-	var steps []recipe.Step
+	var invs []skills.Invocation
 	for _, line := range strings.Split(c.Body, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -141,38 +124,7 @@ func lowerPhrase(c *Case) ([]recipe.Step, error) {
 		if err != nil {
 			return nil, err
 		}
-		inv := trans.Invocation
-		if len(inv.Inputs) == 0 {
-			inv.Inputs = []string{c.PhraseDataset}
-		}
-		steps = append(steps, recipe.Step{Skill: inv.Skill, Inputs: inv.Inputs,
-			Output: fmt.Sprintf("s%d", len(steps)+1), Args: inv.Args})
+		invs = append(invs, core.PhraseInvocation(trans, c.PhraseDataset))
 	}
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("phrase body has no sentences")
-	}
-	return steps, nil
-}
-
-// advancesCurrent mirrors gel.Runner.record: ingestion skills and
-// table-producing transforms advance the working dataset; exploration,
-// visualization, and collaboration skills produce side results without
-// moving it.
-func advancesCurrent(reg *skills.Registry, skill string) bool {
-	switch skill {
-	case "UseDataset", "LoadData", "LoadTable", "SampleTable",
-		"UseSnapshot", "CreateSnapshot", "RefreshSnapshot":
-		return true
-	case "ListDatasets", "Define":
-		return false
-	}
-	def, err := reg.Lookup(skill)
-	if err != nil {
-		return false
-	}
-	switch def.Category {
-	case skills.DataExploration, skills.DataVisualization, skills.Collaboration:
-		return false
-	}
-	return true
+	return invs, nil
 }

@@ -142,12 +142,7 @@ func newEnv(c *Case) (*caseEnv, error) {
 func invsOf(steps []recipe.Step) []skills.Invocation {
 	invs := make([]skills.Invocation, len(steps))
 	for i, st := range steps {
-		invs[i] = skills.Invocation{
-			Skill:  st.Skill,
-			Inputs: append([]string{}, st.Inputs...),
-			Output: st.Output,
-			Args:   st.Args,
-		}
+		invs[i] = st.Invocation()
 	}
 	return invs
 }
@@ -186,17 +181,10 @@ func runRecipe(c *Case) (*RouteResult, error) {
 	return fromResult("recipe", res)
 }
 
-// sentenceNamesInputs reports whether a skill's GEL sentence spells out its
-// dataset inputs (so the parse round trip recovers them without relying on
-// the current-dataset default).
-func sentenceNamesInputs(skill string) bool {
-	return skill == "JoinDatasets" || skill == "Concatenate"
-}
-
 // runGEL renders every canonical step back to its GEL sentence, re-parses
 // it through the platform's front door, and executes step by step with the
 // console's current-dataset bookkeeping — pinning the render→parse round
-// trip AND the core.NeedsInput defaulting rule against the reference.
+// trip AND the skills' current-dataset rule against the reference.
 func runGEL(c *Case) (*RouteResult, error) {
 	env, err := newEnv(c)
 	if err != nil {
@@ -229,6 +217,10 @@ func runGEL(c *Case) (*RouteResult, error) {
 	}
 	var last *skills.Result
 	for _, step := range c.Steps {
+		def, err := env.p.Registry.Lookup(step.Skill)
+		if err != nil {
+			return nil, err
+		}
 		inv := skills.Invocation{Skill: step.Skill, Args: step.Args}
 		for _, in := range step.Inputs {
 			inv.Inputs = append(inv.Inputs, mapName(in))
@@ -251,11 +243,10 @@ func runGEL(c *Case) (*RouteResult, error) {
 				inv.Args = args
 			}
 		}
-		// A step consuming a dataset its sentence cannot name relies on the
-		// current-dataset default; when the target is not current, switch
-		// with the idiomatic "Use the dataset …" sentence first.
-		if core.NeedsInput(step.Skill) && len(inv.Inputs) == 1 &&
-			inv.Inputs[0] != current && !sentenceNamesInputs(step.Skill) {
+		// A step consuming one dataset relies on the current-dataset default
+		// (a sentence naming datasets names two); when the target is not
+		// current, switch with the idiomatic "Use the dataset …" first.
+		if !def.Standalone && len(inv.Inputs) == 1 && inv.Inputs[0] != current {
 			_, out, err := run1("Use the dataset "+inv.Inputs[0], "")
 			if err != nil {
 				return &RouteResult{Route: "gel", Err: err}, nil
@@ -273,7 +264,7 @@ func runGEL(c *Case) (*RouteResult, error) {
 		}
 		last = res
 		nameMap[step.Output] = out
-		if advancesCurrent(env.p.Registry, step.Skill) {
+		if def.AdvancesCurrent() {
 			current = out
 		}
 	}
@@ -295,11 +286,11 @@ func runPyAPI(c *Case) (*RouteResult, error) {
 		}
 		lines = append(lines, line)
 	}
-	steps, err := lowerPyAPI(strings.Join(lines, "\n"), env.p.Registry)
+	invs, err := core.LowerPython(env.p.Registry, strings.Join(lines, "\n"))
 	if err != nil {
 		return &RouteResult{Route: "pyapi", Err: err}, nil
 	}
-	res, _, err := env.run(invsOf(steps)...)
+	res, _, err := env.run(invs...)
 	if err != nil {
 		return &RouteResult{Route: "pyapi", Err: err}, nil
 	}
@@ -339,18 +330,14 @@ func runPhrase(c *Case) (*RouteResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// ask is Platform.RunPhrase under the case's options: translate the
-	// sentence against the dataset, default its input, run it.
+	// ask is Platform.RunPhrase under the case's options: lower the phrase
+	// asked of the dataset, run it.
 	ask := func(sentence, ds string) (*skills.Result, error) {
-		tr, err := env.p.TranslatePhrase(SessionName, sentence, ds)
+		invs, err := env.p.Lower(SessionName, core.Program{Phrase: sentence, Dataset: ds})
 		if err != nil {
 			return nil, err
 		}
-		inv := tr.Invocation
-		if len(inv.Inputs) == 0 {
-			inv.Inputs = []string{ds}
-		}
-		res, _, err := env.run(inv)
+		res, _, err := env.run(invs...)
 		return res, err
 	}
 	if c.Dialect == "phrase" {
@@ -626,7 +613,6 @@ func checkContention(c *Case) error {
 		Name:     "ConformanceBarrier",
 		Category: skills.Collaboration,
 		Summary:  "test-only: block the session lock until released",
-		GEL:      "Hold the conformance barrier",
 		PyName:   "conformance_barrier",
 		Volatile: true,
 		Apply: func(ctx *skills.Context, inv skills.Invocation) (*skills.Result, error) {

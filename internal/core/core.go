@@ -72,7 +72,7 @@ func New() *Platform {
 		Home:      session.NewHomeScreen(),
 		Snapshots: snapshot.NewStore(50),
 		Semantic:  semantic.NewLayer(),
-		Parser:    gel.MustNewParser(reg),
+		Parser:    gel.NewParser(reg),
 		sessions:  map[string]*session.Session{},
 		boards:    map[string]*session.InsightsBoard{},
 		clouds:    map[string]cloud.DB{},
@@ -265,31 +265,84 @@ func (p *Platform) RunCtx(ctx context.Context, sessionName, user string, tune *s
 	return res, ids, err
 }
 
-// RunPython parses a DataChat Python API script and executes it via Run.
-func (p *Platform) RunPython(sessionName, user, src string) (*skills.Result, error) {
+// Program is one request's program in exactly one dialect: a GEL sentence
+// (acting on Current when it names no dataset), a Python API script, a
+// phrase asked of Dataset, or explicit Steps.
+type Program struct {
+	GEL, Current    string
+	Python          string
+	Phrase, Dataset string
+	Steps           []skills.Invocation
+}
+
+// Lower reduces a program to the invocations Run executes — the one dialect
+// switch every front end, local or over the wire, goes through.
+func (p *Platform) Lower(sessionName string, prog Program) ([]skills.Invocation, error) {
+	set := 0
+	for _, on := range []bool{prog.GEL != "", prog.Python != "", prog.Phrase != "", len(prog.Steps) > 0} {
+		if on {
+			set++
+		}
+	}
+	if set != 1 {
+		return nil, fmt.Errorf("core: invalid run request: exactly one of gel, python, phrase, program required (got %d)", set)
+	}
+	switch {
+	case prog.GEL != "":
+		inv, err := p.ParseGEL(prog.GEL, prog.Current)
+		if err != nil {
+			return nil, err
+		}
+		return []skills.Invocation{inv}, nil
+	case prog.Python != "":
+		return LowerPython(p.Registry, prog.Python)
+	case prog.Phrase != "":
+		t, err := p.TranslatePhrase(sessionName, prog.Phrase, prog.Dataset)
+		if err != nil {
+			return nil, err
+		}
+		return []skills.Invocation{PhraseInvocation(t, prog.Dataset)}, nil
+	}
+	return prog.Steps, nil
+}
+
+// LowerPython parses a DataChat Python API script into invocations.
+func LowerPython(reg *skills.Registry, src string) ([]skills.Invocation, error) {
 	prog, err := pyapi.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	invs, err := pyapi.NewTranslator(p.Registry).Invocations(prog)
+	return pyapi.NewTranslator(reg).Invocations(prog)
+}
+
+// PhraseInvocation is a translated phrase's invocation, acting on the dataset
+// it was asked of unless it names its own.
+func PhraseInvocation(t *phrase.Translation, datasetName string) skills.Invocation {
+	inv := t.Invocation
+	if len(inv.Inputs) == 0 {
+		inv.Inputs = []string{datasetName}
+	}
+	return inv
+}
+
+// run lowers prog and executes it via Run.
+func (p *Platform) run(sessionName, user string, prog Program) (*skills.Result, error) {
+	invs, err := p.Lower(sessionName, prog)
 	if err != nil {
 		return nil, err
 	}
 	return p.Run(sessionName, user, invs...)
 }
 
+// RunPython parses a DataChat Python API script and executes it via Run.
+func (p *Platform) RunPython(sessionName, user, src string) (*skills.Result, error) {
+	return p.run(sessionName, user, Program{Python: src})
+}
+
 // RunPhrase translates a §4.8 phrase-based request against a dataset and
 // executes the resulting invocation via Run.
 func (p *Platform) RunPhrase(sessionName, user, input, datasetName string) (*skills.Result, error) {
-	t, err := p.TranslatePhrase(sessionName, input, datasetName)
-	if err != nil {
-		return nil, err
-	}
-	inv := t.Invocation
-	if len(inv.Inputs) == 0 {
-		inv.Inputs = []string{datasetName}
-	}
-	return p.Run(sessionName, user, inv)
+	return p.run(sessionName, user, Program{Phrase: input, Dataset: datasetName})
 }
 
 // Explain returns the EXPLAIN report — optimized plan, SQL fragments, pass
@@ -307,43 +360,21 @@ func (p *Platform) Explain(sessionName, output string) (*plan.Explain, error) {
 // of a user — the console's one-line entry point. Sentences that do not
 // name datasets act on `current` (pass "" to require explicit names).
 func (p *Platform) RequestGEL(sessionName, user, line, current string) (*skills.Result, error) {
-	inv, err := p.ParseGEL(line, current)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := p.RunCtx(context.Background(), sessionName, user, nil, inv)
-	return res, err
+	return p.run(sessionName, user, Program{GEL: line, Current: current})
 }
 
-// ParseGEL parses one GEL sentence into an invocation, defaulting the input
-// of dataset-consuming skills to current (pass "" to require explicit names)
-// — the shared front half of RequestGEL, exposed so the network layer can
-// parse, then execute through its own tuned entry point.
+// ParseGEL parses one GEL sentence into an invocation, binding a sentence
+// that names no dataset to current by the skills' current-dataset rule (pass
+// "" to require explicit names) — the GEL half of Lower.
 func (p *Platform) ParseGEL(line, current string) (skills.Invocation, error) {
 	inv, err := p.Parser.Parse(line)
 	if err != nil {
 		return skills.Invocation{}, err
 	}
-	if len(inv.Inputs) == 0 && NeedsInput(inv.Skill) {
-		if current == "" {
-			return skills.Invocation{}, fmt.Errorf("core: %s needs a dataset; load or use one first", inv.Skill)
-		}
-		inv.Inputs = []string{current}
+	if err := p.Registry.BindCurrent(&inv, current); err != nil {
+		return skills.Invocation{}, err
 	}
 	return inv, nil
-}
-
-// NeedsInput reports whether a GEL sentence for skill that names no dataset
-// acts on the current one; the listed skills never consume it.
-func NeedsInput(skill string) bool {
-	switch skill {
-	case "LoadData", "LoadTable", "SampleTable", "CreateSnapshot", "UseSnapshot",
-		"RefreshSnapshot", "ListDatasets", "UseDataset", "Define", "ShareSession",
-		"ShareArtifact", "PublishToInsightsBoard", "AddComment", "ExplainModel", "RunSQL":
-		return false
-	default:
-		return true
-	}
 }
 
 // TranslatePhrase runs the §4.8 phrase-based translator against a dataset

@@ -79,13 +79,16 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Report is what one run did: its own execution counters, the cost estimate
-// of the plan it compiled (nil when the cost model is off), and the cache key
-// of every exact result it published into the context, by output name — the
-// key under which the shared cache holds that result, for as long as it does.
+// of the plan it compiled (nil when the cost model is off), the cache key of
+// every exact result it published into the context, by output name — the key
+// under which the shared cache holds that result, for as long as it does —
+// and the fingerprints of every node it planned, cache-served ones included
+// (plan.Plan.Fingerprints).
 type Report struct {
-	Stats Stats
-	Cost  *plan.PlanCost
-	Keys  map[string]string
+	Stats        Stats
+	Cost         *plan.PlanCost
+	Keys         map[string]string
+	Fingerprints []string
 }
 
 // Executor compiles and runs DAGs against a skill context. Compilation
@@ -242,7 +245,7 @@ func (e *Executor) RunWith(ctx context.Context, g *Graph, target NodeID, opts Ex
 		return nil, Report{}, err
 	}
 	err = e.runPlan(ctx, p)
-	rep := Report{Stats: p.planStats, Cost: p.logical.Cost}
+	rep := Report{Stats: p.planStats, Cost: p.logical.Cost, Fingerprints: p.logical.Fingerprints}
 	for _, t := range p.tasks {
 		rep.Stats.Add(t.stats)
 		if res := t.result; t.cacheable && res != nil && res.Table != nil && !res.Degraded {

@@ -14,7 +14,7 @@ func editFixture(t *testing.T) *Runner {
 	ctx.Datasets["d"] = dataset.MustNewTable("d",
 		dataset.IntColumn("x", []int64{1, 2, 3, 4, 5, 6}, nil))
 	executor := dag.NewExecutor(reg, ctx)
-	return NewRunner(MustNewParser(reg), executor, []string{
+	return NewRunner(NewParser(reg), executor, []string{
 		"Use the dataset d",
 		"Keep the rows where x > 2",
 		"Limit the data to 2 rows",

@@ -1,4 +1,4 @@
-package gel_test
+package gel
 
 import (
 	"bufio"
@@ -6,9 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"datachat/internal/gel"
-	"datachat/internal/skills"
 )
 
 // corpusGELSeeds pulls every GEL sentence out of the conformance corpus so
@@ -57,7 +54,8 @@ func corpusGELSeeds(f *testing.F) []string {
 // FuzzGELParse throws arbitrary console input at the GEL front end. The
 // parser, the autocomplete suggester, and the condition translator all face
 // raw user keystrokes, so none of them may panic — an invocation or an
-// error are the only acceptable outcomes.
+// error are the only acceptable outcomes — and a sentence that parses must
+// render and parse back to the same invocation (RoundTrip).
 func FuzzGELParse(f *testing.F) {
 	for _, s := range corpusGELSeeds(f) {
 		f.Add(s)
@@ -77,11 +75,16 @@ func FuzzGELParse(f *testing.F) {
 	} {
 		f.Add(s)
 	}
-	reg := skills.NewRegistry()
-	p := gel.MustNewParser(reg)
+	p := NewParser(reg)
 	f.Fuzz(func(t *testing.T, line string) {
-		_, _ = p.Parse(line)
 		_ = p.TranslateCondition(line)
 		_ = p.Suggest(line, []string{"price", "region"})
+		inv, err := p.Parse(line)
+		if err != nil {
+			return
+		}
+		if _, err := p.RoundTrip(inv); err != nil {
+			t.Errorf("Parse(%q) does not round trip: %v", line, err)
+		}
 	})
 }

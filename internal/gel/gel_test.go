@@ -14,7 +14,7 @@ var reg = skills.NewRegistry()
 
 func parser(t *testing.T) *Parser {
 	t.Helper()
-	return MustNewParser(reg)
+	return NewParser(reg)
 }
 
 func TestParseCoreSentences(t *testing.T) {
@@ -180,32 +180,105 @@ func TestParseComputeSentence(t *testing.T) {
 	if _, err := p.Parse("Compute nonsense"); err == nil {
 		t.Error("malformed compute should error")
 	}
+	// Words the sentence cannot place are an error, not silently dropped.
+	if _, err := p.Parse("Compute the sum of a b and call the computed columns 'p q'"); err == nil {
+		t.Error("stray aggregate words should error")
+	}
 }
 
+// formValue is one set of values a sentence form is filled with.
+type formValue struct {
+	word, number, rest string
+	list               []string
+}
+
+// formValues are the values every declared sentence form is filled with:
+// one word, two words, and values bearing quotes.
+var formValues = []formValue{
+	{"alpha", "3", "x > 1", []string{"alpha", "beta"}},
+	{"unit price", "2.5", "unit price > 1", []string{"unit price", "list price"}},
+	{"O'Brien", "-4", "name = 'O''Brien'", []string{"O'Brien", `say "hi"`}},
+}
+
+// gelWord writes a value as a sentence spells it: quoted, inner quotes
+// doubled, unless it is one plain word.
+func gelWord(s string) string {
+	if strings.ContainsAny(s, ` '"`) {
+		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+	}
+	return s
+}
+
+// fillForm writes the sentence a form reads as when filled with v.
+func fillForm(form *skills.Form, v formValue) string {
+	var words []string
+	for _, seg := range form.Segments() {
+		switch {
+		case seg.Literal != "":
+			words = append(words, seg.Literal)
+		case seg.Kind == skills.SlotNumber:
+			words = append(words, v.number)
+		case seg.Kind == skills.SlotRest:
+			words = append(words, v.rest)
+		case seg.Kind == skills.SlotList:
+			items := make([]string, len(v.list))
+			for j, item := range v.list {
+				items[j] = gelWord(item)
+			}
+			words = append(words, strings.Join(items, " and "))
+		default:
+			words = append(words, gelWord(v.word))
+		}
+	}
+	return strings.Join(words, " ")
+}
+
+// eachFilledForm calls fn with every declared sentence form of every skill,
+// filled with each of formValues.
+func eachFilledForm(fn func(def *skills.Definition, form *skills.Form, v formValue, sentence string)) {
+	for _, name := range reg.Names() {
+		def, _ := reg.Lookup(name)
+		for i := range def.GEL {
+			for _, v := range formValues {
+				fn(def, &def.GEL[i], v, fillForm(&def.GEL[i], v))
+			}
+		}
+	}
+}
+
+// TestParseGELRoundTrip is the §2.3 claim that recipes are editable text:
+// every declared sentence form, filled with each kind of value, survives
+// parse → RenderGEL → parse as the same invocation.
 func TestParseGELRoundTrip(t *testing.T) {
-	// Rendering an invocation to GEL and parsing it back reproduces the
-	// skill and key args — the §2.3 claim that recipes are editable text.
 	p := parser(t)
-	invs := []skills.Invocation{
+	eachFilledForm(func(def *skills.Definition, form *skills.Form, v formValue, sentence string) {
+		inv, err := p.Parse(sentence)
+		if err != nil {
+			t.Errorf("form %q: %q does not parse: %v", form.Template, sentence, err)
+			return
+		}
+		if _, err := p.RoundTrip(inv); err != nil {
+			t.Errorf("form %q: %v", form.Template, err)
+		}
+	})
+	// Invocations built by hand (recipe JSON, the Python API) render to
+	// sentences that parse back to them too.
+	for _, inv := range []skills.Invocation{
 		{Skill: "KeepRows", Args: skills.Args{"condition": "age > 30"}},
 		{Skill: "KeepColumns", Args: skills.Args{"columns": []string{"a", "b"}}},
 		{Skill: "LimitRows", Args: skills.Args{"count": 10}},
 		{Skill: "Compute", Args: skills.Args{
 			"aggregates": []string{"count of id as n"}, "for_each": []string{"dept"}}},
 		{Skill: "PredictTimeSeries", Args: skills.Args{"measure": "GDPC1", "time": "DATE", "steps": 12}},
+		{Skill: "TrainModel", Args: skills.Args{"target": "y", "model": "tree", "features": []string{"a", "and"}}},
+	} {
+		if _, err := p.RoundTrip(inv); err != nil {
+			t.Error(err)
+		}
 	}
-	for _, inv := range invs {
-		sentence, err := reg.RenderGEL(inv)
-		if err != nil {
-			t.Fatalf("render %s: %v", inv.Skill, err)
-		}
-		back, err := p.Parse(sentence)
-		if err != nil {
-			t.Fatalf("parse rendered %q: %v", sentence, err)
-		}
-		if back.Skill != inv.Skill {
-			t.Errorf("round trip %q: skill %s -> %s", sentence, inv.Skill, back.Skill)
-		}
+	// An invocation no form carries is an error, not a lossy sentence.
+	if s, err := reg.RenderGEL(skills.Invocation{Skill: "PlotChart", Args: skills.Args{"chart": "bar", "x": "a", "title": "t"}}); err == nil {
+		t.Errorf("PlotChart with a title rendered as %q", s)
 	}
 }
 
@@ -303,7 +376,7 @@ func TestRunnerFigure2Recipe(t *testing.T) {
 	url := "https://fred.stlouisfed.org/graph/fredgraph.csv?id=GDPC1&fq=Quarterly"
 	ctx.PutFile(url, gdpCSV())
 	executor := dag.NewExecutor(reg, ctx)
-	p := MustNewParser(reg)
+	p := NewParser(reg)
 	p.Now = time.Date(2023, 6, 18, 0, 0, 0, 0, time.UTC)
 
 	lines := []string{
@@ -363,7 +436,7 @@ func TestRunnerStepAndBreakpoints(t *testing.T) {
 		dataset.IntColumn("age", []int64{10, 20, 30, 40}, nil),
 	)
 	executor := dag.NewExecutor(reg, ctx)
-	r := NewRunner(MustNewParser(reg), executor, []string{
+	r := NewRunner(NewParser(reg), executor, []string{
 		"Use the dataset people",
 		"Keep the rows where age > 15",
 		"# a comment line",
@@ -417,7 +490,7 @@ func TestRunnerFailureMarksStep(t *testing.T) {
 	ctx := skills.NewContext()
 	ctx.Datasets["d"] = dataset.MustNewTable("d", dataset.IntColumn("x", []int64{1}, nil))
 	executor := dag.NewExecutor(reg, ctx)
-	r := NewRunner(MustNewParser(reg), executor, []string{
+	r := NewRunner(NewParser(reg), executor, []string{
 		"Use the dataset d",
 		"Keep the rows where nosuchcolumn > 5",
 	})
@@ -434,7 +507,7 @@ func TestRunnerVersioning(t *testing.T) {
 	ctx := skills.NewContext()
 	ctx.Datasets["d"] = dataset.MustNewTable("d", dataset.IntColumn("x", []int64{1, 2, 3}, nil))
 	executor := dag.NewExecutor(reg, ctx)
-	r := NewRunner(MustNewParser(reg), executor, []string{
+	r := NewRunner(NewParser(reg), executor, []string{
 		"Use the dataset d",
 		"Keep the rows where x > 1", // d v2
 		"Keep the rows where x > 2", // d v3
@@ -453,7 +526,7 @@ func TestRunnerVersioning(t *testing.T) {
 		t.Errorf("count over v1 = %v", c.Value(0))
 	}
 	// Out-of-range version errors.
-	r2 := NewRunner(MustNewParser(reg), dag.NewExecutor(reg, ctx), []string{
+	r2 := NewRunner(NewParser(reg), dag.NewExecutor(reg, ctx), []string{
 		"Use the dataset d, version 9",
 	})
 	if _, err := r2.RunAll(); err == nil {

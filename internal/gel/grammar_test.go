@@ -1,125 +1,78 @@
 package gel
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"datachat/internal/skills"
 )
 
-// TestGrammarConsistency cross-checks the GEL grammar against the skill
-// registry: every template must target a real skill, compile cleanly, and
-// only capture slots that are declared parameters of the skill (or the
-// runner-level pseudo-slots).
+// TestGrammarConsistency checks that every declared sentence form compiles:
+// registration compiles each skill's forms, every skill but Compute (parsed
+// by hand) declares at least one, and a malformed form is refused.
 func TestGrammarConsistency(t *testing.T) {
-	pseudo := map[string]bool{"inputs": true, "version": true}
-	covered := map[string]bool{}
-	for _, entry := range grammar {
-		def, err := reg.Lookup(entry.skill)
-		if err != nil {
-			t.Errorf("grammar targets unknown skill %q", entry.skill)
-			continue
-		}
-		covered[def.Name] = true
-		pat, err := compilePattern(entry.skill, entry.template)
-		if err != nil {
-			t.Errorf("template %q does not compile: %v", entry.template, err)
-			continue
-		}
-		params := map[string]bool{}
-		for _, p := range def.Params {
-			params[p.Name] = true
-		}
-		for _, seg := range pat.segments {
-			if seg.slot == "" {
-				continue
-			}
-			if !params[seg.slot] && !pseudo[seg.slot] {
-				t.Errorf("template %q captures %q, which %s does not declare",
-					entry.template, seg.slot, def.Name)
-			}
-		}
-		for k := range entry.extra {
-			if !params[k] {
-				t.Errorf("template %q implies %q, which %s does not declare",
-					entry.template, k, def.Name)
-			}
-		}
-	}
-	// Compute has a custom parser; count it as covered.
-	covered["Compute"] = true
-	// Every skill with a GEL template should be reachable from a sentence.
-	var missing []string
 	for _, name := range reg.Names() {
 		def, _ := reg.Lookup(name)
-		if def.GEL == "" {
-			continue
+		if len(def.GEL) == 0 && name != "Compute" {
+			t.Errorf("%s declares no GEL sentence", name)
 		}
-		if !covered[name] {
-			missing = append(missing, name)
+		for i := range def.GEL {
+			if len(def.GEL[i].Segments()) == 0 {
+				t.Errorf("%s form %q compiled to nothing", name, def.GEL[i].Template)
+			}
 		}
 	}
-	if len(missing) > 0 {
-		t.Errorf("skills with GEL templates but no grammar entry: %s", strings.Join(missing, ", "))
+	params := []skills.ParamSpec{{Name: "x"}, {Name: "y"}}
+	for _, bad := range []skills.Form{
+		{Template: "Frob {x:float}"},
+		{Template: "Frob {z}"},
+		{Template: "Frob {x:rest} now"},
+		{Template: "Frob {x:list} {y}"},
+		{Template: "Frob {x}", Implies: skills.Args{"z": true}},
+	} {
+		def := &skills.Definition{Name: "Frob", Params: params, GEL: []skills.Form{bad}}
+		if err := skills.NewRegistry().Register(def); err == nil || !strings.Contains(err.Error(), bad.Template) {
+			t.Errorf("Register accepted the form %q (err %v)", bad.Template, err)
+		}
 	}
 }
 
-// TestEveryGrammarTemplateParsesItsOwnShape instantiates each template with
-// placeholder values and checks the parser maps the sentence back to the
-// intended skill — the grammar's own round trip.
+// TestEveryGrammarTemplateParsesItsOwnShape fills every declared sentence
+// form with each kind of value and checks the parser maps the sentence back
+// to the form's own skill, with the values it was filled with and the
+// arguments the form implies — the grammar's own round trip.
 func TestEveryGrammarTemplateParsesItsOwnShape(t *testing.T) {
 	p := parser(t)
-	fill := func(template string) string {
-		out := template
-		replacements := map[string]string{
-			"{condition:rest}":  "x > 1",
-			"{formula:rest}":    "x + 1",
-			"{text:rest}":       "Hello",
-			"{on:rest}":         "a.id = b.id",
-			"{query:rest}":      "SELECT 1 AS one",
-			"{measure:rest}":    "sum of x",
-			"{meaning:rest}":    "x > 2",
-			"{filter:rest}":     "x > 3",
-			"{columns:list}":    "colA, colB",
-			"{inputs:list}":     "ds1 and ds2",
-			"{by:list}":         "colA, colB",
-			"{features:list}":   "colA, colB",
-			"{count:number}":    "5",
-			"{steps:number}":    "5",
-			"{k:number}":        "3",
-			"{size:number}":     "10",
-			"{rate:number}":     "0.1",
-			"{fraction:number}": "0.5",
-			"{version:number}":  "1",
-		}
-		for slot, value := range replacements {
-			out = strings.ReplaceAll(out, slot, value)
-		}
-		// Remaining generic word slots.
-		for strings.Contains(out, "{") {
-			start := strings.IndexByte(out, '{')
-			end := strings.IndexByte(out, '}')
-			if end < start {
-				break
-			}
-			out = out[:start] + "thing" + out[end+1:]
-		}
-		return out
-	}
-	for _, entry := range grammar {
-		sentence := fill(entry.template)
+	eachFilledForm(func(def *skills.Definition, form *skills.Form, v formValue, sentence string) {
 		inv, err := p.Parse(sentence)
 		if err != nil {
-			t.Errorf("template %q → %q does not parse: %v", entry.template, sentence, err)
-			continue
+			t.Errorf("form %q: %q does not parse: %v", form.Template, sentence, err)
+			return
 		}
-		if inv.Skill != entry.skill {
-			// Earlier templates may shadow more general ones for the same
-			// surface; only flag cross-skill captures.
-			def1, _ := reg.Lookup(inv.Skill)
-			def2, _ := reg.Lookup(entry.skill)
-			if def1.Name != def2.Name {
-				t.Errorf("template %q parsed as %s, want %s (sentence %q)",
-					entry.template, inv.Skill, entry.skill, sentence)
+		if inv.Skill != def.Name {
+			t.Errorf("form %q: %q parsed as %s", form.Template, sentence, inv.Skill)
+			return
+		}
+		for _, seg := range form.Segments() {
+			got, want := inv.Args[seg.Slot], any(v.word)
+			switch {
+			case seg.Literal != "", seg.Kind == skills.SlotNumber, seg.Kind == skills.SlotRest:
+				continue
+			case seg.Slot == "inputs":
+				got = inv.Inputs
+				fallthrough
+			case seg.Kind == skills.SlotList:
+				want = v.list
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("form %q: %q captured %s = %#v, want %#v", form.Template, sentence, seg.Slot, got, want)
 			}
 		}
-	}
+		for k, want := range form.Implies {
+			if inv.Args[k] != want {
+				t.Errorf("form %q: %q does not imply %s = %v", form.Template, sentence, k, want)
+			}
+		}
+	})
 }

@@ -2,6 +2,8 @@ package gel
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -10,119 +12,30 @@ import (
 	"datachat/internal/skills"
 )
 
-// grammarEntry binds a sentence template to a skill, with extra implied
-// arguments (e.g. the "in descending order" variant of SortRows).
-type grammarEntry struct {
-	skill    string
-	template string
-	extra    skills.Args
-}
-
-// grammar is the GEL sentence grammar: the first matching template wins, so
-// more specific templates come first.
-var grammar = []grammarEntry{
-	{"LoadData", "load data from the url {source}", nil},
-	{"LoadData", "load data from the file {source}", nil},
-	{"LoadTable", "load the table {table} from the database {database}", nil},
-	{"UseDataset", "use the dataset {dataset} , version {version:number}", nil},
-	{"UseDataset", "use the dataset {dataset}", nil},
-	{"SampleTable", "sample {rate:number} of the table {table} from the database {database}", nil},
-	{"CreateSnapshot", "create a snapshot {name} of the table {table} from the database {database}", nil},
-	{"UseSnapshot", "use the snapshot {name}", nil},
-	{"RefreshSnapshot", "refresh the snapshot {name} from the database {database}", nil},
-	{"KeepRows", "keep the rows where {condition:rest}", nil},
-	{"DropRows", "drop the rows where {condition:rest}", nil},
-	{"KeepColumns", "keep the columns {columns:list}", nil},
-	{"DropColumns", "drop the columns {columns:list}", nil},
-	{"RenameColumn", "rename the column {column} to {to}", nil},
-	{"NewColumn", "create a new column {name} with text {text:rest}", nil},
-	{"NewColumn", "create a new column {name} as {formula:rest}", nil},
-	{"NewColumn", "create a new column {name} with {formula:rest}", nil},
-	{"ChangeType", "change the type of {column} to {type}", nil},
-	{"FillNull", "fill the null values in {column} with {value}", nil},
-	{"ReplaceValues", "replace {from} with {to} in the column {column}", nil},
-	{"SortRows", "sort the rows by {columns:list} in descending order", skills.Args{"descending": true}},
-	{"SortRows", "sort the rows by {columns:list}", nil},
-	{"LimitRows", "limit the data to {count:number} rows", nil},
-	{"SampleRows", "sample {fraction:number} of the rows", nil},
-	{"DistinctRows", "remove duplicate rows over {columns:list}", nil},
-	{"DistinctRows", "remove duplicate rows", nil},
-	{"Concatenate", "concatenate the datasets {inputs:list} remove all duplicates", skills.Args{"dedupe": true}},
-	{"Concatenate", "concatenate the datasets {inputs:list}", nil},
-	{"JoinDatasets", "left join the datasets {inputs:list} on {on:rest}", skills.Args{"kind": "left"}},
-	{"JoinDatasets", "cross join the datasets {inputs:list} on {on:rest}", skills.Args{"kind": "cross"}},
-	{"JoinDatasets", "join the datasets {inputs:list} on {on:rest}", nil},
-	{"Pivot", "pivot {columns} against {rows} computing {measure:rest}", nil},
-	{"Bin", "create bins of size {size:number} on {column}", nil},
-	{"ExtractDatePart", "extract the {part} from {column}", nil},
-	{"DescribeColumn", "describe the column {column}", nil},
-	{"DescribeDataset", "describe the dataset", nil},
-	{"ShowDataset", "show the dataset", nil},
-	{"CountRows", "count the rows", nil},
-	{"ListDatasets", "list the datasets", nil},
-	{"Correlate", "correlate {column1} with {column2}", nil},
-	{"TopValues", "show the top values of {column}", nil},
-	{"TrainModel", "train a model to predict {target} using {features:list}", nil},
-	{"TrainModel", "train a {model} model to predict {target}", nil},
-	{"TrainModel", "train a model to predict {target}", nil},
-	{"PredictWithModel", "predict with the model {model} using {features:list}", nil},
-	{"PredictTimeSeries", "predict time series with measure columns {measure} for the next {steps:number} values of {time}", nil},
-	{"ClusterRows", "cluster the rows into {k:number} groups using {columns:list}", nil},
-	{"DetectOutliers", "detect outliers in {column} using {method}", nil},
-	{"DetectOutliers", "detect outliers in {column}", nil},
-	{"EvaluateModel", "evaluate the model {model} against {target} using {features:list}", nil},
-	{"ExplainModel", "explain the model {model}", nil},
-	{"RunSQL", "run the sql query {query:rest}", nil},
-	{"SaveArtifact", "save this as {name}", nil},
-	{"ShareArtifact", "share the artifact {name} with {with}", nil},
-	{"ShareSession", "share this session with {with}", nil},
-	{"PublishToInsightsBoard", "publish {artifact} to the insights board {board}", nil},
-	{"AddComment", "comment: {text:rest}", nil},
-	{"ExportCSV", "export the data to {file}", nil},
-	{"Define", "define {phrase} as {meaning:rest}", nil},
-	{"PlotChart", "plot a {chart} chart with the x-axis {x} , the y-axis {y} , for each {for_each}", nil},
-	{"PlotChart", "plot a {chart} chart with the x-axis {x} , the y-axis {y}", nil},
-	{"PlotChart", "plot a {chart} chart with the x-axis {x}", nil},
-	{"Visualize", "visualize {kpi} by {by:list} where {filter:rest}", nil},
-	{"Visualize", "visualize {kpi} by {by:list}", nil},
-	{"Visualize", "visualize {kpi} where {filter:rest}", nil},
-	{"Visualize", "visualize {kpi}", nil},
-}
-
 // Parser parses GEL sentences into skill invocations.
 type Parser struct {
-	// Registry validates parsed invocations.
+	// Registry declares the sentence forms the parser reads.
 	Registry *skills.Registry
 	// Now anchors relative date phrases ("Today - 10 years"). The zero
 	// value selects a fixed date so recipes replay deterministically.
 	Now time.Time
 
-	patterns []*pattern
-	extras   []skills.Args
+	patterns []pattern
 }
 
 // defaultNow pins relative dates when no clock is configured.
 var defaultNow = time.Date(2023, 6, 18, 0, 0, 0, 0, time.UTC) // SIGMOD'23 week
 
-// NewParser compiles the grammar.
-func NewParser(reg *skills.Registry) (*Parser, error) {
+// NewParser collects the sentence forms of every skill in the registry, in
+// registration order; each skill lists its own most specific form first.
+// Skills registered later are not parsed.
+func NewParser(reg *skills.Registry) *Parser {
 	p := &Parser{Registry: reg}
-	for _, entry := range grammar {
-		compiled, err := compilePattern(entry.skill, entry.template)
-		if err != nil {
-			return nil, err
+	for _, name := range reg.Names() {
+		def, _ := reg.Lookup(name) // a registered name
+		for i := range def.GEL {
+			p.patterns = append(p.patterns, pattern{def: def, form: &def.GEL[i]})
 		}
-		p.patterns = append(p.patterns, compiled)
-		p.extras = append(p.extras, entry.extra)
-	}
-	return p, nil
-}
-
-// MustNewParser is NewParser for the static built-in grammar.
-func MustNewParser(reg *skills.Registry) *Parser {
-	p, err := NewParser(reg)
-	if err != nil {
-		panic(err)
 	}
 	return p
 }
@@ -136,7 +49,8 @@ func (p *Parser) now() time.Time {
 
 // Parse converts one GEL sentence into a skill invocation. Dataset inputs
 // named in the sentence (Concatenate, Join) land in Inv.Inputs; other
-// skills leave Inputs empty for the runner to wire to the current dataset.
+// skills leave Inputs empty for the caller to bind to the current dataset
+// (skills.Registry.BindCurrent).
 func (p *Parser) Parse(line string) (skills.Invocation, error) {
 	tokens := tokenize(strings.TrimSpace(line))
 	if len(tokens) == 0 {
@@ -145,35 +59,90 @@ func (p *Parser) Parse(line string) (skills.Invocation, error) {
 	if strings.EqualFold(tokens[0], "compute") {
 		return p.parseCompute(tokens)
 	}
-	for i, pat := range p.patterns {
+	for _, pat := range p.patterns {
 		caps, ok := pat.match(tokens)
 		if !ok {
 			continue
 		}
-		inv := skills.Invocation{Skill: pat.skill, Args: skills.Args{}}
+		inv := skills.Invocation{Skill: pat.def.Name, Args: skills.Args{}}
 		for k, v := range caps {
 			if k == "inputs" {
-				list, _ := v.([]string)
-				inv.Inputs = list
+				inv.Inputs, _ = v.([]string)
 				continue
 			}
-			inv.Args[k] = p.convertCapture(pat.skill, k, v)
+			inv.Args[k] = p.convertCapture(k, v)
 		}
-		for k, v := range p.extras[i] {
+		for k, v := range pat.form.Implies {
 			inv.Args[k] = v
-		}
-		if _, err := p.Registry.Lookup(inv.Skill); err != nil {
-			return skills.Invocation{}, err
 		}
 		return inv, nil
 	}
 	return skills.Invocation{}, fmt.Errorf("gel: cannot understand %q; try 'Keep the rows where …' or another skill sentence", line)
 }
 
-// convertCapture post-processes captured values: numbers become numeric,
-// conditions run through the friendly-phrase translator, and measure
-// strings stay verbatim for AggSpecs to parse.
-func (p *Parser) convertCapture(skill, key string, v any) any {
+// RoundTrip renders inv as GEL and parses the sentence back. It fails unless
+// the parse reproduces inv — the same skill, inputs and arguments, free text
+// compared token by token and Compute's aggregates by what they compute —
+// and returns the sentence.
+func (p *Parser) RoundTrip(inv skills.Invocation) (string, error) {
+	sentence, err := p.Registry.RenderGEL(inv)
+	if err != nil {
+		return "", err
+	}
+	back, err := p.Parse(sentence)
+	if err != nil {
+		return sentence, fmt.Errorf("gel: %q does not parse back: %w", sentence, err)
+	}
+	if !p.sameInvocation(inv, back) {
+		return sentence, fmt.Errorf("gel: %q parses back as %s %v %v, not %s %v %v",
+			sentence, back.Skill, back.Inputs, back.Args, inv.Skill, inv.Inputs, inv.Args)
+	}
+	return sentence, nil
+}
+
+func (p *Parser) sameInvocation(a, b skills.Invocation) bool {
+	if a.Skill != b.Skill || !slices.Equal(a.Inputs, b.Inputs) || len(a.Args) != len(b.Args) {
+		return false
+	}
+	def, err := p.Registry.Lookup(a.Skill)
+	if err != nil {
+		return false
+	}
+	text := map[string]bool{}
+	for i := range def.GEL {
+		for _, seg := range def.GEL[i].Segments() {
+			if seg.Literal == "" && seg.Kind == skills.SlotRest {
+				text[seg.Slot] = true
+			}
+		}
+	}
+	for k, va := range a.Args {
+		vb, ok := b.Args[k]
+		switch {
+		case !ok:
+			return false
+		case text[k]:
+			sa, _ := va.(string)
+			sb, _ := vb.(string)
+			if !slices.Equal(tokenize(sa), tokenize(sb)) {
+				return false
+			}
+		case a.Skill == "Compute" && k == "aggregates":
+			aa, erra := a.Args.AggSpecs(k)
+			ab, errb := b.Args.AggSpecs(k)
+			if erra != nil || errb != nil || !slices.Equal(aa, ab) {
+				return false
+			}
+		case !reflect.DeepEqual(va, vb):
+			return false
+		}
+	}
+	return true
+}
+
+// convertCapture post-processes captured values: numbers become numeric and
+// conditions run through the friendly-phrase translator.
+func (p *Parser) convertCapture(key string, v any) any {
 	s, isStr := v.(string)
 	if !isStr {
 		return v
@@ -185,9 +154,9 @@ func (p *Parser) convertCapture(skill, key string, v any) any {
 		}
 		return s
 	case "rate", "fraction", "size", "threshold":
-		s = strings.TrimSuffix(s, "%")
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			if strings.HasSuffix(fmt.Sprint(v), "%") {
+		num := strings.TrimSuffix(s, "%")
+		if f, err := strconv.ParseFloat(num, 64); err == nil {
+			if num != s {
 				return f / 100
 			}
 			return f
@@ -195,11 +164,6 @@ func (p *Parser) convertCapture(skill, key string, v any) any {
 		return s
 	case "condition", "filter":
 		return p.TranslateCondition(s)
-	case "measure":
-		if skill == "Pivot" {
-			return s
-		}
-		return s
 	default:
 		return s
 	}
@@ -287,7 +251,7 @@ func splitList(tokens []string) []string {
 		if tok == "," || strings.EqualFold(tok, "and") {
 			continue
 		}
-		out = append(out, strings.Trim(tok, `'"`))
+		out = append(out, unquote(tok))
 	}
 	return out
 }
@@ -356,7 +320,7 @@ func quoteIfNeeded(s string) string {
 	if s[0] == '\'' {
 		return s
 	}
-	if looksNumeric(s) {
+	if skills.IsNumberToken(s) {
 		return s
 	}
 	if strings.EqualFold(s, "true") || strings.EqualFold(s, "false") {
@@ -418,33 +382,18 @@ func (p *Parser) Suggest(prefix string, columns []string) []string {
 		}
 	}
 	for _, pat := range p.patterns {
-		next, ok := pat.nextLiterals(tokens)
-		if !ok {
-			continue
-		}
-		if strings.HasPrefix(next, "<") {
-			// A slot: suggest columns for column-flavored slots.
-			slot := strings.Trim(next, "<>")
-			if isColumnSlot(slot) {
-				for _, c := range columns {
-					add(c)
-				}
-			} else {
-				add(next)
+		seg, ok := pat.next(tokens)
+		switch {
+		case !ok:
+		case seg.Literal != "":
+			add(strings.ToLower(seg.Literal))
+		case pat.columnSlot(seg.Slot):
+			for _, c := range columns {
+				add(c)
 			}
-			continue
+		default:
+			add("<" + seg.Slot + ">")
 		}
-		add(next)
 	}
 	return out
-}
-
-func isColumnSlot(slot string) bool {
-	switch slot {
-	case "column", "columns", "column1", "column2", "x", "y", "for_each",
-		"kpi", "by", "target", "features", "measure", "time":
-		return true
-	default:
-		return false
-	}
 }

@@ -1,70 +1,30 @@
 // Package gel implements Guided English Language (§1, §2.3): the controlled
-// natural language DataChat recipes are written in. It provides the
-// sentence grammar (one or more patterns per skill), a parser from GEL text
-// to skill invocations, friendly date/condition phrases, autocomplete for
-// the console (Figure 3c), and the IDE-like recipe stepper with breakpoints
-// (Figure 2a).
+// natural language DataChat recipes are written in. It provides a parser
+// from GEL text to skill invocations over the sentence forms each skill
+// declares, friendly date/condition phrases, autocomplete for the console
+// (Figure 3c), and the IDE-like recipe stepper with breakpoints (Figure 2a).
 package gel
 
 import (
-	"fmt"
 	"strings"
+
+	"datachat/internal/skills"
 )
 
-// slotKind types a pattern placeholder.
-type slotKind int
-
-const (
-	slotWord   slotKind = iota // one token
-	slotNumber                 // one numeric token
-	slotList                   // comma/and separated tokens until next literal
-	slotRest                   // everything to end of sentence
-)
-
-// segment is one element of a compiled pattern: a literal word or a slot.
-type segment struct {
-	literal string
-	slot    string
-	kind    slotKind
-}
-
-// pattern is a compiled GEL sentence template.
+// pattern is one skill sentence form the parser matches.
 type pattern struct {
-	skill    string
-	raw      string
-	segments []segment
+	def  *skills.Definition
+	form *skills.Form
 }
 
-// compilePattern parses a template like
-// "keep the rows where {condition:rest}" into segments.
-func compilePattern(skill, raw string) (*pattern, error) {
-	p := &pattern{skill: skill, raw: raw}
-	for _, tok := range strings.Fields(raw) {
-		if strings.HasPrefix(tok, "{") && strings.HasSuffix(tok, "}") {
-			body := tok[1 : len(tok)-1]
-			name, kindName := body, "word"
-			if i := strings.IndexByte(body, ':'); i >= 0 {
-				name, kindName = body[:i], body[i+1:]
-			}
-			var kind slotKind
-			switch kindName {
-			case "word":
-				kind = slotWord
-			case "number":
-				kind = slotNumber
-			case "list":
-				kind = slotList
-			case "rest":
-				kind = slotRest
-			default:
-				return nil, fmt.Errorf("gel: unknown slot kind %q in pattern %q", kindName, raw)
-			}
-			p.segments = append(p.segments, segment{slot: name, kind: kind})
-			continue
+// columnSlot reports whether a slot takes column names (for autocomplete).
+func (p *pattern) columnSlot(slot string) bool {
+	for _, param := range p.def.Params {
+		if param.Name == slot {
+			return param.Type == "column" || param.Type == "columns"
 		}
-		p.segments = append(p.segments, segment{literal: strings.ToLower(tok)})
 	}
-	return p, nil
+	return false
 }
 
 // tokenize splits a GEL sentence into tokens, keeping quoted strings
@@ -103,59 +63,59 @@ func tokenize(s string) []string {
 	return tokens
 }
 
+// unquote reads a word token back: one wrapped in matching quotes loses
+// them, and its doubled inner quotes become single — the inverse of how
+// RenderGEL quotes a value.
+func unquote(tok string) string {
+	if len(tok) >= 2 && (tok[0] == '\'' || tok[0] == '"') && tok[len(tok)-1] == tok[0] {
+		q := tok[:1]
+		return strings.ReplaceAll(tok[1:len(tok)-1], q+q, q)
+	}
+	return tok
+}
+
 // match attempts to bind the pattern against tokens, returning captured
 // slot values. Lists absorb comma/"and"-separated tokens until the next
 // literal matches; rest absorbs everything remaining.
 func (p *pattern) match(tokens []string) (map[string]any, bool) {
 	caps := map[string]any{}
 	ti := 0
-	for si := 0; si < len(p.segments); si++ {
-		seg := p.segments[si]
+	for _, seg := range p.form.Segments() {
 		switch {
-		case seg.literal != "":
-			if ti >= len(tokens) || !strings.EqualFold(tokens[ti], seg.literal) {
+		case seg.Literal != "":
+			if ti >= len(tokens) || !strings.EqualFold(tokens[ti], seg.Literal) {
 				return nil, false
 			}
 			ti++
-		case seg.kind == slotRest:
+		case seg.Kind == skills.SlotRest:
 			if ti >= len(tokens) {
 				return nil, false
 			}
-			caps[seg.slot] = strings.Join(tokens[ti:], " ")
+			caps[seg.Slot] = strings.Join(tokens[ti:], " ")
 			ti = len(tokens)
-		case seg.kind == slotWord, seg.kind == slotNumber:
+		case seg.Kind == skills.SlotWord, seg.Kind == skills.SlotNumber:
 			if ti >= len(tokens) || tokens[ti] == "," {
 				return nil, false
 			}
-			if seg.kind == slotNumber && !looksNumeric(tokens[ti]) {
+			if seg.Kind == skills.SlotNumber && !skills.IsNumberToken(tokens[ti]) {
 				return nil, false
 			}
-			caps[seg.slot] = strings.Trim(tokens[ti], `'"`)
+			caps[seg.Slot] = unquote(tokens[ti])
 			ti++
-		case seg.kind == slotList:
-			stop := func(tok string) bool {
-				// The list ends where the next literal segment begins.
-				for sj := si + 1; sj < len(p.segments); sj++ {
-					if p.segments[sj].literal != "" {
-						return strings.EqualFold(tok, p.segments[sj].literal)
-					}
-				}
-				return false
-			}
+		case seg.Kind == skills.SlotList:
 			var items []string
-			for ti < len(tokens) && !stop(tokens[ti]) {
+			for ti < len(tokens) && (seg.Next == "" || !strings.EqualFold(tokens[ti], seg.Next)) {
 				tok := tokens[ti]
+				ti++
 				if tok == "," || strings.EqualFold(tok, "and") {
-					ti++
 					continue
 				}
-				items = append(items, strings.Trim(tok, `'"`))
-				ti++
+				items = append(items, unquote(tok))
 			}
 			if len(items) == 0 {
 				return nil, false
 			}
-			caps[seg.slot] = items
+			caps[seg.Slot] = items
 		}
 	}
 	if ti != len(tokens) {
@@ -164,60 +124,29 @@ func (p *pattern) match(tokens []string) (map[string]any, bool) {
 	return caps, true
 }
 
-func looksNumeric(tok string) bool {
-	if tok == "" {
-		return false
-	}
-	dot := false
-	for i := 0; i < len(tok); i++ {
-		c := tok[i]
-		switch {
-		case c >= '0' && c <= '9':
-		case c == '.' && !dot:
-			dot = true
-		case (c == '-' || c == '+') && i == 0 && len(tok) > 1:
-		case c == '%' && i == len(tok)-1:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// nextLiterals returns the candidate continuations after the tokens consume
-// a prefix of the pattern: the next literal word, or a slot marker.
-func (p *pattern) nextLiterals(tokens []string) (string, bool) {
+// next returns the segment that continues the pattern once tokens consume
+// a prefix of it; ok is false when they do not, or end inside free text.
+func (p *pattern) next(tokens []string) (skills.Segment, bool) {
 	ti := 0
-	for si := 0; si < len(p.segments); si++ {
-		seg := p.segments[si]
+	for _, seg := range p.form.Segments() {
 		if ti >= len(tokens) {
-			if seg.literal != "" {
-				return seg.literal, true
-			}
-			return "<" + seg.slot + ">", true
+			return seg, true
 		}
 		switch {
-		case seg.literal != "":
-			if !strings.EqualFold(tokens[ti], seg.literal) {
-				return "", false
+		case seg.Literal != "":
+			if !strings.EqualFold(tokens[ti], seg.Literal) {
+				return seg, false
 			}
 			ti++
-		case seg.kind == slotRest:
-			return "", false // already inside free text
-		case seg.kind == slotWord, seg.kind == slotNumber:
+		case seg.Kind == skills.SlotRest:
+			return seg, false
+		case seg.Kind == skills.SlotWord, seg.Kind == skills.SlotNumber:
 			ti++
-		case seg.kind == slotList:
-			stopWord := ""
-			for sj := si + 1; sj < len(p.segments); sj++ {
-				if p.segments[sj].literal != "" {
-					stopWord = p.segments[sj].literal
-					break
-				}
-			}
-			for ti < len(tokens) && !strings.EqualFold(tokens[ti], stopWord) {
+		case seg.Kind == skills.SlotList:
+			for ti < len(tokens) && !strings.EqualFold(tokens[ti], seg.Next) {
 				ti++
 			}
 		}
 	}
-	return "", false
+	return skills.Segment{}, false
 }

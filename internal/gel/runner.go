@@ -185,12 +185,11 @@ func (r *Runner) Explain() (*plan.Explain, error) {
 	return r.Executor.Explain(r.graph, last)
 }
 
-// wire resolves the invocation's dataset inputs: sentences that name
-// datasets resolve to their latest versions; sentences that do not operate
-// on the current dataset; UseDataset pins a specific version.
+// wire resolves the invocation's dataset inputs: UseDataset pins a specific
+// version, datasets a sentence names resolve to their latest versions, and a
+// sentence naming none follows the registry's current-dataset rule.
 func (r *Runner) wire(inv *skills.Invocation) error {
-	switch inv.Skill {
-	case "UseDataset":
+	if inv.Skill == "UseDataset" {
 		name, err := inv.Args.String("dataset")
 		if err != nil {
 			return err
@@ -204,25 +203,15 @@ func (r *Runner) wire(inv *skills.Invocation) error {
 			return fmt.Errorf("gel: dataset %q has versions 1..%d, not %d", name, len(versions), v)
 		}
 		inv.Args["dataset"] = versions[v-1]
+		delete(inv.Args, "version") // resolved into the dataset name
 		return nil
-	case "LoadData", "LoadTable", "SampleTable", "CreateSnapshot", "UseSnapshot",
-		"RefreshSnapshot", "ListDatasets":
-		return nil // no dataset input
 	}
-	if len(inv.Inputs) > 0 {
-		// Sentence-named datasets (Concatenate, Join): latest versions.
-		for i, name := range inv.Inputs {
-			if versions, ok := r.versions[name]; ok {
-				inv.Inputs[i] = versions[len(versions)-1]
-			}
+	for i, name := range inv.Inputs {
+		if versions, ok := r.versions[name]; ok {
+			inv.Inputs[i] = versions[len(versions)-1]
 		}
-		return nil
 	}
-	if r.current == "" {
-		return fmt.Errorf("gel: no current dataset; load or use one first")
-	}
-	inv.Inputs = []string{r.current}
-	return nil
+	return r.Parser.Registry.BindCurrent(inv, r.current)
 }
 
 // record updates version bookkeeping after a successful step.
@@ -232,8 +221,7 @@ func (r *Runner) record(inv skills.Invocation, id dag.NodeID, res *skills.Result
 		return
 	}
 	out := node.OutputName()
-	switch inv.Skill {
-	case "UseDataset":
+	if inv.Skill == "UseDataset" {
 		// Current becomes the pinned dataset itself; no new version. Later
 		// transforms version under the dataset's base name, so recover it
 		// from the version registry.
@@ -248,31 +236,16 @@ func (r *Runner) record(inv skills.Invocation, id dag.NodeID, res *skills.Result
 			}
 		}
 		return
-	case "LoadData", "LoadTable", "SampleTable", "UseSnapshot", "CreateSnapshot", "RefreshSnapshot":
-		if res.Table != nil {
-			name := res.Table.Name()
-			r.versions[name] = append(r.versions[name], out)
-			r.current = out
-			r.currentName = name
-		}
-		return
 	}
-	if res.Table == nil {
-		return // charts, messages: current dataset unchanged
-	}
-	// Exploration, visualization, and collaboration skills produce side
-	// results (summaries, counts, exports) without advancing the working
-	// dataset.
-	if def, err := r.Parser.Registry.Lookup(inv.Skill); err == nil {
-		switch def.Category {
-		case skills.DataExploration, skills.DataVisualization, skills.Collaboration:
-			return
-		}
+	def, err := r.Parser.Registry.Lookup(inv.Skill)
+	if err != nil || res.Table == nil || !def.AdvancesCurrent() {
+		return // charts, messages and side results leave the current dataset
 	}
 	name := res.Table.Name()
-	if name != "" && name != r.currentName && looksLikeNewDataset(inv.Skill) {
-		// Skills that mint a distinct dataset (PredictTimeSeries) start a
-		// new version history under their own name.
+	if def.Standalone || (name != "" && name != r.currentName && looksLikeNewDataset(inv.Skill)) {
+		// A sentence reading its own source (LoadData), or a skill minting a
+		// distinct dataset (PredictTimeSeries), starts or extends a version
+		// history under the table's own name.
 		r.versions[name] = append(r.versions[name], out)
 		r.current = out
 		r.currentName = name
@@ -293,13 +266,6 @@ func looksLikeNewDataset(skill string) bool {
 	default:
 		return false
 	}
-}
-
-func baseName(output string) string {
-	if i := strings.IndexByte(output, '@'); i >= 0 {
-		return output[:i]
-	}
-	return output
 }
 
 // Versions returns the recorded versions of a dataset name (output names,

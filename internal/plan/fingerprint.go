@@ -150,6 +150,12 @@ func (fp fingerprintPass) Run(p *Plan, env *Env, t *PassTrace) error {
 			}
 		}
 	}
+	if !fp.lenient {
+		p.Fingerprints = p.Fingerprints[:0]
+		for _, n := range p.Nodes {
+			p.Fingerprints = append(p.Fingerprints, n.Fingerprint)
+		}
+	}
 	t.Fired = true
 	return nil
 }

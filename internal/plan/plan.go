@@ -131,6 +131,10 @@ type Plan struct {
 	// Cost is the whole-plan estimate after the final pass (nil when the
 	// Env carries no stats hooks).
 	Cost *PlanCost `json:"plan_cost,omitempty"`
+	// Fingerprints lists every node's fingerprint as the strict fingerprint
+	// pass last left them — before the cache probe pruned any — so a refresh
+	// diff also counts the sub-DAGs the cache served.
+	Fingerprints []string `json:"-"`
 
 	byID map[int]*Node
 }

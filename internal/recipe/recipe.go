@@ -31,6 +31,11 @@ type Step struct {
 	Args skills.Args `json:"args,omitempty"`
 }
 
+// Invocation is the step as a skill call, over its own copy of the inputs.
+func (s Step) Invocation() skills.Invocation {
+	return skills.Invocation{Skill: s.Skill, Inputs: append([]string{}, s.Inputs...), Output: s.Output, Args: s.Args}
+}
+
 // Recipe is a serialized skill DAG plus metadata.
 type Recipe struct {
 	// Name labels the recipe (usually the artifact name).
@@ -85,12 +90,7 @@ func FromGraphAt(name string, g *dag.Graph, clock faults.Clock) (*Recipe, error)
 func (r *Recipe) Graph() *dag.Graph {
 	g := dag.NewGraph()
 	for _, step := range r.Steps {
-		g.Add(skills.Invocation{
-			Skill:  step.Skill,
-			Inputs: append([]string{}, step.Inputs...),
-			Output: step.Output,
-			Args:   step.Args,
-		})
+		g.Add(step.Invocation())
 	}
 	return g
 }
@@ -139,12 +139,7 @@ func Decode(data []byte) (*Recipe, error) {
 func (r *Recipe) GEL(reg *skills.Registry) ([]string, error) {
 	lines := make([]string, len(r.Steps))
 	for i, step := range r.Steps {
-		sentence, err := reg.RenderGEL(skills.Invocation{
-			Skill:  step.Skill,
-			Inputs: step.Inputs,
-			Output: step.Output,
-			Args:   step.Args,
-		})
+		sentence, err := reg.RenderGEL(step.Invocation())
 		if err != nil {
 			return nil, fmt.Errorf("recipe: rendering step %d: %w", i+1, err)
 		}
@@ -157,12 +152,7 @@ func (r *Recipe) GEL(reg *skills.Registry) ([]string, error) {
 func (r *Recipe) Python(reg *skills.Registry) (string, error) {
 	lines := make([]string, len(r.Steps))
 	for i, step := range r.Steps {
-		code, err := reg.RenderPython(skills.Invocation{
-			Skill:  step.Skill,
-			Inputs: step.Inputs,
-			Output: step.Output,
-			Args:   step.Args,
-		})
+		code, err := reg.RenderPython(step.Invocation())
 		if err != nil {
 			return "", fmt.Errorf("recipe: rendering step %d: %w", i+1, err)
 		}

@@ -2,11 +2,11 @@
 // triggers on a faults.Clock (virtual in tests — fully deterministic; wall
 // clock in the daemon) re-run each recipe against refreshed data and
 // publish the result to an insights board (internal/board). Refreshes are
-// incremental: the run first EXPLAINs the recipe — read-only — and diffs
-// the post-fusion plan fingerprints against the previous run's, and
-// because source content fingerprints key the platform LRU cache,
-// unchanged sub-DAGs are served from cache with zero cloud scans; only
-// changed inputs recompute. Background runs yield to interactive traffic
+// incremental: because source content fingerprints key the platform LRU
+// cache, unchanged sub-DAGs are served from cache with zero cloud scans and
+// only changed inputs recompute; each run diffs the fingerprints its plan
+// computed, before the cache probe pruned any, against the previous run's.
+// Background runs yield to interactive traffic
 // twice over: an admission Gate (installed by the server) queues them
 // behind the interactive class, and a small bounded busy-retry on the
 // §2.4 session lock makes a contended run skip rather than camp.
@@ -64,9 +64,10 @@ type RunRecord struct {
 
 	Stats dag.Stats `json:"stats"`
 
-	// FPTotal/FPChanged/FPUnchanged summarize the post-fusion plan
-	// fingerprint diff against the previous run: unchanged fingerprints mark
-	// sub-DAGs the cache served without touching the warehouse.
+	// FPTotal/FPChanged/FPUnchanged summarize the diff of the run's plan
+	// fingerprints (dag.Report.Fingerprints) against the previous run's:
+	// unchanged fingerprints mark sub-DAGs the cache served without
+	// touching the warehouse.
 	FPTotal     int `json:"fp_total"`
 	FPChanged   int `json:"fp_changed"`
 	FPUnchanged int `json:"fp_unchanged"`
@@ -386,15 +387,13 @@ func (s *Scheduler) runJob(ctx context.Context, j *job) RunRecord {
 		rec.Err = err.Error()
 		return s.finishRun(j, rec, nil, clock, start)
 	}
-	res, exp, rep, err := sess.ReplayRecipePlanned(ctx, j.spec.User, j.spec.Recipe,
+	res, rep, err := sess.ReplayRecipePlanned(ctx, j.spec.User, j.spec.Recipe,
 		busy, session.Tuning{Clock: clock})
 	rec.Stats = rep.Stats
-	if exp != nil {
-		fps := make(map[string]bool, len(exp.Nodes))
-		for _, n := range exp.Nodes {
-			if n.Fingerprint != "" {
-				fps[n.Fingerprint] = true
-			}
+	if len(rep.Fingerprints) > 0 {
+		fps := make(map[string]bool, len(rep.Fingerprints))
+		for _, fp := range rep.Fingerprints {
+			fps[fp] = true
 		}
 		rec.FPTotal = len(fps)
 		for fp := range fps {

@@ -197,7 +197,6 @@ func registerBlockingSkill(t *testing.T, p *core.Platform, started chan<- struct
 		Name:     "Block",
 		Category: skills.DataWrangling,
 		Summary:  "test skill: block until released",
-		GEL:      "Block",
 		Volatile: true,
 		Apply: func(ctx *skills.Context, inv skills.Invocation) (*skills.Result, error) {
 			started <- struct{}{}
@@ -414,7 +413,6 @@ func TestDeadlineExpiresTo504(t *testing.T) {
 		Name:     "Flaky",
 		Category: skills.DataWrangling,
 		Summary:  "test skill: always fails transiently",
-		GEL:      "Flaky",
 		Volatile: true,
 		Apply: func(ctx *skills.Context, inv skills.Invocation) (*skills.Result, error) {
 			return nil, &faults.Error{Op: "scan", Target: "flaky", Kind: faults.Throttled, Class: faults.Transient}
@@ -506,7 +504,6 @@ func TestDegradedPropagatesOverWire(t *testing.T) {
 		Name:     "StaleRead",
 		Category: skills.DataWrangling,
 		Summary:  "test skill: serves a degraded result",
-		GEL:      "StaleRead",
 		Volatile: true,
 		Apply: func(ctx *skills.Context, inv skills.Invocation) (*skills.Result, error) {
 			tab, err := dataset.NewTable(inv.Output, dataset.IntColumn("v", []int64{7}, nil))
@@ -895,7 +892,6 @@ func TestRefreshArtifactAbortsWhenClientGoesAway(t *testing.T) {
 		Name:     "Flaky",
 		Category: skills.DataWrangling,
 		Summary:  "test skill: fails transiently while the test says so",
-		GEL:      "Flaky",
 		Volatile: true,
 		Apply: func(ctx *skills.Context, inv skills.Invocation) (*skills.Result, error) {
 			if failing.Load() {

@@ -9,10 +9,10 @@ import (
 	"strconv"
 
 	"datachat/internal/artifact"
+	"datachat/internal/core"
 	"datachat/internal/dag"
 	"datachat/internal/dataset"
 	"datachat/internal/plan"
-	"datachat/internal/pyapi"
 	"datachat/internal/session"
 	"datachat/internal/skills"
 	"datachat/internal/sqlengine"
@@ -274,53 +274,14 @@ func parseAccess(a string) (artifact.Access, error) {
 	}
 }
 
-// resolveProgram reduces a run request to skill invocations: one GEL
-// sentence, a Python API script, a phrase request, or an explicit program.
+// resolveProgram reduces a run request to skill invocations through the
+// platform's dialect switch (core.Platform.Lower).
 func (s *Server) resolveProgram(sessionName string, req wire.RunRequest) ([]skills.Invocation, error) {
-	set := 0
-	for _, on := range []bool{req.GEL != "", req.Python != "", req.Phrase != "", len(req.Program) > 0} {
-		if on {
-			set++
-		}
+	prog := core.Program{GEL: req.GEL, Current: req.Current, Python: req.Python, Phrase: req.Phrase, Dataset: req.Dataset}
+	for _, step := range req.Program {
+		prog.Steps = append(prog.Steps, step.Invocation())
 	}
-	if set != 1 {
-		return nil, fmt.Errorf("server: invalid run request: exactly one of gel, python, phrase, program required (got %d)", set)
-	}
-	switch {
-	case req.GEL != "":
-		inv, err := s.platform.ParseGEL(req.GEL, req.Current)
-		if err != nil {
-			return nil, err
-		}
-		return []skills.Invocation{inv}, nil
-	case req.Python != "":
-		prog, err := pyapi.Parse(req.Python)
-		if err != nil {
-			return nil, err
-		}
-		return pyapi.NewTranslator(s.platform.Registry).Invocations(prog)
-	case req.Phrase != "":
-		t, err := s.platform.TranslatePhrase(sessionName, req.Phrase, req.Dataset)
-		if err != nil {
-			return nil, err
-		}
-		inv := t.Invocation
-		if len(inv.Inputs) == 0 {
-			inv.Inputs = []string{req.Dataset}
-		}
-		return []skills.Invocation{inv}, nil
-	default:
-		invs := make([]skills.Invocation, len(req.Program))
-		for i, step := range req.Program {
-			invs[i] = skills.Invocation{
-				Skill:  step.Skill,
-				Inputs: append([]string{}, step.Inputs...),
-				Output: step.Output,
-				Args:   step.Args,
-			}
-		}
-		return invs, nil
-	}
+	return s.platform.Lower(sessionName, prog)
 }
 
 // errStreamOnly refuses stream tuning on the buffered route: POST .../run

@@ -576,7 +576,6 @@ func TestRunStreamDegradedSentinel(t *testing.T) {
 		Name:     "StaleScan",
 		Category: skills.DataWrangling,
 		Summary:  "test skill: serves a degraded result",
-		GEL:      "StaleScan",
 		Volatile: true,
 		Apply: func(ctx *skills.Context, inv skills.Invocation) (*skills.Result, error) {
 			tab, err := dataset.NewTable(inv.Output, dataset.IntColumn("v", []int64{7, 8, 9}, nil))

@@ -418,32 +418,25 @@ func (s *Session) ReplayRecipe(ctx context.Context, user string, r *recipe.Recip
 }
 
 // ReplayRecipePlanned is the scheduler's incremental-refresh entry point.
-// Under ONE acquisition of the §2.4 lock (retried under busy, so a busy
-// session makes a background run skip rather than queue) it first EXPLAINs
-// the recipe's plan — read-only, zero execution; the per-node Cached flags
-// show which sub-DAGs the coming replay will serve from cache — and then
-// replays WITHOUT invalidation: sources whose content fingerprints are
+// Under one acquisition of the §2.4 lock (retried under busy, so a busy
+// session makes a background run skip rather than queue) it replays the
+// recipe WITHOUT invalidation: sources whose content fingerprints are
 // unchanged keep their cache keys, so their sub-DAGs cache-hit with zero
-// cloud scans, and only changed inputs recompute. It returns the result, the
-// pre-run explain (for fingerprint diffing against the previous run), and
-// this run's report.
-func (s *Session) ReplayRecipePlanned(ctx context.Context, user string, r *recipe.Recipe, busy faults.RetryPolicy, tune Tuning) (*skills.Result, *plan.Explain, dag.Report, error) {
+// cloud scans, and only changed inputs recompute. The run's report carries
+// the fingerprint of every planned node, cache-served ones included, for
+// diffing against the previous run.
+func (s *Session) ReplayRecipePlanned(ctx context.Context, user string, r *recipe.Recipe, busy faults.RetryPolicy, tune Tuning) (*skills.Result, dag.Report, error) {
 	if err := s.lockBusy(ctx, user, busy, tune.Clock); err != nil {
-		return nil, nil, dag.Report{}, err
+		return nil, dag.Report{}, err
 	}
 	defer s.unlock()
 
 	g := r.Graph()
 	last := g.Last()
 	if last < 0 {
-		return nil, nil, dag.Report{}, fmt.Errorf("session: recipe %q has no steps", r.Name)
+		return nil, dag.Report{}, fmt.Errorf("session: recipe %q has no steps", r.Name)
 	}
-	exp, err := s.executor.ExplainWith(g, last, tune)
-	if err != nil {
-		return nil, nil, dag.Report{}, fmt.Errorf("session: planning recipe %q: %w", r.Name, err)
-	}
-	res, rep, err := s.executor.RunWith(ctx, g, last, tune)
-	return res, exp, rep, err
+	return s.executor.RunWith(ctx, g, last, tune)
 }
 
 // SaveArtifact slices the session DAG to the steps node depends on and

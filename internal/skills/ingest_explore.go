@@ -22,7 +22,8 @@ func ingestionSkills() []*Definition {
 				{"source", "string", true, "file name or URL to load"},
 				{"name", "string", false, "dataset name (defaults to the file stem)"},
 			},
-			GEL:        "Load data from the URL {source}",
+			GEL:        sentences("Load data from the URL {source}", "Load data from the file {source}"),
+			Standalone: true,
 			Volatile:   true, // re-registered files must be re-read
 			Replayable: true, // parsing a session file is free of cost and side effects
 			// The file's content hash keys the cache, so LoadData (and its
@@ -63,8 +64,9 @@ func ingestionSkills() []*Definition {
 				{"condition", "expression", false, "filter applied to the scanned rows (plan pushdown)"},
 				{"columns", "columns", false, "columns to fetch (plan pushdown)"},
 			},
-			GEL:      "Load the table {table} from the database {database}",
-			Volatile: true, // cloud tables change outside the DAG
+			GEL:        sentences("Load the table {table} from the database {database}"),
+			Standalone: true,
+			Volatile:   true, // cloud tables change outside the DAG
 			// The warehouse computes a content fingerprint at ingest and
 			// serves it as free metadata (cloud.TableStats), so the scan's
 			// cache key tracks the stored data: an unchanged table cache-hits
@@ -135,8 +137,9 @@ func ingestionSkills() []*Definition {
 				{"dataset", "string", true, "dataset name"},
 				{"version", "number", false, "dataset version (informational)"},
 			},
-			GEL:      "Use the dataset {dataset}",
-			Volatile: true, // resolves whatever the session currently holds
+			GEL:        sentences("Use the dataset {dataset}, version {version:number}", "Use the dataset {dataset}"),
+			Standalone: true,
+			Volatile:   true, // resolves whatever the session currently holds
 			// The held table's content hash keys the cache, so pipelines
 			// rooted at a session dataset cache across requests, yet
 			// replacing the dataset (PutDataset drops the memoized hash)
@@ -222,8 +225,9 @@ func costControlSkills() []*Definition {
 				{"condition", "expression", false, "filter applied to the sampled rows (plan pushdown)"},
 				{"columns", "columns", false, "columns to fetch (plan pushdown)"},
 			},
-			GEL:      "Sample {rate} of the table {table} from the database {database}",
-			Volatile: true, // cloud tables change outside the DAG
+			GEL:        sentences("Sample {rate:number} of the table {table} from the database {database}"),
+			Standalone: true,
+			Volatile:   true, // cloud tables change outside the DAG
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				dbName, err := inv.Args.String("database")
 				if err != nil {
@@ -262,7 +266,8 @@ func costControlSkills() []*Definition {
 				{"table", "string", true, "source table"},
 				{"rate", "number", false, "sample rate (defaults to a full copy)"},
 			},
-			GEL:         "Create a snapshot {name} of the table {table} from the database {database}",
+			GEL:         sentences("Create a snapshot {name} of the table {table} from the database {database}"),
+			Standalone:  true,
 			Volatile:    true,
 			Invalidates: true, // writes the shared snapshot store
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
@@ -302,8 +307,9 @@ func costControlSkills() []*Definition {
 				{"condition", "expression", false, "filter applied to the snapshot rows (plan pushdown)"},
 				{"columns", "columns", false, "columns to read (plan pushdown)"},
 			},
-			GEL:      "Use the snapshot {name}",
-			Volatile: true, // snapshot contents change on refresh
+			GEL:        sentences("Use the snapshot {name}"),
+			Standalone: true,
+			Volatile:   true, // snapshot contents change on refresh
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				if ctx.Snapshots == nil {
 					return nil, fmt.Errorf("skills: no snapshot store is configured")
@@ -330,7 +336,8 @@ func costControlSkills() []*Definition {
 				{"name", "string", true, "snapshot name"},
 				{"database", "string", true, "source database"},
 			},
-			GEL:         "Refresh the snapshot {name} from the database {database}",
+			GEL:         sentences("Refresh the snapshot {name} from the database {database}"),
+			Standalone:  true,
 			Volatile:    true,
 			Invalidates: true, // re-pulls shared source data
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
@@ -368,7 +375,7 @@ func explorationSkills() []*Definition {
 			Params: []ParamSpec{
 				{"column", "column", true, "column to describe"},
 			},
-			GEL: "Describe the column {column}",
+			GEL: sentences("Describe the column {column}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -390,7 +397,7 @@ func explorationSkills() []*Definition {
 			Category: DataExploration,
 			Summary:  "Summarize every column of the dataset",
 			Params:   nil,
-			GEL:      "Describe the dataset",
+			GEL:      sentences("Describe the dataset"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -406,7 +413,7 @@ func explorationSkills() []*Definition {
 			Params: []ParamSpec{
 				{"rows", "number", false, "rows to show (default 10)"},
 			},
-			GEL: "Show the dataset",
+			GEL: sentences("Show the dataset"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -421,7 +428,7 @@ func explorationSkills() []*Definition {
 			Category: DataExploration,
 			Summary:  "Count the rows in the dataset",
 			Params:   nil,
-			GEL:      "Count the rows",
+			GEL:      sentences("Count the rows"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -433,12 +440,13 @@ func explorationSkills() []*Definition {
 			},
 		},
 		{
-			Name:     "ListDatasets",
-			Category: DataExploration,
-			Summary:  "List the session's datasets with shapes and columns",
-			Params:   nil,
-			GEL:      "List the datasets",
-			Volatile: true, // reflects live session state
+			Name:       "ListDatasets",
+			Category:   DataExploration,
+			Summary:    "List the session's datasets with shapes and columns",
+			Params:     nil,
+			GEL:        sentences("List the datasets"),
+			Standalone: true,
+			Volatile:   true, // reflects live session state
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				names := ctx.DatasetNames()
 				nameCol := dataset.NewColumn("DatasetName", dataset.TypeString)
@@ -470,7 +478,7 @@ func explorationSkills() []*Definition {
 				{"column1", "column", true, "first numeric column"},
 				{"column2", "column", true, "second numeric column"},
 			},
-			GEL: "Correlate {column1} with {column2}",
+			GEL: sentences("Correlate {column1} with {column2}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -503,7 +511,7 @@ func explorationSkills() []*Definition {
 				{"column", "column", true, "column to count"},
 				{"count", "number", false, "values to show (default 10)"},
 			},
-			GEL: "Show the top values of {column}",
+			GEL: sentences("Show the top values of {column}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {

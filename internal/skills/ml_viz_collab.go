@@ -29,7 +29,11 @@ func visualizationSkills() []*Definition {
 				{"title", "string", false, "chart title"},
 				{"bins", "number", false, "histogram bin count"},
 			},
-			GEL: "Plot a {chart} chart with the x-axis {x}",
+			GEL: sentences(
+				"Plot a {chart} chart with the x-axis {x}, the y-axis {y}, for each {for_each}",
+				"Plot a {chart} chart with the x-axis {x}, the y-axis {y}",
+				"Plot a {chart} chart with the x-axis {x}, for each {for_each}",
+				"Plot a {chart} chart with the x-axis {x}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -73,7 +77,11 @@ func visualizationSkills() []*Definition {
 				{"by", "columns", false, "grouping columns"},
 				{"filter", "expression", false, "filter phrase applied before charting"},
 			},
-			GEL: "Visualize {kpi} by {by}",
+			GEL: sentences(
+				"Visualize {kpi} by {by:list} where {filter:rest}",
+				"Visualize {kpi} by {by:list}",
+				"Visualize {kpi} where {filter:rest}",
+				"Visualize {kpi}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -152,7 +160,11 @@ func mlSkills() []*Definition {
 				{"name", "string", false, "name to store the model under"},
 				{"test_fraction", "number", false, "held-out fraction for evaluation (default 0.25)"},
 			},
-			GEL:      "Train a model to predict {target}",
+			GEL: sentences(
+				"Train a {model} model to predict {target} using {features:list}",
+				"Train a model to predict {target} using {features:list}",
+				"Train a {model} model to predict {target}",
+				"Train a model to predict {target}"),
 			Volatile: true, // registers the model in session state
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
@@ -215,7 +227,7 @@ func mlSkills() []*Definition {
 				{"features", "columns", true, "feature columns, in training order"},
 				{"name", "string", false, "prediction column name (default prediction)"},
 			},
-			GEL:      "Predict with the model {model}",
+			GEL:      sentences("Predict with the model {model} using {features:list}"),
 			Volatile: true, // depends on the session's trained-model state
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
@@ -268,7 +280,7 @@ func mlSkills() []*Definition {
 				{"steps", "number", true, "number of future values to predict"},
 				{"period", "number", false, "seasonal period in steps (0 = none)"},
 			},
-			GEL: "Predict time series with measure columns {measure} for the next {steps} values of {time}",
+			GEL: sentences("Predict time series with measure columns {measure} for the next {steps:number} values of {time}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -285,7 +297,7 @@ func mlSkills() []*Definition {
 				{"columns", "columns", true, "feature columns"},
 				{"k", "number", true, "number of clusters"},
 			},
-			GEL: "Cluster the rows into {k} groups using {columns}",
+			GEL: sentences("Cluster the rows into {k:number} groups using {columns:list}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -336,7 +348,7 @@ func mlSkills() []*Definition {
 				{"method", "string", false, "zscore (default), iqr, or model"},
 				{"threshold", "number", false, "method-specific threshold"},
 			},
-			GEL: "Detect outliers in {column}",
+			GEL: sentences("Detect outliers in {column} using {method}", "Detect outliers in {column}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -399,7 +411,7 @@ func mlSkills() []*Definition {
 				{"target", "column", true, "ground-truth column"},
 				{"features", "columns", true, "feature columns, in training order"},
 			},
-			GEL:      "Evaluate the model {model} against {target}",
+			GEL:      sentences("Evaluate the model {model} against {target} using {features:list}"),
 			Volatile: true, // depends on the session's trained-model state
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
@@ -436,8 +448,9 @@ func mlSkills() []*Definition {
 			Params: []ParamSpec{
 				{"model", "string", true, "trained model name"},
 			},
-			GEL:      "Explain the model {model}",
-			Volatile: true, // depends on the session's trained-model state
+			GEL:        sentences("Explain the model {model}"),
+			Standalone: true,
+			Volatile:   true, // depends on the session's trained-model state
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				modelName, err := inv.Args.String("model")
 				if err != nil {
@@ -608,8 +621,9 @@ func sqlSkills() []*Definition {
 			Params: []ParamSpec{
 				{"query", "string", true, "a SELECT statement; session datasets are tables"},
 			},
-			GEL:      "Run the SQL query {query}",
-			Volatile: true, // the query references datasets the signature cannot see
+			GEL:        sentences("Run the SQL query {query:rest}"),
+			Standalone: true,
+			Volatile:   true, // the query references datasets the signature cannot see
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				query, err := inv.Args.String("query")
 				if err != nil {
@@ -635,7 +649,7 @@ func collaborationSkills() []*Definition {
 				{"name", "string", true, "artifact name"},
 				{"type", "string", false, "artifact type hint: table, chart, model"},
 			},
-			GEL:      "Save this as {name}",
+			GEL:      sentences("Save this as {name}"),
 			Volatile: true, // the session layer persists the artifact as a side effect
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				// The session layer intercepts this skill to persist the
@@ -661,8 +675,9 @@ func collaborationSkills() []*Definition {
 				{"with", "string", false, "user to share with (omit for a secret link)"},
 				{"access", "string", false, "view (default) or edit"},
 			},
-			GEL:      "Share the artifact {name} with {with}",
-			Volatile: true, // side-effecting collaboration request
+			GEL:        sentences("Share the artifact {name} with {with}", "Share the artifact {name}"),
+			Standalone: true,
+			Volatile:   true, // side-effecting collaboration request
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				name, err := inv.Args.String("name")
 				if err != nil {
@@ -679,8 +694,9 @@ func collaborationSkills() []*Definition {
 				{"artifact", "string", true, "artifact name"},
 				{"board", "string", true, "insights board name"},
 			},
-			GEL:      "Publish {artifact} to the insights board {board}",
-			Volatile: true, // side-effecting collaboration request
+			GEL:        sentences("Publish {artifact} to the insights board {board}"),
+			Standalone: true,
+			Volatile:   true, // side-effecting collaboration request
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				artifact, err := inv.Args.String("artifact")
 				if err != nil {
@@ -700,8 +716,9 @@ func collaborationSkills() []*Definition {
 			Params: []ParamSpec{
 				{"text", "string", true, "comment text"},
 			},
-			GEL:      "Comment: {text}",
-			Volatile: true, // comments attach to the live recipe step
+			GEL:        sentences("Comment: {text:rest}"),
+			Standalone: true,
+			Volatile:   true, // comments attach to the live recipe step
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				text, err := inv.Args.String("text")
 				if err != nil {
@@ -717,7 +734,7 @@ func collaborationSkills() []*Definition {
 			Params: []ParamSpec{
 				{"file", "string", true, "output file name (stored in the session workspace)"},
 			},
-			GEL:      "Export the data to {file}",
+			GEL:      sentences("Export the data to {file}"),
 			Volatile: true, // writes into the session workspace
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
@@ -744,8 +761,9 @@ func collaborationSkills() []*Definition {
 				{"phrase", "string", true, "phrase to define, e.g. 'successful purchases'"},
 				{"meaning", "string", true, "expression or description it expands to"},
 			},
-			GEL:      "Define {phrase} as {meaning}",
-			Volatile: true, // mutates the session's semantic layer
+			GEL:        sentences("Define {phrase} as {meaning:rest}"),
+			Standalone: true,
+			Volatile:   true, // mutates the session's semantic layer
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				phrase, err := inv.Args.String("phrase")
 				if err != nil {
@@ -767,8 +785,9 @@ func collaborationSkills() []*Definition {
 				{"with", "string", true, "user to invite"},
 				{"access", "string", false, "view (default) or edit"},
 			},
-			GEL:      "Share this session with {with}",
-			Volatile: true, // side-effecting collaboration request
+			GEL:        sentences("Share this session with {with}"),
+			Standalone: true,
+			Volatile:   true, // side-effecting collaboration request
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				with, err := inv.Args.String("with")
 				if err != nil {

@@ -7,177 +7,6 @@ import (
 	"strings"
 )
 
-// RenderGEL renders an invocation as its GEL sentence — the controlled
-// natural language every recipe step is shown in (§2.3).
-func (r *Registry) RenderGEL(inv Invocation) (string, error) {
-	def, err := r.Lookup(inv.Skill)
-	if err != nil {
-		return "", err
-	}
-	switch def.Name {
-	case "Compute":
-		return renderComputeGEL(inv)
-	case "Concatenate":
-		return renderConcatGEL(inv)
-	case "NewColumn":
-		return renderNewColumnGEL(inv)
-	case "PlotChart":
-		return renderPlotGEL(inv)
-	case "Visualize":
-		return renderVisualizeGEL(inv)
-	case "DistinctRows":
-		if cols := inv.Args.StringListOr("columns"); len(cols) > 0 {
-			return "Remove duplicate rows over " + strings.Join(cols, ", "), nil
-		}
-		return "Remove duplicate rows", nil
-	case "SortRows":
-		// The template drops the descending flag; render the variant the
-		// grammar's descending entry parses back.
-		sentence := "Sort the rows by " + gelValue(inv, "columns")
-		if inv.Args.Bool("descending") {
-			sentence += " in descending order"
-		}
-		return sentence, nil
-	case "JoinDatasets":
-		prefix := "Join"
-		switch strings.ToLower(inv.Args.StringOr("kind", "")) {
-		case "left":
-			prefix = "Left join"
-		case "cross":
-			prefix = "Cross join"
-		}
-		return prefix + " the datasets " + strings.Join(inv.Inputs, " and ") +
-			" on " + gelValue(inv, "on"), nil
-	}
-	return fillTemplate(def.GEL, inv), nil
-}
-
-// fillTemplate substitutes {param} placeholders in a GEL template.
-func fillTemplate(template string, inv Invocation) string {
-	out := template
-	for {
-		start := strings.IndexByte(out, '{')
-		if start < 0 {
-			return out
-		}
-		end := strings.IndexByte(out[start:], '}')
-		if end < 0 {
-			return out
-		}
-		end += start
-		key := out[start+1 : end]
-		out = out[:start] + gelValue(inv, key) + out[end+1:]
-	}
-}
-
-func gelValue(inv Invocation, key string) string {
-	if key == "inputs" {
-		return strings.Join(inv.Inputs, " and ")
-	}
-	v, ok := inv.Args[key]
-	if !ok {
-		return "…"
-	}
-	switch vv := v.(type) {
-	case string:
-		return vv
-	case []string:
-		return strings.Join(vv, ", ")
-	case []any:
-		parts := make([]string, len(vv))
-		for i, item := range vv {
-			parts[i] = fmt.Sprint(item)
-		}
-		return strings.Join(parts, ", ")
-	case float64:
-		return strconv.FormatFloat(vv, 'g', -1, 64)
-	case int:
-		return strconv.Itoa(vv)
-	case bool:
-		return strconv.FormatBool(vv)
-	default:
-		return fmt.Sprint(v)
-	}
-}
-
-func renderComputeGEL(inv Invocation) (string, error) {
-	aggs, err := inv.Args.AggSpecs("aggregates")
-	if err != nil {
-		return "", err
-	}
-	parts := make([]string, len(aggs))
-	var aliases []string
-	for i, a := range aggs {
-		col := a.Column
-		if col == "*" || col == "" {
-			col = "records"
-		}
-		parts[i] = fmt.Sprintf("%s of %s", strings.ToLower(a.Func), col)
-		if a.As != "" {
-			aliases = append(aliases, a.As)
-		}
-	}
-	sentence := "Compute the " + joinAnd(parts)
-	if keys := inv.Args.StringListOr("for_each"); len(keys) > 0 {
-		sentence += " for each " + joinAnd(keys)
-	}
-	if len(aliases) > 0 {
-		sentence += " and call the computed columns " + joinAnd(aliases)
-	}
-	return sentence, nil
-}
-
-func renderConcatGEL(inv Invocation) (string, error) {
-	sentence := "Concatenate the datasets " + joinAnd(inv.Inputs)
-	if inv.Args.Bool("dedupe") {
-		sentence += " remove all duplicates"
-	}
-	return sentence, nil
-}
-
-func renderNewColumnGEL(inv Invocation) (string, error) {
-	name := inv.Args.StringOr("name", "…")
-	if text, err := inv.Args.String("text"); err == nil {
-		return fmt.Sprintf("Create a new column %s with text %s", name, text), nil
-	}
-	return fmt.Sprintf("Create a new column %s as %s", name, inv.Args.StringOr("formula", "…")), nil
-}
-
-func renderPlotGEL(inv Invocation) (string, error) {
-	chart := inv.Args.StringOr("chart", "…")
-	x := inv.Args.StringOr("x", "…")
-	sentence := fmt.Sprintf("Plot a %s chart with the x-axis %s", chart, x)
-	if y := inv.Args.StringOr("y", ""); y != "" {
-		sentence += ", the y-axis " + y
-	}
-	if g := inv.Args.StringOr("for_each", ""); g != "" {
-		sentence += ", for each " + g
-	}
-	return sentence, nil
-}
-
-func renderVisualizeGEL(inv Invocation) (string, error) {
-	sentence := "Visualize " + inv.Args.StringOr("kpi", "…")
-	if by := inv.Args.StringListOr("by"); len(by) > 0 {
-		sentence += " by " + strings.Join(by, ", ")
-	}
-	if filter := inv.Args.StringOr("filter", ""); filter != "" {
-		sentence += " where " + filter
-	}
-	return sentence, nil
-}
-
-func joinAnd(parts []string) string {
-	switch len(parts) {
-	case 0:
-		return ""
-	case 1:
-		return parts[0]
-	default:
-		return strings.Join(parts[:len(parts)-1], ", ") + " and " + parts[len(parts)-1]
-	}
-}
-
 // RenderPython renders an invocation as a DataChat Python API call — the
 // polyglot dialect the NL2Code generator targets (§4.1, Figure 3b).
 func (r *Registry) RenderPython(inv Invocation) (string, error) {

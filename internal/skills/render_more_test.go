@@ -29,10 +29,15 @@ func TestGELValueFormats(t *testing.T) {
 	if got, _ = reg.RenderGEL(inv3); got != "Limit the data to 7 rows" {
 		t.Errorf("int value = %q", got)
 	}
-	// Missing args render an ellipsis, never panic.
+	// Missing args are an error naming the skill, never a lossy sentence.
 	inv4 := Invocation{Skill: "RenameColumn", Args: Args{}}
-	if got, _ = reg.RenderGEL(inv4); !strings.Contains(got, "…") {
-		t.Errorf("missing args = %q", got)
+	if got, err = reg.RenderGEL(inv4); err == nil || !strings.Contains(err.Error(), "RenameColumn") {
+		t.Errorf("missing args = %q, %v", got, err)
+	}
+	// Word values that are not one plain token are quoted.
+	inv5 := Invocation{Skill: "RenameColumn", Args: Args{"column": "unit price", "to": "O'Brien"}}
+	if got, _ = reg.RenderGEL(inv5); got != "Rename the column 'unit price' to 'O''Brien'" {
+		t.Errorf("quoted words = %q", got)
 	}
 }
 

@@ -474,9 +474,16 @@ type Definition struct {
 	Summary string
 	// Params documents the parameters.
 	Params []ParamSpec
-	// GEL is the sentence template with {param} placeholders, e.g.
-	// "Keep the rows where {condition}".
-	GEL string
+	// GEL lists the skill's sentence forms, most specific first: the parser
+	// tries them in order and RenderGEL fills the first that carries the
+	// whole invocation. Compute's irregular sentence is parsed and rendered
+	// by hand and declares none.
+	GEL []Form
+	// Standalone marks a skill whose sentence, naming no dataset, runs
+	// without one: it reads its own source (LoadData, UseDataset) or no
+	// table at all (RunSQL, AddComment). A bare sentence of any other skill
+	// acts on the current dataset (BindCurrent).
+	Standalone bool
 	// PyName is the method name in the DataChat Python API (snake_case).
 	PyName string
 	// Volatile marks skills whose results depend on state outside the DAG
@@ -538,11 +545,17 @@ func (r *Registry) mustRegister(def *Definition) {
 	}
 }
 
-// Register installs a skill definition. Tests and extensions use it to add
-// custom skills next to the built-ins; duplicate names are rejected.
+// Register installs a skill definition, compiling its GEL forms. Tests and
+// extensions use it to add custom skills next to the built-ins; duplicate
+// names and malformed forms are rejected.
 func (r *Registry) Register(def *Definition) error {
 	if _, dup := r.byName[strings.ToLower(def.Name)]; dup {
 		return fmt.Errorf("skills: duplicate skill %q", def.Name)
+	}
+	for i := range def.GEL {
+		if err := def.GEL[i].compile(def); err != nil {
+			return err
+		}
 	}
 	if def.PyName == "" {
 		def.PyName = toSnake(def.Name)
@@ -562,6 +575,15 @@ func (r *Registry) Lookup(name string) (*Definition, error) {
 		return nil, fmt.Errorf("skills: unknown skill %q", name)
 	}
 	return def, nil
+}
+
+// sentences is the usual GEL declaration: forms that imply no arguments.
+func sentences(templates ...string) []Form {
+	forms := make([]Form, len(templates))
+	for i, t := range templates {
+		forms[i].Template = t
+	}
+	return forms
 }
 
 // Names returns every skill name in registration order.
@@ -740,8 +762,11 @@ func parseAggString(s string) (AggSpec, error) {
 		spec.Column = "*"
 	}
 	rest = rest[1:]
-	if len(rest) >= 2 && strings.EqualFold(rest[0], "as") {
+	switch {
+	case len(rest) == 2 && strings.EqualFold(rest[0], "as"):
 		spec.As = rest[1]
+	case len(rest) > 0:
+		return AggSpec{}, fmt.Errorf("skills: aggregate %q: want 'func of column [as name]'", s)
 	}
 	return spec, nil
 }

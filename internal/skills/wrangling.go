@@ -107,7 +107,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"condition", "expression", true, "boolean expression rows must satisfy"},
 			},
-			GEL: "Keep the rows where {condition}",
+			GEL: sentences("Keep the rows where {condition:rest}"),
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				return where(b, inv.Args, "condition", false)
 			},
@@ -119,7 +119,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"condition", "expression", true, "boolean expression of rows to remove"},
 			},
-			GEL: "Drop the rows where {condition}",
+			GEL: sentences("Drop the rows where {condition:rest}"),
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				return where(b, inv.Args, "condition", true)
 			},
@@ -131,7 +131,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"columns", "columns", true, "columns to keep"},
 			},
-			GEL:      "Keep the columns {columns}",
+			GEL:      sentences("Keep the columns {columns:list}"),
 			MergeSQL: keepColumns,
 		},
 		{
@@ -141,7 +141,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"columns", "columns", true, "columns to remove"},
 			},
-			GEL: "Drop the columns {columns}",
+			GEL: sentences("Drop the columns {columns:list}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -166,7 +166,7 @@ func wranglingSkills() []*Definition {
 				{"column", "column", true, "existing column name"},
 				{"to", "string", true, "new column name"},
 			},
-			GEL: "Rename the column {column} to {to}",
+			GEL: sentences("Rename the column {column} to {to}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -211,7 +211,10 @@ func wranglingSkills() []*Definition {
 				{"formula", "expression", false, "expression computed per row"},
 				{"text", "string", false, "constant text value"},
 			},
-			GEL:      "Create a new column {name} with {formula}",
+			GEL: sentences(
+				"Create a new column {name} with text {text:rest}",
+				"Create a new column {name} as {formula:rest}",
+				"Create a new column {name} with {formula:rest}"),
 			MergeSQL: addColumn(newColumnExpr),
 		},
 		{
@@ -222,7 +225,7 @@ func wranglingSkills() []*Definition {
 				{"column", "column", true, "column to convert"},
 				{"type", "string", true, "target type: int, float, string, bool, or time"},
 			},
-			GEL: "Change the type of {column} to {type}",
+			GEL: sentences("Change the type of {column} to {type}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -252,7 +255,7 @@ func wranglingSkills() []*Definition {
 				{"column", "column", true, "column to fill"},
 				{"value", "string", true, "replacement value"},
 			},
-			GEL: "Fill the null values in {column} with {value}",
+			GEL: sentences("Fill the null values in {column} with {value}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -287,7 +290,7 @@ func wranglingSkills() []*Definition {
 				{"from", "string", true, "value to replace"},
 				{"to", "string", true, "replacement value"},
 			},
-			GEL: "Replace {from} with {to} in the column {column}",
+			GEL: sentences("Replace {from} with {to} in the column {column}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -335,7 +338,10 @@ func wranglingSkills() []*Definition {
 				{"columns", "columns", true, "sort keys, most significant first"},
 				{"descending", "bool", false, "sort in descending order"},
 			},
-			GEL: "Sort the rows by {columns}",
+			GEL: []Form{
+				{Template: "Sort the rows by {columns:list} in descending order", Implies: Args{"descending": true}},
+				{Template: "Sort the rows by {columns:list}"},
+			},
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				cols, err := inv.Args.StringList("columns")
 				if err != nil {
@@ -358,7 +364,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"count", "number", true, "maximum rows to keep"},
 			},
-			GEL: "Limit the data to {count} rows",
+			GEL: sentences("Limit the data to {count:number} rows"),
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				n, err := inv.Args.Int("count")
 				if err != nil {
@@ -378,7 +384,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"fraction", "number", true, "fraction of rows to keep, in (0, 1]"},
 			},
-			GEL: "Sample {fraction} of the rows",
+			GEL: sentences("Sample {fraction:number} of the rows"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -408,7 +414,7 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"columns", "columns", false, "columns to deduplicate on (all when omitted)"},
 			},
-			GEL: "Remove duplicate rows",
+			GEL: sentences("Remove duplicate rows over {columns:list}", "Remove duplicate rows"),
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				if cols := inv.Args.StringListOr("columns"); len(cols) > 0 {
 					b.Project(cols)
@@ -424,7 +430,10 @@ func wranglingSkills() []*Definition {
 			Params: []ParamSpec{
 				{"dedupe", "bool", false, "remove duplicate rows after concatenating"},
 			},
-			GEL: "Concatenate the datasets {inputs}",
+			GEL: []Form{
+				{Template: "Concatenate the datasets {inputs:list} remove all duplicates", Implies: Args{"dedupe": true}},
+				{Template: "Concatenate the datasets {inputs:list}"},
+			},
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				if len(inv.Inputs) < 2 {
 					return nil, fmt.Errorf("skills: Concatenate needs at least two input datasets")
@@ -455,7 +464,12 @@ func wranglingSkills() []*Definition {
 				{"kind", "string", false, "inner (default), left, or cross"},
 				{"columns", "columns", false, "output column order (plan join reordering)"},
 			},
-			GEL: "Join the datasets {inputs} on {on}",
+			GEL: []Form{
+				{Template: "Left join the datasets {inputs:list} on {on:rest}", Implies: Args{"kind": "left"}},
+				{Template: "Cross join the datasets {inputs:list} on {on:rest}", Implies: Args{"kind": "cross"}},
+				{Template: "Inner join the datasets {inputs:list} on {on:rest}", Implies: Args{"kind": "inner"}},
+				{Template: "Join the datasets {inputs:list} on {on:rest}"},
+			},
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				if len(inv.Inputs) != 2 {
 					return nil, fmt.Errorf("skills: JoinDatasets needs exactly two input datasets")
@@ -514,7 +528,6 @@ func wranglingSkills() []*Definition {
 				{"aggregates", "aggregates", true, "aggregates like 'count of case_id as NumberOfCases'"},
 				{"for_each", "columns", false, "grouping columns"},
 			},
-			GEL:    "Compute the {aggregates} for each {for_each}",
 			PyName: "compute",
 			MergeSQL: func(b *QueryBuilder, inv Invocation) error {
 				aggs, err := inv.Args.AggSpecs("aggregates")
@@ -533,7 +546,7 @@ func wranglingSkills() []*Definition {
 				{"columns", "column", true, "column whose values become output columns"},
 				{"measure", "aggregates", true, "aggregate applied per cell, e.g. 'sum of amount'"},
 			},
-			GEL: "Pivot {columns} against {rows} computing {measure}",
+			GEL: sentences("Pivot {columns} against {rows} computing {measure:rest}"),
 			Apply: func(ctx *Context, inv Invocation) (*Result, error) {
 				t, err := singleInput(ctx, inv)
 				if err != nil {
@@ -551,7 +564,7 @@ func wranglingSkills() []*Definition {
 				{"size", "number", true, "bin width"},
 				{"name", "string", false, "output column name (defaults to <column>Int<size>)"},
 			},
-			GEL:      "Create bins of size {size} on {column}",
+			GEL:      sentences("Create bins of size {size:number} on {column}"),
 			MergeSQL: addColumn(binExpr),
 		},
 		{
@@ -563,7 +576,7 @@ func wranglingSkills() []*Definition {
 				{"part", "string", true, "year, month, or day"},
 				{"name", "string", false, "output column name"},
 			},
-			GEL:      "Extract the {part} from {column}",
+			GEL:      sentences("Extract the {part} from {column}"),
 			MergeSQL: addColumn(datePartExpr),
 		},
 	}
