@@ -20,13 +20,30 @@ func Func(name string, args ...Expr) *FuncCall {
 	return &FuncCall{Name: strings.ToUpper(name), Args: args}
 }
 
-// String implements Expr.
+// String implements Expr. CAST renders in the SQL form its parser reads,
+// CAST(x AS type).
 func (f *FuncCall) String() string {
+	if typ, ok := f.castType(); ok {
+		return "CAST(" + f.Args[0].String() + " AS " + Column(typ).String() + ")"
+	}
 	args := make([]string, len(f.Args))
 	for i, a := range f.Args {
 		args[i] = a.String()
 	}
 	return fmt.Sprintf("%s(%s)", f.Name, strings.Join(args, ", "))
+}
+
+// castType returns the target type name of a CAST whose target is a string
+// literal.
+func (f *FuncCall) castType() (string, bool) {
+	if f.Name != "CAST" || len(f.Args) != 2 {
+		return "", false
+	}
+	lit, ok := f.Args[1].(*Literal)
+	if !ok || lit.Value.Type != dataset.TypeString {
+		return "", false
+	}
+	return lit.Value.S, true
 }
 
 // Columns implements Expr.

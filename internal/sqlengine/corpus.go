@@ -11,9 +11,12 @@ import (
 // This file generates the randomized differential-test corpus: tables with
 // ~15% nulls per column and queries spanning filters with three-valued null
 // logic, arithmetic, LIKE, IN, BETWEEN, equi joins with residuals, grouping
-// with HAVING, and multi-key ORDER BY. It lives outside the test files so
-// other packages' harnesses (the chaos suite in internal/faults, the faults
-// experiment) can replay the same corpus through their own execution paths.
+// with HAVING, and multi-key ORDER BY — and, in every operator position,
+// expressions the kernel compiler refuses (scalar functions, CASE, an IF
+// whose values mix types), which the row evaluator answers. It lives outside
+// the test files so other packages' harnesses (the chaos suite in
+// internal/faults, the faults experiment) can replay the same corpus through
+// their own execution paths.
 
 // CorpusTables builds a deterministic random catalog: a main table t1 and a
 // smaller t2 whose join keys overlap t1's ranges.
@@ -136,6 +139,18 @@ func CorpusPredicate(rng *rand.Rand, qual string, depth int) string {
 		func() string { return fmt.Sprintf("%s / 2.0 < %.2f", c("f"), float64(rng.Intn(20)-10)/2) },
 		func() string { return fmt.Sprintf("%s %% 3 = %d", c("i"), rng.Intn(3)) },
 		func() string { return fmt.Sprintf("-%s < %s", c("i"), c("f")) },
+		// Atoms the kernel compiler refuses: scalar functions, CASE, and a
+		// comparison whose left side mixes ints and strings row by row.
+		func() string {
+			return fmt.Sprintf("UPPER(%s) = '%s'", c("s"), []string{"ALPHA", "BETA", "alpha"}[rng.Intn(3)])
+		},
+		func() string { return fmt.Sprintf("FLOOR(%s) >= %d", c("f"), rng.Intn(16)-8) },
+		func() string { return fmt.Sprintf("DAY(%s) > %d", c("ts"), rng.Intn(7)) },
+		func() string { return fmt.Sprintf("CAST(%s AS string) LIKE '1%%'", c("i")) },
+		func() string { return fmt.Sprintf("IF(%s, %s, %s) > %d", c("b"), c("i"), c("s"), rng.Intn(20)-5) },
+		func() string {
+			return fmt.Sprintf("CASE WHEN %s > %d THEN %s ELSE %s END < %d", c("i"), rng.Intn(20)-5, c("f"), c("i"), rng.Intn(20)-8)
+		},
 	}
 	atom := func() string { return atoms[rng.Intn(len(atoms))]() }
 	if depth <= 0 {
@@ -162,7 +177,7 @@ func CorpusQueries(rng *rand.Rand, count int) []string {
 		p := func() string { return CorpusPredicate(rng, "", rng.Intn(3)) }
 		jp := func() string { return CorpusPredicate(rng, "t1.", rng.Intn(2)) }
 		ok := orderKeys[rng.Intn(len(orderKeys))]
-		switch rng.Intn(10) {
+		switch rng.Intn(14) {
 		case 0:
 			qs = append(qs, fmt.Sprintf("SELECT * FROM t1 WHERE %s", p()))
 		case 1:
@@ -186,6 +201,21 @@ func CorpusQueries(rng *rand.Rand, count int) []string {
 				"SELECT t1.i, t1.f, t2.v FROM t1 LEFT JOIN t2 ON t1.i = t2.k AND t1.f > t2.v WHERE %s ORDER BY t1.i, t1.f, t2.v LIMIT 80", jp()))
 		case 8:
 			qs = append(qs, fmt.Sprintf("SELECT COUNT(*) AS c, SUM(i) AS si, AVG(f) AS af, MIN(ts) AS mn FROM t1 WHERE %s", p()))
+		// Select items, ORDER BY keys, GROUP BY keys, aggregate arguments and
+		// a join residual the kernel compiler refuses; IF(i > 5, s, i) mixes
+		// ints and strings within one column.
+		case 9:
+			qs = append(qs, fmt.Sprintf(
+				"SELECT i, UPPER(s) AS u, FLOOR(f) AS fl, IF(i > 5, s, i) AS m FROM t1 WHERE %s ORDER BY m DESC, u, i LIMIT %d", p(), 5+rng.Intn(60)))
+		case 10:
+			qs = append(qs, fmt.Sprintf(
+				"SELECT IF(i > 5, s, i) AS k, COUNT(*) AS c, SUM(FLOOR(f)) AS sf, MIN(UPPER(s)) AS mu, MAX(IF(b, i, s)) AS mx FROM t1 WHERE %s GROUP BY IF(i > 5, s, i) ORDER BY c DESC, k", p()))
+		case 11:
+			qs = append(qs, fmt.Sprintf(
+				"SELECT DAY(ts) AS d, CASE WHEN b THEN i ELSE f END AS cv, CAST(i AS string) AS ci, s FROM t1 WHERE %s ORDER BY DAY(ts) DESC, CAST(i AS string), f", p()))
+		case 12:
+			qs = append(qs, fmt.Sprintf(
+				"SELECT t1.i, t1.f, t2.v FROM t1 JOIN t2 ON t1.i = t2.k AND FLOOR(t1.f) >= t2.v WHERE %s ORDER BY t1.i, t1.f, t2.v LIMIT 80", jp()))
 		default:
 			qs = append(qs, fmt.Sprintf("SELECT DISTINCT s, b FROM t1 WHERE %s ORDER BY s, b", p()))
 		}
