@@ -126,8 +126,6 @@ type Executor struct {
 	// CSE enables session-wide common-subexpression elimination over the
 	// whole lowered graph before slicing.
 	CSE bool
-	// JoinReorder enables cost-based reordering of inner-join chains.
-	JoinReorder bool
 	// CostModel enables per-pass cost estimation (and, with a positive
 	// CostBudgetBytes in the run's options, budgeted sample substitution).
 	CostModel bool
@@ -155,7 +153,6 @@ func NewExecutor(reg *skills.Registry, ctx *skills.Context) *Executor {
 		Pushdown:    true,
 		UseCache:    true,
 		CSE:         true,
-		JoinReorder: true,
 		CostModel:   true,
 		cache:       NewCache(DefaultCacheCapacity),
 		statsReg:    plan.NewStatsRegistry(plan.DefaultStatsCapacity),

@@ -41,7 +41,7 @@ func lowerGraph(g *Graph, target NodeID) (*plan.Plan, error) {
 // logicalPlan lowers g and runs the executor's configured pass pipeline:
 // structural fingerprint + session-wide CSE (CSE, over the whole graph,
 // before slicing), slice, fuse (Fuse), strict fingerprint, cost-based join
-// reorder (JoinReorder), budget sample substitution, cache probe
+// reorder, budget sample substitution, cache probe
 // (UseCache), consolidate (Consolidate), pushdown (Pushdown). When the cost
 // model is on, every pass trace snapshots the estimated plan cost, so
 // EXPLAIN shows per-pass cost deltas. budget is the request's
@@ -124,10 +124,7 @@ func (e *Executor) logicalPlan(g *Graph, target NodeID, budget int64, st *Stats)
 	if e.Fuse {
 		passes = append(passes, plan.FusePass())
 	}
-	passes = append(passes, plan.FingerprintPass())
-	if e.JoinReorder {
-		passes = append(passes, plan.JoinReorderPass())
-	}
+	passes = append(passes, plan.FingerprintPass(), plan.JoinReorderPass())
 	if e.CostModel {
 		passes = append(passes, plan.SampleSubstitutePass())
 	}

@@ -1,7 +1,9 @@
 // Package expr defines the scalar expression AST and evaluator shared by
 // the SQL engine and the skill layer. Expressions are built either by the
-// SQL parser or directly by skills (e.g. GEL filter phrases) and evaluated
-// row-at-a-time against an Env.
+// SQL parser or directly by skills (e.g. GEL filter phrases). Expr.Eval
+// evaluates one row against an Env; Eval and Select are the one way an
+// expression meets a Batch of rows — a typed kernel when the whole tree
+// compiles, the row evaluator otherwise.
 package expr
 
 import (

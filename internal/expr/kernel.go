@@ -6,27 +6,29 @@ import (
 	"datachat/internal/dataset"
 )
 
-// This file is the expression half of the vectorized execution engine: it
-// compiles an Expr tree into a typed kernel that evaluates whole columns at
-// once instead of boxing one Value per row. Compilation resolves types
-// statically — every supported operator knows its operand vector types at
-// compile time, so the per-row work inside a kernel is a tight typed loop
-// with no interface dispatch and no allocation beyond the output vector.
+// This file is the typed half of Eval: it compiles an Expr tree into a
+// kernel that evaluates whole columns at once instead of boxing one Value per
+// row. Compilation resolves types statically — every supported operator
+// knows its operand vector types at compile time, so the per-row work inside
+// a kernel is a tight typed loop with no interface dispatch and no allocation
+// beyond the output vector.
 //
 // The compiler is deliberately partial. Any construct whose row-at-a-time
 // semantics are not cheap to replicate exactly (scalar functions, CASE,
 // cross-type comparisons that fall into Compare's string-render ordering,
-// LIKE with a non-literal pattern, …) fails compilation, and the caller
-// falls back to the row path. The row evaluator stays authoritative: a
-// kernel either reproduces its results bit for bit — including SQL
-// three-valued null logic, NaN comparing equal to everything under
-// cmpFloat, and / by zero yielding null — or it does not exist.
+// LIKE with a non-literal pattern, …) fails compilation, and Eval runs the
+// whole tree through the row evaluator instead. The row evaluator stays
+// authoritative: a kernel either reproduces its results bit for bit —
+// including SQL three-valued null logic, NaN comparing equal to everything
+// under cmpFloat, and / by zero yielding null — or it does not exist.
 
-// Vec is a typed vector of N values: one backing slice (chosen by Type)
+// Vec is a vector of N values: one typed backing slice (chosen by Type)
 // plus an optional null mask. A nil Nulls means no row is null; a vec of
-// TypeNull has every row null and no backing slice at all. Vecs returned by
-// column-reference kernels alias column storage and must be treated as
-// read-only.
+// TypeNull has every row null and no backing slice at all. A vec the row
+// evaluator filled with values of several types holds them boxed in V
+// instead, and Type is the common type its column takes; no kernel reads
+// such a vec. Vecs bound from columns alias column storage and must be
+// treated as read-only.
 type Vec struct {
 	Type  dataset.Type
 	I     []int64
@@ -35,17 +37,24 @@ type Vec struct {
 	B     []bool
 	T     []int64 // unix nanoseconds, as time columns store them
 	Nulls []bool
+	V     []dataset.Value
 	N     int
 }
 
 // NullAt reports whether row i is null.
 func (v *Vec) NullAt(i int) bool {
+	if v.V != nil {
+		return v.V[i].IsNull()
+	}
 	return v.Type == dataset.TypeNull || (v.Nulls != nil && v.Nulls[i])
 }
 
 // ValueAt boxes row i into a Value — interop with row-at-a-time code paths;
 // not for use in per-row hot loops.
 func (v *Vec) ValueAt(i int) dataset.Value {
+	if v.V != nil {
+		return v.V[i]
+	}
 	if v.NullAt(i) {
 		return dataset.Null
 	}
@@ -66,9 +75,16 @@ func (v *Vec) ValueAt(i int) dataset.Value {
 }
 
 // Column wraps the vec into a dataset column sharing its storage. All-null
-// vecs become all-null string columns, matching the row path's column
-// builder, which infers string for columns that never see a value.
+// vecs become all-null string columns and boxed values are coerced to their
+// common type, as a column built from the row evaluator's values is.
 func (v *Vec) Column(name string) *dataset.Column {
+	if v.V != nil {
+		c := dataset.NewColumn(name, v.Type)
+		for _, x := range v.V {
+			c.Append(x)
+		}
+		return c
+	}
 	switch v.Type {
 	case dataset.TypeInt:
 		return dataset.IntColumn(name, v.I, v.Nulls)
@@ -90,36 +106,34 @@ func (v *Vec) Column(name string) *dataset.Column {
 }
 
 // ColumnVec wraps a column's backing storage as a Vec without copying.
-func ColumnVec(c *dataset.Column) (*Vec, bool) {
+func ColumnVec(c *dataset.Column) *Vec {
 	n := c.Len()
 	switch c.Type() {
 	case dataset.TypeInt:
 		vals, nulls, _ := c.Ints()
-		return &Vec{Type: dataset.TypeInt, I: vals, Nulls: nulls, N: n}, true
+		return &Vec{Type: dataset.TypeInt, I: vals, Nulls: nulls, N: n}
 	case dataset.TypeFloat:
 		vals, nulls, _ := c.FloatVals()
-		return &Vec{Type: dataset.TypeFloat, F: vals, Nulls: nulls, N: n}, true
+		return &Vec{Type: dataset.TypeFloat, F: vals, Nulls: nulls, N: n}
 	case dataset.TypeString:
 		vals, nulls, _ := c.Strs()
-		return &Vec{Type: dataset.TypeString, S: vals, Nulls: nulls, N: n}, true
+		return &Vec{Type: dataset.TypeString, S: vals, Nulls: nulls, N: n}
 	case dataset.TypeBool:
 		vals, nulls, _ := c.Bools()
-		return &Vec{Type: dataset.TypeBool, B: vals, Nulls: nulls, N: n}, true
+		return &Vec{Type: dataset.TypeBool, B: vals, Nulls: nulls, N: n}
 	case dataset.TypeTime:
 		vals, nulls, _ := c.Times()
-		return &Vec{Type: dataset.TypeTime, T: vals, Nulls: nulls, N: n}, true
-	case dataset.TypeNull:
-		return &Vec{Type: dataset.TypeNull, N: n}, true
+		return &Vec{Type: dataset.TypeTime, T: vals, Nulls: nulls, N: n}
 	}
-	return nil, false
+	return &Vec{Type: dataset.TypeNull, N: n}
 }
 
-// SelectTrue returns the indexes of rows where the vec is truthy and
+// selectTrue returns the indexes of rows where the vec is truthy and
 // non-null — EvalBool's predicate acceptance rule (null and false reject;
 // int and float vecs are true when non-zero; string and time vecs are never
 // true). limit < 0 means no cap. It counts the rows before gathering them,
 // so the result is allocated at its size, not the vec's.
-func (v *Vec) SelectTrue(limit int) []int {
+func (v *Vec) selectTrue(limit int) []int {
 	if limit < 0 || limit > v.N {
 		limit = v.N
 	}
@@ -134,7 +148,7 @@ func (v *Vec) SelectTrue(limit int) []int {
 	return []int{}
 }
 
-// selectNonZero is SelectTrue over one backing slice. Without a cap it
+// selectNonZero is selectTrue over one backing slice. Without a cap it
 // counts the matches, then gathers them into an exact-size result; both
 // passes are branch-free, since a predicate over unordered rows keeps and
 // drops them in no pattern a branch predictor can follow.
@@ -182,35 +196,24 @@ func (v *Vec) floats() []float64 {
 	return out
 }
 
-// ColumnBinder resolves a column reference to its backing column. The
-// sqlengine implements it over its relation representation; any other
-// columnar source can too.
-type ColumnBinder interface {
-	BindColumn(name string) (*dataset.Column, error)
-}
+// kernel evaluates a compiled expression over all rows of its batch at once.
+type kernel func() (*Vec, error)
 
-// Kernel evaluates a compiled expression over all bound rows at once.
-type Kernel func() (*Vec, error)
-
-// Compile compiles e into a kernel over the n rows reachable through b.
-// ok is false when e uses a construct the vectorizer does not support;
-// callers must then fall back to row-at-a-time Eval.
-func Compile(e Expr, b ColumnBinder, n int) (Kernel, bool) {
-	k, _, ok := compileVec(e, b, n)
+// compile compiles e into a kernel over the rows of b. ok is false when e
+// uses a construct the compiler does not support, or reads a column whose
+// values mix types.
+func compile(e Expr, b Batch) (kernel, bool) {
+	k, _, ok := compileVec(e, b, b.Len())
 	return k, ok
 }
 
-func compileVec(e Expr, b ColumnBinder, n int) (Kernel, dataset.Type, bool) {
+func compileVec(e Expr, b Batch, n int) (kernel, dataset.Type, bool) {
 	switch node := e.(type) {
 	case *Literal:
 		return compileLiteral(node.Value, n)
 	case *Col:
-		c, err := b.BindColumn(node.Name)
-		if err != nil || c.Len() != n {
-			return nil, 0, false
-		}
-		v, ok := ColumnVec(c)
-		if !ok {
+		v, err := b.Vec(node.Name)
+		if err != nil || v.N != n || v.V != nil {
 			return nil, 0, false
 		}
 		return func() (*Vec, error) { return v, nil }, v.Type, true
@@ -228,11 +231,11 @@ func compileVec(e Expr, b ColumnBinder, n int) (Kernel, dataset.Type, bool) {
 	return nil, 0, false
 }
 
-func constNull(n int) Kernel {
+func constNull(n int) kernel {
 	return func() (*Vec, error) { return &Vec{Type: dataset.TypeNull, N: n}, nil }
 }
 
-func compileLiteral(v dataset.Value, n int) (Kernel, dataset.Type, bool) {
+func compileLiteral(v dataset.Value, n int) (kernel, dataset.Type, bool) {
 	// Broadcast once at compile time: the vec is read-only downstream
 	// (kernels never mutate operand storage), so every evaluation can
 	// return the same instance.
@@ -276,7 +279,7 @@ func compileLiteral(v dataset.Value, n int) (Kernel, dataset.Type, bool) {
 	return func() (*Vec, error) { return vec, nil }, vec.Type, true
 }
 
-func compileBinary(node *Binary, b ColumnBinder, n int) (Kernel, dataset.Type, bool) {
+func compileBinary(node *Binary, b Batch, n int) (kernel, dataset.Type, bool) {
 	lk, lt, lok := compileVec(node.Left, b, n)
 	if !lok {
 		return nil, 0, false
@@ -351,7 +354,7 @@ func flipCmp(op BinOp) BinOp {
 // compileCompareScalar compares a vector against a non-null literal. The
 // type pairings mirror compileCompare exactly; anything else reports !ok
 // and the caller uses the broadcast path.
-func compileCompareScalar(op BinOp, k Kernel, vt dataset.Type, lit dataset.Value, n int) (Kernel, dataset.Type, bool) {
+func compileCompareScalar(op BinOp, k kernel, vt dataset.Type, lit dataset.Value, n int) (kernel, dataset.Type, bool) {
 	switch {
 	case vt == dataset.TypeInt && lit.Type == dataset.TypeInt:
 		return cmpScalarKernel(op, k, func(v *Vec) []int64 { return v.I }, lit.I, n), dataset.TypeBool, true
@@ -374,7 +377,7 @@ func compileCompareScalar(op BinOp, k Kernel, vt dataset.Type, lit dataset.Value
 
 // cmpScalarKernel is cmpKernel with the right operand fixed; same derived
 // operators, same NaN behavior.
-func cmpScalarKernel[T int64 | float64 | string](op BinOp, k Kernel, get func(*Vec) []T, c T, n int) Kernel {
+func cmpScalarKernel[T int64 | float64 | string](op BinOp, k kernel, get func(*Vec) []T, c T, n int) kernel {
 	return func() (*Vec, error) {
 		v, err := k()
 		if err != nil {
@@ -415,7 +418,7 @@ func cmpScalarKernel[T int64 | float64 | string](op BinOp, k Kernel, get func(*V
 // compileArithScalar folds a non-null right-hand literal into arithmetic.
 // Only vec-op-scalar is specialized; scalar-op-vec stays on the broadcast
 // path since subtraction, division, and modulo are not commutative.
-func compileArithScalar(op BinOp, lk Kernel, lt dataset.Type, lit dataset.Value, n int) (Kernel, dataset.Type, bool) {
+func compileArithScalar(op BinOp, lk kernel, lt dataset.Type, lit dataset.Value, n int) (kernel, dataset.Type, bool) {
 	if !lt.Numeric() || (lit.Type != dataset.TypeInt && lit.Type != dataset.TypeFloat) {
 		return nil, 0, false
 	}
@@ -506,7 +509,7 @@ func compileArithScalar(op BinOp, lk Kernel, lt dataset.Type, lit dataset.Value,
 
 // logicalKernel implements three-valued AND/OR: a determining operand
 // (false for AND, true for OR) wins even when the other side is null.
-func logicalKernel(op BinOp, lk, rk Kernel, n int) Kernel {
+func logicalKernel(op BinOp, lk, rk kernel, n int) kernel {
 	return func() (*Vec, error) {
 		lv, rv, err := evalPair(lk, rk)
 		if err != nil {
@@ -579,7 +582,7 @@ func setNull(nulls []bool, n, i int, owned *bool) []bool {
 	return nulls
 }
 
-func evalPair(lk, rk Kernel) (*Vec, *Vec, error) {
+func evalPair(lk, rk kernel) (*Vec, *Vec, error) {
 	lv, err := lk()
 	if err != nil {
 		return nil, nil, err
@@ -607,7 +610,7 @@ func unionNulls(a, b []bool) []bool {
 	return out
 }
 
-func compileLike(node *Binary, lk Kernel, lt dataset.Type, n int) (Kernel, dataset.Type, bool) {
+func compileLike(node *Binary, lk kernel, lt dataset.Type, n int) (kernel, dataset.Type, bool) {
 	lit, ok := node.Right.(*Literal)
 	if !ok {
 		return nil, 0, false
@@ -636,7 +639,7 @@ func compileLike(node *Binary, lk Kernel, lt dataset.Type, n int) (Kernel, datas
 	return k, dataset.TypeBool, true
 }
 
-func concatKernel(lk, rk Kernel, n int) Kernel {
+func concatKernel(lk, rk kernel, n int) kernel {
 	return func() (*Vec, error) {
 		lv, rv, err := evalPair(lk, rk)
 		if err != nil {
@@ -654,7 +657,7 @@ func concatKernel(lk, rk Kernel, n int) Kernel {
 	}
 }
 
-func compileArith(op BinOp, lk Kernel, lt dataset.Type, rk Kernel, rt dataset.Type, n int) (Kernel, dataset.Type, bool) {
+func compileArith(op BinOp, lk kernel, lt dataset.Type, rk kernel, rt dataset.Type, n int) (kernel, dataset.Type, bool) {
 	if lt == dataset.TypeNull || rt == dataset.TypeNull {
 		return constNull(n), dataset.TypeNull, true
 	}
@@ -678,7 +681,7 @@ func compileArith(op BinOp, lk Kernel, lt dataset.Type, rk Kernel, rt dataset.Ty
 	}
 }
 
-func intArithKernel(op BinOp, lk, rk Kernel, n int) Kernel {
+func intArithKernel(op BinOp, lk, rk kernel, n int) kernel {
 	return func() (*Vec, error) {
 		lv, rv, err := evalPair(lk, rk)
 		if err != nil {
@@ -705,7 +708,7 @@ func intArithKernel(op BinOp, lk, rk Kernel, n int) Kernel {
 	}
 }
 
-func intModKernel(lk, rk Kernel, n int) Kernel {
+func intModKernel(lk, rk kernel, n int) kernel {
 	return func() (*Vec, error) {
 		lv, rv, err := evalPair(lk, rk)
 		if err != nil {
@@ -726,7 +729,7 @@ func intModKernel(lk, rk Kernel, n int) Kernel {
 	}
 }
 
-func floatArithKernel(op BinOp, lk, rk Kernel, n int) Kernel {
+func floatArithKernel(op BinOp, lk, rk kernel, n int) kernel {
 	return func() (*Vec, error) {
 		lv, rv, err := evalPair(lk, rk)
 		if err != nil {
@@ -762,7 +765,7 @@ func floatArithKernel(op BinOp, lk, rk Kernel, n int) Kernel {
 	}
 }
 
-func compileCompare(op BinOp, lk Kernel, lt dataset.Type, rk Kernel, rt dataset.Type, n int) (Kernel, dataset.Type, bool) {
+func compileCompare(op BinOp, lk kernel, lt dataset.Type, rk kernel, rt dataset.Type, n int) (kernel, dataset.Type, bool) {
 	if lt == dataset.TypeNull || rt == dataset.TypeNull {
 		return constNull(n), dataset.TypeNull, true
 	}
@@ -801,7 +804,7 @@ func boolInts(v *Vec) []int64 {
 // cmpKernel builds a comparison kernel over any ordered element type. Every
 // operator is derived from (a<b, a>b) so float semantics match cmpFloat,
 // where a NaN operand makes both false and the pair compares "equal".
-func cmpKernel[T int64 | float64 | string](op BinOp, lk, rk Kernel, get func(*Vec) []T, n int) Kernel {
+func cmpKernel[T int64 | float64 | string](op BinOp, lk, rk kernel, get func(*Vec) []T, n int) kernel {
 	return func() (*Vec, error) {
 		lv, rv, err := evalPair(lk, rk)
 		if err != nil {
@@ -840,7 +843,7 @@ func cmpKernel[T int64 | float64 | string](op BinOp, lk, rk Kernel, get func(*Ve
 	}
 }
 
-func compileUnary(node *Unary, b ColumnBinder, n int) (Kernel, dataset.Type, bool) {
+func compileUnary(node *Unary, b Batch, n int) (kernel, dataset.Type, bool) {
 	k, kt, ok := compileVec(node.Operand, b, n)
 	if !ok {
 		return nil, 0, false
@@ -851,7 +854,7 @@ func compileUnary(node *Unary, b ColumnBinder, n int) (Kernel, dataset.Type, boo
 	if node.Negate {
 		switch kt {
 		case dataset.TypeInt:
-			kernel := func() (*Vec, error) {
+			run := func() (*Vec, error) {
 				v, err := k()
 				if err != nil {
 					return nil, err
@@ -862,9 +865,9 @@ func compileUnary(node *Unary, b ColumnBinder, n int) (Kernel, dataset.Type, boo
 				}
 				return &Vec{Type: dataset.TypeInt, I: out, Nulls: v.Nulls, N: n}, nil
 			}
-			return kernel, dataset.TypeInt, true
+			return run, dataset.TypeInt, true
 		case dataset.TypeFloat:
-			kernel := func() (*Vec, error) {
+			run := func() (*Vec, error) {
 				v, err := k()
 				if err != nil {
 					return nil, err
@@ -875,7 +878,7 @@ func compileUnary(node *Unary, b ColumnBinder, n int) (Kernel, dataset.Type, boo
 				}
 				return &Vec{Type: dataset.TypeFloat, F: out, Nulls: v.Nulls, N: n}, nil
 			}
-			return kernel, dataset.TypeFloat, true
+			return run, dataset.TypeFloat, true
 		}
 		return nil, 0, false
 	}
@@ -884,7 +887,7 @@ func compileUnary(node *Unary, b ColumnBinder, n int) (Kernel, dataset.Type, boo
 	if kt != dataset.TypeBool {
 		return nil, 0, false
 	}
-	kernel := func() (*Vec, error) {
+	run := func() (*Vec, error) {
 		v, err := k()
 		if err != nil {
 			return nil, err
@@ -895,16 +898,16 @@ func compileUnary(node *Unary, b ColumnBinder, n int) (Kernel, dataset.Type, boo
 		}
 		return &Vec{Type: dataset.TypeBool, B: out, Nulls: v.Nulls, N: n}, nil
 	}
-	return kernel, dataset.TypeBool, true
+	return run, dataset.TypeBool, true
 }
 
-func compileIsNull(node *IsNull, b ColumnBinder, n int) (Kernel, dataset.Type, bool) {
+func compileIsNull(node *IsNull, b Batch, n int) (kernel, dataset.Type, bool) {
 	k, _, ok := compileVec(node.Operand, b, n)
 	if !ok {
 		return nil, 0, false
 	}
 	neg := node.Negated
-	kernel := func() (*Vec, error) {
+	run := func() (*Vec, error) {
 		v, err := k()
 		if err != nil {
 			return nil, err
@@ -926,10 +929,10 @@ func compileIsNull(node *IsNull, b ColumnBinder, n int) (Kernel, dataset.Type, b
 		}
 		return &Vec{Type: dataset.TypeBool, B: out, N: n}, nil
 	}
-	return kernel, dataset.TypeBool, true
+	return run, dataset.TypeBool, true
 }
 
-func compileIn(node *In, b ColumnBinder, n int) (Kernel, dataset.Type, bool) {
+func compileIn(node *In, b Batch, n int) (kernel, dataset.Type, bool) {
 	k, kt, ok := compileVec(node.Operand, b, n)
 	if !ok {
 		return nil, 0, false
@@ -992,7 +995,7 @@ func compileIn(node *In, b ColumnBinder, n int) (Kernel, dataset.Type, bool) {
 // inKernel tests membership with Compare's equality (derived from < and >,
 // so a NaN operand "equals" every numeric item). A null item in the list
 // turns non-matches into nulls, per SQL IN.
-func inKernel[T int64 | float64 | string](k Kernel, get func(*Vec) []T, items []T, sawNull, neg bool, n int) Kernel {
+func inKernel[T int64 | float64 | string](k kernel, get func(*Vec) []T, items []T, sawNull, neg bool, n int) kernel {
 	return func() (*Vec, error) {
 		v, err := k()
 		if err != nil {
@@ -1027,7 +1030,7 @@ func inKernel[T int64 | float64 | string](k Kernel, get func(*Vec) []T, items []
 	}
 }
 
-func compileBetween(node *Between, b ColumnBinder, n int) (Kernel, dataset.Type, bool) {
+func compileBetween(node *Between, b Batch, n int) (kernel, dataset.Type, bool) {
 	vk, vt, ok1 := compileVec(node.Operand, b, n)
 	lok, lot, ok2 := compileVec(node.Lo, b, n)
 	hik, hit, ok3 := compileVec(node.Hi, b, n)
@@ -1051,7 +1054,7 @@ func compileBetween(node *Between, b ColumnBinder, n int) (Kernel, dataset.Type,
 	return nil, 0, false
 }
 
-func betweenKernel[T int64 | float64 | string](vk, lok, hik Kernel, get func(*Vec) []T, neg bool, n int) Kernel {
+func betweenKernel[T int64 | float64 | string](vk, lok, hik kernel, get func(*Vec) []T, neg bool, n int) kernel {
 	return func() (*Vec, error) {
 		vv, err := vk()
 		if err != nil {

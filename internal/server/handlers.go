@@ -162,7 +162,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			"budget":    cache.Capacity,
 		},
 		SessionBytes: s.platform.SessionBytes(),
-		Vec:          sqlengine.VecCounters(),
 	}
 	statsz.Admission = s.adm.snapshot()
 	if s.sched != nil {

@@ -11,21 +11,6 @@ import (
 	"datachat/internal/sqlengine"
 )
 
-// tableEnv adapts one table row to expr.Env.
-type tableEnv struct {
-	t   *dataset.Table
-	row int
-}
-
-// Lookup implements expr.Env.
-func (e tableEnv) Lookup(name string) (dataset.Value, error) {
-	c, err := e.t.Column(name)
-	if err != nil {
-		return dataset.Null, err
-	}
-	return c.Value(e.row), nil
-}
-
 // parseCondition parses a GEL/SQL condition expression.
 func parseCondition(s string) (expr.Expr, error) {
 	cond, err := sqlengine.ParseExpr(s)
@@ -35,67 +20,18 @@ func parseCondition(s string) (expr.Expr, error) {
 	return cond, nil
 }
 
-// tableBinder resolves kernel column references the way tableEnv.Lookup
-// resolves them for a row.
-type tableBinder struct{ t *dataset.Table }
-
-// BindColumn implements expr.ColumnBinder.
-func (b tableBinder) BindColumn(name string) (*dataset.Column, error) { return b.t.Column(name) }
-
-// evalKernel evaluates e over every row of t in one typed kernel pass. ok is
-// false when the expression does not compile or its kernel fails; the caller
-// then runs evalRows, whose results and error text are authoritative.
-func evalKernel(t *dataset.Table, e expr.Expr) (v *expr.Vec, ok bool) {
-	k, compiled := expr.Compile(e, tableBinder{t}, t.NumRows())
-	if !compiled {
-		return nil, false
-	}
-	v, err := k()
-	return v, err == nil
-}
-
-// evalRows evaluates e one row at a time — the fallback under evalKernel, and
-// the package's one row loop.
-func evalRows(t *dataset.Table, e expr.Expr) ([]dataset.Value, error) {
-	vals := make([]dataset.Value, t.NumRows())
-	for i := range vals {
-		v, err := e.Eval(tableEnv{t, i})
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = v
-	}
-	return vals, nil
-}
-
 // evalColumn evaluates an expression for every row, producing a new column
 // typed by its non-null values; a column that never sees one is a string
 // column.
 func evalColumn(t *dataset.Table, name string, e expr.Expr) (*dataset.Column, error) {
-	if v, ok := evalKernel(t, e); ok {
-		if c := v.Column(name); c.NullCount() < c.Len() {
-			return c, nil
-		}
-		return (&expr.Vec{Type: dataset.TypeNull, N: v.N}).Column(name), nil
-	}
-	vals, err := evalRows(t, e)
+	v, err := expr.Eval(e, expr.TableBatch(t))
 	if err != nil {
 		return nil, err
 	}
-	typ := dataset.TypeNull
-	for _, v := range vals {
-		if !v.IsNull() {
-			typ = dataset.CommonType(typ, v.Type)
-		}
+	if c := v.Column(name); c.NullCount() < c.Len() {
+		return c, nil
 	}
-	if typ == dataset.TypeNull {
-		typ = dataset.TypeString
-	}
-	col := dataset.NewColumn(name, typ)
-	for _, v := range vals {
-		col.Append(v)
-	}
-	return col, nil
+	return (&expr.Vec{Type: dataset.TypeNull, N: v.N}).Column(name), nil
 }
 
 func wranglingSkills() []*Definition {

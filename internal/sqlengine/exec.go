@@ -185,7 +185,7 @@ func (c chainEnv) Lookup(name string) (dataset.Value, error) {
 // executor is the row-at-a-time reference: every expression is evaluated
 // boxed, one row at a time, over whole materialized relations. The morsel
 // pipeline (stream.go) borrows its statement analysis (collectAllAggs,
-// expandItems) and its per-row fallbacks.
+// expandItems) and, for a join without equi-keys, joinResidual.
 type executor struct {
 	catalog Catalog
 }
@@ -565,11 +565,11 @@ func (e *executor) execProjection(stmt *SelectStmt, source *rel) (*dataset.Table
 			out[i] = source.cols[idx].Rename(names[i])
 		}
 		// Order keys resolve like the general path's: output names first.
-		ob := outputBinder{names: names, cols: out, src: relBinder{source}}
-		keys := make([]*dataset.Column, 0, len(stmt.OrderBy))
+		ob := &outputBatch{names: names, vecs: columnVecs(out), src: source}
+		keys := make([]*expr.Vec, 0, len(stmt.OrderBy))
 		for _, o := range stmt.OrderBy {
 			if c, ok := o.Expr.(*expr.Col); ok {
-				if key, err := ob.BindColumn(c.Name); err == nil {
+				if key, err := ob.Vec(c.Name); err == nil {
 					keys = append(keys, key)
 				}
 			}
@@ -580,7 +580,7 @@ func (e *executor) execProjection(stmt *SelectStmt, source *rel) (*dataset.Table
 				return t, err
 			}
 			return t.Take(sortIndexes(source.numRows(), stmt.OrderBy,
-				func(row, k int) dataset.Value { return keys[k].Value(row) })), nil
+				func(row, k int) dataset.Value { return keys[k].ValueAt(row) })), nil
 		}
 	}
 	n, envAt := source.numRows(), func(i int) expr.Env { return rowEnv{source, i} }
@@ -594,7 +594,7 @@ func (e *executor) execProjection(stmt *SelectStmt, source *rel) (*dataset.Table
 	return sortedRowsTable(names, vals, keys, stmt.OrderBy)
 }
 
-// projectRows is the row-at-a-time output phase every boxed path shares: for
+// projectRows is the reference's row-at-a-time output phase: for
 // each of n inputs (source rows, or groups) in order it applies having (nil
 // keeps all), evaluates the select items, and evaluates the ORDER BY keys —
 // against the output row first, the input second.

@@ -3,6 +3,15 @@
 // and subqueries in FROM. The engine executes against any Catalog of
 // dataset.Tables and reports plan shape (query-block counts) so the DAG
 // compiler's consolidation behaviour (paper §2.2, Figure 4) is observable.
+//
+// Statements run on the morsel pipeline (ExecStmt, ExecStreamStmt), checked
+// against a row-at-a-time reference (Options.DisableVectorized): the pipeline
+// answers every statement the reference answers with the same table, and
+// fails every statement whose result needs a row the reference fails on. It
+// may skip an expression on rows that cannot reach the result — rows with a
+// null join key, rows past an early-stopping LIMIT — and so answer where the
+// reference, having evaluated them, fails; it never raises an error the
+// reference does not.
 package sqlengine
 
 import (

@@ -607,7 +607,8 @@ func (p *parser) parseIdentExpr() (expr.Expr, error) {
 		if aggregateNames[upper] {
 			return p.parseAggTail(upper)
 		}
-		if _, known := expr.ScalarFuncs[upper]; !known {
+		arity, known := expr.ScalarFuncs[upper]
+		if !known {
 			return nil, fmt.Errorf("sql: unknown function %q", t.text)
 		}
 		var args []expr.Expr
@@ -625,6 +626,9 @@ func (p *parser) parseIdentExpr() (expr.Expr, error) {
 			if err := p.expectOp(")"); err != nil {
 				return nil, err
 			}
+		}
+		if arity >= 0 && len(args) != arity {
+			return nil, fmt.Errorf("sql: %s takes %d arguments, got %d", upper, arity, len(args))
 		}
 		return expr.Func(upper, args...), nil
 	}

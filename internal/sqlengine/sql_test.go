@@ -309,6 +309,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM (SELECT * FROM people",
 		"SELECT * FROM people LIMIT x",
 		"SELECT NOPEFUNC(age) FROM people",
+		"SELECT DAY()", // a fixed arity is checked here, not at evaluation
+		"SELECT UPPER(name, age) FROM people",
 		"SELECT SUM(*) FROM people",
 		"SELECT * FROM people trailing nonsense tokens ~",
 		"SELECT 'unterminated FROM people",

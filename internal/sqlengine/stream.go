@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"datachat/internal/dataset"
 	"datachat/internal/expr"
@@ -26,22 +25,21 @@ import (
 // once, parameterised by a worker count: the morsel dispatcher
 // (stream_parallel.go) runs it inline at one worker and fans chunks out with
 // order-preserving reassembly at more, so the chunk sequence is independent
-// of the worker count. Expressions evaluate as typed kernels over a morsel's
-// columns, falling back to the row evaluator per expression, and chunks stay
-// typed from the scan to Drain. For the statement shapes whose tail the
-// pipeline does not stream, it produces the FROM/WHERE relation and the
-// reference executor's tail finishes it, re-chunked on the way out — so
-// ExecStream always produces the same rows, in the same order, as the
-// row-at-a-time reference path; the differential harness pins both. ExecStmt
-// is this pipeline drained on one inline worker; nothing consumes its
-// morsels, so it reads each input as one (execStream).
+// of the worker count. Every expression is one expr.Eval (or expr.Select)
+// over a morsel — a typed kernel when it compiles, the row evaluator when it
+// does not — and chunks stay typed from the scan to Drain. For the statement
+// shapes whose tail the pipeline does not stream, it produces the FROM/WHERE
+// relation and the reference executor's tail finishes it, re-chunked on the
+// way out — so ExecStream always produces the same rows, in the same order,
+// as the row-at-a-time reference path; the differential harness pins both.
+// ExecStmt is this pipeline drained on one inline worker; nothing consumes
+// its morsels, so it reads each input as one (execStream).
 //
-// The file also holds what lets a fragment run as typed kernels over a
-// morsel's columns: the column binders the kernel compiler resolves names
-// through, the join-key encoding, and the counters that record which side
-// ran. Everything there replicates the row path's semantics exactly:
-// three-valued null logic, Compare's NaN-equals-everything floats, and the
-// hash-prefilter-plus-full-residual join contract.
+// The file also holds the batches a morsel is evaluated as — each resolving
+// names for the kernel compiler and the row evaluator alike — and the
+// join-key encoding. Everything there replicates the row path's semantics
+// exactly: three-valued null logic, Compare's NaN-equals-everything floats,
+// and the hash-prefilter-plus-full-residual join contract.
 
 // DefaultChunkRows is the morsel size when StreamOptions.ChunkRows is unset.
 const DefaultChunkRows = 1024
@@ -107,54 +105,13 @@ func (e *BudgetError) Error() string {
 		e.Op, e.Buffered, e.Budget)
 }
 
-// vecStats counts, per pipeline operator of a statement, whether it ran on
-// kernels or fell back to the row evaluator — once per operator (on its first
-// morsel), not once per morsel. The differential harness asserts both sides
-// are exercised; /statsz reports them.
-var vecStats struct {
-	Filters, FilterFallbacks         atomic.Int64
-	Projections, ProjectionFallbacks atomic.Int64
-	Groups, GroupFallbacks           atomic.Int64
-	Joins, ResidualFallbacks         atomic.Int64
-}
-
-// VecCounters snapshots the kernel-execution counters. Keys: filters /
-// filter_fallbacks (a WHERE compiled / was evaluated per row), projections /
-// projection_fallbacks (a computed select list or ORDER BY key set),
-// groups / group_fallbacks (group keys and aggregate arguments), joins (an
-// equi join built its byte-keyed hash table), residual_fallbacks (a join's ON
-// residual was re-checked per candidate pair).
-func VecCounters() map[string]int64 {
-	return map[string]int64{
-		"filters":              vecStats.Filters.Load(),
-		"filter_fallbacks":     vecStats.FilterFallbacks.Load(),
-		"projections":          vecStats.Projections.Load(),
-		"projection_fallbacks": vecStats.ProjectionFallbacks.Load(),
-		"groups":               vecStats.Groups.Load(),
-		"group_fallbacks":      vecStats.GroupFallbacks.Load(),
-		"joins":                vecStats.Joins.Load(),
-		"residual_fallbacks":   vecStats.ResidualFallbacks.Load(),
-	}
-}
-
-// countFirst bumps kernel, or fallback when the operator could not compile,
-// if this is the operator's first morsel.
-func countFirst(first, compiled bool, kernel, fallback *atomic.Int64) {
-	switch {
-	case !first:
-	case compiled:
-		kernel.Add(1)
-	default:
-		fallback.Add(1)
-	}
-}
-
 // streamExec carries per-stream execution state: the reference executor (for
-// the catalog, the statement analysis, the per-row fallbacks and the tail of
-// the shapes that are not streamed), the buffered-row accounting across operators (one
-// budget shared by every operator and partition, charged under a mutex so
-// concurrent reducers account correctly), spill-file tracking, and the stop
-// functions that tear down parallel workers on close or cancellation.
+// the catalog, the statement analysis, the nested-loop join's residual and
+// the tail of the shapes that are not streamed), the buffered-row accounting
+// across operators (one budget shared by every operator and partition,
+// charged under a mutex so concurrent reducers account correctly),
+// spill-file tracking, and the stop functions that tear down parallel
+// workers on close or cancellation.
 type streamExec struct {
 	ex    *executor
 	opts  StreamOptions
@@ -747,7 +704,6 @@ func (jc *joinChunks) buildHashTable() {
 			jc.build[k] = append(jc.build[k], ris...)
 		}
 	}
-	vecStats.Joins.Add(1)
 }
 
 func (jc *joinChunks) schema() *rel { return windowRel(jc.combined, 0, 0) }
@@ -797,9 +753,9 @@ func (jc *joinChunks) next() (*rel, error) {
 // probe matches one left chunk against the build side. It is pure — shared
 // state is read-only — so the dispatcher can run it on any worker. With
 // equi-keys the hash table yields candidate pairs and the full ON expression
-// is re-checked over all of them as one kernel (per pair when it does not
-// compile); without, every pair is checked row by row.
-func (jc *joinChunks) probe(c *rel, seq int) (*joinProbe, error) {
+// is re-checked over all of them as one expr.Select; without, every pair is
+// checked row by row.
+func (jc *joinChunks) probe(c *rel, _ int) (*joinProbe, error) {
 	var leftIdx, rightIdx []int
 	p := &joinProbe{c: c, matched: make([]bool, c.numRows())}
 	if jc.build != nil {
@@ -816,34 +772,15 @@ func (jc *joinChunks) probe(c *rel, seq int) (*joinProbe, error) {
 				rightIdx = append(rightIdx, int(ri))
 			}
 		}
-		pb := &pairBinder{combined: jc.combined, left: c, right: jc.right, leftIdx: leftIdx, rightIdx: rightIdx, cache: map[int]*dataset.Column{}}
-		k, compiled := expr.Compile(jc.j.On, pb, len(leftIdx))
-		if seq == 0 && !compiled {
-			vecStats.ResidualFallbacks.Add(1)
+		pairs := &pairBatch{jc: jc, left: c, leftIdx: leftIdx, rightIdx: rightIdx, cache: map[int]*expr.Vec{}}
+		keep, err := expr.Select(jc.j.On, pairs, -1)
+		if err != nil {
+			return nil, err
 		}
-		keep := 0
-		if compiled {
-			v, err := k()
-			if err != nil {
-				return nil, err
-			}
-			for _, pair := range v.SelectTrue(-1) {
-				leftIdx[keep], rightIdx[keep] = leftIdx[pair], rightIdx[pair]
-				keep++
-			}
-		} else {
-			for pair, li := range leftIdx {
-				ok, err := jc.se.ex.joinResidual(jc.j.On, jc.combined, c, li, jc.right, rightIdx[pair])
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					leftIdx[keep], rightIdx[keep] = li, rightIdx[pair]
-					keep++
-				}
-			}
+		for k, pair := range keep {
+			leftIdx[k], rightIdx[k] = leftIdx[pair], rightIdx[pair]
 		}
-		leftIdx, rightIdx = leftIdx[:keep], rightIdx[:keep]
+		leftIdx, rightIdx = leftIdx[:len(keep)], rightIdx[:len(keep)]
 	} else {
 		for li := 0; li < c.numRows(); li++ {
 			for ri := 0; ri < jc.right.numRows(); ri++ {
@@ -893,8 +830,15 @@ func (jc *joinChunks) nullExtension() *rel {
 func keyVecs(r *rel, keys []int) []*expr.Vec {
 	vecs := make([]*expr.Vec, len(keys))
 	for i, k := range keys {
-		v, _ := expr.ColumnVec(r.cols[k])
-		vecs[i] = v
+		vecs[i] = expr.ColumnVec(r.cols[k])
+	}
+	return vecs
+}
+
+func columnVecs(cols []*dataset.Column) []*expr.Vec {
+	vecs := make([]*expr.Vec, len(cols))
+	for i, c := range cols {
+		vecs[i] = expr.ColumnVec(c)
 	}
 	return vecs
 }
@@ -943,33 +887,40 @@ func appendJoinKey(buf []byte, vecs []*expr.Vec, i int) ([]byte, bool) {
 	return buf, true
 }
 
-// pairBinder exposes a probed morsel's candidate pairs as columns: a
+// pairBatch is a probed morsel's candidate pairs as an expr.Batch: a
 // reference to a left or right column materializes as a gather over the
-// candidate index vector, lazily and at most once per column. This lets the
-// full ON residual run as one kernel over all candidate pairs.
-type pairBinder struct {
-	combined, left, right *rel
-	leftIdx, rightIdx     []int
-	cache                 map[int]*dataset.Column
+// candidate index vector, lazily and at most once per column, so the full ON
+// residual can run as one kernel over all candidate pairs; row i is pair i's
+// (left row, right row).
+type pairBatch struct {
+	jc                *joinChunks
+	left              *rel
+	leftIdx, rightIdx []int
+	cache             map[int]*expr.Vec
 }
 
-// BindColumn implements expr.ColumnBinder.
-func (b *pairBinder) BindColumn(name string) (*dataset.Column, error) {
-	ci, err := b.combined.lookup(name)
+func (b *pairBatch) Len() int { return len(b.leftIdx) }
+
+func (b *pairBatch) Vec(name string) (*expr.Vec, error) {
+	ci, err := b.jc.combined.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	if c, ok := b.cache[ci]; ok {
-		return c, nil
+	if v, ok := b.cache[ci]; ok {
+		return v, nil
 	}
 	var col *dataset.Column
 	if ci < len(b.left.cols) {
 		col = b.left.cols[ci].Take(b.leftIdx)
 	} else {
-		col = b.right.cols[ci-len(b.left.cols)].Take(b.rightIdx)
+		col = b.jc.right.cols[ci-len(b.left.cols)].Take(b.rightIdx)
 	}
-	b.cache[ci] = col
-	return col, nil
+	b.cache[ci] = expr.ColumnVec(col)
+	return b.cache[ci], nil
+}
+
+func (b *pairBatch) Row(i int) expr.Env {
+	return joinEnv{left: b.left, leftRow: b.leftIdx[i], right: b.jc.right, rightRow: b.rightIdx[i], combined: b.jc.combined}
 }
 
 // selectList is a statement's expanded select list, resolved against the
@@ -987,13 +938,14 @@ func (se *streamExec) newSelectList(stmt *SelectStmt, schema *rel) *selectList {
 	return sl
 }
 
-// relBinder exposes a rel's columns to the kernel compiler using the same
-// qualified-name resolution (and the same ambiguity errors) as rowEnv. A
-// boxed column does not bind: only the row evaluator reads its cells.
-type relBinder struct{ r *rel }
+// relBatch is a rel's rows as an expr.Batch, resolving names — and failing
+// on ambiguous ones — the way rowEnv does. A boxed column does not bind: only
+// the row evaluator reads its cells.
+type relBatch struct{ r *rel }
 
-// BindColumn implements expr.ColumnBinder.
-func (b relBinder) BindColumn(name string) (*dataset.Column, error) {
+func (b relBatch) Len() int { return b.r.numRows() }
+
+func (b relBatch) Vec(name string) (*expr.Vec, error) {
 	i, err := b.r.lookup(name)
 	if err != nil {
 		return nil, err
@@ -1001,43 +953,74 @@ func (b relBinder) BindColumn(name string) (*dataset.Column, error) {
 	if b.r.boxed != nil && b.r.boxed[i] != nil {
 		return nil, fmt.Errorf("sql: column %q holds values of several types", name)
 	}
-	return b.r.cols[i], nil
+	return expr.ColumnVec(b.r.cols[i]), nil
 }
 
-// outputBinder resolves ORDER BY column references the way the row path's
-// chainEnv{outRow, rowEnv} does: select-list output names first (exact
-// match wins, last duplicate wins, then a unique case-insensitive match),
-// then the source relation. An ambiguous fold match errors so the caller
-// falls back.
-type outputBinder struct {
+func (b relBatch) Row(i int) expr.Env { return rowEnv{b.r, i} }
+
+// outputBatch is the batch ORDER BY keys are evaluated over: the select
+// list's output values (vecs, named names) first, then the source relation,
+// as the reference's chainEnv{output row, source row} resolves them.
+type outputBatch struct {
 	names []string
-	cols  []*dataset.Column
-	src   relBinder
+	vecs  []*expr.Vec
+	src   *rel
 }
 
-// BindColumn implements expr.ColumnBinder.
-func (b outputBinder) BindColumn(name string) (*dataset.Column, error) {
-	for i := len(b.names) - 1; i >= 0; i-- {
-		if b.names[i] == name {
-			return b.cols[i], nil
+// outputIndex resolves name against the output names: an exact match (the
+// last duplicate wins), else a unique case-insensitive one; -1 when none
+// matches.
+func outputIndex(names []string, name string) (int, error) {
+	for i := len(names) - 1; i >= 0; i-- {
+		if names[i] == name {
+			return i, nil
 		}
 	}
-	matchIdx := -1
-	matchName := ""
-	for i := len(b.names) - 1; i >= 0; i-- {
-		if strings.EqualFold(b.names[i], name) {
-			if matchIdx >= 0 && b.names[i] != matchName {
-				return nil, fmt.Errorf("sql: ambiguous order key %q", name)
+	match := -1
+	for i := len(names) - 1; i >= 0; i-- {
+		if strings.EqualFold(names[i], name) {
+			if match >= 0 && names[i] != names[match] {
+				return -1, fmt.Errorf("sql: ambiguous order key %q", name)
 			}
-			if matchIdx < 0 {
-				matchIdx, matchName = i, b.names[i]
+			if match < 0 {
+				match = i
 			}
 		}
 	}
-	if matchIdx >= 0 {
-		return b.cols[matchIdx], nil
+	return match, nil
+}
+
+func (b *outputBatch) Len() int { return b.src.numRows() }
+
+func (b *outputBatch) Vec(name string) (*expr.Vec, error) {
+	i, err := outputIndex(b.names, name)
+	switch {
+	case err != nil:
+		return nil, err
+	case i >= 0:
+		return b.vecs[i], nil
 	}
-	return b.src.BindColumn(name)
+	return relBatch{b.src}.Vec(name)
+}
+
+func (b *outputBatch) Row(i int) expr.Env { return chainEnv{outputRow{b, i}, rowEnv{b.src, i}} }
+
+// outputRow is one row of an outputBatch's output values as an Env.
+type outputRow struct {
+	b   *outputBatch
+	row int
+}
+
+// Lookup implements expr.Env.
+func (r outputRow) Lookup(name string) (dataset.Value, error) {
+	i, err := outputIndex(r.b.names, name)
+	if err == nil && i < 0 {
+		err = fmt.Errorf("sql: unknown column %q", name)
+	}
+	if err != nil {
+		return dataset.Null, err
+	}
+	return r.b.vecs[i].ValueAt(r.row), nil
 }
 
 // buildPipeline assembles the streaming operator pipeline for a statement.
@@ -1083,7 +1066,7 @@ func (se *streamExec) buildPipeline(stmt *SelectStmt) (pull func() (*dataset.Tab
 		pull = se.projectPipeline(stmt, chunks, sl, schema, budget)
 	}
 	empty := func() (*dataset.Table, error) {
-		return se.projectChunk(windowRel(schema, 0, 0), sl, false)
+		return projectChunk(windowRel(schema, 0, 0), sl)
 	}
 	return ensureOneChunk(pull, empty), nil
 }
@@ -1119,7 +1102,7 @@ func (se *streamExec) referenceTail(stmt *SelectStmt, chunks relChunks) func() (
 		source := &rel{}
 		if chunks != nil {
 			pipe := newParallelPipe(se, pullRel(chunks),
-				func(c *rel, seq int) (*rel, error) { return se.filterRel(stmt.Where, c, -1, seq == 0) })
+				func(c *rel, _ int) (*rel, error) { return filterRel(stmt.Where, c, -1) })
 			var kept []*rel
 			for {
 				c, ok, err := pipe.next()
@@ -1143,87 +1126,58 @@ func (se *streamExec) referenceTail(stmt *SelectStmt, chunks relChunks) func() (
 	})
 }
 
-// projectCols evaluates the select list over one chunk as typed columns:
-// zero-copy aliasing for plain references, compiled kernels otherwise.
-// ok=false means some item needs the row evaluator. A chunk with boxed
-// columns is not aliased: what survives of a boxed column takes the type of
-// its surviving cells, as the row evaluator's output does.
-func (se *streamExec) projectCols(c *rel, sl *selectList) (cols []*dataset.Column, ok bool, err error) {
-	cols = make([]*dataset.Column, len(sl.exprs))
+// projectCols evaluates the select list over one chunk: the output columns
+// and the vecs they hold. A list of plain column references aliases the
+// chunk's columns (zero-copy, their types kept; no vecs); otherwise each item
+// is one expr.Eval, so an item the kernel compiler refuses is row-evaluated
+// alone and changes neither how another item runs nor its type. A chunk with
+// boxed columns is not aliased: what survives of a boxed column takes the
+// type of its surviving cells, as the row evaluator's output does.
+func projectCols(c *rel, sl *selectList) ([]*dataset.Column, []*expr.Vec, error) {
+	cols := make([]*dataset.Column, len(sl.exprs))
 	if sl.plain != nil && c.boxed == nil {
 		for i, idx := range sl.plain {
 			cols[i] = c.cols[idx].Rename(sl.names[i])
 		}
-		return cols, true, nil
+		return cols, nil, nil
 	}
-	binder := relBinder{c}
+	vecs := make([]*expr.Vec, len(sl.exprs))
 	for i, ex := range sl.exprs {
-		k, compiled := expr.Compile(ex, binder, c.numRows())
-		if !compiled {
-			return nil, false, nil
-		}
-		v, err := k()
+		v, err := expr.Eval(ex, relBatch{c})
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
-		cols[i] = v.Column(sl.names[i])
+		cols[i], vecs[i] = v.Column(sl.names[i]), v
 	}
-	return cols, true, nil
+	return cols, vecs, nil
 }
 
-// projectChunk evaluates the select list over one chunk: typed columns where
-// projectCols applies, the boxed row loop otherwise. Values are identical
-// either way; only the inferred column types can differ, which result
-// comparison tolerates and Drain reconciles.
-func (se *streamExec) projectChunk(c *rel, sl *selectList, first bool) (*dataset.Table, error) {
-	cols, ok, err := se.projectCols(c, sl)
+// projectChunk evaluates the select list over one chunk into a table.
+func projectChunk(c *rel, sl *selectList) (*dataset.Table, error) {
+	cols, _, err := projectCols(c, sl)
 	if err != nil {
 		return nil, err
 	}
-	countFirst(first && sl.plain == nil, ok, &vecStats.Projections, &vecStats.ProjectionFallbacks)
-	if ok {
-		return assembleTable("result", cols)
-	}
-	vals, _, err := projectRows(sl.names, sl.exprs, nil, nil, c.numRows(), func(i int) expr.Env { return rowEnv{c, i} })
-	if err != nil {
-		return nil, err
-	}
-	return rowsTable(sl.names, nil, vals)
-}
-
-// selectRows returns the indexes of the rows of one morsel that pass where,
-// at most limit of them (< 0 means unlimited) — one kernel pass when the
-// predicate compiles, the reference's boxed row loop otherwise.
-func (se *streamExec) selectRows(where expr.Expr, c *rel, limit int, first bool) ([]int, error) {
-	k, compiled := expr.Compile(where, relBinder{c}, c.numRows())
-	countFirst(first, compiled, &vecStats.Filters, &vecStats.FilterFallbacks)
-	if !compiled {
-		return se.ex.filterRows(where, c, limit)
-	}
-	v, err := k()
-	if err != nil {
-		return nil, err
-	}
-	return v.SelectTrue(limit), nil
+	return assembleTable("result", cols)
 }
 
 // filterRel keeps the rows of one morsel that pass where (nil keeps all), at
 // most remaining of them (< 0 means unlimited) — the LIMIT push-down budget.
 // It returns nil when no row survives.
-func (se *streamExec) filterRel(where expr.Expr, c *rel, remaining int, first bool) (*rel, error) {
-	return se.filterCols(where, c, c, remaining, first)
+func filterRel(where expr.Expr, c *rel, remaining int) (*rel, error) {
+	return filterCols(where, c, c, remaining)
 }
 
 // filterCols is filterRel gathering the surviving rows from out, a subset
 // of c's columns, so that columns only the predicate reads are not copied.
-func (se *streamExec) filterCols(where expr.Expr, c, out *rel, remaining int, first bool) (*rel, error) {
+func filterCols(where expr.Expr, c, out *rel, remaining int) (*rel, error) {
 	if where == nil {
 		if remaining >= 0 && out.numRows() > remaining {
 			out = windowRel(out, 0, remaining)
 		}
 		return out, nil
 	}
-	keep, err := se.selectRows(where, c, remaining, first)
+	keep, err := expr.Select(where, relBatch{c}, remaining)
 	switch {
 	case err != nil || len(keep) == 0:
 		return nil, err
@@ -1235,21 +1189,21 @@ func (se *streamExec) filterCols(where expr.Expr, c, out *rel, remaining int, fi
 
 // projectMorsel filters one morsel — at most remaining survivors, < 0 for
 // all — and projects the survivors; nil when none survive.
-func (se *streamExec) projectMorsel(where expr.Expr, c *rel, remaining int, sl *selectList, first bool) (*dataset.Table, error) {
+func projectMorsel(where expr.Expr, c *rel, remaining int, sl *selectList) (*dataset.Table, error) {
 	plain := sl.plain != nil && c.boxed == nil
 	out := c
 	if plain {
-		cols, _, _ := se.projectCols(c, sl) // zero-copy, so project before gathering
+		cols, _, _ := projectCols(c, sl) // zero-copy, so project before gathering
 		out = &rel{cols: cols}
 	}
-	fc, err := se.filterCols(where, c, out, remaining, first)
+	fc, err := filterCols(where, c, out, remaining)
 	switch {
 	case err != nil || fc == nil:
 		return nil, err
 	case plain:
 		return assembleTable("result", fc.cols)
 	}
-	return se.projectChunk(fc, sl, first)
+	return projectChunk(fc, sl)
 }
 
 // parallelProjectPull fans source chunks out to the pipeline workers, each
@@ -1268,8 +1222,8 @@ func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, row
 			}
 			return source()
 		},
-		func(c *rel, seq int) (*dataset.Table, error) {
-			t, err := se.projectMorsel(where, c, remaining, sl, seq == 0)
+		func(c *rel, _ int) (*dataset.Table, error) {
+			t, err := projectMorsel(where, c, remaining, sl)
 			if t != nil && remaining > 0 {
 				remaining -= t.NumRows()
 			}
@@ -1290,55 +1244,67 @@ func (se *streamExec) parallelProjectPull(chunks relChunks, where expr.Expr, row
 	}
 }
 
-// orderedRun is one morsel's projected rows and sort keys, built by a
-// pipeline worker: typed columns when the select list and every key evaluate
-// through column references and kernels, boxed rows when an expression needs
-// the row evaluator.
+// orderedRun is one morsel's projected rows and their sort keys, built by a
+// pipeline worker.
 type orderedRun struct {
 	out  *dataset.Table
-	keys []*dataset.Column
-
-	vals  [][]dataset.Value // boxed: projected rows in input order
-	bkeys [][]dataset.Value
-	order []int // stable sort of the boxed rows by bkeys, computed in the worker
+	keys []*expr.Vec
 }
 
-func (r *orderedRun) numRows() int {
-	if r.out != nil {
-		return r.out.NumRows()
-	}
-	return len(r.vals)
-}
-
-// boxed converts a typed run to the external sorter's boxed rows, with the
-// run's stable sort computed on the typed keys.
-func (r *orderedRun) boxed(desc []bool) (vals, keys [][]dataset.Value, order []int) {
-	if r.out == nil {
-		return r.vals, r.bkeys, r.order
-	}
+// boxed converts a run to the external sorter's boxed rows, with the run's
+// stable sort.
+func (r *orderedRun) boxed(orderBy []OrderItem) (vals, keys [][]dataset.Value, order []int) {
 	n := r.out.NumRows()
 	vals, keys = make([][]dataset.Value, n), make([][]dataset.Value, n)
 	for i := range vals {
 		vals[i] = r.out.Row(i)
 		keys[i] = make([]dataset.Value, len(r.keys))
-		for k, col := range r.keys {
-			keys[i][k] = col.Value(i)
+		for k, v := range r.keys {
+			keys[i][k] = v.ValueAt(i)
 		}
 	}
-	return vals, keys, dataset.SortIndex(r.keys, desc)
+	return vals, keys, sortIndex(r.keys, orderBy)
 }
 
-// sorted is the run as one table in its ORDER BY order; names are the
-// select list's, which a boxed run's column builder needs.
-func (r *orderedRun) sorted(names []string, desc []bool) (*dataset.Table, error) {
-	if r.out != nil {
-		return r.out.Take(dataset.SortIndex(r.keys, desc)), nil
+// sorted is the run as one table in its ORDER BY order.
+func (r *orderedRun) sorted(orderBy []OrderItem) *dataset.Table {
+	return r.out.Take(sortIndex(r.keys, orderBy))
+}
+
+// sortIndex is the stable ORDER BY order of rows by their key vecs: one typed
+// SortIndex over the key columns — or, where a key's values mix types,
+// Compare over the values, as the reference sorts them.
+func sortIndex(keys []*expr.Vec, orderBy []OrderItem) []int {
+	cols := make([]*dataset.Column, len(keys))
+	for k, v := range keys {
+		if v.V != nil {
+			return sortIndexes(v.N, orderBy, func(row, k int) dataset.Value { return keys[k].ValueAt(row) })
+		}
+		cols[k] = v.Column("")
 	}
-	t, err := rowsTable(names, nil, r.vals)
-	if err != nil {
-		return nil, err
+	return dataset.SortIndex(cols, orderDesc(orderBy))
+}
+
+// concatVecs appends one sort key's vecs end to end: their typed storage
+// when every part has one type, their values boxed otherwise.
+func concatVecs(parts []*expr.Vec) *expr.Vec {
+	if len(parts) == 1 {
+		return parts[0]
 	}
-	return t.Take(r.order), nil
+	cols := make([]*dataset.Column, len(parts))
+	for i, p := range parts {
+		if p.V != nil || p.Type != parts[0].Type {
+			var vals []dataset.Value
+			for _, p := range parts {
+				for row := 0; row < p.N; row++ {
+					vals = append(vals, p.ValueAt(row))
+				}
+			}
+			return expr.VecOf(vals)
+		}
+		cols[i] = p.Column("")
+	}
+	return expr.ColumnVec(dataset.ConcatColumns(cols))
 }
 
 func orderDesc(orderBy []OrderItem) []bool {
@@ -1349,62 +1315,45 @@ func orderDesc(orderBy []OrderItem) []bool {
 	return desc
 }
 
-// buildRun filters, projects and keys one morsel into an ordered run.
-func (se *streamExec) buildRun(stmt *SelectStmt, sl *selectList, c *rel, first bool) (*orderedRun, error) {
-	fc, err := se.filterRel(stmt.Where, c, -1, first)
+// buildRun filters, projects and keys one morsel into an ordered run; the
+// keys resolve output names first (outputBatch).
+func buildRun(stmt *SelectStmt, sl *selectList, c *rel) (*orderedRun, error) {
+	fc, err := filterRel(stmt.Where, c, -1)
 	if err != nil {
 		return nil, err
 	}
 	if fc == nil {
-		fc = windowRel(c, 0, 0) // fully filtered: an empty typed run
+		fc = windowRel(c, 0, 0) // fully filtered: an empty run
 	}
-	n := fc.numRows()
-	cols, typed, err := se.projectCols(fc, sl)
+	cols, vecs, err := projectCols(fc, sl)
 	if err != nil {
 		return nil, err
 	}
-	var keys []*dataset.Column
-	if typed {
-		ob := outputBinder{names: sl.names, cols: cols, src: relBinder{fc}}
-		for _, o := range stmt.OrderBy {
-			k, compiled := expr.Compile(o.Expr, ob, n)
-			if !compiled {
-				typed = false
-				break
-			}
-			v, err := k()
-			if err != nil {
-				return nil, err
-			}
-			keys = append(keys, v.Column(""))
+	if vecs == nil {
+		vecs = columnVecs(cols)
+	}
+	outputs := &outputBatch{names: sl.names, vecs: vecs, src: fc}
+	r := &orderedRun{keys: make([]*expr.Vec, len(stmt.OrderBy))}
+	for k, o := range stmt.OrderBy {
+		if r.keys[k], err = expr.Eval(o.Expr, outputs); err != nil {
+			return nil, err
 		}
 	}
-	countFirst(first, typed, &vecStats.Projections, &vecStats.ProjectionFallbacks)
-	if typed {
-		out, err := assembleTable("result", cols)
-		return &orderedRun{out: out, keys: keys}, err
-	}
-	r := &orderedRun{}
-	r.vals, r.bkeys, err = projectRows(sl.names, sl.exprs, nil, stmt.OrderBy, n, func(i int) expr.Env { return rowEnv{fc, i} })
-	if err != nil {
-		return nil, err
-	}
-	r.order = sortIndexes(n, stmt.OrderBy, func(row, k int) dataset.Value { return r.bkeys[row][k] })
-	return r, nil
+	r.out, err = assembleTable("result", cols)
+	return r, err
 }
 
 // orderedPull implements ORDER BY: pipeline workers filter, project and key
-// each morsel into a run charged against the budget. While the runs fit and
-// are typed, exhausted input is finished by one stable typed sort over their
-// concatenation. A run that does not fit (or is boxed) moves everything to
-// the external sorter: each run sorted stably by its keys, buffered runs
-// merged into an on-disk run on overflow (a contiguous sequence range), and a
-// final k-way merge with ties broken by run sequence — the same global stable
-// sort. The sorter's rows are built with a plain projection's column types
-// from schema; with no schema (a group relation, whose aggregate columns have
-// no type before they are finished) the types are inferred per chunk.
+// each morsel into a run charged against the budget. While the runs fit,
+// exhausted input is finished by one stable sort over their concatenation.
+// A run that does not fit moves everything to the external sorter: each run
+// sorted stably by its keys, buffered runs merged into an on-disk run on
+// overflow (a contiguous sequence range), and a final k-way merge with ties
+// broken by run sequence — the same global stable sort. The sorter's rows are
+// built with a plain projection's column types from schema; with no schema (a
+// group relation, whose aggregate columns have no type before they are
+// finished) the types are inferred per chunk.
 func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, sl *selectList, schema *rel) func() (*dataset.Table, error) {
-	desc := orderDesc(stmt.OrderBy)
 	var types []dataset.Type
 	if sl.plain != nil && schema != nil {
 		types = make([]dataset.Type, len(sl.plain))
@@ -1412,14 +1361,14 @@ func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, sl *select
 			types[i] = schema.cols[idx].Type()
 		}
 	}
-	pipe := newParallelPipe(se, pullRel(chunks), func(c *rel, seq int) (*orderedRun, error) {
-		return se.buildRun(stmt, sl, c, seq == 0)
+	pipe := newParallelPipe(se, pullRel(chunks), func(c *rel, _ int) (*orderedRun, error) {
+		return buildRun(stmt, sl, c)
 	})
 	const op = "order-by"
-	// consume drains the input into typed runs, or — from the first run that
-	// is boxed or overflows the budget — into the external sorter.
+	// consume drains the input into held runs, or — from the first run that
+	// overflows the budget — into the external sorter.
 	consume := func() (func() (*dataset.Table, error), error) {
-		var typed []*orderedRun // every run so far, while they are typed and fit
+		var runs []*orderedRun // every run so far, while they fit
 		var sorter *extSorter
 		held := 0
 		for seq := 0; ; seq++ {
@@ -1430,23 +1379,23 @@ func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, sl *select
 			if !ok {
 				break
 			}
-			n := r.numRows()
-			if sorter == nil && r.out != nil && se.tryBuffer(op, held+n) {
-				typed = append(typed, r)
+			n := r.out.NumRows()
+			if sorter == nil && se.tryBuffer(op, held+n) {
+				runs = append(runs, r)
 				held += n
 				continue
 			}
 			if sorter == nil {
 				sorter = newExtSorter(se, op, stmt.OrderBy)
-				for i, tr := range typed {
-					vals, keys, order := tr.boxed(desc)
+				for i, hr := range runs {
+					vals, keys, order := hr.boxed(stmt.OrderBy)
 					if err := sorter.addRun(i, vals, keys, order); err != nil {
 						return nil, err
 					}
 				}
-				typed = nil
+				runs = nil
 			}
-			vals, keys, order := r.boxed(desc)
+			vals, keys, order := r.boxed(stmt.OrderBy)
 			if err := sorter.addRun(seq, vals, keys, order); err != nil {
 				return nil, err
 			}
@@ -1454,19 +1403,26 @@ func (se *streamExec) orderedPull(stmt *SelectStmt, chunks relChunks, sl *select
 		if sorter != nil {
 			return se.chunked(sl.names, types, sorter.rows()), nil
 		}
-		if len(typed) == 0 {
+		if len(runs) == 0 {
 			return func() (*dataset.Table, error) { return nil, nil }, nil
 		}
-		outs := make([][]*dataset.Column, len(typed))
-		keys := make([][]*dataset.Column, len(typed))
-		for i, r := range typed {
-			outs[i], keys[i] = r.out.Columns(), r.keys
+		outs := make([][]*dataset.Column, len(runs))
+		keys := make([]*expr.Vec, len(stmt.OrderBy))
+		for i, r := range runs {
+			outs[i] = r.out.Columns()
+		}
+		for k := range keys {
+			parts := make([]*expr.Vec, len(runs))
+			for i, r := range runs {
+				parts[i] = r.keys[k]
+			}
+			keys[k] = concatVecs(parts)
 		}
 		all, err := dataset.NewTable("result", concatCols(outs)...)
 		if err != nil {
 			return nil, err
 		}
-		return rechunkTable(all.Take(dataset.SortIndex(concatCols(keys), desc)), se.morselRows(all.NumRows())), nil
+		return rechunkTable(all.Take(sortIndex(keys, stmt.OrderBy)), se.morselRows(all.NumRows())), nil
 	}
 	return deferredPull(consume)
 }

@@ -13,13 +13,13 @@ import (
 )
 
 // This file implements the partitioned streaming group-by engine: scan
-// workers evaluate group keys and aggregate arguments per morsel (with the
-// vectorized kernels when they compile, the boxed row loop otherwise) and
-// hash-partition rows; one reducer per partition folds each batch's typed
-// argument vectors into per-group aggregate states, consuming batches in
-// chunk-sequence order and rows in batch order so every group accumulates in
-// global row order — float SUM/AVG results are bit-identical at every worker
-// count. When the states overflow the memory budget a reducer
+// workers evaluate group keys and aggregate arguments per morsel (one
+// expr.Eval each) and hash-partition rows; one reducer per partition folds
+// each batch's typed argument vectors into per-group aggregate states,
+// consuming batches in chunk-sequence order and rows in batch order so every
+// group accumulates in global row order — float SUM/AVG results are
+// bit-identical at every worker count. When the states overflow the memory
+// budget a reducer
 // spills rows of *new* keys to a disk run (keys already holding a state keep
 // accumulating in memory), finalizes the pass, writes the finished states to
 // a state run, and replays the spilled rows as the next pass; spilled key
@@ -34,8 +34,8 @@ import (
 // the stages a statement without grouping runs through (groupFinish).
 
 // appendKeyValue encodes one boxed key cell exactly the way appendGroupKey
-// encodes a vector cell, so boxed and vectorized chunks of the same stream
-// always bucket identically.
+// encodes a typed vector cell, so a key is the same bytes whichever way its
+// vec holds it.
 func appendKeyValue(buf []byte, v dataset.Value) []byte {
 	if v.IsNull() {
 		return append(buf, 0)
@@ -78,6 +78,9 @@ var canonicalNaNBits = math.Float64bits(math.NaN())
 // the way the "type:" prefix does. Strings are length-prefixed, which is
 // strictly more precise than the reference's \x00-delimited concatenation.
 func appendGroupKey(buf []byte, v *expr.Vec, i int) []byte {
+	if v.V != nil {
+		return appendKeyValue(buf, v.V[i])
+	}
 	if v.NullAt(i) {
 		return append(buf, 0)
 	}
@@ -125,8 +128,8 @@ func hash32[K []byte | string](key K) uint32 {
 // intGroupKey decodes a single-int-column group key (tag 1 + 8 LE bytes).
 // Such keys live in an int64-keyed state map — one word hashed, no byte-wise
 // equality walk — which is measurably faster than the string-keyed map on
-// the common GROUP BY <int column> shape. Boxed and vectorized scans encode
-// keys identically, so a given group always resolves through the same map.
+// the common GROUP BY <int column> shape. Columnar and encoded keys agree,
+// so a given group always resolves through the same map.
 func intGroupKey(key []byte) (int64, bool) {
 	if len(key) == 9 && key[0] == 1 {
 		return int64(binary.LittleEndian.Uint64(key[1:])), true
@@ -159,43 +162,23 @@ func hash32int(v int64) uint32 {
 	return h
 }
 
-// argCol is one expression evaluated over a batch — a group key or an
-// aggregate argument: the compiled kernel's columnar vector when the
-// expression compiled, boxed values otherwise, and neither for COUNT(*).
-// Holding the vector instead of boxing every row into a []dataset.Value keeps
-// the scan free of per-batch Value slices (and the GC scanning they cost).
-type argCol struct {
-	vec  *expr.Vec
-	vals []dataset.Value
-}
-
-func (a argCol) valid() bool { return a.vec != nil || a.vals != nil }
-
-func (a argCol) at(i int) dataset.Value {
-	if a.vec != nil {
-		return a.vec.ValueAt(i)
-	}
-	return a.vals[i]
-}
-
 // groupedBatch is one scanned morsel, ready for reduction: the group key
 // columns, per-partition row index lists, and the aggregate argument values.
 type groupedBatch struct {
 	seq   int
 	n     int
-	keys  []argCol  // per GROUP BY expression; nil for a single group or when ikeys or skeys is set
-	ikeys []int64   // columnar keys when the single GROUP BY column is int with no nulls
-	skeys []string  // columnar keys when it is string with no nulls
-	rows  [][]int32 // per partition: row indices it owns; nil when parts == 1
-	args  []argCol  // per AggCall: argument values (zero for COUNT(*))
-	rep   *rel      // the scanned chunk, source of first-seen values
+	keys  []*expr.Vec // per GROUP BY expression; nil for a single group or when ikeys or skeys is set
+	ikeys []int64     // columnar keys when the single GROUP BY key is int with no nulls
+	skeys []string    // columnar keys when it is string with no nulls
+	rows  [][]int32   // per partition: row indices it owns; nil when parts == 1
+	args  []*expr.Vec // per AggCall: argument values (nil for COUNT(*))
+	rep   *rel        // the scanned chunk, source of first-seen values
 }
 
-// appendKey encodes row i's group key onto buf — cell by cell, a vector cell
-// (appendGroupKey) exactly the way a boxed one (appendKeyValue), so batches
-// of the same stream always bucket identically. Keys are encoded into a
-// reused buffer where they are needed (the scan's partition hash, the
-// reducer's state lookup) rather than stored per row.
+// appendKey encodes row i's group key onto buf, cell by cell
+// (appendGroupKey), so batches of the same stream always bucket identically.
+// Keys are encoded into a reused buffer where they are needed (the scan's
+// partition hash, the reducer's state lookup) rather than stored per row.
 func (b *groupedBatch) appendKey(buf []byte, i int) []byte {
 	switch {
 	case b.ikeys != nil:
@@ -204,11 +187,7 @@ func (b *groupedBatch) appendKey(buf []byte, i int) []byte {
 		return append(binary.LittleEndian.AppendUint64(append(buf, 3), uint64(len(b.skeys[i]))), b.skeys[i]...)
 	}
 	for _, k := range b.keys {
-		if k.vec != nil {
-			buf = appendGroupKey(buf, k.vec, i)
-		} else {
-			buf = appendKeyValue(buf, k.vals[i])
-		}
+		buf = appendGroupKey(buf, k, i)
 	}
 	return buf
 }
@@ -218,17 +197,15 @@ func (b *groupedBatch) appendKey(buf []byte, i int) []byte {
 func (b *groupedBatch) argsAt(i int) []dataset.Value {
 	out := make([]dataset.Value, len(b.args))
 	for ai, col := range b.args {
-		if col.valid() {
-			out[ai] = col.at(i)
+		if col != nil {
+			out[ai] = col.ValueAt(i)
 		}
 	}
 	return out
 }
 
-// groupedScan turns source chunks into groupedBatches. It prefers compiled
-// kernels for key and argument evaluation (the hot path that makes one
-// worker several times faster than the boxed row loop) and falls back to
-// boxed evaluation per expression; both encodings bucket identically.
+// groupedScan turns source chunks into groupedBatches, evaluating each key
+// and argument once per morsel (expr.Eval).
 type groupedScan struct {
 	se    *streamExec
 	stmt  *SelectStmt
@@ -237,7 +214,7 @@ type groupedScan struct {
 }
 
 func (gs *groupedScan) build(c *rel, seq int) (*groupedBatch, error) {
-	c, err := gs.se.filterRel(gs.stmt.Where, c, -1, seq == 0)
+	c, err := filterRel(gs.stmt.Where, c, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -245,22 +222,20 @@ func (gs *groupedScan) build(c *rel, seq int) (*groupedBatch, error) {
 		return &groupedBatch{seq: seq}, nil // fully filtered morsel
 	}
 	n := c.numRows()
-	b := &groupedBatch{seq: seq, n: n, rep: c, args: make([]argCol, len(gs.aggs))}
-	compiled := true // keys and every argument ran as kernels
+	b := &groupedBatch{seq: seq, n: n, rep: c, args: make([]*expr.Vec, len(gs.aggs))}
 	for _, ge := range gs.stmt.GroupBy {
-		key, err := gs.evalColumn(c, ge, n)
+		key, err := expr.Eval(ge, relBatch{c})
 		if err != nil {
 			return nil, err
 		}
 		b.keys = append(b.keys, key)
-		compiled = compiled && key.vec != nil
 	}
-	if len(b.keys) == 1 && compiled && !hasNulls(b.keys[0].vec) {
+	if len(b.keys) == 1 && b.keys[0].V == nil && !hasNulls(b.keys[0]) {
 		// Columnar fast path: keep the int or string vector as the key
 		// column and skip the byte encoding in the reducer entirely.
 		// Partitioning and state lookup (the typed maps) agree with the
 		// encoded form, so mixed batches still bucket identically.
-		switch v := b.keys[0].vec; v.Type {
+		switch v := b.keys[0]; v.Type {
 		case dataset.TypeInt:
 			b.ikeys, b.keys = v.I, nil
 		case dataset.TypeString:
@@ -290,14 +265,10 @@ func (gs *groupedScan) build(c *rel, seq int) (*groupedBatch, error) {
 		if a.Star {
 			continue
 		}
-		vals, err := gs.evalColumn(c, a.Arg, n)
-		if err != nil {
+		if b.args[ai], err = expr.Eval(a.Arg, relBatch{c}); err != nil {
 			return nil, err
 		}
-		b.args[ai] = vals
-		compiled = compiled && vals.vec != nil
 	}
-	countFirst(seq == 0, compiled, &vecStats.Groups, &vecStats.GroupFallbacks)
 	return b, nil
 }
 
@@ -311,27 +282,6 @@ func hasNulls(v *expr.Vec) bool {
 		}
 	}
 	return false
-}
-
-// evalColumn evaluates one expression over the chunk, keeping the columnar
-// vector when a kernel compiles and boxing per row otherwise.
-func (gs *groupedScan) evalColumn(c *rel, ex expr.Expr, n int) (argCol, error) {
-	if k, ok := expr.Compile(ex, relBinder{c}, n); ok {
-		v, err := k()
-		if err != nil {
-			return argCol{}, err
-		}
-		return argCol{vec: v}, nil
-	}
-	vals := make([]dataset.Value, n)
-	for i := 0; i < n; i++ {
-		v, err := ex.Eval(rowEnv{c, i})
-		if err != nil {
-			return argCol{}, err
-		}
-		vals[i] = v
-	}
-	return argCol{vals: vals}, nil
 }
 
 // liveGroup is one group holding an in-memory state in a partition reducer:
@@ -411,7 +361,7 @@ func (s *aggAcc) addGroup(a *AggCall) {
 // add folds one boxed argument into group g, mirroring computeAgg exactly
 // (same null handling, same float64 addition order per group, same exact
 // int64 sum, same Compare-based MIN/MAX). It serves spill replay, arguments
-// that did not compile, and the vector types fold has no typed loop for.
+// whose values mix types, and the vector types fold has no typed loop for.
 func (s *aggAcc) add(a *AggCall, g int32, v dataset.Value) error {
 	if a.Star {
 		s.counts[g]++
@@ -454,8 +404,7 @@ func (s *aggAcc) add(a *AggCall, g int32, v dataset.Value) error {
 // this reducer owns and gids[p] the group of rows[p] (negative: the row
 // spilled). Rows are visited in batch order, so each group sees the same
 // addition sequence as the reference's per-group loop.
-func (s *aggAcc) fold(a *AggCall, arg argCol, rows, gids []int32) error {
-	v := arg.vec
+func (s *aggAcc) fold(a *AggCall, v *expr.Vec, rows, gids []int32) error {
 	switch {
 	case a.Star:
 		counts := s.counts
@@ -465,7 +414,6 @@ func (s *aggAcc) fold(a *AggCall, arg argCol, rows, gids []int32) error {
 			}
 		}
 		return nil
-	case v == nil:
 	case a.Name == "COUNT":
 		for p, i := range rows {
 			if g := gids[p]; g >= 0 && !v.NullAt(int(i)) {
@@ -473,6 +421,7 @@ func (s *aggAcc) fold(a *AggCall, arg argCol, rows, gids []int32) error {
 			}
 		}
 		return nil
+	case v.V != nil:
 	case a.Name == "SUM" || a.Name == "AVG":
 		switch v.Type {
 		case dataset.TypeInt:
@@ -494,7 +443,7 @@ func (s *aggAcc) fold(a *AggCall, arg argCol, rows, gids []int32) error {
 	}
 	for p, i := range rows {
 		if g := gids[p]; g >= 0 {
-			if err := s.add(a, g, arg.at(int(i))); err != nil {
+			if err := s.add(a, g, v.ValueAt(int(i))); err != nil {
 				return err
 			}
 		}
@@ -1101,25 +1050,12 @@ func (b *groupBatches) next() (*rel, error) {
 	return out, nil
 }
 
-// valuesColumn builds a column from an aggregate's per-group values: typed
-// when they share a type; otherwise of their common type, with the values
-// returned to be kept boxed beside it (rel.boxed).
+// valuesColumn builds a column from an aggregate's per-group values, typed
+// as the row evaluator types its results (expr.VecOf); values of several types
+// are also returned, to be kept boxed beside it (rel.boxed).
 func valuesColumn(name string, vals []dataset.Value) (*dataset.Column, []dataset.Value) {
-	typ, mixed := dataset.TypeNull, false
-	for _, v := range vals {
-		if !v.IsNull() {
-			mixed = mixed || (typ != dataset.TypeNull && v.Type != typ)
-			typ = dataset.CommonType(typ, v.Type)
-		}
-	}
-	col := dataset.NewColumn(name, typ)
-	for _, v := range vals {
-		col.Append(v)
-	}
-	if mixed {
-		return col, vals
-	}
-	return col, nil
+	v := expr.VecOf(vals)
+	return v.Column(name), v.V
 }
 
 // partitionedGroupedPull drives the whole engine on the first chunk request:
@@ -1220,14 +1156,14 @@ func (se *streamExec) finishGroupedInMemory(gf *groupFinish, reducers []*groupRe
 	}
 	var out *dataset.Table
 	if len(gf.stmt.OrderBy) == 0 {
-		out, err = se.projectMorsel(gf.stmt.Where, grel, -1, gf.sl, true)
+		out, err = projectMorsel(gf.stmt.Where, grel, -1, gf.sl)
 		if out == nil && err == nil {
-			out, err = se.projectChunk(windowRel(grel, 0, 0), gf.sl, false)
+			out, err = projectChunk(windowRel(grel, 0, 0), gf.sl)
 		}
 	} else {
 		var run *orderedRun
-		if run, err = se.buildRun(gf.stmt, gf.sl, grel, true); err == nil {
-			out, err = run.sorted(gf.sl.names, orderDesc(gf.stmt.OrderBy))
+		if run, err = buildRun(gf.stmt, gf.sl, grel); err == nil {
+			out = run.sorted(gf.stmt.OrderBy)
 		}
 	}
 	if err == nil {

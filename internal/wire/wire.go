@@ -658,17 +658,15 @@ type BoardHubStats struct {
 
 // Statsz is the /statsz payload: the server's own counters, the summed
 // executor stats of every session, the shared sub-DAG cache counters (with
-// the bytes its entries pin and the byte budget), the bytes each session's
-// retained datasets pin, and the vectorized-engine counters — plus, when the
-// subsystems are wired, the admission classes, the scheduler, and the board
-// hub.
+// the bytes its entries pin and the byte budget), and the bytes each
+// session's retained datasets pin — plus, when the subsystems are wired, the
+// admission classes, the scheduler, and the board hub.
 type Statsz struct {
 	Sessions     int              `json:"sessions"`
 	Server       ServerStats      `json:"server"`
 	Exec         map[string]int64 `json:"exec"`
 	Cache        map[string]int64 `json:"cache"`
 	SessionBytes map[string]int64 `json:"session_bytes,omitempty"`
-	Vec          map[string]int64 `json:"vec,omitempty"`
 	Admission    *AdmissionStats  `json:"admission,omitempty"`
 	Scheduler    *SchedulerStats  `json:"scheduler,omitempty"`
 	Boards       *BoardHubStats   `json:"boards,omitempty"`
