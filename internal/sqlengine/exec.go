@@ -109,11 +109,13 @@ type rel struct {
 	// converted to their common type, as a column built from them would;
 	// the row evaluator reads the boxed cells, and kernels do not bind it.
 	boxed [][]dataset.Value
+
+	rows int // the row count of a relation with no columns
 }
 
 func (r *rel) numRows() int {
 	if len(r.cols) == 0 {
-		return 0
+		return r.rows
 	}
 	return r.cols[0].Len()
 }
@@ -183,9 +185,9 @@ func (c chainEnv) Lookup(name string) (dataset.Value, error) {
 }
 
 // executor is the row-at-a-time reference: every expression is evaluated
-// boxed, one row at a time, over whole materialized relations. The morsel
-// pipeline (stream.go) borrows its statement analysis (collectAllAggs,
-// expandItems) and, for a join without equi-keys, joinResidual.
+// boxed, one row at a time, over whole materialized relations. It runs only
+// behind Options.DisableVectorized, as the oracle the morsel pipeline is
+// checked against.
 type executor struct {
 	catalog Catalog
 }
@@ -209,7 +211,7 @@ func (e *executor) execSelect(stmt *SelectStmt) (*dataset.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := rowBudget(stmt, len(stmt.GroupBy) > 0 || len(e.collectAllAggs(stmt)) > 0)
+	budget := rowBudget(stmt, len(stmt.GroupBy) > 0 || len(collectAllAggs(stmt)) > 0)
 	if stmt.Where != nil {
 		keep, err := e.filterRows(stmt.Where, source, budget)
 		if err != nil {
@@ -228,12 +230,10 @@ func (e *executor) execSelect(stmt *SelectStmt) (*dataset.Table, error) {
 
 // finishSelect runs everything after FROM and WHERE over a materialized
 // relation: grouping or projection (with ORDER BY), DISTINCT, OFFSET/LIMIT.
-// The pipeline hands it the relation of the statement shapes it does not
-// stream (ExecStreamStmt).
 func (e *executor) finishSelect(stmt *SelectStmt, source *rel) (*dataset.Table, error) {
 	var out *dataset.Table
 	var err error
-	if aggs := e.collectAllAggs(stmt); len(stmt.GroupBy) > 0 || len(aggs) > 0 {
+	if aggs := collectAllAggs(stmt); len(stmt.GroupBy) > 0 || len(aggs) > 0 {
 		out, err = e.execGrouped(stmt, source, aggs)
 	} else {
 		out, err = e.execProjection(stmt, source)
@@ -280,7 +280,9 @@ func (e *executor) filterRows(where expr.Expr, r *rel, limit int) ([]int, error)
 	return keep, nil
 }
 
-func (e *executor) collectAllAggs(stmt *SelectStmt) []*AggCall {
+// collectAllAggs lists a statement's aggregate calls — in its items, HAVING
+// and ORDER BY keys — once per key.
+func collectAllAggs(stmt *SelectStmt) []*AggCall {
 	var aggs []*AggCall
 	for _, item := range stmt.Items {
 		if !item.Star {
@@ -340,7 +342,7 @@ func tableToRel(t *dataset.Table, alias string) *rel {
 }
 
 func takeRel(r *rel, idx []int) *rel {
-	out := &rel{cols: make([]*dataset.Column, len(r.cols)), quals: r.quals}
+	out := &rel{cols: make([]*dataset.Column, len(r.cols)), quals: r.quals, rows: len(idx)}
 	for i, c := range r.cols {
 		out.cols[i] = c.Take(idx)
 	}
@@ -558,7 +560,7 @@ func plainColumns(exprs []expr.Expr, r *rel) []int {
 // list and ORDER BY made purely of columns need no evaluation: the output
 // columns alias the source's, ordered by direct column comparison.
 func (e *executor) execProjection(stmt *SelectStmt, source *rel) (*dataset.Table, error) {
-	names, exprs := e.expandItems(stmt.Items, source)
+	names, exprs := expandItems(stmt.Items, source)
 	if cols := plainColumns(exprs, source); cols != nil && stmt.From != nil {
 		out := make([]*dataset.Column, len(cols))
 		for i, idx := range cols {
@@ -644,7 +646,10 @@ func sortedRowsTable(names []string, vals, keys [][]dataset.Value, orderBy []Ord
 	return out.Take(sortIndexes(len(keys), orderBy, func(i, k int) dataset.Value { return keys[i][k] })), nil
 }
 
-func (e *executor) expandItems(items []SelectItem, source *rel) (names []string, exprs []expr.Expr) {
+// expandItems resolves a select list against a relation: each item's output
+// name and expression, a star expanded to every column (qualified where a
+// bare name repeats).
+func expandItems(items []SelectItem, source *rel) (names []string, exprs []expr.Expr) {
 	for _, item := range items {
 		if item.Star {
 			counts := map[string]int{}
@@ -747,7 +752,7 @@ func (e *executor) execGrouped(stmt *SelectStmt, source *rel, aggs []*AggCall) (
 // finishGrouped runs the per-group output phase: HAVING, select items, and
 // ORDER BY, with group rows delivered in first-seen order.
 func (e *executor) finishGrouped(stmt *SelectStmt, source *rel, groups []groupData) (*dataset.Table, error) {
-	names, exprs := e.expandItems(stmt.Items, source)
+	names, exprs := expandItems(stmt.Items, source)
 	vals, keys, err := projectRows(names, exprs, stmt.Having, stmt.OrderBy, len(groups), groupEnv(source, groups))
 	if err != nil {
 		return nil, err
@@ -787,25 +792,47 @@ func computeAgg(a *AggCall, source *rel, rows []int) (dataset.Value, error) {
 	if a.Star {
 		return dataset.Int(int64(len(rows))), nil
 	}
-	var vals []dataset.Value
-	seen := map[string]bool{}
+	var set valueSet
 	for _, i := range rows {
 		v, err := a.Arg.Eval(rowEnv{source, i})
 		if err != nil {
 			return dataset.Null, err
 		}
-		if v.IsNull() {
-			continue
-		}
-		if a.Distinct {
-			key := v.Type.String() + ":" + v.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		vals = append(vals, v)
+		set.add(a, v)
 	}
+	return aggregate(a, set.vals)
+}
+
+// valueSet is a group's non-null argument values in row order — under
+// DISTINCT its first occurrences only, keyed by type and render — which an
+// aggregate finishes over (aggregate).
+type valueSet struct {
+	vals []dataset.Value
+	seen map[string]bool
+}
+
+// add keeps v unless it is null or, under DISTINCT, already kept; it reports
+// whether v was kept.
+func (s *valueSet) add(a *AggCall, v dataset.Value) bool {
+	if v.IsNull() {
+		return false
+	}
+	if a.Distinct {
+		key := v.Type.String() + ":" + v.String()
+		if s.seen[key] {
+			return false
+		}
+		if s.seen == nil {
+			s.seen = map[string]bool{}
+		}
+		s.seen[key] = true
+	}
+	s.vals = append(s.vals, v)
+	return true
+}
+
+// aggregate finishes an aggregate over a group's collected values.
+func aggregate(a *AggCall, vals []dataset.Value) (dataset.Value, error) {
 	switch a.Name {
 	case "COUNT":
 		return dataset.Int(int64(len(vals))), nil

@@ -338,10 +338,21 @@ type aggAcc struct {
 	notInt []bool          // SUM saw a non-int value: it finishes as the float sum
 	over   []bool          // SUM: the exact sum overflowed int64
 	best   []dataset.Value // MIN/MAX; null until the group sees a value
+	sets   []valueSet      // DISTINCT, MEDIAN, STDDEV (holdsValues)
+	held   int             // values the sets hold, charged to the budget
+}
+
+// holdsValues reports whether a finishes over its group's collected values
+// (aggregate) rather than over a running state: a DISTINCT aggregate, MEDIAN
+// or STDDEV.
+func holdsValues(a *AggCall) bool {
+	return !a.Star && (a.Distinct || a.Name == "MEDIAN" || a.Name == "STDDEV")
 }
 
 func (s *aggAcc) addGroup(a *AggCall) {
 	switch {
+	case holdsValues(a):
+		s.sets = append(s.sets, valueSet{})
 	case a.Star || a.Name == "COUNT":
 		s.counts = append(s.counts, 0)
 	case a.Name == "MIN" || a.Name == "MAX":
@@ -360,11 +371,18 @@ func (s *aggAcc) addGroup(a *AggCall) {
 
 // add folds one boxed argument into group g, mirroring computeAgg exactly
 // (same null handling, same float64 addition order per group, same exact
-// int64 sum, same Compare-based MIN/MAX). It serves spill replay, arguments
-// whose values mix types, and the vector types fold has no typed loop for.
+// int64 sum, same Compare-based MIN/MAX, the same value set). It serves
+// spill replay, value sets, arguments whose values mix types, and the vector
+// types fold has no typed loop for.
 func (s *aggAcc) add(a *AggCall, g int32, v dataset.Value) error {
 	if a.Star {
 		s.counts[g]++
+		return nil
+	}
+	if holdsValues(a) {
+		if s.sets[g].add(a, v) {
+			s.held++
+		}
 		return nil
 	}
 	if v.IsNull() {
@@ -414,6 +432,7 @@ func (s *aggAcc) fold(a *AggCall, v *expr.Vec, rows, gids []int32) error {
 			}
 		}
 		return nil
+	case holdsValues(a): // every value through add
 	case a.Name == "COUNT":
 		for p, i := range rows {
 			if g := gids[p]; g >= 0 && !v.NullAt(int(i)) {
@@ -512,6 +531,8 @@ func bestInto[T int64 | float64 | string](s *aggAcc, a *AggCall, v *expr.Vec, va
 // value finalizes group g's aggregate the way computeAgg does.
 func (s *aggAcc) value(a *AggCall, g int) (dataset.Value, error) {
 	switch {
+	case holdsValues(a):
+		return aggregate(a, s.sets[g].vals)
 	case a.Star || a.Name == "COUNT":
 		return dataset.Int(s.counts[g]), nil
 	case a.Name == "MIN" || a.Name == "MAX":
@@ -528,17 +549,30 @@ func (s *aggAcc) value(a *AggCall, g int) (dataset.Value, error) {
 	return dataset.Int(s.isums[g]), nil
 }
 
+// charge is what the reducer buffers: its groups plus the values their
+// value sets hold.
+func (r *groupReducer) charge() int {
+	n := len(r.groups)
+	for _, s := range r.acc {
+		n += s.held
+	}
+	return n
+}
+
 // admit decides whether a new group key gets an in-memory state (true) or
-// its rows spill to disk for a later pass (false, with r.sw ready). The
-// first state of a pass is admitted even when the budget is full — sibling
+// its rows spill to disk for a later pass (false, with r.sw ready): it is
+// admitted while the reducer's charge with it fits the budget. The first
+// state of a pass is admitted even when the budget is full — sibling
 // partitions' states can transiently hold all of it, and the bounded overrun
-// (one state per partition) keeps every spill pass making progress. Once a
-// pass starts spilling it stays spilling, so the in-memory key set always
-// first-arrives strictly before the spilled one — the invariant the
-// first-seen merge order relies on.
+// (one state per partition) keeps every spill pass making progress. An
+// admitted group keeps the values it collects until its pass finishes, past
+// the budget if need be (feed and replay charge them). Once a pass starts
+// spilling it stays spilling, so the in-memory key set always first-arrives
+// strictly before the spilled one — the invariant the first-seen merge order
+// relies on.
 func (r *groupReducer) admit() (bool, error) {
 	if !r.spilling {
-		if r.se.tryBuffer(r.op, len(r.groups)+1) {
+		if r.se.tryBuffer(r.op, r.charge()+1) {
 			return true, nil
 		}
 		if len(r.groups) == 0 {
@@ -635,6 +669,7 @@ func (r *groupReducer) feed(b *groupedBatch) error {
 			return err
 		}
 	}
+	r.se.forceBuffer(r.op, r.charge())
 	return nil
 }
 
@@ -759,6 +794,7 @@ func (r *groupReducer) replay(run *spillRun) error {
 			return err
 		}
 		if rec == nil {
+			r.se.forceBuffer(r.op, r.charge())
 			return nil
 		}
 		g, ok := r.lookup(rec.Key)
@@ -902,7 +938,7 @@ func (se *streamExec) newGroupFinish(stmt *SelectStmt, aggs []*AggCall, schema *
 	if gs.Where != nil {
 		refs = gs.Where.Columns(refs)
 	}
-	names, exprs := se.ex.expandItems(stmt.Items, schema)
+	names, exprs := expandItems(stmt.Items, schema)
 	for i, e := range exprs {
 		e = bindAggs(e, cols)
 		gs.Items = append(gs.Items, SelectItem{Expr: e, Alias: names[i]})
@@ -924,9 +960,6 @@ func (se *streamExec) newGroupFinish(stmt *SelectStmt, aggs []*AggCall, schema *
 			}
 		}
 	}
-	if len(gf.repCols) == 0 && len(aggs) == 0 && len(schema.cols) > 0 {
-		gf.repCols = []int{0} // a relation needs a column to carry its row count
-	}
 	for _, ci := range gf.repCols {
 		gf.schema.cols = append(gf.schema.cols, schema.cols[ci])
 		gf.schema.quals = append(gf.schema.quals, schema.quals[ci])
@@ -935,7 +968,7 @@ func (se *streamExec) newGroupFinish(stmt *SelectStmt, aggs []*AggCall, schema *
 		gf.schema.cols = append(gf.schema.cols, dataset.NewColumn(aggColumn(i), dataset.TypeNull))
 		gf.schema.quals = append(gf.schema.quals, "")
 	}
-	gf.sl = se.newSelectList(gs, gf.schema)
+	gf.sl = newSelectList(gs, gf.schema)
 	return gf
 }
 
@@ -1036,7 +1069,7 @@ func (b *groupBatches) next() (*rel, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := &rel{cols: reps, quals: gf.schema.quals}
+	out := &rel{cols: reps, quals: gf.schema.quals, rows: n}
 	for ai, vals := range aggs {
 		col, boxed := valuesColumn(aggColumn(ai), vals)
 		if boxed != nil {

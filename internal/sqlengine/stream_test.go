@@ -27,8 +27,7 @@ func runStreamAndReference(t *testing.T, catalog MapCatalog, query string, opts 
 		t.Fatalf("error divergence for %q:\n  stream:    %v\n  reference: %v", query, streamErr, refErr)
 	}
 	if streamErr == nil && !streamOut.Equal(refOut) {
-		t.Fatalf("result divergence for %q (fellBack=%v):\nstream:\n%s\nreference:\n%s",
-			query, rs.FellBack(), streamOut, refOut)
+		t.Fatalf("result divergence for %q:\nstream:\n%s\nreference:\n%s", query, streamOut, refOut)
 	}
 	return rs
 }
@@ -254,9 +253,6 @@ func TestStreamFirstChunkIsIncremental(t *testing.T) {
 	}
 	if rs.PeakBufferedRows() != 0 {
 		t.Fatalf("streaming filter buffered %d rows; want 0", rs.PeakBufferedRows())
-	}
-	if rs.FellBack() {
-		t.Fatal("filter/projection should not fall back")
 	}
 }
 
