@@ -141,6 +141,7 @@ func corpusSpecs() []genSpec {
 		{"agg-min", "agg min", g("Use the dataset people", "Compute the min of age")},
 		{"agg-max", "agg max", g("Use the dataset people", "Compute the max of age")},
 		{"agg-count-distinct", "agg distinct", g("Use the dataset people", "Compute the count_distinct of city")},
+		{"agg-by-city-median-stddev", "agg groupby valueset nulls", g("Use the dataset people", "Compute the median of age and stddev of age for each city")},
 		{"agg-by-city-count", "agg groupby", g("Use the dataset people", "Compute the count of records for each city")},
 		{"agg-by-city-sum", "agg groupby nulls 3vl", g("Use the dataset people", "Compute the sum of age for each city")},
 		{"agg-by-city-avg", "agg groupby nulls", g("Use the dataset people", "Compute the avg of age for each city")},
