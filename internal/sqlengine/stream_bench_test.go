@@ -91,6 +91,39 @@ func BenchmarkStreamGroupBy(b *testing.B) {
 	benchDrain(b, catalog, stmt, n)
 }
 
+// BenchmarkStreamValueSet measures a group-by whose aggregates keep every
+// value of their group (MEDIAN, a DISTINCT count), unbudgeted and under a
+// budget smaller than the group count, which spills groups to later passes;
+// peak-rows is the stream's PeakBufferedRows.
+func BenchmarkStreamValueSet(b *testing.B) {
+	const n = 100_000
+	catalog := NewMapCatalog(benchTables(n))
+	stmt, err := Parse("SELECT s, MEDIAN(v), COUNT(DISTINCT k) FROM big GROUP BY s")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, cell := range []struct {
+		name   string
+		budget int
+	}{{"unbudgeted", 0}, {"budget=4", 4}} {
+		b.Run(cell.name, func(b *testing.B) {
+			b.ReportAllocs()
+			peak := 0
+			for i := 0; i < b.N; i++ {
+				rs, err := ExecStreamStmt(catalog, stmt, StreamOptions{MaxBufferedRows: cell.budget, SpillDir: b.TempDir()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := rs.Drain(nil); err != nil {
+					b.Fatal(err)
+				}
+				peak = rs.PeakBufferedRows()
+			}
+			b.ReportMetric(float64(peak), "peak-rows")
+		})
+	}
+}
+
 // BenchmarkStreamOrderBy measures the sorted-run merge path (run building,
 // k-way merge, chunk assembly).
 func BenchmarkStreamOrderBy(b *testing.B) {
