@@ -89,8 +89,6 @@ type (
 	ArtifactStore = artifact.Store
 	// Session is a collaborative workspace with a session-level lock.
 	Session = session.Session
-	// InsightsBoard is the poster-style presentation surface (§2.4).
-	InsightsBoard = session.InsightsBoard
 	// Explain is the EXPLAIN report for a compiled logical plan: the pass
 	// pipeline's decisions (fusion, consolidation, pushdown, cache state)
 	// without executing anything (DESIGN.md §9).

@@ -1,7 +1,7 @@
 // Collaborate: the §2.4 scenario. Two users share a session (hitting the
 // session-level lock), save an artifact whose recipe is auto-sliced, share
-// it by secret link, organize the Home Screen, and present results on an
-// Insights Board. Cost-control features from §3 (sampling + snapshots)
+// it by secret link, organize the Home Screen, and publish the result to an
+// Insights Board tile. Cost-control features from §3 (sampling + snapshots)
 // appear along the way.
 //
 //	go run ./examples/collaborate
@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"datachat/internal/artifact"
+	"datachat/internal/board"
 	"datachat/internal/cloud"
 	"datachat/internal/core"
 	"datachat/internal/dataset"
@@ -150,22 +151,27 @@ func main() {
 	fmt.Printf("\nsecret link minted: https://dc.example/a/%s… resolves to %q\n",
 		secret[:8], shared.Name)
 
-	// Present on an Insights Board (§2.4).
-	board := p.Board("iot-review")
-	if err := board.Pin(session.BoardItem{Artifact: a.Name, X: 0, Y: 0, W: 8, H: 5,
-		Caption: "Hot readings concentrate in the east sites"}); err != nil {
+	// Publish to an Insights Board tile (§2.4); subscribers of the board
+	// would receive the update live.
+	hub := board.NewHub()
+	review, err := hub.Create("iot-review", "IoT data quality review — Q2", "bob")
+	if err != nil {
 		log.Fatal(err)
 	}
-	board.AddText(session.TextBox{Text: "IoT data quality review — Q2", X: 0, Y: 6})
-	fmt.Printf("insights board %q: %d artifacts, %d text boxes\n",
-		board.Name, len(board.Items()), len(board.Texts()))
+	review.Publish(a.Name, board.Update{Table: a.Table,
+		Message: "Hot readings concentrate in the east sites"})
+	snap := review.Snapshot()
+	fmt.Printf("\ninsights board %q (version %d):\n", snap.Name, snap.Version)
+	for _, tile := range snap.Tiles {
+		fmt.Printf("  tile %q: %d rows — %s\n", tile.Tile, tile.Last.Table.NumRows(), tile.Last.Message)
+	}
 
-	// Every board item answers "how was this made?" via its recipe.
+	// Every tile answers "how was this made?" via its artifact's recipe.
 	gelLines, err := a.Recipe.GEL(p.Registry)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nrecipe behind the pinned artifact:")
+	fmt.Println("\nrecipe behind the published artifact:")
 	for i, l := range gelLines {
 		fmt.Printf("%2d. %s\n", i+1, l)
 	}

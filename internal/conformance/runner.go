@@ -174,7 +174,7 @@ func runRecipe(c *Case) (*RouteResult, error) {
 		return nil, err
 	}
 	r := &recipe.Recipe{Name: c.Name, Steps: c.Steps}
-	res, err := env.s.ReplayRecipe(context.Background(), User, r, false, env.opts)
+	res, _, err := env.s.Replay(context.Background(), User, r, faults.RetryPolicy{}, env.opts)
 	if err != nil {
 		return &RouteResult{Route: "recipe", Err: err}, nil
 	}
@@ -676,12 +676,12 @@ func checkCacheReplay(c *Case) error {
 		return err
 	}
 	r := &recipe.Recipe{Name: c.Name, Steps: c.Steps}
-	first, err := env.s.ReplayRecipe(context.Background(), User, r, false, env.opts)
+	first, _, err := env.s.Replay(context.Background(), User, r, faults.RetryPolicy{}, env.opts)
 	if err != nil {
 		return fmt.Errorf("first replay: %w", err)
 	}
 	before := env.p.CacheStats()
-	second, err := env.s.ReplayRecipe(context.Background(), User, r, false, env.opts)
+	second, _, err := env.s.Replay(context.Background(), User, r, faults.RetryPolicy{}, env.opts)
 	if err != nil {
 		return fmt.Errorf("second replay: %w", err)
 	}

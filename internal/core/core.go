@@ -1,9 +1,9 @@
 // Package core is the DataChat platform façade: it wires the skill
 // registry, sessions with their locks and DAG executors, the artifact store
-// with sharing and secret links, the Home Screen and Insights Boards, cloud
-// database connections, the snapshot store, the semantic layer, the GEL
-// parser, the phrase-based translator, and the NL2Code system into one
-// object — the paper's system as a single API.
+// with sharing and secret links, the Home Screen, cloud database
+// connections, the snapshot store, the semantic layer, the GEL parser, the
+// phrase-based translator, and the NL2Code system into one object — the
+// paper's system as a single API.
 package core
 
 import (
@@ -16,6 +16,7 @@ import (
 	"datachat/internal/artifact"
 	"datachat/internal/cloud"
 	"datachat/internal/dag"
+	"datachat/internal/faults"
 	"datachat/internal/gel"
 	"datachat/internal/nl2code"
 	"datachat/internal/phrase"
@@ -25,7 +26,6 @@ import (
 	"datachat/internal/session"
 	"datachat/internal/skills"
 	"datachat/internal/snapshot"
-	"datachat/internal/viz"
 )
 
 // Platform is one DataChat deployment.
@@ -45,7 +45,6 @@ type Platform struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session.Session
-	boards   map[string]*session.InsightsBoard
 	clouds   map[string]cloud.DB
 	// files are hashed once, at registration; every session shares the
 	// content and the hash.
@@ -74,7 +73,6 @@ func New() *Platform {
 		Semantic:  semantic.NewLayer(),
 		Parser:    gel.NewParser(reg),
 		sessions:  map[string]*session.Session{},
-		boards:    map[string]*session.InsightsBoard{},
 		clouds:    map[string]cloud.DB{},
 		files:     map[string]skills.File{},
 		cache:     dag.NewCache(dag.DefaultCacheCapacity),
@@ -222,19 +220,6 @@ func (p *Platform) Sessions() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Board returns (creating on first use) an Insights Board.
-func (p *Platform) Board(name string) *session.InsightsBoard {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := strings.ToLower(name)
-	b, ok := p.boards[key]
-	if !ok {
-		b = session.NewInsightsBoard(name)
-		p.boards[key] = b
-	}
-	return b
 }
 
 // Run executes a program of skill invocations in a session on behalf of a
@@ -428,11 +413,13 @@ func (p *Platform) NL2Code(sessionName, question string) (*nl2code.Response, err
 	})
 }
 
-// RefreshArtifact replays an artifact's recipe against a session (with the
-// sub-DAG cache invalidated so changed source data is re-read), updates the
-// stored payload, and stamps the refresh time — the §2.3 "refresh"
+// RefreshArtifact replays an artifact's recipe against a session, updates
+// the stored payload, and stamps the refresh time — the §2.3 "refresh"
 // interaction surfaced on every artifact. The replay runs under ctx and
-// tune's execution options.
+// tune's execution options, in a fork of the session's context (see
+// Session.Replay): sources are keyed by their content, so changed data is
+// re-read and unchanged data is served from the cache, and the session's
+// own datasets stay as they were.
 func (p *Platform) RefreshArtifact(ctx context.Context, sessionName, user, artifactName string, tune session.Tuning) (*artifact.Artifact, error) {
 	a, err := p.Artifacts.Get(artifactName, user)
 	if err != nil {
@@ -445,7 +432,7 @@ func (p *Platform) RefreshArtifact(ctx context.Context, sessionName, user, artif
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.ReplayRecipe(ctx, user, a.Recipe, true, tune)
+	res, _, err := s.Replay(ctx, user, a.Recipe, faults.RetryPolicy{}, tune)
 	if err != nil {
 		return nil, fmt.Errorf("core: refreshing %q: %w", artifactName, err)
 	}
@@ -457,37 +444,4 @@ func (p *Platform) RefreshArtifact(ctx context.Context, sessionName, user, artif
 		return nil, err
 	}
 	return a, nil
-}
-
-// RenderBoard lays out an Insights Board as text: each pinned artifact in
-// placement order with its caption and payload (chart or table preview),
-// plus the board's text boxes — the console's stand-in for presenting an
-// IB (§2.4).
-func (p *Platform) RenderBoard(boardName, user string) (string, error) {
-	board := p.Board(boardName)
-	var b strings.Builder
-	fmt.Fprintf(&b, "═══ Insights Board: %s ═══\n", board.Name)
-	for _, t := range board.Texts() {
-		fmt.Fprintf(&b, "  %s\n", t.Text)
-	}
-	for _, item := range board.Items() {
-		a, err := p.Artifacts.Get(item.Artifact, user)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "\n─── %s (%s, at %d,%d %d×%d) ───\n",
-			a.Name, a.Type, item.X, item.Y, item.W, item.H)
-		if item.Caption != "" {
-			fmt.Fprintf(&b, "%s\n", item.Caption)
-		}
-		switch {
-		case a.Chart != nil:
-			b.WriteString(viz.Render(a.Chart))
-		case a.Table != nil:
-			b.WriteString(a.Table.Head(5).String())
-		case a.Explanation != "":
-			b.WriteString(a.Explanation + "\n")
-		}
-	}
-	return b.String(), nil
 }

@@ -6,7 +6,6 @@
 package recipe
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -167,22 +166,6 @@ func (r *Recipe) Python(reg *skills.Registry) (string, error) {
 func (r *Recipe) SQL(ex *dag.Executor) (string, error) {
 	g := r.Graph()
 	return ex.CompileSQL(g, g.Last())
-}
-
-// Replay rebuilds the DAG and executes it to the final step under opts — the
-// §2.3 "refresh" interaction. Pass invalidate=true to drop cached
-// sub-results so changed source data is re-read.
-func (r *Recipe) Replay(ctx context.Context, ex *dag.Executor, opts dag.ExecOptions, invalidate bool) (*skills.Result, error) {
-	if invalidate {
-		ex.InvalidateCache()
-	}
-	g := r.Graph()
-	last := g.Last()
-	if last < 0 {
-		return nil, fmt.Errorf("recipe: %q has no steps", r.Name)
-	}
-	res, _, err := ex.RunWith(ctx, g, last, opts)
-	return res, err
 }
 
 // ReplayStep reports one step of a live replay.

@@ -32,6 +32,17 @@ func newCtx() *skills.Context {
 	return ctx
 }
 
+// replay runs rec to its last step on ex, the way a session replays it.
+func replay(t *testing.T, ex *dag.Executor, rec *Recipe) *skills.Result {
+	t.Helper()
+	g := rec.Graph()
+	res, _, err := ex.RunWith(context.Background(), g, g.Last(), dag.ExecOptions{})
+	if err != nil {
+		t.Fatalf("replaying %q: %v", rec.Name, err)
+	}
+	return res
+}
+
 func TestFromGraphAndBack(t *testing.T) {
 	g := buildGraph()
 	rec, err := FromGraph("summary", g)
@@ -68,16 +79,8 @@ func TestJSONRoundTripAndReplay(t *testing.T) {
 		t.Fatalf("decoded = %+v", back)
 	}
 	// Replaying the decoded recipe produces the same table as the original.
-	ex1 := dag.NewExecutor(reg, newCtx())
-	r1, err := rec.Replay(context.Background(), ex1, dag.ExecOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex2 := dag.NewExecutor(reg, newCtx())
-	r2, err := back.Replay(context.Background(), ex2, dag.ExecOptions{}, false)
-	if err != nil {
-		t.Fatalf("replaying decoded recipe: %v", err)
-	}
+	r1 := replay(t, dag.NewExecutor(reg, newCtx()), rec)
+	r2 := replay(t, dag.NewExecutor(reg, newCtx()), back)
 	if !r1.Table.Equal(r2.Table.WithName(r1.Table.Name())) {
 		t.Error("decoded replay differs from original")
 	}
@@ -151,36 +154,23 @@ func TestReplayWithRefreshSeesNewData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := rec.Replay(context.Background(), ex, dag.ExecOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := replay(t, ex, rec)
 	// Underlying data changes.
 	ctx.Datasets["people"] = dataset.MustNewTable("people",
 		dataset.IntColumn("id", []int64{1, 2}, nil),
 		dataset.IntColumn("age", []int64{30, 40}, nil),
 		dataset.StringColumn("dept", []string{"z", "z"}, nil),
 	)
-	// Cache keys include dataset content fingerprints, so even a replay
-	// without explicit invalidation sees the new data — the old behaviour
-	// (serving the stale cached result for the same dataset name) was a bug.
-	second, err := rec.Replay(context.Background(), ex, dag.ExecOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Cache keys include dataset content fingerprints, so a replay sees the
+	// new data with no invalidation — serving the stale cached result for the
+	// same dataset name would be a bug.
+	second := replay(t, ex, rec)
 	if first.Table.Equal(second.Table) {
 		t.Error("replay after a data change should not serve the stale cached result")
 	}
-	fresh, err := rec.Replay(context.Background(), ex, dag.ExecOptions{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Table.Equal(fresh.Table) {
-		t.Error("refresh should see new data")
-	}
-	c, _ := fresh.Table.Column("n")
+	c, _ := second.Table.Column("n")
 	if c.Value(0).I != 2 {
-		t.Errorf("fresh count = %v", c.Value(0))
+		t.Errorf("refreshed count = %v", c.Value(0))
 	}
 }
 
@@ -206,10 +196,7 @@ func TestLiveReplayObservesEveryStep(t *testing.T) {
 	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
 		t.Errorf("observed steps = %v", seen)
 	}
-	direct, err := rec.Replay(context.Background(), dag.NewExecutor(reg, newCtx()), dag.ExecOptions{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := replay(t, dag.NewExecutor(reg, newCtx()), rec)
 	if !final.Table.Equal(direct.Table.WithName(final.Table.Name())) {
 		t.Error("live replay result differs from plain replay")
 	}

@@ -36,8 +36,11 @@ type Spec struct {
 	// Name identifies the job (unique per scheduler).
 	Name string
 	// Session is the session the recipe replays in, created on demand and
-	// owned by User. Point multiple jobs at one session to serialize them,
-	// or give each its own for parallelism.
+	// owned by User. A replay runs in a fork of the session's context: it
+	// reads the session's datasets and writes none of them, so a job may
+	// point at a user's session without touching the user's work. Point
+	// multiple jobs at one session to serialize them on its §2.4 lock, or
+	// give each its own for parallelism.
 	Session string
 	// User is the identity background runs execute as.
 	User string
@@ -387,8 +390,7 @@ func (s *Scheduler) runJob(ctx context.Context, j *job) RunRecord {
 		rec.Err = err.Error()
 		return s.finishRun(j, rec, nil, clock, start)
 	}
-	res, rep, err := sess.ReplayRecipePlanned(ctx, j.spec.User, j.spec.Recipe,
-		busy, session.Tuning{Clock: clock})
+	res, rep, err := sess.Replay(ctx, j.spec.User, j.spec.Recipe, busy, session.Tuning{Clock: clock})
 	rec.Stats = rep.Stats
 	if len(rep.Fingerprints) > 0 {
 		fps := make(map[string]bool, len(rep.Fingerprints))

@@ -815,9 +815,9 @@ func TestDefaultCostBudgetConfig(t *testing.T) {
 
 // TestArtifactExecutionsRetryTransientScans pins that the server's execution
 // policy covers artifact executions too: Config.Retry is documented as
-// applied to every remote execution, and a refresh (cache invalidated, every
-// source re-scanned) or a save whose producing step must re-run is as exposed
-// to a transient scan fault as a run request is.
+// applied to every remote execution, and a refresh or a save whose source
+// changed — its scan keyed by the new content, so it must re-run — is as
+// exposed to a transient scan fault as a run request is.
 func TestArtifactExecutionsRetryTransientScans(t *testing.T) {
 	vc := faults.NewVirtualClock(time.Unix(0, 0))
 	srv, c := newTestDeployment(t, server.Config{
@@ -857,17 +857,32 @@ func TestArtifactExecutionsRetryTransientScans(t *testing.T) {
 		t.Fatalf("setup scanned %d times, want 1 (the save republishes from cache)", got)
 	}
 
+	replace := func(rows int) {
+		t.Helper()
+		tab, err := dataset.ReadCSVString("orders", ordersCSV(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.ReplaceTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replace(60)
 	a, err := c.RefreshArtifact(ctx, "orders-art", "ann", "s1")
 	if err != nil {
 		t.Fatalf("refresh over a transiently failing scan: %v (Config.Retry not applied?)", err)
 	}
-	if a.Table == nil || a.Table.TotalRows != 50 {
-		t.Fatalf("refreshed artifact table = %+v, want 50 rows", a.Table)
+	if a.Table == nil || a.Table.TotalRows != 60 {
+		t.Fatalf("refreshed artifact table = %+v, want the replaced table's 60 rows", a.Table)
 	}
 
-	srv.Platform().InvalidateCache()
-	if _, err := c.SaveArtifact(ctx, "s1", wire.SaveArtifactRequest{User: "ann", Name: "orders-art-2"}); err != nil {
+	replace(70)
+	saved, err := c.SaveArtifact(ctx, "s1", wire.SaveArtifactRequest{User: "ann", Name: "orders-art-2"})
+	if err != nil {
 		t.Fatalf("save over a transiently failing scan: %v (Config.Retry not applied?)", err)
+	}
+	if saved.Table == nil || saved.Table.TotalRows != 70 {
+		t.Fatalf("saved artifact table = %+v, want the replaced table's 70 rows", saved.Table)
 	}
 	if transient, _ := inj.Counts(); transient != 2 || inj.Ops() != 5 {
 		t.Fatalf("injected %d transient faults over %d scans, want 2 over 5", transient, inj.Ops())

@@ -2,8 +2,11 @@
 // skill DAG and a context, hold a session-level lock that fails concurrent
 // requests (the second request loses, with a message), track members with
 // access levels, and save artifacts by slicing the session DAG down to the
-// steps that produced them. It also provides the Home Screen folder tree
-// and Insights Boards.
+// steps that produced them. It also provides the Home Screen folder tree.
+//
+// Only a request writes a session's context. Every other execution — the
+// re-derivation of a dropped output, the re-run inside an artifact save, a
+// recipe replay — runs in a fork of it (see runForked).
 //
 // The §2.4 lock serializes requests *within* one session; distinct sessions
 // on a shared platform execute truly in parallel — each request's DAG
@@ -99,20 +102,29 @@ func (s *Session) Graph() *dag.Graph { return s.graph }
 // Context returns the session's execution context.
 func (s *Session) Context() *skills.Context { return s.executor.Ctx }
 
+// runForked runs g up to target in a fork of the session's context: the run
+// reads what the session holds, and through the Derive hook what its
+// retention rule handed to the cache, but publishes nothing into it. Its
+// counters still add to the session executor's.
+func (s *Session) runForked(ctx context.Context, g *dag.Graph, target dag.NodeID, tune Tuning) (*skills.Result, dag.Report, error) {
+	fork := s.executor.Ctx.Fork()
+	fork.Derive = s.derive
+	return s.executor.WithContext(fork).RunWith(ctx, g, target, tune)
+}
+
 // derive is the context's Derive hook: it re-computes the output of the
 // graph node answering to name by planning that node again — the shared
 // cache serves whatever it still holds, the rest recomputes. It runs in a
-// fork of the context, so it needs no §2.4 lock and publishes nothing into
-// the session. ok is false when no node produces name, or when re-running
-// the node's lineage would cost or change anything (see rederivable): such
-// an output is never dropped, so a miss means it was never produced.
+// fork, so it needs no §2.4 lock. ok is false when no node produces name,
+// or when re-running the node's lineage would cost or change anything (see
+// rederivable): such an output is never dropped, so a miss means it was
+// never produced.
 func (s *Session) derive(name string) (t *dataset.Table, ok bool, err error) {
 	id, ok := s.graph.ProducerOf(name)
 	if !ok || !s.rederivable(id) {
 		return nil, false, nil
 	}
-	ex := s.executor.WithContext(s.executor.Ctx.Fork())
-	res, _, err := ex.RunWith(context.Background(), s.graph, id, Tuning{})
+	res, _, err := s.runForked(context.Background(), s.graph, id, Tuning{})
 	if err != nil {
 		return nil, true, err
 	}
@@ -263,10 +275,9 @@ func (s *Session) acquire(user string) error {
 
 // lockForUser acquires the §2.4 session lock for user, applying the
 // session's busy-retry policy (the zero policy fails fast with ErrBusy).
-// Every operation that executes on the session's executor — requests,
-// artifact saves, recipe replays — funnels through here, so two executions
-// never interleave their writes to the session context. Callers must pair it
-// with unlock.
+// Requests, artifact saves and recipe replays funnel through here, so a
+// replay or save never runs beside a request on the same session. Callers
+// must pair it with unlock.
 func (s *Session) lockForUser(ctx context.Context, user string) error {
 	return s.lockBusy(ctx, user, faults.RetryPolicy{}, nil)
 }
@@ -405,44 +416,31 @@ func (s *Session) History() []HistoryEntry {
 	return out
 }
 
-// ReplayRecipe re-executes a recipe on the session's executor under the
-// §2.4 lock and tune's options (invalidate drops the sub-DAG cache first so
-// changed source data is re-read). Funneling replays through the lock keeps
-// them from racing concurrent requests on the same executor.
-func (s *Session) ReplayRecipe(ctx context.Context, user string, r *recipe.Recipe, invalidate bool, tune Tuning) (*skills.Result, error) {
-	if err := s.lockForUser(ctx, user); err != nil {
-		return nil, err
-	}
-	defer s.unlock()
-	return r.Replay(ctx, s.executor, tune, invalidate)
-}
-
-// ReplayRecipePlanned is the scheduler's incremental-refresh entry point.
-// Under one acquisition of the §2.4 lock (retried under busy, so a busy
-// session makes a background run skip rather than queue) it replays the
-// recipe WITHOUT invalidation: sources whose content fingerprints are
-// unchanged keep their cache keys, so their sub-DAGs cache-hit with zero
-// cloud scans, and only changed inputs recompute. The run's report carries
-// the fingerprint of every planned node, cache-served ones included, for
-// diffing against the previous run.
-func (s *Session) ReplayRecipePlanned(ctx context.Context, user string, r *recipe.Recipe, busy faults.RetryPolicy, tune Tuning) (*skills.Result, dag.Report, error) {
+// Replay runs a recipe to its last step — the §2.3 replay and refresh —
+// under one acquisition of the §2.4 lock, in a fork of the session's context:
+// the run reads the session's datasets and writes none of them. A recipe's
+// sources are keyed by their content, so what did not change is served from
+// the shared cache and only changed inputs recompute. An enabled busy
+// replaces the session's busy-retry policy for this acquisition (backing off
+// on tune.Clock), so a background run skips a busy session rather than
+// queue; the zero policy is the session's own. The report carries the
+// fingerprint of every planned node, cache-served ones included.
+func (s *Session) Replay(ctx context.Context, user string, r *recipe.Recipe, busy faults.RetryPolicy, tune Tuning) (*skills.Result, dag.Report, error) {
 	if err := s.lockBusy(ctx, user, busy, tune.Clock); err != nil {
 		return nil, dag.Report{}, err
 	}
 	defer s.unlock()
-
 	g := r.Graph()
-	last := g.Last()
-	if last < 0 {
+	if g.Last() < 0 {
 		return nil, dag.Report{}, fmt.Errorf("session: recipe %q has no steps", r.Name)
 	}
-	return s.executor.RunWith(ctx, g, last, tune)
+	return s.runForked(ctx, g, g.Last(), tune)
 }
 
 // SaveArtifact slices the session DAG to the steps node depends on and
 // persists the result as an artifact carrying that recipe (§2.3). The
-// producing step re-executes under the §2.4 lock (usually a pure cache
-// republish).
+// producing step re-executes under the §2.4 lock, in a fork of the context
+// (usually a pure cache republish).
 func (s *Session) SaveArtifact(store *artifact.Store, user, name string, node dag.NodeID, typ artifact.Type) (*artifact.Artifact, error) {
 	if s.AccessOf(user) < artifact.EditAccess {
 		return nil, fmt.Errorf("session: %s cannot save artifacts from %q", user, s.Name)
@@ -492,7 +490,7 @@ func (s *Session) saveLocked(ctx context.Context, store *artifact.Store, user, n
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := s.executor.RunWith(ctx, s.graph, node, tune)
+	res, _, err := s.runForked(ctx, s.graph, node, tune)
 	if err != nil {
 		return nil, err
 	}
@@ -641,79 +639,4 @@ func (h *HomeScreen) Remove(path, artifactName string) error {
 		}
 	}
 	return fmt.Errorf("session: %q is not in folder %q", artifactName, path)
-}
-
-// BoardItem is one artifact placed on an Insights Board, with free-form
-// layout (§2.4: IBs allow arbitrary positioning, unlike dashboards).
-type BoardItem struct {
-	Artifact string
-	X, Y     int
-	W, H     int
-	Caption  string
-}
-
-// TextBox is a free-floating annotation on a board.
-type TextBox struct {
-	Text string
-	X, Y int
-}
-
-// InsightsBoard is a presentation surface of unrelated artifacts — modeled
-// as a poster, not an operational dashboard.
-type InsightsBoard struct {
-	Name string
-
-	mu    sync.Mutex
-	items []BoardItem
-	texts []TextBox
-}
-
-// NewInsightsBoard creates an empty board.
-func NewInsightsBoard(name string) *InsightsBoard {
-	return &InsightsBoard{Name: name}
-}
-
-// Pin places an artifact on the board.
-func (b *InsightsBoard) Pin(item BoardItem) error {
-	if item.Artifact == "" {
-		return fmt.Errorf("session: board item needs an artifact name")
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.items = append(b.items, item)
-	return nil
-}
-
-// AddText places a text box on the board.
-func (b *InsightsBoard) AddText(t TextBox) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.texts = append(b.texts, t)
-}
-
-// Items returns pinned items in placement order.
-func (b *InsightsBoard) Items() []BoardItem {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]BoardItem{}, b.items...)
-}
-
-// Texts returns the board's text boxes.
-func (b *InsightsBoard) Texts() []TextBox {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]TextBox{}, b.texts...)
-}
-
-// Unpin removes the first placement of an artifact from the board.
-func (b *InsightsBoard) Unpin(artifactName string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, item := range b.items {
-		if item.Artifact == artifactName {
-			b.items = append(b.items[:i], b.items[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("session: %q is not on board %q", artifactName, b.Name)
 }

@@ -211,32 +211,3 @@ func TestHomeScreen(t *testing.T) {
 		t.Error("missing folder should error")
 	}
 }
-
-func TestInsightsBoard(t *testing.T) {
-	b := NewInsightsBoard("launch-review")
-	if err := b.Pin(BoardItem{Artifact: "gdp-chart", X: 0, Y: 0, W: 6, H: 4, Caption: "GDP vs forecast"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Pin(BoardItem{Artifact: "collision-table", X: 6, Y: 0, W: 6, H: 4}); err != nil {
-		t.Fatal(err)
-	}
-	b.AddText(TextBox{Text: "Q2 findings", X: 0, Y: 5})
-	if err := b.Pin(BoardItem{}); err == nil {
-		t.Error("empty pin should fail")
-	}
-	if got := len(b.Items()); got != 2 {
-		t.Errorf("items = %d", got)
-	}
-	if got := len(b.Texts()); got != 1 {
-		t.Errorf("texts = %d", got)
-	}
-	if err := b.Unpin("gdp-chart"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Unpin("gdp-chart"); err == nil {
-		t.Error("double unpin should fail")
-	}
-	if got := len(b.Items()); got != 1 {
-		t.Errorf("items after unpin = %d", got)
-	}
-}
