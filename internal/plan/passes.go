@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -357,6 +358,15 @@ func (pushdownPass) Run(p *Plan, env *Env, t *PassTrace) error {
 		}
 		args[param] = value
 		scan.Args = args
+		if scan.Key != "" {
+			// The scan now returns its consumer's rows, not the whole source:
+			// cache it under a key of its own, never the unfiltered scan's.
+			v, err := json.Marshal(value)
+			if err != nil {
+				return fmt.Errorf("plan: node %d: pushed %s: %w", scan.ID, param, err)
+			}
+			scan.Key += fmt.Sprintf("|pushdown:%s=%s", param, v)
+		}
 		scan.Pushdown = append(scan.Pushdown, param)
 		t.Pushdowns++
 		t.Detail = append(t.Detail, fmt.Sprintf("%s into %s#%d from %s#%d",

@@ -299,6 +299,47 @@ func TestPushdownCopiesArgsAndRespectsGuard(t *testing.T) {
 	}
 }
 
+// A pushed-down scan returns its consumer's rows, not the whole source, so its
+// cache key folds in what was pushed; its structural fingerprint does not
+// change.
+func TestPushdownKeysTheScanApart(t *testing.T) {
+	env := lookupEnv(t)
+	env.ExtFingerprint = func(string) (uint64, bool) { return 1, true }
+	env.SourceFingerprint = func(string, skills.Args) (uint64, bool) { return 7, true }
+	scan := func(consumer *Node) *Node {
+		p := New(0)
+		p.Add(&Node{ID: 0, Skill: "LoadTable", Args: skills.Args{"database": "db", "table": "t1"}, Output: "d"})
+		if consumer != nil {
+			p.Target = 1
+			p.Add(consumer)
+		}
+		mustRun(t, p, env, FingerprintPass(), PushdownPass())
+		return p.Node(0)
+	}
+	keep := func(cond string) *Node {
+		return &Node{ID: 1, Skill: "KeepRows", Args: skills.Args{"condition": cond},
+			Inputs: []Input{{Node: 0, Name: "d"}}, Output: "out"}
+	}
+	whole := scan(nil)
+	if whole.Key == "" {
+		t.Fatal("the whole scan got no cache key")
+	}
+	low, high := scan(keep("a < 10")), scan(keep("a >= 10"))
+	cols := scan(&Node{ID: 1, Skill: "KeepColumns", Args: skills.Args{"columns": []string{"a"}},
+		Inputs: []Input{{Node: 0, Name: "d"}}, Output: "out"})
+	keys := map[string]bool{whole.Key: true, low.Key: true, high.Key: true, cols.Key: true}
+	if len(keys) != 4 {
+		t.Fatalf("pushed-down scans share cache keys: whole %q, a<10 %q, a>=10 %q, columns %q",
+			whole.Key, low.Key, high.Key, cols.Key)
+	}
+	for _, n := range []*Node{low, high, cols} {
+		if len(n.Pushdown) != 1 || n.Fingerprint != whole.Fingerprint {
+			t.Fatalf("pushdown %v, fingerprint %q; want one pushdown and the whole scan's %q",
+				n.Pushdown, n.Fingerprint, whole.Fingerprint)
+		}
+	}
+}
+
 func TestPushdownSkipsSharedScan(t *testing.T) {
 	env := lookupEnv(t)
 	p := New(2)
