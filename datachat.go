@@ -201,5 +201,8 @@ func BuildChart(t *Table, spec ChartSpec) (*Chart, error) { return viz.Build(t, 
 // RenderChart draws a chart as terminal text.
 func RenderChart(c *Chart) string { return viz.Render(c) }
 
-// ReadCSV parses CSV with type inference into a table.
+// ReadCSV parses CSV with a header row into a table, inferring each column's
+// type from its cells and parsing each cell once, straight into its typed
+// column. One leading UTF-8 byte order mark is dropped, and a date that a
+// time column cannot hold (before 1677-09-21 or after 2262-04-11) stays text.
 func ReadCSV(name, data string) (*Table, error) { return dataset.ReadCSVString(name, data) }
