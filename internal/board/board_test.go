@@ -8,6 +8,7 @@ import (
 
 	"datachat/internal/dataset"
 	"datachat/internal/faults"
+	"datachat/internal/testutil"
 )
 
 func smallTable(t *testing.T, n int) *dataset.Table {
@@ -135,66 +136,55 @@ func TestHistoryRingCapped(t *testing.T) {
 }
 
 func TestConcurrentPublishSubscribe(t *testing.T) {
+	assertNoLeaks := testutil.LeakCheck(t)
 	h := NewHub()
 	b, _ := h.Create("ops", "", "alice")
 	tb := smallTable(t, 1)
 
-	const publishers, perPublisher = 4, 50
-	var wg sync.WaitGroup
+	const subscribers, publishers, perPublisher = 8, 4, 50
 	// Churning subscribers with tiny buffers: most get evicted; the test
 	// is that nothing deadlocks or races and every channel terminates.
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sub, backlog, err := b.Subscribe(0, 2)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			_ = backlog
+	// All of them subscribe before any publisher starts, so the close
+	// sweep after the publishers reaches every survivor.
+	subs := make([]*Subscription, subscribers)
+	for i := range subs {
+		sub, _, err := b.Subscribe(0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs[i] = sub
+	}
+	var readers sync.WaitGroup
+	for _, sub := range subs {
+		readers.Add(1)
+		go func(sub *Subscription) {
+			defer readers.Done()
 			for range sub.C {
 			}
 			if sub.Err() != ErrSlowConsumer && sub.Err() != nil {
 				t.Errorf("unexpected sub error %v", sub.Err())
 			}
-		}()
+		}(sub)
 	}
+	var pubs sync.WaitGroup
 	for p := 0; p < publishers; p++ {
-		wg.Add(1)
+		pubs.Add(1)
 		go func(p int) {
-			defer wg.Done()
+			defer pubs.Done()
 			for i := 0; i < perPublisher; i++ {
 				b.Publish(fmt.Sprintf("tile%d", p), Update{Table: tb, Message: "m"})
 			}
 		}(p)
 	}
-	// Close any survivors so the range loops end.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < publishers*perPublisher; i++ {
-		}
-		b.mu.Lock()
-		subs := make([]*Subscription, 0, len(b.subs))
-		for s := range b.subs {
-			subs = append(subs, s)
-		}
-		b.mu.Unlock()
-		for _, s := range subs {
-			s.Close()
-		}
-	}()
-	wg.Wait()
-	// Late close sweep: any subscriber still registered after publishers
-	// finished gets closed so nothing leaks.
-	b.mu.Lock()
-	for s := range b.subs {
-		delete(b.subs, s)
-		s.finish(nil)
+	pubs.Wait()
+	// Close the survivors so their range loops end; closing an evicted
+	// subscription is a no-op.
+	for _, sub := range subs {
+		sub.Close()
 	}
-	b.mu.Unlock()
+	readers.Wait()
 	if got := b.Snapshot().Version; got != publishers*perPublisher {
 		t.Fatalf("final version = %d; want %d", got, publishers*perPublisher)
 	}
+	assertNoLeaks()
 }

@@ -16,6 +16,7 @@ import (
 	"datachat/internal/faults"
 	"datachat/internal/recipe"
 	"datachat/internal/skills"
+	"datachat/internal/testutil"
 )
 
 func metricsCSV(n, seed int) string {
@@ -309,6 +310,7 @@ func TestMaxRunsAndFailurePublishing(t *testing.T) {
 }
 
 func TestLoopOnVirtualClock(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	_, _, _, s, _ := newTestRig(t)
 	if _, err := s.Add(Spec{Name: "loop", User: "alice", Recipe: metricsRecipe(t),
 		Every: 10 * time.Second, Board: "b", MaxRuns: 3}); err != nil {

@@ -18,6 +18,7 @@ import (
 	"datachat/internal/scheduler"
 	"datachat/internal/server"
 	"datachat/internal/skills"
+	"datachat/internal/testutil"
 	"datachat/internal/wire"
 )
 
@@ -38,6 +39,7 @@ import (
 // traffic reads a registered file), so which refreshes degrade is
 // deterministic run to run.
 func TestChaosSchedulerVsInteractive(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	ctx := context.Background()
 	p := core.New()
 	db := cloud.NewDatabase("wh", cloud.DefaultPricing, 64)

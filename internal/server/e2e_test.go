@@ -18,6 +18,7 @@ import (
 	"datachat/internal/recipe"
 	"datachat/internal/server"
 	"datachat/internal/skills"
+	"datachat/internal/testutil"
 	"datachat/internal/wire"
 )
 
@@ -444,6 +445,7 @@ func TestDeadlineExpiresTo504(t *testing.T) {
 // new work is refused with a typed 503, and Shutdown returns once the last
 // slot frees.
 func TestDrainOnShutdown(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
 	srv, c := newTestDeployment(t, server.Config{MaxInFlight: 2})

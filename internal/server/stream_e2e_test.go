@@ -15,6 +15,7 @@ import (
 	"datachat/internal/dataset"
 	"datachat/internal/server"
 	"datachat/internal/skills"
+	"datachat/internal/testutil"
 	"datachat/internal/wire"
 )
 
@@ -39,6 +40,7 @@ func wideCSV(n int) string {
 // is a client bug and must come back as a typed 400 before any execution
 // slot is consumed.
 func TestRowStreamBadChunkParam(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	srv, c := newTestDeployment(t, server.Config{})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", salesCSV); err != nil {
@@ -76,6 +78,7 @@ func TestRowStreamBadChunkParam(t *testing.T) {
 // slot held by a blocked run, a stream must be refused with a typed 429, and
 // once the slot frees it must succeed and be counted in Requests.
 func TestRowStreamUnderAdmission(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	srv, c := newTestDeployment(t, server.Config{MaxInFlight: 1, MaxQueue: 0})
@@ -131,6 +134,7 @@ func TestRowStreamUnderAdmission(t *testing.T) {
 // protocol contract directly: last line is a sentinel chunk with last=true
 // and the final row count, so clients can tell completion from truncation.
 func TestRowStreamTerminalSentinel(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	_, c := newTestDeployment(t, server.Config{})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", salesCSV); err != nil {
@@ -184,6 +188,7 @@ func TestRowStreamTerminalSentinel(t *testing.T) {
 // chunk size must follow MaxRows, and the executor's streamed counters must
 // surface in /statsz.
 func TestRunStreamEndToEnd(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	_, c := newTestDeployment(t, server.Config{})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", wideCSV(50)); err != nil {
@@ -263,6 +268,7 @@ func TestRunStreamEndToEnd(t *testing.T) {
 // failing, stream the exact buffered result, and report the spill activity,
 // worker count, and buffered-row peak in the terminal sentinel and /statsz.
 func TestRunStreamSentinelStats(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	_, c := newTestDeployment(t, server.Config{})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", wideCSV(400)); err != nil {
@@ -355,6 +361,7 @@ func TestRunStreamSentinelStats(t *testing.T) {
 // typed 400 naming the route that honours them — not validated and then
 // ignored. The same request on .../run/stream runs.
 func TestRunRefusesStreamTuning(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	_, c := newTestDeployment(t, server.Config{})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", wideCSV(40)); err != nil {
@@ -393,6 +400,7 @@ func TestRunRefusesStreamTuning(t *testing.T) {
 // obeys its own budget, and a stream served from the sub-DAG cache (no morsel
 // pipeline ran) reports no workers, peak or spill left over from earlier runs.
 func TestRunStreamStatsArePerRequest(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	_, c := newTestDeployment(t, server.Config{})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", wideCSV(400)); err != nil {
@@ -458,6 +466,7 @@ func TestRunStreamStatsArePerRequest(t *testing.T) {
 // session lock are released, so an immediate follow-up run succeeds. Run
 // under -race this also shakes out writer/executor races on the stream path.
 func TestRunStreamClientCancelMidStream(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	_, c := newTestDeployment(t, server.Config{})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", wideCSV(400)); err != nil {
@@ -507,6 +516,7 @@ func TestRunStreamClientCancelMidStream(t *testing.T) {
 // its sentinel, new streams are refused 503, and Shutdown returns once the
 // stream finishes. Run under -race this exercises drain/stream interleaving.
 func TestRowStreamDrainMidStream(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	srv, c := newTestDeployment(t, server.Config{MaxInFlight: 4})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", wideCSV(100)); err != nil {
@@ -571,6 +581,7 @@ func TestRowStreamDrainMidStream(t *testing.T) {
 // regression where handleRunStream discarded the result and streaming
 // clients silently lost the §2.3 data-quality signal.
 func TestRunStreamDegradedSentinel(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	srv, c := newTestDeployment(t, server.Config{})
 	err := srv.Platform().Registry.Register(&skills.Definition{
 		Name:     "StaleScan",
@@ -633,6 +644,7 @@ func TestRunStreamDegradedSentinel(t *testing.T) {
 // their sentinel, after the chunks before the bad one and with nothing of
 // that one written.
 func TestNonFiniteCellIsATypedError(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
 	_, c := newTestDeployment(t, server.Config{})
 	ctx := context.Background()
 	if err := c.RegisterFile(ctx, "sales.csv", salesCSV); err != nil {

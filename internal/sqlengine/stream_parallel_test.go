@@ -7,11 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"datachat/internal/dataset"
+	"datachat/internal/testutil"
 )
 
 // drainChunks pulls every chunk off a stream, preserving chunk boundaries.
@@ -523,23 +522,14 @@ func TestParallelDistinctSharding(t *testing.T) {
 	}
 }
 
-// leakCheck snapshots the goroutine count and returns the assertion to run
-// once the stream under test is done with: the count is back at the snapshot
-// (workers and the context watcher exit asynchronously, so it polls briefly)
-// and no dcspill-* file is left in dir.
+// leakCheck is testutil.LeakCheck plus this package's own leak: once the
+// stream under test is done with, no dcspill-* file is left in dir.
 func leakCheck(t *testing.T, dir string) func() {
 	t.Helper()
-	base := runtime.NumGoroutine()
+	assertNoGoroutines := testutil.LeakCheck(t)
 	return func() {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if n := runtime.NumGoroutine(); n > base {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines leaked (%d, baseline %d):\n%s", n-base, n, base, buf[:runtime.Stack(buf, true)])
-		}
+		assertNoGoroutines()
 		assertNoSpillFiles(t, dir)
 	}
 }
