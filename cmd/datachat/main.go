@@ -59,6 +59,9 @@ func main() {
 		fmt.Println("demo dataset 'collisions' loaded — try: Use the dataset collisions")
 	}
 	executor := dag.NewExecutor(reg, ctx)
+	// Every step publishes its nodes' outputs by name, so no filter may be
+	// pushed into a scan whose name the user can read (as in a session).
+	executor.Pushdown = false
 	parser := gel.NewParser(reg)
 	runner := gel.NewRunner(parser, executor, nil)
 

@@ -22,7 +22,8 @@ type DryRunReport struct {
 // DryRun lowers the case to the plan layer without executing anything: it
 // type-checks the program by propagating fixture schemas through every
 // step (conditions, formulas, and column references must resolve), then
-// runs the full pass pipeline via the executor's zero-side-effect EXPLAIN.
+// runs the pass pipeline a replay of the case would, via the session's
+// zero-side-effect EXPLAIN.
 // No scan, no sample, no skill Apply runs — the counting-DB test pins it.
 func DryRun(c *Case) (*DryRunReport, error) {
 	env, err := newEnv(c)
@@ -32,9 +33,7 @@ func DryRun(c *Case) (*DryRunReport, error) {
 	if err := typeCheck(c); err != nil {
 		return nil, err
 	}
-	g := (&recipe.Recipe{Name: c.Name, Steps: c.Steps}).Graph()
-	last := g.Last()
-	e, err := env.s.Executor().ExplainWith(g, last, env.opts)
+	e, err := env.s.ExplainReplay(&recipe.Recipe{Name: c.Name, Steps: c.Steps}, env.opts)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: planning %s: %w", c.Name, err)
 	}

@@ -42,3 +42,38 @@ func BenchmarkPlanStep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColdChains runs the benchmark's interactive.cold shape: one
+// analysis over a 50k-row file whose every chain — filter, aggregate, sort,
+// limit — keeps rows with a constant no other chain uses, so every step
+// misses the cache and its result is read only by the chain's next step. It
+// reports what the shared cache pins (cache_MB) and the live heap after a
+// full collection (heap_MB), the two terms of the process's memory.
+func BenchmarkColdChains(b *testing.B) {
+	p := New()
+	p.RegisterFile("facts.csv", factsCSV(50_000))
+	if _, err := p.CreateSession("cold", "bench"); err != nil {
+		b.Fatal(err)
+	}
+	run := func(node, k int) {
+		inv, err := p.ParseGEL(chainStep(node, k), chainInput(node))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Run("cold", "bench", inv); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for step := 1; step <= 4; step++ {
+			run(4*i+step, i%1000)
+		}
+	}
+	b.StopTimer()
+	heap := heapAfterGC()
+	b.ReportMetric(float64(p.CacheStats().Bytes)/(1<<20), "cache_MB")
+	b.ReportMetric(float64(heap)/(1<<20), "heap_MB")
+}

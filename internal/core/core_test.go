@@ -8,7 +8,9 @@ import (
 	"datachat/internal/artifact"
 	"datachat/internal/cloud"
 	"datachat/internal/dataset"
+	"datachat/internal/faults"
 	"datachat/internal/nl2code"
+	"datachat/internal/recipe"
 	"datachat/internal/semantic"
 	"datachat/internal/session"
 	"datachat/internal/skills"
@@ -292,11 +294,10 @@ func TestRefreshArtifact(t *testing.T) {
 	}
 }
 
-// TestRefreshAfterPushedDownScan: a program that loads a warehouse table and
-// filters it in one request pushes the filter into the scan. The filtered rows
-// are cached under a key of their own, so a refresh of an artifact over the
-// whole table, and a plain load of it in another session, still read every
-// row.
+// TestRefreshAfterPushedDownScan: a replayed recipe that loads a warehouse
+// table and filters it pushes the filter into the scan. The filtered rows are
+// cached under a key of their own, so a refresh of an artifact over the whole
+// table, and a plain load of it in another session, still read every row.
 func TestRefreshAfterPushedDownScan(t *testing.T) {
 	p := New()
 	db := cloud.NewDatabase("wh", cloud.DefaultPricing, 64)
@@ -330,13 +331,23 @@ func TestRefreshAfterPushedDownScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The table grows; B then loads and filters it in one request, before
+	// The table grows; B then replays a load and filter of it, before
 	// anything has scanned the new content whole.
 	if err := db.ReplaceTable(metrics(120)); err != nil {
 		t.Fatal(err)
 	}
-	low, err := p.Run("B", "ann", load, skills.Invocation{Skill: "KeepRows", Inputs: []string{"m"},
-		Args: skills.Args{"condition": "val < 10"}, Output: "low"})
+	b, err := p.Session("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &recipe.Recipe{Name: "low", Steps: []recipe.Step{
+		{Skill: load.Skill, Args: load.Args, Output: load.Output},
+		{Skill: "KeepRows", Inputs: []string{"m"}, Args: skills.Args{"condition": "val < 10"}, Output: "low"},
+	}}
+	if e, err := b.ExplainReplay(r, session.Tuning{}); err != nil || len(e.Nodes) == 0 || len(e.Nodes[0].Pushdown) == 0 {
+		t.Fatalf("the replay pushes nothing into the scan: %v %v", e, err)
+	}
+	low, _, err := b.Replay(context.Background(), "ann", r, faults.RetryPolicy{}, session.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,5 +399,50 @@ func TestSaveModelArtifact(t *testing.T) {
 	}
 	if a.ModelName == "" {
 		t.Error("model kind not recorded")
+	}
+}
+
+// TestPushedDownScanKeepsItsName: one request loads a warehouse table and
+// filters it. The session then holds the whole table under the load's name
+// and the filtered rows under the filter's: a node's name holds only that
+// node's output, whatever the planner pushed where.
+func TestPushedDownScanKeepsItsName(t *testing.T) {
+	p := New()
+	db := cloud.NewDatabase("wh", cloud.DefaultPricing, 64)
+	vals := make([]int64, 500)
+	for i := range vals {
+		vals[i] = int64(i % 100)
+	}
+	if err := db.CreateTable(dataset.MustNewTable("metrics", dataset.IntColumn("val", vals, nil))); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ConnectDatabase(db); err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.CreateSession("s", "ann")
+	if err != nil {
+		t.Fatal(err)
+	}
+	load, err := p.ParseGEL("Load the table metrics from the database wh", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := p.ParseGEL("Keep the rows where val < 10", "node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run("s", "ann", load, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table.NumRows() != 50 {
+		t.Fatalf("the filter kept %d rows, want 50", res.Table.NumRows())
+	}
+	scanned, err := s.Context().Dataset("node0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned.NumRows() != 500 {
+		t.Errorf("node0, the load, holds %d rows, want the whole table's 500", scanned.NumRows())
 	}
 }

@@ -541,3 +541,57 @@ func TestDeriveBesideRequests(t *testing.T) {
 		t.Errorf("history has %d entries, last %+v", len(h), h[len(h)-1])
 	}
 }
+
+// TestOneOffResultsStayOnProbation: 300 cold chains, each with a filter
+// constant no other chain uses, compute results that nothing reads again but
+// the chain's own next step. The shared cache keeps the load in its main
+// segment and holds those one-off results on probation alone, so its bytes
+// stay within the load's charge plus a quarter of the budget — under a pure
+// LRU they would fill the budget — and no session holds more than it did
+// after its load. The chains run 30 to a session, so the test's time is not
+// the planning of one long session.
+func TestOneOffResultsStayOnProbation(t *testing.T) {
+	const sessions, chains, budget = 10, 30, 8 << 20
+	p := New()
+	p.cache = dag.NewCache(budget)
+	p.RegisterFile("facts.csv", factsCSV(2000))
+	var load int64
+	for i := 0; i < sessions; i++ {
+		name := fmt.Sprintf("cold-%d", i)
+		if _, err := p.CreateSession(name, "bench"); err != nil {
+			t.Fatal(err)
+		}
+		run := func(node, k int) {
+			t.Helper()
+			inv, err := p.ParseGEL(chainStep(node, k), chainInput(node))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := p.RunCtx(context.Background(), name, "bench", nil, inv); err != nil {
+				t.Fatalf("%s step %d: %v", name, node, err)
+			}
+		}
+		run(0, 0)
+		if i == 0 {
+			load = p.CacheStats().Bytes
+		}
+		held := p.SessionBytes()[name]
+		for chain := 0; chain < chains; chain++ {
+			for step := 1; step <= 4; step++ {
+				run(4*chain+step, i*chains+chain)
+				if st := p.CacheStats(); st.Bytes > load+budget/4 || st.Bytes-st.ProbationBytes != load {
+					t.Fatalf("%s chain %d step %d: cache %+v; want the load's %d B in main and at most %d B on probation",
+						name, chain, step, st, load, budget/4)
+				}
+			}
+		}
+		if got := p.SessionBytes()[name]; got != held {
+			t.Errorf("%s holds %d B after its chains, %d B after its load", name, got, held)
+		}
+	}
+	st := p.CacheStats()
+	t.Logf("cache %+v after %d chains", st, sessions*chains)
+	if st.Evictions == 0 || st.Promotions != 0 {
+		t.Errorf("cache %+v: want one-off results evicted from probation, none promoted", st)
+	}
+}

@@ -68,17 +68,17 @@ func (fp fingerprintPass) Run(p *Plan, env *Env, t *PassTrace) error {
 		// hit. Without the hash the node — and every descendant — stays
 		// uncacheable.
 		var srcFP uint64
-		srcOK := false
+		n.Source = false
 		if n.Volatile && env.SourceFingerprint != nil {
 			if fp, ok := env.SourceFingerprint(n.Skill, n.Args); ok {
-				srcFP, srcOK = fp, true
+				srcFP, n.Source = fp, true
 				n.Volatile = false
 			}
 		}
 
 		h := sha256.New()
 		fmt.Fprintf(h, "skill:%s\n", strings.ToLower(def.Name))
-		if srcOK {
+		if n.Source {
 			fmt.Fprintf(h, "src:%016x\n", srcFP)
 		}
 		keys := make([]string, 0, len(n.Args))

@@ -53,6 +53,11 @@ type Node struct {
 	Mergeable   bool `json:"mergeable,omitempty"`
 	Volatile    bool `json:"volatile,omitempty"`
 	Invalidates bool `json:"invalidates,omitempty"`
+	// Source marks a node whose skill content-hashes its out-of-DAG source
+	// (SourceFingerprint resolved): a file parse or warehouse scan that every
+	// analysis of that source starts from. The sub-DAG cache admits its
+	// result to its main segment at once.
+	Source bool `json:"source,omitempty"`
 	// Fingerprint is the canonical structural fingerprint; Key is the cache
 	// key derived from it plus external-input content fingerprints ("" when
 	// the node cannot be cached).

@@ -154,12 +154,15 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Server:   s.Stats(),
 		Exec:     execStatsz(s.platform.ExecStats()),
 		Cache: map[string]int64{
-			"hits":      cache.Hits,
-			"misses":    cache.Misses,
-			"evictions": cache.Evictions,
-			"entries":   int64(cache.Entries),
-			"bytes":     cache.Bytes,
-			"budget":    cache.Capacity,
+			"hits":              cache.Hits,
+			"misses":            cache.Misses,
+			"evictions":         cache.Evictions,
+			"entries":           int64(cache.Entries),
+			"bytes":             cache.Bytes,
+			"budget":            cache.Capacity,
+			"probation_entries": int64(cache.ProbationEntries),
+			"probation_bytes":   cache.ProbationBytes,
+			"promotions":        cache.Promotions,
 		},
 		SessionBytes: s.platform.SessionBytes(),
 	}

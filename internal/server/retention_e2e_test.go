@@ -98,6 +98,17 @@ func TestRowsOfADroppedOutput(t *testing.T) {
 	if held, ok := z.SessionBytes["s"]; z.Cache["budget"] <= 0 || z.Cache["bytes"] <= 0 || z.Cache["bytes"] > z.Cache["budget"] || !ok || held != 0 {
 		t.Errorf("statsz cache %v, session bytes %v", z.Cache, z.SessionBytes)
 	}
+	// The load went to the main segment at once; the derived steps, each
+	// computed once, sit on probation.
+	for _, k := range []string{"probation_entries", "probation_bytes", "promotions"} {
+		if _, ok := z.Cache[k]; !ok {
+			t.Errorf("statsz cache has no %q: %v", k, z.Cache)
+		}
+	}
+	if z.Cache["probation_entries"] < 1 || z.Cache["probation_entries"] >= z.Cache["entries"] ||
+		z.Cache["probation_bytes"] <= 0 || z.Cache["probation_bytes"] >= z.Cache["bytes"] {
+		t.Errorf("statsz cache %v, want the load in main and the derived steps on probation", z.Cache)
+	}
 }
 
 // TestRowsOfAVolatileLineage: a step downstream of a cloud scan or a

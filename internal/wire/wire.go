@@ -658,7 +658,8 @@ type BoardHubStats struct {
 
 // Statsz is the /statsz payload: the server's own counters, the summed
 // executor stats of every session, the shared sub-DAG cache counters (with
-// the bytes its entries pin and the byte budget), and the bytes each
+// the bytes its entries pin and the byte budget, and the probation
+// segment's entries and bytes and the promotions out of it), and the bytes each
 // session's retained datasets pin — plus, when the subsystems are wired, the
 // admission classes, the scheduler, and the board hub.
 type Statsz struct {
