@@ -462,6 +462,14 @@ func TestCompileSQL(t *testing.T) {
 	if strings.Count(sql, "SELECT") != 1 {
 		t.Errorf("consolidated sql should be one block: %s", sql)
 	}
+	// It is the plan's fragment with nothing cached: running the chain,
+	// which caches every step, leaves the view as it was.
+	if _, err := ex.Run(g, last); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := ex.CompileSQL(g, last); err != nil || again != sql {
+		t.Errorf("after a run the sql is %q (%v), want %q", again, err, sql)
+	}
 	g2 := NewGraph()
 	direct := g2.Add(skills.Invocation{Skill: "DescribeDataset", Inputs: []string{"base"}})
 	if _, err := ex.CompileSQL(g2, direct); err == nil {

@@ -269,57 +269,16 @@ func (e *Executor) RunWith(ctx context.Context, g *Graph, target NodeID, opts Ex
 	return t.result, rep, nil
 }
 
-// CompileSQL returns the consolidated SQL for the relational chain ending
-// at target without executing it — the SQL view of a recipe step (§2.3).
+// CompileSQL returns the SQL of the fragment that computes target, read
+// from the plan Explain reports with nothing cached: the SQL a replay of
+// the recipe runs for that step (§2.3). It fails when no fragment ends at
+// target, a skill that is not relational.
 func (e *Executor) CompileSQL(g *Graph, target NodeID) (string, error) {
-	var chain []NodeID
-	cur := target
-	for cur >= 0 {
-		node, err := g.Node(cur)
-		if err != nil {
-			return "", err
-		}
-		def, err := e.Registry.Lookup(node.Inv.Skill)
-		if err != nil {
-			return "", err
-		}
-		if def.MergeSQL == nil || len(node.Parents) != 1 {
-			break
-		}
-		chain = append(chain, cur)
-		cur = node.Parents[0]
-	}
-	if len(chain) == 0 {
-		return "", fmt.Errorf("dag: node %d is not a relational skill", target)
-	}
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	head, err := g.Node(chain[0])
+	cold := *e
+	cold.UseCache = false
+	ex, err := cold.Explain(g, target)
 	if err != nil {
 		return "", err
 	}
-	baseName := head.Inv.Inputs[0]
-	if head.Parents[0] >= 0 {
-		parent, err := g.Node(head.Parents[0])
-		if err != nil {
-			return "", err
-		}
-		baseName = parent.OutputName()
-	}
-	builder := skills.NewQueryBuilder(baseName)
-	for _, nid := range chain {
-		node, err := g.Node(nid)
-		if err != nil {
-			return "", err
-		}
-		def, err := e.Registry.Lookup(node.Inv.Skill)
-		if err != nil {
-			return "", err
-		}
-		if err := def.MergeSQL(builder, *node.Inv); err != nil {
-			return "", err
-		}
-	}
-	return builder.SQL(), nil
+	return ex.TargetSQL()
 }

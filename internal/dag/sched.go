@@ -372,7 +372,7 @@ func (e *Executor) executeTask(ctx context.Context, p *execPlan, t *task, deadli
 		})
 	}
 	// A streamed target whose chunks did not flow live — a plan-time pin, a
-	// cache hit, a direct skill, or a fragment that fell back — still owes
+	// cache hit or a direct skill — still owes
 	// the sink its rows: re-chunk the materialized table so remote clients
 	// observe one protocol regardless of where the result came from.
 	if t.stream && p.opts.Stream != nil && !t.sunkAny && res != nil && res.Table != nil {

@@ -116,6 +116,23 @@ func NewExplain(p *Plan) *Explain {
 	return e
 }
 
+// TargetSQL returns the SQL of the fragment whose tail is the target, the
+// statement the plan runs to compute it. It fails when no fragment ends
+// there: the target is not a relational skill, or it is a cache hit.
+func (e *Explain) TargetSQL() (string, error) {
+	for _, n := range e.Nodes {
+		if n.Output != e.Target {
+			continue
+		}
+		for _, f := range e.Fragments {
+			if f.Nodes[len(f.Nodes)-1] == n.ID {
+				return f.SQL, nil
+			}
+		}
+	}
+	return "", fmt.Errorf("plan: no SQL fragment computes %s", e.Target)
+}
+
 func canonicalArgs(n *Node) string {
 	if len(n.Args) == 0 {
 		return ""

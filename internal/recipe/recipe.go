@@ -168,41 +168,6 @@ func (r *Recipe) SQL(ex *dag.Executor) (string, error) {
 	return ex.CompileSQL(g, g.Last())
 }
 
-// ReplayStep reports one step of a live replay.
-type ReplayStep struct {
-	// Index is the 0-based step position.
-	Index int
-	// Step is the recipe step that ran.
-	Step Step
-	// Result is its execution result.
-	Result *skills.Result
-	// Elapsed is the step's wall-clock execution time.
-	Elapsed time.Duration
-}
-
-// LiveReplay executes the recipe step by step, invoking observe after each
-// one — §2.3's "live replay of the steps … as if an expert was entering
-// the steps for the first time". Returns the final result.
-func (r *Recipe) LiveReplay(ex *dag.Executor, observe func(ReplayStep)) (*skills.Result, error) {
-	g := r.Graph()
-	var final *skills.Result
-	for i, id := range g.Order() {
-		start := time.Now()
-		res, err := ex.Run(g, id)
-		if err != nil {
-			return nil, fmt.Errorf("recipe: step %d (%s) failed: %w", i+1, r.Steps[i].Skill, err)
-		}
-		final = res
-		if observe != nil {
-			observe(ReplayStep{Index: i, Step: r.Steps[i], Result: res, Elapsed: time.Since(start)})
-		}
-	}
-	if final == nil {
-		return nil, fmt.Errorf("recipe: %q has no steps", r.Name)
-	}
-	return final, nil
-}
-
 // Validate statically checks a recipe against a skill registry before
 // replay: every step must name a known skill, carry its required
 // parameters, and consume datasets that are either earlier steps' outputs

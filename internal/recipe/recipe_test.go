@@ -174,46 +174,6 @@ func TestReplayWithRefreshSeesNewData(t *testing.T) {
 	}
 }
 
-func TestLiveReplayObservesEveryStep(t *testing.T) {
-	rec, err := FromGraph("summary", buildGraph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex := dag.NewExecutor(reg, newCtx())
-	var seen []int
-	final, err := rec.LiveReplay(ex, func(s ReplayStep) {
-		seen = append(seen, s.Index)
-		if s.Result == nil {
-			t.Errorf("step %d has no result", s.Index)
-		}
-		if s.Elapsed < 0 {
-			t.Errorf("step %d negative elapsed", s.Index)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
-		t.Errorf("observed steps = %v", seen)
-	}
-	direct := replay(t, dag.NewExecutor(reg, newCtx()), rec)
-	if !final.Table.Equal(direct.Table.WithName(final.Table.Name())) {
-		t.Error("live replay result differs from plain replay")
-	}
-	// A nil observer is allowed.
-	if _, err := rec.LiveReplay(dag.NewExecutor(reg, newCtx()), nil); err != nil {
-		t.Fatal(err)
-	}
-	// Failing recipes surface the failing step.
-	bad := &Recipe{Name: "bad", Steps: []Step{
-		{Skill: "KeepRows", Inputs: []string{"people"}, Output: "x",
-			Args: skills.Args{"condition": "nope > 1"}},
-	}}
-	if _, err := bad.LiveReplay(dag.NewExecutor(reg, newCtx()), nil); err == nil {
-		t.Error("failing live replay should error")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	rec, err := FromGraph("summary", buildGraph())
 	if err != nil {

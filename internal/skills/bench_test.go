@@ -3,8 +3,11 @@ package skills
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
+	"time"
 
+	"datachat/internal/dataset"
 	"datachat/internal/sqlengine"
 )
 
@@ -54,6 +57,54 @@ func BenchmarkRelationalApply(b *testing.B) {
 		{Skill: "Pivot", Args: Args{"rows": "s", "columns": "b", "measure": "sum of i"}},
 	} {
 		inv.Inputs = []string{"t0"}
+		b.Run(inv.Skill, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := reg.Execute(ctx, inv)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchResult = res
+			}
+		})
+	}
+}
+
+// factsTable is the benchmark's facts file as a table: n rows of an int id,
+// a 13-value and a 1 000-value string, an int v uniform on [0, 1e6) and a
+// time one second apart per row.
+func factsTable(n int) *dataset.Table {
+	rng := rand.New(rand.NewSource(1))
+	ids, vs := make([]int64, n), make([]int64, n)
+	grps, cats := make([]string, n), make([]string, n)
+	ts := make([]time.Time, n)
+	base := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	for i := range ids {
+		ids[i] = int64(i)
+		grps[i] = "g" + strconv.Itoa(rng.Intn(13))
+		cats[i] = "c" + strconv.Itoa(rng.Intn(1000))
+		vs[i] = rng.Int63n(1_000_000)
+		ts[i] = base.Add(time.Duration(i) * time.Second)
+	}
+	return dataset.MustNewTable("facts",
+		dataset.IntColumn("id", ids, nil),
+		dataset.StringColumn("grp", grps, nil),
+		dataset.StringColumn("cat", cats, nil),
+		dataset.IntColumn("v", vs, nil),
+		dataset.TimeColumn("ts", ts, nil),
+	)
+}
+
+// BenchmarkDescribeDataset summarizes every column of a 200 000-row facts
+// table, and TopValues counts its 1 000-value column.
+func BenchmarkDescribeDataset(b *testing.B) {
+	ctx := NewContext()
+	ctx.Datasets["facts"] = factsTable(200_000)
+	for _, inv := range []Invocation{
+		{Skill: "DescribeDataset"},
+		{Skill: "TopValues", Args: Args{"column": "cat"}},
+	} {
+		inv.Inputs = []string{"facts"}
 		b.Run(inv.Skill, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

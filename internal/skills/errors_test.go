@@ -3,7 +3,9 @@ package skills
 import (
 	"testing"
 
+	"datachat/internal/cloud"
 	"datachat/internal/dataset"
+	"datachat/internal/snapshot"
 )
 
 // TestSkillErrorPaths sweeps the common failure modes of every skill group:
@@ -74,6 +76,67 @@ func TestSkillErrorPaths(t *testing.T) {
 	for _, c := range cases {
 		if _, err := reg.Execute(ctx, c.inv); err == nil {
 			t.Errorf("%s: expected an error", c.name)
+		}
+	}
+}
+
+// TestNumberArgumentsNeverPanic runs every registered skill that takes a
+// number with each such parameter set in turn to -1, -0.5, 0, 1.5 and 2:
+// each run returns a result or an error, never a panic (a panic on a DAG
+// worker goroutine ends the process).
+func TestNumberArgumentsNeverPanic(t *testing.T) {
+	base := map[string]Invocation{
+		"UseDataset":        {Args: Args{"dataset": "people"}},
+		"SampleTable":       {Args: Args{"database": "warehouse", "table": "events", "rate": 0.5}},
+		"CreateSnapshot":    {Args: Args{"name": "ev", "database": "warehouse", "table": "events"}},
+		"ShowDataset":       {Inputs: []string{"people"}},
+		"TopValues":         {Inputs: []string{"people"}, Args: Args{"column": "dept"}},
+		"PlotChart":         {Inputs: []string{"people"}, Args: Args{"chart": "histogram", "x": "age"}},
+		"TrainModel":        {Inputs: []string{"people"}, Args: Args{"target": "age", "features": []string{"id"}}},
+		"PredictTimeSeries": {Inputs: []string{"people"}, Args: Args{"measure": "age", "time": "id", "steps": 2}},
+		"ClusterRows":       {Inputs: []string{"people"}, Args: Args{"columns": []string{"age", "id"}, "k": 2}},
+		"DetectOutliers":    {Inputs: []string{"people"}, Args: Args{"column": "age"}},
+		"LimitRows":         {Inputs: []string{"people"}, Args: Args{"count": 3}},
+		"SampleRows":        {Inputs: []string{"people"}, Args: Args{"fraction": 0.5}},
+		"Bin":               {Inputs: []string{"people"}, Args: Args{"column": "age", "size": 5}},
+	}
+	for _, name := range reg.Names() {
+		def, err := reg.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range def.Params {
+			if p.Type != "number" {
+				continue
+			}
+			inv, ok := base[name]
+			if !ok {
+				t.Errorf("%s takes the number %q but has no base invocation here", name, p.Name)
+				break
+			}
+			for _, v := range []float64{-1, -0.5, 0, 1.5, 2} {
+				args := Args{p.Name: v}
+				for k, a := range inv.Args {
+					if k != p.Name {
+						args[k] = a
+					}
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s with %s = %v panicked: %v", name, p.Name, v, r)
+						}
+					}()
+					ctx := newTestContext(t)
+					db := cloud.NewDatabase("warehouse", cloud.DefaultPricing, 100)
+					if err := db.CreateTable(dataset.MustNewTable("events", dataset.IntColumn("id", []int64{1, 2, 3, 4}, nil))); err != nil {
+						t.Fatal(err)
+					}
+					ctx.Cloud["warehouse"] = db
+					ctx.Snapshots = snapshot.NewStore(50)
+					_, _ = reg.Execute(ctx, Invocation{Skill: name, Inputs: inv.Inputs, Args: args})
+				}()
+			}
 		}
 	}
 }

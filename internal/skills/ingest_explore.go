@@ -6,10 +6,11 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"datachat/internal/dataset"
+	"datachat/internal/expr"
+	"datachat/internal/sqlengine"
 )
 
 func ingestionSkills() []*Definition {
@@ -192,7 +193,7 @@ func applyScanPushdown(t *dataset.Table, inv Invocation) (*dataset.Table, error)
 			return nil, err
 		}
 	}
-	return execOn(t, b.Stmt())
+	return sqlengine.ExecOn(t, b.Stmt())
 }
 
 func datasetNameFromSource(source string) string {
@@ -389,7 +390,7 @@ func explorationSkills() []*Definition {
 				if err != nil {
 					return nil, err
 				}
-				return describeColumns(t.Name(), []*dataset.Column{c})
+				return describe(t.Name(), []*dataset.Column{c})
 			},
 		},
 		{
@@ -403,7 +404,7 @@ func explorationSkills() []*Definition {
 				if err != nil {
 					return nil, err
 				}
-				return describeColumns(t.Name(), t.Columns())
+				return describe(t.Name(), t.Columns())
 			},
 		},
 		{
@@ -420,6 +421,9 @@ func explorationSkills() []*Definition {
 					return nil, err
 				}
 				n := inv.Args.IntOr("rows", 10)
+				if n < 0 {
+					return nil, fmt.Errorf("skills: rows must be non-negative, got %d", n)
+				}
 				return &Result{Table: t.Head(n), Message: fmt.Sprintf("%s has %d rows × %d columns", t.Name(), t.NumRows(), t.NumCols())}, nil
 			},
 		},
@@ -525,27 +529,28 @@ func explorationSkills() []*Definition {
 				if err != nil {
 					return nil, err
 				}
-				counts := map[string]int64{}
-				var order []string
-				for i := 0; i < c.Len(); i++ {
-					key := c.Value(i).String()
-					if _, seen := counts[key]; !seen {
-						order = append(order, key)
-					}
-					counts[key]++
+				k := inv.Args.IntOr("count", 10)
+				if k < 0 { // a negative Limit is no limit
+					return nil, fmt.Errorf("skills: count must be non-negative, got %d", k)
 				}
-				sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] > counts[order[b]] })
-				limit := inv.Args.IntOr("count", 10)
-				if limit > len(order) {
-					limit = len(order)
+				// The k commonest labels, ties in label order.
+				in, stmt, err := sqlengine.Bind(t.Name(), c)
+				if err != nil {
+					return nil, err
 				}
-				valCol := dataset.NewColumn(colName, dataset.TypeString)
-				countCol := dataset.NewColumn("count", dataset.TypeInt)
-				for _, key := range order[:limit] {
-					valCol.Append(dataset.Str(key))
-					countCol.Append(dataset.Int(counts[key]))
+				label := sqlengine.Label(in, 0)
+				stmt.Items = []sqlengine.SelectItem{{Expr: label, Alias: "l"}, {Expr: &sqlengine.AggCall{Name: "COUNT", Star: true}, Alias: "n"}}
+				stmt.GroupBy = []expr.Expr{label}
+				stmt.OrderBy = []sqlengine.OrderItem{{Expr: expr.Column("n"), Desc: true}, {Expr: expr.Column("l")}}
+				stmt.Limit = k
+				g, err := sqlengine.ExecOn(in, stmt)
+				if err != nil {
+					return nil, err
 				}
-				out, err := dataset.NewTable("top_values", valCol, countCol)
+				labels, _, _ := g.Columns()[0].Strs() // over no groups both come back empty
+				counts, _, _ := g.Columns()[1].Ints()
+				out, err := dataset.NewTable("top_values",
+					dataset.StringColumn(colName, labels, nil), dataset.IntColumn("count", counts, nil))
 				if err != nil {
 					return nil, err
 				}
@@ -555,67 +560,51 @@ func explorationSkills() []*Definition {
 	}
 }
 
-// describeColumns builds the DescribeColumn/DescribeDataset summary table.
-func describeColumns(name string, cols []*dataset.Column) (*Result, error) {
-	colName := dataset.NewColumn("column", dataset.TypeString)
-	typeCol := dataset.NewColumn("type", dataset.TypeString)
-	countCol := dataset.NewColumn("count", dataset.TypeInt)
-	nullCol := dataset.NewColumn("nulls", dataset.TypeInt)
-	distinctCol := dataset.NewColumn("distinct", dataset.TypeInt)
-	minCol := dataset.NewColumn("min", dataset.TypeString)
-	maxCol := dataset.NewColumn("max", dataset.TypeString)
-	meanCol := dataset.NewColumn("mean", dataset.TypeFloat)
-	stddevCol := dataset.NewColumn("stddev", dataset.TypeFloat)
-	for _, c := range cols {
-		colName.Append(dataset.Str(c.Name()))
-		typeCol.Append(dataset.Str(c.Type().String()))
-		countCol.Append(dataset.Int(int64(c.Len())))
-		nullCol.Append(dataset.Int(int64(c.NullCount())))
-		distinct := map[string]bool{}
-		var minV, maxV dataset.Value
-		var sum, sumSq float64
-		numeric := 0
-		for i := 0; i < c.Len(); i++ {
-			v := c.Value(i)
-			if v.IsNull() {
-				continue
-			}
-			distinct[v.String()] = true
-			if minV.IsNull() || dataset.Compare(v, minV) < 0 {
-				minV = v
-			}
-			if maxV.IsNull() || dataset.Compare(v, maxV) > 0 {
-				maxV = v
-			}
-			if f, ok := v.AsFloat(); ok && c.Type().Numeric() {
-				sum += f
-				sumSq += f * f
-				numeric++
-			}
+// describe builds the DescribeColumn/DescribeDataset summary, one row per
+// column, from one statement: COUNT(*) and, per column, COUNT, COUNT
+// DISTINCT, MIN, MAX, AVG and STDDEV (the last two null unless the column is
+// numeric).
+func describe(name string, cols []*dataset.Column) (*Result, error) {
+	in, stmt, err := sqlengine.Bind(name, cols...)
+	if err != nil {
+		return nil, err
+	}
+	stmt.Items = []sqlengine.SelectItem{{Expr: &sqlengine.AggCall{Name: "COUNT", Star: true}}}
+	for i, c := range cols {
+		arg := sqlengine.Col(i)
+		var avg, sd expr.Expr = expr.Lit(dataset.Null), expr.Lit(dataset.Null)
+		if c.Type().Numeric() {
+			avg, sd = &sqlengine.AggCall{Name: "AVG", Arg: arg}, &sqlengine.AggCall{Name: "STDDEV", Arg: arg}
 		}
-		distinctCol.Append(dataset.Int(int64(len(distinct))))
-		if minV.IsNull() {
-			minCol.Append(dataset.Null)
-			maxCol.Append(dataset.Null)
-		} else {
-			minCol.Append(dataset.Str(minV.String()))
-			maxCol.Append(dataset.Str(maxV.String()))
-		}
-		if numeric > 0 {
-			mean := sum / float64(numeric)
-			variance := sumSq/float64(numeric) - mean*mean
-			if variance < 0 {
-				variance = 0
-			}
-			meanCol.Append(dataset.Float(mean))
-			stddevCol.Append(dataset.Float(math.Sqrt(variance)))
-		} else {
-			meanCol.Append(dataset.Null)
-			stddevCol.Append(dataset.Null)
+		for _, e := range []expr.Expr{&sqlengine.AggCall{Name: "COUNT", Arg: arg}, &sqlengine.AggCall{Name: "COUNT", Arg: arg, Distinct: true},
+			&sqlengine.AggCall{Name: "MIN", Arg: arg}, &sqlengine.AggCall{Name: "MAX", Arg: arg}, avg, sd} {
+			stmt.Items = append(stmt.Items, sqlengine.SelectItem{Expr: e})
 		}
 	}
-	out, err := dataset.NewTable(name+"_summary",
-		colName, typeCol, countCol, nullCol, distinctCol, minCol, maxCol, meanCol, stddevCol)
+	g, err := sqlengine.ExecOn(in, stmt)
+	if err != nil {
+		return nil, err
+	}
+	summary := make([]*dataset.Column, 9)
+	for j, name := range []string{"column", "type", "count", "nulls", "distinct", "min", "max", "mean", "stddev"} {
+		summary[j] = dataset.NewColumn(name, []dataset.Type{dataset.TypeString, dataset.TypeString, dataset.TypeInt,
+			dataset.TypeInt, dataset.TypeInt, dataset.TypeString, dataset.TypeString, dataset.TypeFloat, dataset.TypeFloat}[j])
+	}
+	row := g.Row(0)
+	rendered := func(v dataset.Value) dataset.Value {
+		if v.IsNull() {
+			return v
+		}
+		return dataset.Str(v.String())
+	}
+	for i, c := range cols {
+		at := row[1+6*i:] // COUNT, COUNT DISTINCT, MIN, MAX, AVG, STDDEV
+		for j, v := range []dataset.Value{dataset.Str(c.Name()), dataset.Str(c.Type().String()), row[0],
+			dataset.Int(row[0].I - at[0].I), at[1], rendered(at[2]), rendered(at[3]), at[4], at[5]} {
+			summary[j].Append(v)
+		}
+	}
+	out, err := dataset.NewTable(name+"_summary", summary...)
 	if err != nil {
 		return nil, err
 	}

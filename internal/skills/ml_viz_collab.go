@@ -97,7 +97,7 @@ func visualizationSkills() []*Definition {
 					if err := where(b, inv.Args, "filter", false); err != nil {
 						return nil, err
 					}
-					if t, err = execOn(t, b.Stmt()); err != nil {
+					if t, err = sqlengine.ExecOn(t, b.Stmt()); err != nil {
 						return nil, err
 					}
 				}
@@ -188,6 +188,9 @@ func mlSkills() []*Definition {
 					return nil, err
 				}
 				testFrac := inv.Args.FloatOr("test_fraction", 0.25)
+				if !(testFrac >= 0 && testFrac < 1) {
+					return nil, fmt.Errorf("skills: test_fraction must be in [0, 1), got %g", testFrac)
+				}
 				train, test := matrix.Split(testFrac, ctx.Seed)
 				kind := strings.ToLower(inv.Args.StringOr("model", "linear"))
 				var model ml.Model

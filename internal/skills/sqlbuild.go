@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"datachat/internal/dataset"
 	"datachat/internal/expr"
 	"datachat/internal/sqlengine"
 )
@@ -252,9 +251,4 @@ func runAlone(merge func(*QueryBuilder, Invocation) error) ApplyFunc {
 		}
 		return &Result{Table: t}, nil
 	}
-}
-
-// execOn runs stmt over t, the one table its FROM names.
-func execOn(t *dataset.Table, stmt *sqlengine.SelectStmt) (*dataset.Table, error) {
-	return sqlengine.ExecStmt(sqlengine.NewMapCatalog(map[string]*dataset.Table{t.Name(): t}), stmt)
 }

@@ -3,7 +3,7 @@ package skills
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"datachat/internal/dataset"
@@ -625,7 +625,7 @@ func applyPivot(t *dataset.Table, args Args) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := execOn(in, stmt)
+	g, err := sqlengine.ExecOn(in, stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -636,10 +636,9 @@ func applyPivot(t *dataset.Table, args Args) (*Result, error) {
 	return &Result{Table: out}, nil
 }
 
-// pivotStmt is Pivot's statement and the table it reads: t's rows and columns
-// as labels r and c — each value's rendering, "null" for null, so values that
-// render alike share a cell — beside the measure column m, grouped by r and c
-// with the measure of each group.
+// pivotStmt is Pivot's statement and the table it reads: t's rows, columns
+// and measure columns, grouped by the labels of the first two (Label: values
+// that render alike share a cell), with the measure of each group.
 func pivotStmt(t *dataset.Table, args Args) (*dataset.Table, *sqlengine.SelectStmt, error) {
 	rowsCol, err := args.String("rows")
 	if err != nil {
@@ -656,56 +655,55 @@ func pivotStmt(t *dataset.Table, args Args) (*dataset.Table, *sqlengine.SelectSt
 	if len(measures) != 1 {
 		return nil, nil, fmt.Errorf("skills: Pivot takes exactly one measure, got %d", len(measures))
 	}
-	var cols []*dataset.Column
-	for i, name := range []string{rowsCol, colsName} {
-		c, err := t.Column(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		labels := make([]string, c.Len())
-		for r := range labels {
-			labels[r] = c.Value(r).String()
-		}
-		cols = append(cols, dataset.StringColumn([]string{"r", "c"}[i], labels, nil))
-	}
+	names := []string{rowsCol, colsName}
 	measure := measures[0]
 	if measure.Column != "*" && measure.Column != "" {
-		m, err := t.Column(measure.Column)
-		if err != nil {
+		names = append(names, measure.Column)
+		measure.Column = sqlengine.Col(2).Name
+	}
+	cols := make([]*dataset.Column, len(names))
+	for i, name := range names {
+		if cols[i], err = t.Column(name); err != nil {
 			return nil, nil, err
 		}
-		cols = append(cols, m.Rename("m"))
-		measure.Column = "m"
 	}
 	agg, err := aggCall(measure)
 	if err != nil {
 		return nil, nil, err
 	}
-	in, err := dataset.NewTable(t.Name(), cols...)
+	in, stmt, err := sqlengine.Bind(t.Name(), cols...)
 	if err != nil {
 		return nil, nil, err
 	}
-	return in, &sqlengine.SelectStmt{
-		Items:   []sqlengine.SelectItem{{Expr: expr.Column("r"), Alias: rowsCol}, {Expr: expr.Column("c")}, {Expr: agg}},
-		From:    &sqlengine.BaseTable{Name: in.Name(), Alias: in.Name()},
-		GroupBy: []expr.Expr{expr.Column("r"), expr.Column("c")},
-		Limit:   -1,
-	}, nil
+	r, c := sqlengine.Label(in, 0), sqlengine.Label(in, 1)
+	stmt.Items = []sqlengine.SelectItem{{Expr: r, Alias: rowsCol}, {Expr: c}, {Expr: agg}}
+	stmt.GroupBy = []expr.Expr{r, c}
+	stmt.OrderBy = []sqlengine.OrderItem{{Expr: r}}
+	return in, stmt, nil
 }
 
-// pivotTable reshapes pivotStmt's groups: one row per rows label, one float
-// column per columns label, both sorted as strings, null for a pair no input
-// row carries.
+// pivotTable reshapes pivotStmt's groups, which come in rows label order:
+// one row per rows label, one float column per columns label, in order, null
+// for a pair no input row carries.
 func pivotTable(name string, g *dataset.Table) (*dataset.Table, error) {
 	rc, cc, mc := g.Columns()[0], g.Columns()[1], g.Columns()[2]
-	rowLabels, rowAt := sortedLabels(rc)
-	colLabels, colAt := sortedLabels(cc)
+	rows, _, _ := rc.Strs()
+	labels, _, _ := cc.Strs()
+	colLabels := slices.Clone(labels)
+	slices.Sort(colLabels)
+	colLabels = slices.Compact(colLabels)
+	rowLabels := slices.Compact(slices.Clone(rows))
 	cells := make([][]dataset.Value, len(colLabels))
 	for i := range cells {
 		cells[i] = make([]dataset.Value, len(rowLabels)) // null until a group fills it
 	}
-	for r := 0; r < g.NumRows(); r++ {
-		cells[colAt[cc.Value(r).S]][rowAt[rc.Value(r).S]] = mc.Value(r)
+	row := -1
+	for r := range rows {
+		if r == 0 || rows[r] != rows[r-1] {
+			row++
+		}
+		col, _ := slices.BinarySearch(colLabels, labels[r])
+		cells[col][row] = mc.Value(r)
 	}
 	cols := []*dataset.Column{dataset.StringColumn(rc.Name(), rowLabels, nil)}
 	for i, label := range colLabels {
@@ -716,23 +714,4 @@ func pivotTable(name string, g *dataset.Table) (*dataset.Table, error) {
 		cols = append(cols, col)
 	}
 	return dataset.NewTable(name, cols...)
-}
-
-// sortedLabels returns the distinct labels of a column, sorted, and each
-// one's position among them.
-func sortedLabels(c *dataset.Column) ([]string, map[string]int) {
-	at := map[string]int{}
-	var labels []string
-	for r := 0; r < c.Len(); r++ {
-		l := c.Value(r).S
-		if _, seen := at[l]; !seen {
-			at[l] = 0
-			labels = append(labels, l)
-		}
-	}
-	sort.Strings(labels)
-	for i, l := range labels {
-		at[l] = i
-	}
-	return labels, at
 }

@@ -7,9 +7,12 @@ package viz
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"time"
 
 	"datachat/internal/dataset"
+	"datachat/internal/expr"
+	"datachat/internal/sqlengine"
 )
 
 // ChartType enumerates supported chart families.
@@ -90,7 +93,13 @@ type Chart struct {
 	RowsUsed int
 }
 
-// Build binds a spec to a table, computing the series data.
+// maxBins caps a histogram's bin count: above it Build fails rather than
+// allocate the edges.
+const maxBins = 1000
+
+// Build binds a spec to a table, computing the series data. Each chart is
+// one statement over the table's columns (two for a histogram) whose few
+// result rows are reshaped here (DESIGN §16).
 func Build(t *dataset.Table, spec Spec) (*Chart, error) {
 	switch spec.Type {
 	case Bar, Donut:
@@ -108,65 +117,167 @@ func Build(t *dataset.Table, spec Spec) (*Chart, error) {
 	}
 }
 
-// buildCategorical aggregates a measure (or record count) per category of X.
+// query binds the named columns of t, then optional unless it is empty, for
+// a statement over them: the i-th bound as sqlengine.Col(i).
+func query(t *dataset.Table, names []string, optional string) (*dataset.Table, *sqlengine.SelectStmt, error) {
+	if optional != "" {
+		names = append(names, optional)
+	}
+	cols := make([]*dataset.Column, len(names))
+	for i, name := range names {
+		c, err := t.Column(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		cols[i] = c
+	}
+	return sqlengine.Bind(t.Name(), cols...)
+}
+
+// as is the select item e AS name.
+func as(e expr.Expr, name string) sqlengine.SelectItem {
+	return sqlengine.SelectItem{Expr: e, Alias: name}
+}
+
+// agg is the aggregate name over arg, or over every row when arg is nil.
+func agg(name string, arg expr.Expr) expr.Expr {
+	return &sqlengine.AggCall{Name: name, Arg: arg, Star: arg == nil}
+}
+
+// orderBy sorts by the named output columns, ascending.
+func orderBy(names ...string) []sqlengine.OrderItem {
+	out := make([]sqlengine.OrderItem, len(names))
+	for i, name := range names {
+		out[i] = sqlengine.OrderItem{Expr: expr.Column(name)}
+	}
+	return out
+}
+
+// isSet is e IS NOT NULL.
+func isSet(e expr.Expr) expr.Expr { return &expr.IsNull{Operand: e, Negated: true} }
+
+// series is the label of column i of in, the column groupBy names, each
+// label a series; with no groupBy it is name, the one series.
+func series(in *dataset.Table, i int, groupBy, name string) expr.Expr {
+	if groupBy == "" {
+		return expr.Lit(dataset.Str(name))
+	}
+	return sqlengine.Label(in, i)
+}
+
+// numeric reports whether a column's values read as numbers: ints, floats
+// and bools (0 and 1), as Value.AsFloat reads them.
+func numeric(t dataset.Type) bool { return t.Numeric() || t == dataset.TypeBool }
+
+// numbers reads a result column as float64s — ints, floats and bools as
+// Value.AsFloat reads them, times as Unix seconds — a null as 0; ok is
+// false, and every value 0, for a column of another type.
+func numbers(c *dataset.Column) (out []float64, ok bool) {
+	out = make([]float64, c.Len())
+	if ints, _, ok := c.Ints(); ok {
+		for i, v := range ints {
+			out[i] = float64(v)
+		}
+	} else if fs, _, ok := c.FloatVals(); ok {
+		copy(out, fs)
+	} else if bs, _, ok := c.Bools(); ok {
+		for i, b := range bs {
+			if b {
+				out[i] = 1
+			}
+		}
+	} else if nanos, _, ok := c.Times(); ok {
+		for i, ns := range nanos {
+			out[i] = float64(time.Unix(0, ns).Unix())
+		}
+	} else {
+		return out, false
+	}
+	for i, null := range c.Nulls() {
+		if null {
+			out[i] = 0
+		}
+	}
+	return out, true
+}
+
+// runs calls f with the bounds of each run of equal adjacent labels.
+func runs(labels []string, f func(from, to int)) {
+	for from := 0; from < len(labels); {
+		to := from + 1
+		for to < len(labels) && labels[to] == labels[from] {
+			to++
+		}
+		f(from, to)
+		from = to
+	}
+}
+
+// buildCategorical aggregates a measure (its SUM) or the record count per
+// label of X, labels in order.
 func buildCategorical(t *dataset.Table, spec Spec) (*Chart, error) {
-	xCol, err := t.Column(spec.X)
+	in, stmt, err := query(t, []string{spec.X}, spec.Y)
 	if err != nil {
 		return nil, err
 	}
-	var yCol *dataset.Column
+	label := sqlengine.Label(in, 0)
+	measure, count := agg("COUNT", nil), agg("COUNT", nil)
 	if spec.Y != "" {
-		if yCol, err = t.Column(spec.Y); err != nil {
-			return nil, err
-		}
+		measure, count = agg("SUM", sqlengine.Col(1)), agg("COUNT", sqlengine.Col(1))
 	}
-	sums := map[string]float64{}
-	var order []string
+	stmt.Items = []sqlengine.SelectItem{as(label, "l"), as(measure, "m"), as(count, "n")}
+	stmt.GroupBy = []expr.Expr{label}
+	stmt.OrderBy = orderBy("l")
+	g, err := sqlengine.ExecOn(in, stmt)
+	if err != nil {
+		return nil, err
+	}
+	cols := g.Columns()
+	labels, _, _ := cols[0].Strs()
+	s := Series{Name: spec.X, Labels: labels}
+	s.Y, _ = numbers(cols[1]) // a label whose measures are all null sums to 0
+	counts, _ := numbers(cols[2])
 	used := 0
-	for i := 0; i < xCol.Len(); i++ {
-		label := xCol.Value(i).String()
-		if _, seen := sums[label]; !seen {
-			order = append(order, label)
-		}
-		if yCol == nil {
-			sums[label]++
-			used++
-			continue
-		}
-		if f, ok := yCol.Value(i).AsFloat(); ok {
-			sums[label] += f
-			used++
-		} else if _, seen := sums[label]; !seen {
-			sums[label] = 0
-		}
-	}
-	sort.Strings(order)
-	s := Series{Name: spec.X}
-	for _, label := range order {
-		s.Labels = append(s.Labels, label)
-		s.Y = append(s.Y, sums[label])
+	for _, n := range counts {
+		used += int(n)
 	}
 	return &Chart{Spec: spec, Series: []Series{s}, RowsUsed: used}, nil
 }
 
+// buildHistogram counts X's finite values in equal-width bins between their
+// MIN and MAX: one statement finds those, a second groups by bin.
 func buildHistogram(t *dataset.Table, spec Spec) (*Chart, error) {
-	xCol, err := t.Column(spec.X)
+	if spec.Bins > maxBins {
+		return nil, fmt.Errorf("viz: a histogram has at most %d bins, got %d", maxBins, spec.Bins)
+	}
+	in, stmt, err := query(t, []string{spec.X}, "")
 	if err != nil {
 		return nil, err
 	}
-	vals, valid := xCol.Floats()
-	var xs []float64
-	for i, v := range vals {
-		if valid[i] {
-			xs = append(xs, v)
-		}
+	x := sqlengine.Col(0)
+	noValues := fmt.Errorf("viz: histogram over %q has no numeric values", spec.X)
+	if !numeric(in.Columns()[0].Type()) {
+		return nil, noValues
 	}
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("viz: histogram over %q has no numeric values", spec.X)
+	// ±Inf and NaN fail both comparisons, so they are skipped like nulls.
+	stmt.Where = expr.Bin(expr.OpAnd,
+		expr.Bin(expr.OpGt, x, expr.Lit(dataset.Float(math.Inf(-1)))),
+		expr.Bin(expr.OpLt, x, expr.Lit(dataset.Float(math.Inf(1)))))
+	stmt.Items = []sqlengine.SelectItem{as(agg("MIN", x), "lo"), as(agg("MAX", x), "hi"), as(agg("COUNT", x), "n")}
+	g, err := sqlengine.ExecOn(in, stmt)
+	if err != nil {
+		return nil, err
 	}
+	bounds := g.Row(0)
+	n := int(bounds[2].I)
+	if n == 0 {
+		return nil, noValues
+	}
+	lo, _ := bounds[0].AsFloat()
+	hi, _ := bounds[1].AsFloat()
 	bins := spec.Bins
 	if bins <= 0 {
-		bins = int(math.Ceil(math.Sqrt(float64(len(xs)))))
+		bins = int(math.Ceil(math.Sqrt(float64(n))))
 		if bins > 20 {
 			bins = 20
 		}
@@ -174,242 +285,153 @@ func buildHistogram(t *dataset.Table, spec Spec) (*Chart, error) {
 			bins = 1
 		}
 	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
 	width := (hi - lo) / float64(bins)
 	if width == 0 {
 		width = 1
 	}
-	counts := make([]float64, bins)
-	edges := make([]float64, bins)
-	for b := range edges {
-		edges[b] = lo + width*float64(b)
+	bin := expr.Func("FLOOR", expr.Bin(expr.OpDiv,
+		expr.Bin(expr.OpSub, x, expr.Lit(dataset.Float(lo))), expr.Lit(dataset.Float(width))))
+	stmt.Items = []sqlengine.SelectItem{as(bin, "b"), as(agg("COUNT", nil), "n")}
+	stmt.GroupBy = []expr.Expr{bin}
+	if g, err = sqlengine.ExecOn(in, stmt); err != nil {
+		return nil, err
 	}
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= bins {
-			b = bins - 1
+	at, _ := numbers(g.Columns()[0])
+	counts, _ := numbers(g.Columns()[1])
+	s := Series{Name: spec.X, X: make([]float64, bins), Y: make([]float64, bins), Labels: make([]string, bins)}
+	for i, v := range at {
+		b := bins - 1 // MAX's own bin, and any bin past it
+		if v < float64(bins) {
+			b = int(v)
 		}
-		counts[b]++
+		s.Y[b] += counts[i]
 	}
-	s := Series{Name: spec.X, X: edges, Y: counts}
-	for b := range edges {
-		s.Labels = append(s.Labels, fmt.Sprintf("[%.4g, %.4g)", edges[b], edges[b]+width))
+	for b := range s.X {
+		s.X[b] = lo + width*float64(b)
+		s.Labels[b] = fmt.Sprintf("[%.4g, %.4g)", s.X[b], s.X[b]+width)
 	}
-	return &Chart{Spec: spec, Series: []Series{s}, RowsUsed: len(xs)}, nil
+	return &Chart{Spec: spec, Series: []Series{s}, RowsUsed: n}, nil
 }
 
+// buildXY plots the rows where X and Y are both set, one series per label of
+// GroupBy in label order (or one named Y); a line's points go in X order, a
+// scatter's in row order.
 func buildXY(t *dataset.Table, spec Spec) (*Chart, error) {
-	xCol, err := t.Column(spec.X)
+	in, stmt, err := query(t, []string{spec.X, spec.Y}, spec.GroupBy)
 	if err != nil {
 		return nil, err
 	}
-	yCol, err := t.Column(spec.Y)
+	x, y := sqlengine.Col(0), sqlengine.Col(1)
+	stmt.Items = []sqlengine.SelectItem{as(x, "x"), as(y, "y"), as(sqlengine.Label(in, 0), "l"),
+		as(series(in, 2, spec.GroupBy, spec.Y), "s")}
+	stmt.Where = expr.Bin(expr.OpAnd, isSet(x), isSet(y))
+	stmt.OrderBy = orderBy("s")
+	if spec.Type == Line {
+		stmt.OrderBy = orderBy("s", "x")
+	}
+	g, err := sqlengine.ExecOn(in, stmt)
 	if err != nil {
 		return nil, err
 	}
-	var groupCol *dataset.Column
-	if spec.GroupBy != "" {
-		if groupCol, err = t.Column(spec.GroupBy); err != nil {
-			return nil, err
-		}
-	}
-	bySeries := map[string]*Series{}
-	var order []string
-	used := 0
-	for i := 0; i < xCol.Len(); i++ {
-		x, okX := numericOrTime(xCol.Value(i))
-		y, okY := yCol.Value(i).AsFloat()
-		if !okX || !okY {
-			continue
-		}
-		name := spec.Y
-		if groupCol != nil {
-			name = groupCol.Value(i).String()
-		}
-		s, seen := bySeries[name]
-		if !seen {
-			s = &Series{Name: name}
-			bySeries[name] = s
-			order = append(order, name)
-		}
-		s.X = append(s.X, x)
-		s.Y = append(s.Y, y)
-		s.Labels = append(s.Labels, xCol.Value(i).String())
-		used++
-	}
-	sort.Strings(order)
-	chart := &Chart{Spec: spec, RowsUsed: used}
-	for _, name := range order {
-		s := bySeries[name]
-		if spec.Type == Line {
-			sortSeriesByX(s)
-		}
-		chart.Series = append(chart.Series, *s)
-	}
-	if len(chart.Series) == 0 {
+	cols := g.Columns()
+	xs, okX := numbers(cols[0])
+	ys, _ := numbers(cols[1])
+	if !okX || !numeric(cols[1].Type()) || g.NumRows() == 0 {
 		return nil, fmt.Errorf("viz: no plottable rows for %s vs %s", spec.X, spec.Y)
 	}
+	labels, _, _ := cols[2].Strs()
+	names, _, _ := cols[3].Strs()
+	chart := &Chart{Spec: spec, RowsUsed: g.NumRows()}
+	runs(names, func(from, to int) {
+		chart.Series = append(chart.Series, Series{Name: names[from],
+			X: xs[from:to:to], Y: ys[from:to:to], Labels: labels[from:to:to]})
+	})
 	return chart, nil
 }
 
-func sortSeriesByX(s *Series) {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	x := make([]float64, len(idx))
-	y := make([]float64, len(idx))
-	labels := make([]string, len(idx))
-	for i, j := range idx {
-		x[i], y[i], labels[i] = s.X[j], s.Y[j], s.Labels[j]
-	}
-	s.X, s.Y, s.Labels = x, y, labels
-}
-
-func numericOrTime(v dataset.Value) (float64, bool) {
-	if v.Type == dataset.TypeTime {
-		return float64(v.T.Unix()), true
-	}
-	return v.AsFloat()
-}
-
-// buildViolin summarizes the distribution of numeric X per category of
-// GroupBy (or overall): min, q1, median, q3, max per series.
+// buildViolin summarizes the distribution of numeric X per label of GroupBy
+// (or overall): min, q1, median, q3, max per series, in label order.
 func buildViolin(t *dataset.Table, spec Spec) (*Chart, error) {
-	xCol, err := t.Column(spec.X)
+	in, stmt, err := query(t, []string{spec.X}, spec.GroupBy)
 	if err != nil {
 		return nil, err
 	}
-	var groupCol *dataset.Column
-	if spec.GroupBy != "" {
-		if groupCol, err = t.Column(spec.GroupBy); err != nil {
-			return nil, err
-		}
+	x := sqlengine.Col(0)
+	stmt.Items = []sqlengine.SelectItem{as(x, "x"), as(series(in, 1, spec.GroupBy, spec.X), "s")}
+	stmt.Where = isSet(x)
+	stmt.OrderBy = orderBy("s", "x")
+	g, err := sqlengine.ExecOn(in, stmt)
+	if err != nil {
+		return nil, err
 	}
-	groups := map[string][]float64{}
-	var order []string
-	used := 0
-	for i := 0; i < xCol.Len(); i++ {
-		v, ok := xCol.Value(i).AsFloat()
-		if !ok {
-			continue
-		}
-		name := spec.X
-		if groupCol != nil {
-			name = groupCol.Value(i).String()
-		}
-		if _, seen := groups[name]; !seen {
-			order = append(order, name)
-		}
-		groups[name] = append(groups[name], v)
-		used++
-	}
-	if used == 0 {
+	xs, _ := numbers(g.Columns()[0])
+	if !numeric(g.Columns()[0].Type()) || len(xs) == 0 {
 		return nil, fmt.Errorf("viz: violin over %q has no numeric values", spec.X)
 	}
-	sort.Strings(order)
-	chart := &Chart{Spec: spec, RowsUsed: used}
-	for _, name := range order {
-		xs := groups[name]
-		sort.Float64s(xs)
-		s := Series{
-			Name:   name,
+	names, _, _ := g.Columns()[1].Strs()
+	chart := &Chart{Spec: spec, RowsUsed: len(xs)}
+	runs(names, func(from, to int) {
+		sorted := xs[from:to]
+		chart.Series = append(chart.Series, Series{
+			Name:   names[from],
 			Labels: []string{"min", "q1", "median", "q3", "max"},
 			Y: []float64{
-				xs[0],
-				quantileSorted(xs, 0.25),
-				quantileSorted(xs, 0.5),
-				quantileSorted(xs, 0.75),
-				xs[len(xs)-1],
+				sorted[0],
+				quantileSorted(sorted, 0.25),
+				quantileSorted(sorted, 0.5),
+				quantileSorted(sorted, 0.75),
+				sorted[len(sorted)-1],
 			},
-		}
-		chart.Series = append(chart.Series, s)
-	}
+		})
+	})
 	return chart, nil
 }
 
-// buildGrid bins rows by (X category, Y category) for bubble and heatmap
-// charts: one series per X category, Y holds the measure per Y category,
-// Size the record count (bubble size in Figure 1).
+// buildGrid counts rows per (X label, Y label) for bubble and heatmap
+// charts: one series per X label, Y holds the record count per Y label
+// (every Y label of the table, in order), Size the SUM of SizeBy or the
+// count (bubble size in Figure 1).
 func buildGrid(t *dataset.Table, spec Spec) (*Chart, error) {
-	xCol, err := t.Column(spec.X)
+	in, stmt, err := query(t, []string{spec.X, spec.Y}, spec.SizeBy)
 	if err != nil {
 		return nil, err
 	}
-	yCol, err := t.Column(spec.Y)
-	if err != nil {
-		return nil, err
-	}
-	var sizeCol *dataset.Column
+	xl, yl := sqlengine.Label(in, 0), sqlengine.Label(in, 1)
+	stmt.Items = []sqlengine.SelectItem{as(xl, "x"), as(yl, "y"), as(agg("COUNT", nil), "n")}
 	if spec.SizeBy != "" {
-		if sizeCol, err = t.Column(spec.SizeBy); err != nil {
-			return nil, err
-		}
+		stmt.Items = append(stmt.Items, as(agg("SUM", sqlengine.Col(2)), "size"))
 	}
-	type cell struct {
-		count float64
-		size  float64
+	stmt.GroupBy = []expr.Expr{xl, yl}
+	stmt.OrderBy = orderBy("x", "y")
+	g, err := sqlengine.ExecOn(in, stmt)
+	if err != nil {
+		return nil, err
 	}
-	cells := map[[2]string]*cell{}
-	xSet, ySet := map[string]bool{}, map[string]bool{}
-	used := 0
-	for i := 0; i < xCol.Len(); i++ {
-		xv := xCol.Value(i).String()
-		yv := yCol.Value(i).String()
-		key := [2]string{xv, yv}
-		c, ok := cells[key]
-		if !ok {
-			c = &cell{}
-			cells[key] = c
-		}
-		c.count++
-		if sizeCol != nil {
-			if f, ok := sizeCol.Value(i).AsFloat(); ok {
-				c.size += f
+	cols := g.Columns()
+	xs, _, _ := cols[0].Strs()
+	ys, _, _ := cols[1].Strs()
+	counts, _ := numbers(cols[2])
+	sizes := counts
+	if spec.SizeBy != "" {
+		sizes, _ = numbers(cols[3])
+	}
+	yLabels := slices.Clone(ys)
+	slices.Sort(yLabels)
+	yLabels = slices.Compact(yLabels)
+	chart := &Chart{Spec: spec, RowsUsed: t.NumRows()}
+	runs(xs, func(from, to int) {
+		s := Series{Name: xs[from], Labels: slices.Clone(yLabels),
+			Y: make([]float64, len(yLabels)), Size: make([]float64, len(yLabels))}
+		j := 0
+		for r := from; r < to; r++ { // this X's Y labels, in order
+			for yLabels[j] != ys[r] {
+				j++
 			}
-		} else {
-			c.size++
-		}
-		xSet[xv] = true
-		ySet[yv] = true
-		used++
-	}
-	xs := sortedKeys(xSet)
-	ys := sortedKeys(ySet)
-	chart := &Chart{Spec: spec, RowsUsed: used}
-	for _, xv := range xs {
-		s := Series{Name: xv}
-		for _, yv := range ys {
-			s.Labels = append(s.Labels, yv)
-			if c, ok := cells[[2]string{xv, yv}]; ok {
-				s.Y = append(s.Y, c.count)
-				s.Size = append(s.Size, c.size)
-			} else {
-				s.Y = append(s.Y, 0)
-				s.Size = append(s.Size, 0)
-			}
+			s.Y[j], s.Size[j] = counts[r], sizes[r]
 		}
 		chart.Series = append(chart.Series, s)
-	}
+	})
 	return chart, nil
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
@@ -472,11 +494,11 @@ func classify(c *dataset.Column) columnKind {
 	switch c.Type() {
 	case dataset.TypeInt, dataset.TypeFloat:
 		// Low-cardinality ints behave like categories.
-		if c.Type() == dataset.TypeInt {
+		if ints, nulls, ok := c.Ints(); ok {
 			distinct := map[int64]bool{}
-			for i := 0; i < c.Len() && len(distinct) <= 12; i++ {
-				if !c.IsNull(i) {
-					distinct[c.Value(i).I] = true
+			for i := 0; i < len(ints) && len(distinct) <= 12; i++ {
+				if nulls == nil || !nulls[i] {
+					distinct[ints[i]] = true
 				}
 			}
 			if len(distinct) <= 12 {

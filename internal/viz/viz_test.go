@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -276,5 +277,33 @@ func TestChartTypeStrings(t *testing.T) {
 		if ct.String() != want {
 			t.Errorf("%d.String() = %s", int(ct), ct.String())
 		}
+	}
+}
+
+func TestHistogramSkipsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		tbl := dataset.MustNewTable("t", dataset.FloatColumn("v", []float64{1, 2, bad, 0}, []bool{false, false, false, true}))
+		chart, err := Build(tbl, Spec{Type: Histogram, X: "v", Bins: 2})
+		if err != nil {
+			t.Fatalf("%v: %v", bad, err)
+		}
+		s := chart.Series[0]
+		if chart.RowsUsed != 2 || s.X[0] != 1 || s.X[1] != 1.5 || s.Y[0] != 1 || s.Y[1] != 1 {
+			t.Errorf("%v: rows used %d, edges %v, counts %v", bad, chart.RowsUsed, s.X, s.Y)
+		}
+	}
+	only := dataset.MustNewTable("t", dataset.FloatColumn("v", []float64{math.NaN(), math.Inf(1)}, nil))
+	if _, err := Build(only, Spec{Type: Histogram, X: "v"}); err == nil {
+		t.Error("a histogram of no finite value should fail")
+	}
+}
+
+func TestHistogramBinsCap(t *testing.T) {
+	tbl := dataset.MustNewTable("t", dataset.IntColumn("v", []int64{1, 2, 3}, nil))
+	if _, err := Build(tbl, Spec{Type: Histogram, X: "v", Bins: maxBins}); err != nil {
+		t.Errorf("%d bins: %v", maxBins, err)
+	}
+	if _, err := Build(tbl, Spec{Type: Histogram, X: "v", Bins: maxBins + 1}); err == nil || !strings.Contains(err.Error(), "at most") {
+		t.Errorf("%d bins: err = %v", maxBins+1, err)
 	}
 }
